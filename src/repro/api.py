@@ -756,30 +756,43 @@ def run_simulate(request: SimulateRequest) -> SimulateResult:
     a memo hit — the property the serving daemon's steady-state
     throughput rests on.  A custom ``max_events`` bypasses the memo
     (the budget changes failure behavior, never results).
+
+    An application whose working set cannot fit the configuration's SRF
+    is a bad request, with the same message in both modes.
     """
     validate_request(request)
     from .core.config import ProcessorConfig
+    from .sim.srf import CapacityError
 
     config = ProcessorConfig(request.clusters, request.alus)
-    if request.max_events is None:
-        from .analysis.sweep import default_engine
+    try:
+        if request.max_events is None:
+            from .analysis.sweep import default_engine
 
-        result = default_engine().simulate_application(
-            request.application,
-            config,
-            clock_ghz=request.clock_ghz,
-            mode=request.mode,
-        )
-    else:
-        from .apps.suite import get_application
-        from .sim.processor import simulate
+            result = default_engine().simulate_application(
+                request.application,
+                config,
+                clock_ghz=request.clock_ghz,
+                mode=request.mode,
+            )
+        else:
+            from .apps.suite import get_application
+            from .sim.processor import simulate
 
-        result = simulate(
-            get_application(request.application),
-            config,
-            clock_ghz=request.clock_ghz,
-            max_events=request.max_events,
-        )
+            result = simulate(
+                get_application(request.application),
+                config,
+                clock_ghz=request.clock_ghz,
+                max_events=request.max_events,
+            )
+    except CapacityError:
+        raise ApiError(
+            f"SimulateRequest: application {request.application!r} does "
+            f"not fit the SRF at C={request.clusters}, N={request.alus}: "
+            "one operation's working set exceeds its capacity of "
+            f"{int(config.srf_capacity_words)} words (the application "
+            "must strip-mine)"
+        ) from None
     return SimulateResult.from_simulation(result, request.application)
 
 

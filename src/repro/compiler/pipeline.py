@@ -8,7 +8,8 @@ performance analysis and the application simulator consume.
 
 Compilation results are cached at two levels:
 
-* an **in-memory** cache (exact object reuse within one process), and
+* an **in-memory** memo keyed on each call's own inputs, so a hit
+  derives nothing (exact object reuse within one process), and
 * the **persistent** content-addressed store of
   :mod:`repro.compiler.cache`, so fresh processes (CI, ``repro report``,
   notebook restarts) reuse schedules compiled by earlier ones.
@@ -134,14 +135,14 @@ def compile_kernel(
     skips the II search entirely and reconstructs the exact schedule the
     cold compile produced.
     """
-    machine = build_machine(config, alu_mix)
-    if unroll_factor is None:
-        unroll_factor = choose_unroll_factor(kernel, machine)
-    key = _cache_key(kernel, machine, unroll_factor)
+    key = _memo_key(kernel, config, alu_mix, unroll_factor)
     cached = _CACHE.get(key)
     if cached is not None:
         return cached
 
+    machine = build_machine(config, alu_mix)
+    if unroll_factor is None:
+        unroll_factor = choose_unroll_factor(kernel, machine)
     disk = cache if cache is not None else default_cache()
     disk_key: Optional[str] = None
     if disk.enabled:
@@ -150,8 +151,7 @@ def compile_kernel(
         if payload is not None:
             result = _schedule_from_payload(kernel, machine, config, payload)
             if result is not None:
-                _CACHE[key] = result
-                _CACHE_KERNELS[id(kernel)] = kernel  # pin to keep ids unique
+                _memo_store(key, kernel, result)
                 return result
             # Decodable but semantically stale (e.g. fails verification):
             # drop it and recompile from scratch.
@@ -184,8 +184,7 @@ def compile_kernel(
         recurrence_mii=schedule.recurrence_mii,
         alu_ops_per_iteration=graph.alu_ops_per_iteration,
     )
-    _CACHE[key] = result
-    _CACHE_KERNELS[id(kernel)] = kernel  # pin to keep ids unique
+    _memo_store(key, kernel, result)
     if disk_key is not None:
         disk.store(disk_key, _schedule_to_payload(result, schedule))
     return result
@@ -231,7 +230,7 @@ ResilientExecutor` (``timeout`` / ``max_retries`` /
         cold = [
             dedup
             for dedup, (kernel, config) in unique.items()
-            if _memo_lookup(kernel, config, alu_mix) is None
+            if _memo_key(kernel, config, alu_mix, None) not in _CACHE
         ]
         if len(cold) > 1:
             pooled = _compile_fan_out(
@@ -246,7 +245,11 @@ ResilientExecutor` (``timeout`` / ``max_retries`` /
             for dedup, schedule in zip(cold, pooled):
                 if schedule is not None:
                     kernel, config = unique[dedup]
-                    _memo_store(kernel, config, alu_mix, schedule)
+                    _memo_store(
+                        _memo_key(kernel, config, alu_mix, None),
+                        kernel,
+                        schedule,
+                    )
                     results[dedup] = schedule
 
     for dedup, (kernel, config) in unique.items():
@@ -301,28 +304,6 @@ def _compile_job(
     fault_point("compile.point")
     kernel, config, alu_mix = args
     return compile_kernel(kernel, config, alu_mix=alu_mix)
-
-
-def _memo_lookup(
-    kernel: KernelGraph,
-    config: ProcessorConfig,
-    alu_mix: Optional[Dict[str, float]],
-) -> Optional[KernelSchedule]:
-    machine = build_machine(config, alu_mix)
-    unroll_factor = choose_unroll_factor(kernel, machine)
-    return _CACHE.get(_cache_key(kernel, machine, unroll_factor))
-
-
-def _memo_store(
-    kernel: KernelGraph,
-    config: ProcessorConfig,
-    alu_mix: Optional[Dict[str, float]],
-    schedule: KernelSchedule,
-) -> None:
-    machine = build_machine(config, alu_mix)
-    unroll_factor = choose_unroll_factor(kernel, machine)
-    _CACHE[_cache_key(kernel, machine, unroll_factor)] = schedule
-    _CACHE_KERNELS[id(kernel)] = kernel  # pin to keep ids unique
 
 
 def _search_ii(
@@ -481,21 +462,28 @@ _CACHE: Dict[Tuple, KernelSchedule] = {}
 _CACHE_KERNELS: Dict[int, KernelGraph] = {}
 
 
-def _cache_key(
-    kernel: KernelGraph, machine: MachineDescription, unroll_factor: int
+def _memo_key(
+    kernel: KernelGraph,
+    config: ProcessorConfig,
+    alu_mix: Optional[Dict[str, float]],
+    unroll_factor: Optional[int],
 ) -> Tuple:
-    slots = tuple(sorted(machine.issue_slots.items()))
-    return (
-        id(kernel),
-        kernel.name,
-        machine.config.clusters,
-        machine.config.alus_per_cluster,
-        slots,
-        machine.extra_pipeline_stages,
-        machine.comm_latency,
-        machine.register_capacity,
-        unroll_factor,
-    )
+    """The in-memory memo key: the compile's inputs as given.
+
+    Nothing is derived from them, so a hit is one dict lookup — no
+    machine build and no unroll choice.  ``unroll_factor`` stays
+    ``None`` when the compiler picks it; the kernel's ``id`` is
+    unambiguous because :func:`_memo_store` pins the kernel.
+    """
+    mix = None if alu_mix is None else tuple(sorted(alu_mix.items()))
+    return (id(kernel), kernel.name, config, mix, unroll_factor)
+
+
+def _memo_store(
+    key: Tuple, kernel: KernelGraph, schedule: KernelSchedule
+) -> None:
+    _CACHE[key] = schedule
+    _CACHE_KERNELS[id(kernel)] = kernel  # pin to keep ids unique
 
 
 def clear_cache() -> None:

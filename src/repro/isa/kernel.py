@@ -73,6 +73,7 @@ class KernelGraph:
         self._nodes: List[Node] = []
         self._recurrences: List[Recurrence] = []
         self._const_values: Dict[int, float] = {}
+        self._stats: Optional[OpCounts] = None
 
     # --- construction --------------------------------------------------
 
@@ -86,6 +87,7 @@ class KernelGraph:
             indices.append(v.index)
         node = Node(len(self._nodes), opcode, tuple(indices), name)
         self._nodes.append(node)
+        self._stats = None
         return Value(self._id, node.index)
 
     def op(self, opcode: Opcode, *operands: Value, name: str = "") -> Value:
@@ -188,14 +190,20 @@ class KernelGraph:
         return counts
 
     def stats(self) -> OpCounts:
-        """Paper Table 2 inner-loop characteristics of this kernel."""
-        by_class = self.counts_by_class()
-        return OpCounts(
-            alu_ops=by_class[FUClass.ALU],
-            srf_accesses=by_class[FUClass.SB],
-            comms=by_class[FUClass.COMM],
-            sp_accesses=by_class[FUClass.SP],
-        )
+        """Paper Table 2 inner-loop characteristics of this kernel.
+
+        Counted once and kept until the next node is added; the
+        simulator asks on every kernel call.
+        """
+        if self._stats is None:
+            by_class = self.counts_by_class()
+            self._stats = OpCounts(
+                alu_ops=by_class[FUClass.ALU],
+                srf_accesses=by_class[FUClass.SB],
+                comms=by_class[FUClass.COMM],
+                sp_accesses=by_class[FUClass.SP],
+            )
+        return self._stats
 
     def critical_path(
         self, latency_of: Optional[Dict[Opcode, int]] = None

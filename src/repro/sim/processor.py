@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..apps.streamc import KernelCall, LoadOp, StoreOp, StreamProgram
-from ..compiler.pipeline import compile_batch, compile_kernel
+from ..compiler.pipeline import KernelSchedule, compile_batch
 from ..core.config import ProcessorConfig
 from ..core.params import TECH_45NM, TechnologyNode
 from ..obs.metrics import MetricsRegistry
@@ -68,8 +68,8 @@ class StreamProcessor:
         self.tracer = tracer
         self.metrics = metrics
         self.max_events = max_events
-        #: Wall-clock profiler charged with ``sim.compile`` (kernel
-        #: scheduling inside the run, cache misses only in practice)
+        #: Wall-clock profiler charged with ``sim.compile`` (the run's
+        #: one up-front ``compile_batch`` of the program's kernels)
         #: when present; sweeps use it to tell compile time from
         #: simulation time without touching simulated results.
         self.profiler = profiler
@@ -79,23 +79,28 @@ class StreamProcessor:
         self.srf = SRFAllocator(config, metrics)
         self._lrf_words = 0
         self._srf_words = 0
+        #: ``id(kernel)`` -> its schedule, filled by :meth:`run`.
+        self._schedules: Dict[int, KernelSchedule] = {}
 
     def run(self, program: StreamProgram) -> SimulationResult:
         """Execute ``program`` and return its timing and statistics."""
         fault_point("sim.run")
         program.validate()
-        # Compile every kernel the program calls up front: the batch API
-        # dedups repeated calls and consults the persistent schedule
-        # cache, so the per-call compile_kernel in _run_kernel is a pure
-        # in-memory hit during the actual run.
-        calls = program.kernel_calls()
-        if calls:
-            jobs = [(call.kernel, self.config) for call in calls]
+        # Compile each distinct kernel the program calls once, up front
+        # (the batch API consults the persistent schedule cache); every
+        # call then reads its kernel's schedule from ``_schedules``.
+        kernels = {
+            id(call.kernel): call.kernel for call in program.kernel_calls()
+        }
+        schedules: List[KernelSchedule] = []
+        if kernels:
+            jobs = [(kernel, self.config) for kernel in kernels.values()]
             if self.profiler is not None:
                 with self.profiler.phase("sim.compile"):
-                    compile_batch(jobs)
+                    schedules = compile_batch(jobs)
             else:
-                compile_batch(jobs)
+                schedules = compile_batch(jobs)
+        self._schedules = dict(zip(kernels, schedules))
         ops = program.ops
         last_use = program.last_use()
         completion: List[int] = [0] * len(ops)
@@ -255,11 +260,7 @@ class StreamProcessor:
         return transfer.data_ready
 
     def _run_kernel(self, op: KernelCall, i: int, ready: int, last_use) -> int:
-        if self.profiler is not None:
-            with self.profiler.phase("sim.compile"):
-                schedule = compile_kernel(op.kernel, self.config)
-        else:
-            schedule = compile_kernel(op.kernel, self.config)
+        schedule = self._schedules[id(op.kernel)]
         start = ready
 
         # Bring spilled inputs back from memory.

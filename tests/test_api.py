@@ -228,6 +228,16 @@ class TestExecutionModes:
         )
         assert analytical.to_json() == simulated.to_json()
 
+    def test_srf_overflow_is_a_bad_request_in_both_modes(self):
+        messages = set()
+        for mode in ("simulated", "analytical"):
+            with pytest.raises(ApiError) as excinfo:
+                run_simulate(SimulateRequest("qrd", 8, 2, mode=mode))
+            messages.add(str(excinfo.value))
+        (message,) = messages
+        for part in ("'qrd'", "C=8", "N=2", "17600 words"):
+            assert part in message
+
     @pytest.mark.parametrize("target", ("fig13", "fig14", "table5"))
     def test_analytical_sweep_matches_simulated(self, target):
         simulated = run_sweep(SweepRequest(target))

@@ -25,6 +25,13 @@ class TestBuilder:
         assert stats.comms == 0
         assert stats.sp_accesses == 0
 
+    def test_counts_follow_added_nodes(self):
+        g = saxpy()
+        assert g.stats().alu_ops == 2
+        g.op(Opcode.FADD, g.read("z"), g.const(1.0))
+        assert g.stats().alu_ops == 3
+        assert g.stats().srf_accesses == 4
+
     def test_values_are_opaque_references(self):
         g = KernelGraph("t")
         v = g.const(1.0)

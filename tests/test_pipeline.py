@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.compiler.machine import build_machine
-from repro.compiler.pipeline import clear_cache, compile_kernel
+from repro.apps.suite import get_application
+from repro.compiler import machine, pipeline
+from repro.compiler.machine import IMAGINE_ALU_MIX, build_machine
+from repro.compiler.pipeline import clear_cache, compile_kernel, memo_size
 from repro.core.config import BASELINE_CONFIG, ProcessorConfig
 from repro.isa.kernel import KernelGraph
 from repro.isa.ops import Opcode
@@ -84,9 +86,77 @@ class TestCache:
     def test_clear_cache(self):
         a = compile_kernel(get_kernel("noise"), BASELINE_CONFIG)
         clear_cache()
+        assert memo_size() == 0
         b = compile_kernel(get_kernel("noise"), BASELINE_CONFIG)
         assert a is not b
         assert a.ii == b.ii  # deterministic recompilation
+
+    def test_alu_mix_not_aliased(self):
+        kernel = get_kernel("fft")
+        plain = compile_kernel(kernel, BASELINE_CONFIG)
+        mixed = compile_kernel(
+            kernel, BASELINE_CONFIG, alu_mix=IMAGINE_ALU_MIX
+        )
+        assert mixed is not plain
+        assert compile_kernel(kernel, BASELINE_CONFIG) is plain
+        # An equal mix given as a fresh dict is the same compile.
+        again = compile_kernel(
+            kernel, BASELINE_CONFIG, alu_mix=dict(IMAGINE_ALU_MIX)
+        )
+        assert again is mixed
+
+    def test_explicit_unroll_factor_not_aliased(self):
+        kernel = get_kernel("noise")
+        config = ProcessorConfig(8, 10)
+        clear_cache()
+        forced = compile_kernel(kernel, config, unroll_factor=1)
+        chosen = compile_kernel(kernel, config)
+        assert forced.unroll_factor == 1
+        assert chosen.unroll_factor == 2
+        assert compile_kernel(kernel, config, unroll_factor=1) is forced
+
+
+class TestWarmPath:
+    """On a warm memo a simulation pays only for the timing recurrence."""
+
+    def test_warm_simulation_derives_nothing(self, monkeypatch):
+        from repro.sim.processor import simulate
+
+        program = get_application("conv")
+        config = ProcessorConfig(16, 10)
+        cold = simulate(program, config)  # fills memo and op counts
+
+        calls = {"build_machine": 0, "counts_by_class": 0}
+        compiled = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (machine, pipeline):
+            monkeypatch.setattr(
+                module, "build_machine",
+                counting("build_machine", build_machine),
+            )
+        monkeypatch.setattr(
+            KernelGraph, "counts_by_class",
+            counting("counts_by_class", KernelGraph.counts_by_class),
+        )
+
+        def spy(kernel, *args, **kwargs):
+            compiled.append(id(kernel))
+            return compile_kernel(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "compile_kernel", spy)
+        warm = simulate(program, config)
+
+        assert calls == {"build_machine": 0, "counts_by_class": 0}
+        kernels = {id(call.kernel) for call in program.kernel_calls()}
+        assert set(compiled) <= kernels
+        assert len(compiled) == len(set(compiled))
+        assert warm == cold
 
 
 class TestUnrollBackoff:

@@ -149,6 +149,15 @@ class TestHttpSemantics:
         assert response.status == 400
         assert "unknown kernel" in response.error["message"]
 
+    def test_srf_overflow_400(self, client):
+        # qrd's working set does not fit the SRF at C=8, N=2.
+        response = client.post(
+            "simulate", {"application": "qrd", "clusters": 8, "alus": 2}
+        )
+        assert response.status == 400
+        assert response.error["code"] == "bad_request"
+        assert "17600 words" in response.error["message"]
+
     def test_stats_endpoint(self, client):
         response = client.stats()
         assert response.status == 200
