@@ -1,17 +1,20 @@
-"""Full-grid sweep throughput: analytical fast path vs the simulator.
+"""Full-grid sweep throughput: simulated mode vs the analytical one.
 
-The analytical backend's reason to exist: a full figure-13/15-style
-application grid — every suite application on the Table-5 cluster
-counts and Figure-15 ALU counts — must come back at least 20x faster
-(40x on quiet machines) through the closed-form model than through the
-cycle-accurate simulator, while agreeing with it cycle for cycle
-(``repro validate-model`` holds the recorded error at its bound).
-The floors sit below the measured ratio (42x to 74x over six runs on a
-2-core VM; see ``docs/performance.md``) so that they catch an evaluator
-that slows, not scheduler jitter; ``tests/test_pipeline.py::TestWarmPath``
+Both modes evaluate one timing recurrence (:mod:`repro.sim.engine`); a
+simulated point also records its per-operation ``OpRecord`` timeline.
+The gate bounds the cost of that timeline from above: a full
+figure-13/15-style application grid — every suite application on
+the Table-5 cluster counts and Figure-15 ALU counts — may take at most
+10x as long simulated as analytical (6x on quiet machines), and the
+two must agree cycle for cycle.  The measured ratio is 3.8x to 4.5x
+over five runs of this file on a 2-core VM (7.3x to 8.5x after the
+rest of the suite has grown the heap), most of it building the
+timeline's records (see ``docs/performance.md``), so the ceiling
+catches a simulated path that drifts back to per-operation object
+work, not scheduler jitter; ``tests/test_pipeline.py::TestWarmPath``
 guards the simulator's per-call work by count rather than by time.
 
-Both backends run on fresh engines with warm compile caches (the grid
+Both modes run on fresh engines with warm compile caches (the grid
 pays kernel compilation once, ever), so the ratio compares evaluation
 cost only.  Set ``REPRO_BENCH_SWEEP_OUT=PATH`` to append the measured
 trajectory point as one compact envelope line — the same format CI
@@ -53,10 +56,10 @@ def _sweep_seconds(mode: str) -> tuple:
 
 
 def test_sweep_analytical_vs_simulated(benchmark, archive):
-    """Analytical full-grid sweeps must be >=20x faster than the
-    simulator (>=40x on quiet machines) and agree point-by-point."""
-    # Warm the persistent compile caches and the model's summary /
-    # service-table caches so both timed passes measure steady state.
+    """Simulated full-grid sweeps take at most 10x the analytical time
+    (6x on quiet machines) and agree with it point-by-point."""
+    # Warm the persistent compile caches and the engine's encoding /
+    # point-table caches so both timed passes measure steady state.
     clear_summary_cache()
     _sweep_seconds("analytical")
     simulated_s, simulated = _sweep_seconds("simulated")
@@ -101,6 +104,6 @@ def test_sweep_analytical_vs_simulated(benchmark, archive):
                 envelope, sort_keys=True, separators=(",", ":")
             ) + "\n")
 
-    assert speedup >= perf_floor(strict=40.0, relaxed=20.0), (
-        f"analytical sweep only {speedup:.1f}x faster than the simulator"
+    assert speedup <= perf_floor(strict=6.0, relaxed=10.0), (
+        f"simulated sweep {speedup:.1f}x slower than the analytical one"
     )

@@ -39,7 +39,6 @@ import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..apps.suite import get_application
 from ..compiler.cache import default_cache
 from ..compiler.pipeline import compile_batch, compile_kernel
 from ..core.config import ProcessorConfig
@@ -54,7 +53,12 @@ from ..resilience.executor import ResilientExecutor
 from ..resilience.faults import fault_point
 from ..sim.metrics import SimulationResult
 from ..sim.processor import simulate
-from .model import EXECUTION_MODES, check_mode, predict_application
+from .model import (
+    EXECUTION_MODES,
+    check_mode,
+    predict_application,
+    program_summary,
+)
 
 __all__ = [
     "EXECUTION_MODES",
@@ -76,7 +80,7 @@ def _simulate_point(args: Tuple[str, ProcessorConfig, TechnologyNode, float]):
     pickles; each worker process warms its own compile cache)."""
     fault_point("sweep.point")
     application, config, node, clock_ghz = args
-    return simulate(get_application(application), config, node, clock_ghz)
+    return simulate(program_summary(application), config, node, clock_ghz)
 
 
 class SweepEngine:
@@ -359,15 +363,15 @@ class SweepEngine:
         clock_ghz: float = 1.0,
         mode: str = "simulated",
     ) -> SimulationResult:
-        """``simulate(get_application(application), config)``, memoized.
+        """``simulate(program_summary(application), config)``, memoized.
 
-        ``mode`` selects the execution backend: ``"simulated"`` drives
-        the cycle-accurate simulator, ``"analytical"`` evaluates the
-        closed-form model (:mod:`repro.analysis.model`) — same scalar
-        results on the validated fleet, no per-op timeline, about two
-        orders of magnitude faster per cold point.  The mode is part of
-        the memo key (and the checkpoint key), so results from the two
-        backends can never alias.
+        ``mode`` selects the execution backend: ``"simulated"`` runs
+        the simulator on the application's cached encoding, timeline
+        included; ``"analytical"`` evaluates the same recurrence through
+        the model (:mod:`repro.analysis.model`) — same scalar results,
+        no per-op timeline.  The mode is part of the memo key (and the
+        checkpoint key), so results from the two backends can never
+        alias.
         """
         check_mode(mode)
         key = (application, config, node, clock_ghz, mode)
@@ -385,7 +389,7 @@ class SweepEngine:
                     )
                 else:
                     result = simulate(
-                        get_application(application),
+                        program_summary(application),
                         config,
                         node,
                         clock_ghz,

@@ -787,13 +787,21 @@ def run_simulate(request: SimulateRequest) -> SimulateResult:
             )
     except CapacityError:
         raise ApiError(
-            f"SimulateRequest: application {request.application!r} does "
-            f"not fit the SRF at C={request.clusters}, N={request.alus}: "
-            "one operation's working set exceeds its capacity of "
-            f"{int(config.srf_capacity_words)} words (the application "
-            "must strip-mine)"
+            srf_overflow_message(request.application, config)
         ) from None
     return SimulateResult.from_simulation(result, request.application)
+
+
+def srf_overflow_message(application: str, config: Any) -> str:
+    """The one-line error for an application whose working set cannot
+    fit ``config``'s SRF (the API's bad request, the CLI's exit 2)."""
+    return (
+        f"SimulateRequest: application {application!r} does not fit the "
+        f"SRF at C={config.clusters}, N={config.alus_per_cluster}: one "
+        "operation's working set exceeds its capacity of "
+        f"{int(config.srf_capacity_words)} words (the application must "
+        "strip-mine)"
+    )
 
 
 def _config_row(config: Any) -> Dict[str, Any]:

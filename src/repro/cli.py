@@ -74,7 +74,7 @@ from .apps import APPLICATION_ORDER, get_application
 from .compiler import compile_kernel, configure_default_cache, default_cache
 from .core import ProcessorConfig
 from .obs import MetricsRegistry, PhaseProfiler, Tracer, build_manifest
-from .sim import DEFAULT_MAX_EVENTS, simulate
+from .sim import DEFAULT_MAX_EVENTS, CapacityError, simulate
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
@@ -354,7 +354,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return _simulate_analytical(args, config)
     if args.json or args.trace_out:
         tracer = Tracer()
-        result, profiler = _run_instrumented(args, tracer)
+        try:
+            result, profiler = _run_instrumented(args, tracer)
+        except CapacityError:
+            return _srf_overflow(args.application, config)
         if args.trace_out:
             with open(args.trace_out, "w") as handle:
                 handle.write(tracer.to_chrome_json(indent=2))
@@ -377,11 +380,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 },
             )
     else:
-        result = simulate(
-            get_application(args.application),
-            config,
-            max_events=args.max_events,
-        )
+        try:
+            result = simulate(
+                get_application(args.application),
+                config,
+                max_events=args.max_events,
+            )
+        except CapacityError:
+            return _srf_overflow(args.application, config)
     print(f"{args.application} on {config.describe()}:")
     print(f"  cycles:       {result.cycles}")
     print(f"  sustained:    {result.gops:.1f} GOPS "
@@ -407,6 +413,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _srf_overflow(application: str, config) -> int:
+    """Report an application that does not fit the SRF; exit status 2."""
+    from .api import srf_overflow_message
+
+    print(srf_overflow_message(application, config), file=sys.stderr)
+    return 2
+
+
 def _simulate_analytical(args: argparse.Namespace, config) -> int:
     """``simulate --mode analytical``: the closed-form model's answer.
 
@@ -422,8 +436,11 @@ def _simulate_analytical(args: argparse.Namespace, config) -> int:
     from .analysis.model import predict_application
 
     profiler = PhaseProfiler()
-    with profiler.phase("predict"):
-        result = predict_application(args.application, config)
+    try:
+        with profiler.phase("predict"):
+            result = predict_application(args.application, config)
+    except CapacityError:
+        return _srf_overflow(args.application, config)
     if args.json:
         from .api import SimulateResult
 

@@ -71,6 +71,26 @@ class TestSimulate:
         assert main(["simulate", "doom"]) == 2
         assert "unknown application" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["simulated", "analytical"])
+    def test_srf_overflow_is_one_line(self, capsys, mode):
+        """qrd's working set does not fit the SRF at C=8, N=2: the CLI
+        prints the API's bad-request message, not a traceback."""
+        from repro.api import ApiError, SimulateRequest, run_simulate
+
+        assert main(
+            ["simulate", "qrd", "-c", "8", "-n", "2", "--mode", mode]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        with pytest.raises(ApiError) as excinfo:
+            run_simulate(SimulateRequest("qrd", clusters=8, alus=2,
+                                         mode=mode))
+        assert captured.err == f"{excinfo.value}\n"
+        assert captured.err.startswith(
+            "SimulateRequest: application 'qrd' does not fit the SRF "
+            "at C=8, N=2: "
+        )
+
 
 class TestFigures:
     def test_single_figure(self, capsys):

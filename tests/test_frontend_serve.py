@@ -15,12 +15,14 @@ import os
 import subprocess
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.sweep import clear_sweep_cache
-from repro.api import SweepRequest, execute
+from repro.api import SweepRequest, dedup_key, execute
+from repro.cluster.coordinator import expand_sweep_points
 from repro.frontend import document_from_graph
 from repro.frontend.registry import configure_default_registry
 from repro.kernels.suite import get_kernel
@@ -184,10 +186,24 @@ class TestFleetIdentity:
                     ref = client.register_kernel(fft_document()).data["ref"]
                     by_ref = client.sweep("fig13", kernel=ref)
                     assert by_ref.status == 200
-                    stats = server.coordinator.membership.stats()
-                    assert all(
-                        w["points_ok"] > 0 for w in stats["workers"]
-                    ), "sweep did not shard across both workers"
+                # Worker ids are ephemeral ports, so the ring may give
+                # one worker every point; each must have answered
+                # exactly the points the ring assigns it.
+                membership = server.coordinator.membership
+                alive = membership.alive()
+                points = expand_sweep_points(SweepRequest("fig13", kernel=ref))
+                owners = Counter(
+                    membership.ring.owner(dedup_key(point), alive)
+                    for point in points
+                )
+                answered = {
+                    w["worker_id"]: w["points_ok"]
+                    for w in membership.stats()["workers"]
+                }
+                assert answered == {
+                    worker: owners[worker] for worker in answered
+                }
+                assert sum(answered.values()) == len(points)
                 oracle = execute(
                     SweepRequest("fig13", kernel="fft")
                 ).to_json()

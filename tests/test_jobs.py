@@ -543,10 +543,18 @@ class TestJobRoutesOpenMode:
 
     def test_cancel_then_cancel_again_conflicts(self, no_checkpoint):
         with running_server() as server:
+            # Hold the job on its first point until the first cancel is
+            # in: with a warm schedule memo, table5 can otherwise finish
+            # before the cancel arrives.
+            release = threading.Event()
+            server.jobs._point_runner = lambda point: release.wait(30)
             with ServeClient("127.0.0.1", server.port) as client:
                 submitted = client.submit_job("table5", kernel="fft")
                 job_id = submitted.data["job_id"]
-                first = client.cancel_job(job_id)
+                try:
+                    first = client.cancel_job(job_id)
+                finally:
+                    release.set()
                 assert first.status == 200
                 final = client.wait_job(job_id, timeout_s=30)
                 assert final.data["state"] == "cancelled"

@@ -108,6 +108,28 @@ class TestApplicationExactness:
         via_program = predict_program(get_application("depth"), config)
         assert via_program == via_name
 
+    def test_unused_preloaded_stream_evicts_without_writeback(self):
+        """A preloaded input no op reads is dirty but never needed:
+        evicting it counts as spill words and moves nothing."""
+        from repro.apps.streamc import StreamProgram
+
+        program = StreamProgram("unused-preload")
+        program.input_in_srf("idle", elements=20_000)
+        loads = [
+            program.stream(name, elements=20_000, in_memory=True)
+            for name in ("a", "b")
+        ]
+        for stream in loads:
+            program.load(stream)
+        for index, stream in enumerate(loads):
+            out = program.stream(f"o{index}", elements=100)
+            program.kernel(get_kernel("noise"), [stream], [out], 100)
+        config = ProcessorConfig(8, 5)  # 44,000-word SRF
+        expected = simulate(program, config)
+        assert expected.spill_words == 20_000
+        assert expected.bandwidth.memory_words == 40_000  # loads only
+        assert_exact(predict_program(program, config), expected)
+
 
 class TestKernelClosedForm:
     @pytest.mark.parametrize("kernel", PERFORMANCE_SUITE)
@@ -142,6 +164,27 @@ class TestSummaryCaching:
         first = program_summary("fft1k")
         clear_summary_cache()
         assert program_summary("fft1k") is not first
+
+    def test_ad_hoc_program_never_reads_suite_tables(self):
+        """A program that merely shares a suite application's name is
+        encoded afresh and never served that application's tables."""
+        from repro.apps.streamc import StreamProgram
+
+        def one_kernel(name):
+            program = StreamProgram(name)
+            raw = program.stream("raw", elements=800, in_memory=True)
+            out = program.stream("out", elements=800)
+            program.load(raw)
+            program.kernel(get_kernel("noise"), [raw], [out], 800)
+            program.store(out)
+            return program
+
+        config = ProcessorConfig(8, 5)
+        suite = simulate(program_summary("fft1k"), config)  # cached
+        impostor = simulate(one_kernel("fft1k"), config)
+        assert impostor.cycles != suite.cycles
+        renamed = simulate(one_kernel("other"), config)
+        assert impostor.records == renamed.records
 
     def test_build_summary_counts_static_work(self):
         summary = build_summary(get_application("fft1k"))
