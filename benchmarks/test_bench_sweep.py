@@ -1,18 +1,20 @@
 """Full-grid sweep throughput: simulated mode vs the analytical one.
 
 Both modes evaluate one timing recurrence (:mod:`repro.sim.engine`); a
-simulated point also records its per-operation ``OpRecord`` timeline.
-The gate bounds the cost of that timeline from above: a full
-figure-13/15-style application grid — every suite application on
-the Table-5 cluster counts and Figure-15 ALU counts — may take at most
-10x as long simulated as analytical (6x on quiet machines), and the
-two must agree cycle for cycle.  The measured ratio is 3.8x to 4.5x
-over five runs of this file on a 2-core VM (7.3x to 8.5x after the
-rest of the suite has grown the heap), most of it building the
-timeline's records (see ``docs/performance.md``), so the ceiling
-catches a simulated path that drifts back to per-operation object
-work, not scheduler jitter; ``tests/test_pipeline.py::TestWarmPath``
-guards the simulator's per-call work by count rather than by time.
+simulated point also keeps its per-operation timeline, the start and
+finish lists behind a lazy :class:`~repro.sim.metrics.Timeline` whose
+``OpRecord`` s are built only when read.  The gate bounds the cost of
+that timeline from above: a full figure-13/15-style application grid —
+every suite application on the Table-5 cluster counts and Figure-15
+ALU counts — may take at most 2x as long simulated as analytical
+(1.5x on quiet machines), and the two must agree cycle for cycle.
+Each mode is timed as the fastest of five fresh-engine passes: 1.03x
+to 1.33x over ten runs of this file on a 2-core VM, 1.04x to 1.15x over
+three runs of the whole suite.  A simulated path that builds its
+records eagerly reads 4.4x to 5.9x and fails.
+``tests/test_sim_timeline.py`` guards the same property by count
+rather than by time: a warm simulated point builds no ``OpRecord``
+until its timeline is read.
 
 Both modes run on fresh engines with warm compile caches (the grid
 pays kernel compilation once, ever), so the ratio compares evaluation
@@ -47,6 +49,10 @@ GRID = [
 ]
 
 
+#: Fresh-engine passes per mode; each mode is timed by its fastest.
+PASSES = 5
+
+
 def _sweep_seconds(mode: str) -> tuple:
     """Answer the full grid on a fresh engine; (seconds, results)."""
     engine = SweepEngine()
@@ -55,16 +61,28 @@ def _sweep_seconds(mode: str) -> tuple:
     return time.perf_counter() - started, results
 
 
+def _fastest_passes() -> tuple:
+    """Alternate the two modes for :data:`PASSES` rounds; each mode's
+    fastest pass as (simulated_s, simulated, analytical_s, analytical)."""
+    simulated_s = analytical_s = float("inf")
+    for _ in range(PASSES):
+        seconds, simulated = _sweep_seconds("simulated")
+        simulated_s = min(simulated_s, seconds)
+        seconds, analytical = _sweep_seconds("analytical")
+        analytical_s = min(analytical_s, seconds)
+    return simulated_s, simulated, analytical_s, analytical
+
+
 def test_sweep_analytical_vs_simulated(benchmark, archive):
-    """Simulated full-grid sweeps take at most 10x the analytical time
-    (6x on quiet machines) and agree with it point-by-point."""
+    """Simulated full-grid sweeps take at most 2x the analytical time
+    (1.5x on quiet machines) and agree with it point-by-point."""
     # Warm the persistent compile caches and the engine's encoding /
-    # point-table caches so both timed passes measure steady state.
+    # point-table caches so every timed pass measures steady state.
     clear_summary_cache()
     _sweep_seconds("analytical")
-    simulated_s, simulated = _sweep_seconds("simulated")
-    analytical_s, analytical = run_once(benchmark, _sweep_seconds,
-                                        "analytical")
+    simulated_s, simulated, analytical_s, analytical = run_once(
+        benchmark, _fastest_passes
+    )
 
     for (application, config), sim, model in zip(
         GRID, simulated, analytical
@@ -104,6 +122,6 @@ def test_sweep_analytical_vs_simulated(benchmark, archive):
                 envelope, sort_keys=True, separators=(",", ":")
             ) + "\n")
 
-    assert speedup <= perf_floor(strict=6.0, relaxed=10.0), (
+    assert speedup <= perf_floor(strict=1.5, relaxed=2.0), (
         f"simulated sweep {speedup:.1f}x slower than the analytical one"
     )

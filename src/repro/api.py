@@ -758,10 +758,13 @@ def run_simulate(request: SimulateRequest) -> SimulateResult:
     (the budget changes failure behavior, never results).
 
     An application whose working set cannot fit the configuration's SRF
-    is a bad request, with the same message in both modes.
+    is a bad request, with the same message in both modes.  So is a
+    ``max_events`` below the application's stream-operation count: a
+    run replays one event per operation, so that budget always fails.
     """
     validate_request(request)
     from .core.config import ProcessorConfig
+    from .sim.events import EventBudgetExceeded
     from .sim.srf import CapacityError
 
     config = ProcessorConfig(request.clusters, request.alus)
@@ -779,8 +782,9 @@ def run_simulate(request: SimulateRequest) -> SimulateResult:
             from .apps.suite import get_application
             from .sim.processor import simulate
 
+            program = get_application(request.application)
             result = simulate(
-                get_application(request.application),
+                program,
                 config,
                 clock_ghz=request.clock_ghz,
                 max_events=request.max_events,
@@ -789,6 +793,10 @@ def run_simulate(request: SimulateRequest) -> SimulateResult:
         raise ApiError(
             srf_overflow_message(request.application, config)
         ) from None
+    except EventBudgetExceeded:
+        raise ApiError(event_budget_message(
+            request.application, request.max_events, len(program.ops)
+        )) from None
     return SimulateResult.from_simulation(result, request.application)
 
 
@@ -801,6 +809,19 @@ def srf_overflow_message(application: str, config: Any) -> str:
         "operation's working set exceeds its capacity of "
         f"{int(config.srf_capacity_words)} words (the application must "
         "strip-mine)"
+    )
+
+
+def event_budget_message(
+    application: str, max_events: int, op_count: int
+) -> str:
+    """The one-line error for an event budget below the run's event
+    count (the API's bad request, the CLI's exit 2)."""
+    return (
+        f"SimulateRequest: max_events={max_events} is too small for "
+        f"application {application!r}: its run replays one event per "
+        f"stream operation, {op_count} in all (use max_events >= "
+        f"{op_count}, or omit it)"
     )
 
 

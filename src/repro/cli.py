@@ -74,7 +74,12 @@ from .apps import APPLICATION_ORDER, get_application
 from .compiler import compile_kernel, configure_default_cache, default_cache
 from .core import ProcessorConfig
 from .obs import MetricsRegistry, PhaseProfiler, Tracer, build_manifest
-from .sim import DEFAULT_MAX_EVENTS, CapacityError, simulate
+from .sim import (
+    DEFAULT_MAX_EVENTS,
+    CapacityError,
+    EventBudgetExceeded,
+    simulate,
+)
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
@@ -358,6 +363,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             result, profiler = _run_instrumented(args, tracer)
         except CapacityError:
             return _srf_overflow(args.application, config)
+        except EventBudgetExceeded:
+            return _event_budget_exceeded(args.application, args.max_events)
         if args.trace_out:
             with open(args.trace_out, "w") as handle:
                 handle.write(tracer.to_chrome_json(indent=2))
@@ -388,6 +395,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             )
         except CapacityError:
             return _srf_overflow(args.application, config)
+        except EventBudgetExceeded:
+            return _event_budget_exceeded(args.application, args.max_events)
     print(f"{args.application} on {config.describe()}:")
     print(f"  cycles:       {result.cycles}")
     print(f"  sustained:    {result.gops:.1f} GOPS "
@@ -418,6 +427,17 @@ def _srf_overflow(application: str, config) -> int:
     from .api import srf_overflow_message
 
     print(srf_overflow_message(application, config), file=sys.stderr)
+    return 2
+
+
+def _event_budget_exceeded(application: str, max_events: int) -> int:
+    """Report a ``--max-events`` below the run's stream-operation count
+    (one replayed event each); exit status 2."""
+    from .api import event_budget_message
+
+    op_count = len(get_application(application).ops)
+    print(event_budget_message(application, max_events, op_count),
+          file=sys.stderr)
     return 2
 
 
@@ -487,7 +507,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from .analysis.timeline import render_trace
 
     tracer = Tracer()
-    result, profiler = _run_instrumented(args, tracer)
+    try:
+        result, profiler = _run_instrumented(args, tracer)
+    except CapacityError:
+        return _srf_overflow(args.application, _config(args))
+    except EventBudgetExceeded:
+        return _event_budget_exceeded(args.application, args.max_events)
     print(render_trace(tracer, max_rows_per_resource=args.rows))
     print(f"({result.cycles} cycles simulated in "
           f"{profiler.seconds('simulate') * 1e3:.1f} ms wall; "

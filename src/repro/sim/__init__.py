@@ -1,10 +1,10 @@
 """Stream-processor application simulator (the C++ simulator substitute)."""
 
 from .cluster import ClusterArray, KernelRun
-from .events import DEFAULT_MAX_EVENTS, EventQueue
+from .events import DEFAULT_MAX_EVENTS, EventBudgetExceeded, EventQueue
 from .host import Host
 from .memory import AccessPattern, MemorySystem, Transfer
-from .metrics import BandwidthReport, OpRecord, SimulationResult
+from .metrics import BandwidthReport, OpRecord, SimulationResult, Timeline
 from .partitioned import PartitionedRun, simulate_partitioned
 from .processor import StreamProcessor, simulate
 from .srf import CapacityError, Eviction, SRFAllocator
@@ -15,6 +15,7 @@ __all__ = [
     "CapacityError",
     "ClusterArray",
     "DEFAULT_MAX_EVENTS",
+    "EventBudgetExceeded",
     "EventQueue",
     "Eviction",
     "Host",
@@ -25,6 +26,7 @@ __all__ = [
     "SRFAllocator",
     "SimulationResult",
     "StreamProcessor",
+    "Timeline",
     "Transfer",
     "simulate",
     "simulate_partitioned",

@@ -25,11 +25,13 @@ no-eviction residency (computed once per program) and its kernels fit
 the microcode store, the spill-free loop is pure max-plus arithmetic.
 Otherwise the SRF loop replays the LRU allocator over integer stream
 handles.  Either loop can record each operation's start and finish,
-the simulator's ``OpRecord`` timeline.  Given an :class:`Observer`, the
-SRF loop also emits the spans and ``srf.*`` metrics of the component
-models in :mod:`repro.sim.host`, :mod:`repro.sim.memory`,
-:mod:`repro.sim.srf` and :mod:`repro.sim.cluster`, which remain as the
-unit references this recurrence is checked against.
+the columns of the simulator's :class:`~repro.sim.metrics.Timeline`,
+which builds ``OpRecord`` s only when read.  Given an
+:class:`Observer`, the SRF loop also emits the spans and ``srf.*``
+metrics of the component models in :mod:`repro.sim.host`,
+:mod:`repro.sim.memory`, :mod:`repro.sim.srf` and
+:mod:`repro.sim.cluster`, which remain as the unit references this
+recurrence is checked against.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from ..obs.metrics import MetricsRegistry, MetricsSnapshot
 from ..obs.tracer import Tracer
 from .cluster import DISPATCH_CYCLES, UCODE_WORDS_PER_CYCLE
 from .host import SCOREBOARD_DEPTH, STREAM_INSTRUCTION_BYTES
-from .metrics import BandwidthReport, OpRecord, SimulationResult
+from .metrics import BandwidthReport, OpRecord, SimulationResult, Timeline
 from .srf import CapacityError
 
 __all__ = [
@@ -84,6 +86,9 @@ class ProgramSummary:
     name: str
     #: Per op: :data:`_LOAD`/:data:`_STORE`/:data:`_KERNEL`.
     kinds: Tuple[int, ...]
+    #: Per op: the ``OpRecord.kind`` name of ``kinds`` (a timeline's
+    #: kind column, shared by every run of the program).
+    kind_names: Tuple[str, ...]
     #: Per op: stream id for loads/stores, kernel id for kernel calls.
     subject: Tuple[int, ...]
     #: Per op: ``work_items`` for kernel calls, 0 otherwise.
@@ -235,6 +240,7 @@ def build_summary(program: StreamProgram) -> ProgramSummary:
     return ProgramSummary(
         name=program.name,
         kinds=tuple(kinds),
+        kind_names=tuple(_KIND_NAMES[k] for k in kinds),
         subject=tuple(subject),
         work=tuple(work),
         deps=tuple(deps),
@@ -455,22 +461,23 @@ class Timing(NamedTuple):
     starts: Optional[Sequence[int]]
     finishes: Sequence[int]
 
-    def records(self, summary: ProgramSummary) -> Tuple[OpRecord, ...]:
-        """The per-operation timeline (needs ``timeline=True``)."""
-        return tuple(map(
-            OpRecord,
-            range(len(summary.kinds)),
-            map(_KIND_NAMES.__getitem__, summary.kinds),
-            summary.labels,
-            self.starts,
-            self.finishes,
-        ))
+    def records(self, summary: ProgramSummary) -> Timeline:
+        """The per-operation timeline over this run's start and finish
+        lists; its records are built when read."""
+        if self.starts is None:
+            raise ValueError(
+                "this run recorded no timeline; evaluate it with "
+                "timeline=True"
+            )
+        return Timeline(
+            summary.kind_names, summary.labels, self.starts, self.finishes
+        )
 
     def result(
         self,
         summary: ProgramSummary,
         point: PointTables,
-        records: Tuple[OpRecord, ...] = (),
+        records: Sequence[OpRecord] = (),
         metrics: Optional[MetricsSnapshot] = None,
     ) -> SimulationResult:
         """The run as a :class:`SimulationResult` (``records`` empty for

@@ -26,6 +26,15 @@ from ..obs.tracer import NULL_TRACER, Tracer
 DEFAULT_MAX_EVENTS = 10_000_000
 
 
+class EventBudgetExceeded(RuntimeError):
+    """:meth:`EventQueue.run` reached its ``max_events`` budget.
+
+    A simulator run replays exactly one event per stream operation, so
+    a budget below a program's operation count fails every time: the
+    API answers it as a bad request, the CLI with exit status 2.
+    """
+
+
 @dataclass(order=True, slots=True)
 class _Event:
     time: int
@@ -85,10 +94,11 @@ class EventQueue:
     def run(self, max_events: int = DEFAULT_MAX_EVENTS) -> int:
         """Drain the queue; returns the final time.
 
-        Raises :class:`RuntimeError` with the current time, the number
-        of events processed, and the pending-heap size once more than
-        ``max_events`` events execute — the signature of a livelocked
-        model endlessly rescheduling itself.
+        Raises :class:`EventBudgetExceeded` (a :class:`RuntimeError`)
+        with the current time, the number of events processed, and the
+        pending-heap size once more than ``max_events`` events execute
+        — the signature of a livelocked model endlessly rescheduling
+        itself.
         """
         events = 0
         occupancy = (
@@ -115,7 +125,7 @@ class EventQueue:
                 events += 1
                 if events > max_events:
                     pending = len(heap) + len(batch) - position - 1
-                    raise RuntimeError(
+                    raise EventBudgetExceeded(
                         f"event budget of {max_events} exceeded "
                         f"(livelock?): {events - 1} events processed this "
                         f"run, now at cycle {self._now}, {pending} events "

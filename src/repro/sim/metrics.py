@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..core.config import ProcessorConfig
 from ..obs.metrics import MetricsSnapshot, accounting_warning
@@ -70,6 +71,95 @@ class OpRecord:
         return self.finish - self.start
 
 
+class Timeline(Sequence[OpRecord]):
+    """A simulated run's per-operation timeline, built on read.
+
+    Four per-op columns stand behind it: the kind names and labels,
+    shared with the program's encoding and never copied, and the start
+    and finish cycles the timing loop filled.  Indexing, slicing,
+    iterating, hashing and comparing with a tuple build
+    :class:`OpRecord` s; nothing else does, so a run nobody inspects
+    costs only its starts list.
+
+    A timeline compares equal to another column by column, and to a
+    tuple of the same records, so a result or checkpoint that holds
+    such a tuple compares equal too; it hashes like that tuple.  It
+    pickles as its four columns, never the program behind them.
+    """
+
+    __slots__ = ("_kinds", "_labels", "_starts", "_finishes")
+
+    def __init__(
+        self,
+        kinds: Sequence[str],
+        labels: Sequence[str],
+        starts: Sequence[int],
+        finishes: Sequence[int],
+    ):
+        self._kinds = kinds
+        self._labels = labels
+        self._starts = starts
+        self._finishes = finishes
+
+    def __len__(self) -> int:
+        return len(self._starts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(
+                OpRecord,
+                range(len(self._starts))[index],
+                self._kinds[index],
+                self._labels[index],
+                self._starts[index],
+                self._finishes[index],
+            ))
+        start = self._starts[index]  # IndexError/TypeError as a tuple's
+        if index < 0:
+            index += len(self._starts)
+        return OpRecord(
+            index,
+            self._kinds[index],
+            self._labels[index],
+            start,
+            self._finishes[index],
+        )
+
+    def __iter__(self):
+        return map(
+            OpRecord,
+            range(len(self._starts)),
+            self._kinds,
+            self._labels,
+            self._starts,
+            self._finishes,
+        )
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Timeline):
+            return (
+                self._starts == other._starts
+                and self._finishes == other._finishes
+                and self._kinds == other._kinds
+                and self._labels == other._labels
+            )
+        if isinstance(other, tuple):
+            return len(other) == len(self) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __reduce__(self):
+        return (
+            Timeline,
+            (self._kinds, self._labels, self._starts, self._finishes),
+        )
+
+    def __repr__(self) -> str:
+        return f"<Timeline of {len(self)} stream ops>"
+
+
 @dataclass(frozen=True)
 class SimulationResult:
     """Outcome of running one stream program on one configuration."""
@@ -79,7 +169,11 @@ class SimulationResult:
     clock_ghz: float
     cycles: int
     useful_alu_ops: int
-    records: Tuple[OpRecord, ...]
+    #: The per-operation timeline: a :class:`Timeline` for a simulated
+    #: run, ``()`` for an analytical one or a result rebuilt from the
+    #: wire.  Either way a sequence of :class:`OpRecord`, in program
+    #: order.
+    records: Sequence[OpRecord]
     spill_words: int
     reload_words: int
     memory_busy_cycles: int

@@ -28,7 +28,7 @@ order.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Optional, Sequence, Union
 
 from ..apps.streamc import StreamProgram
 from ..core.config import ProcessorConfig
@@ -130,7 +130,7 @@ class StreamProcessor:
 
     # --- instrumentation --------------------------------------------------
 
-    def _replay(self, records: Tuple[OpRecord, ...]) -> None:
+    def _replay(self, records: Sequence[OpRecord]) -> None:
         """Run every op completion through the event queue."""
         queue = EventQueue(self.tracer, self.metrics)
         for record in records:

@@ -30,6 +30,7 @@ from repro.api import (
     run_sweep,
     validate_request,
 )
+from repro.apps.suite import get_application
 
 
 class TestRoundTrips:
@@ -237,6 +238,18 @@ class TestExecutionModes:
         (message,) = messages
         for part in ("'qrd'", "C=8", "N=2", "17600 words"):
             assert part in message
+
+    def test_too_small_event_budget_is_a_bad_request(self):
+        """A run replays one event per stream op, so a budget below the
+        op count fails every time: a bad request, not a server fault."""
+        ops = len(get_application("fft1k").ops)
+        with pytest.raises(ApiError) as excinfo:
+            run_simulate(SimulateRequest("fft1k", 8, 5, max_events=ops - 1))
+        message = str(excinfo.value)
+        for part in ("'fft1k'", f"max_events={ops - 1}", f"{ops} in all"):
+            assert part in message
+        enough = run_simulate(SimulateRequest("fft1k", 8, 5, max_events=ops))
+        assert enough == run_simulate(SimulateRequest("fft1k", 8, 5))
 
     @pytest.mark.parametrize("target", ("fig13", "fig14", "table5"))
     def test_analytical_sweep_matches_simulated(self, target):

@@ -91,6 +91,42 @@ class TestSimulate:
             "at C=8, N=2: "
         )
 
+    def test_event_budget_is_one_line(self, capsys):
+        """A --max-events below fft1k's op count: the CLI prints the
+        API's bad-request message and exits 2 (the --json path is
+        ``test_observability.py::TestCli::test_simulate_max_events_flag``)."""
+        from repro.api import ApiError, SimulateRequest, run_simulate
+
+        assert main(["simulate", "fft1k", "-c", "8", "-n", "5",
+                     "--max-events", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        with pytest.raises(ApiError) as excinfo:
+            run_simulate(SimulateRequest("fft1k", 8, 5, max_events=3))
+        assert captured.err == f"{excinfo.value}\n"
+        assert captured.err.startswith(
+            "SimulateRequest: max_events=3 is too small for application "
+            "'fft1k': "
+        )
+
+
+class TestTrace:
+    def test_event_budget_is_one_line(self, capsys):
+        assert main(["trace", "fft1k", "--max-events", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("SimulateRequest: max_events=3 ")
+        assert captured.err.count("\n") == 1
+
+    def test_srf_overflow_is_one_line(self, capsys):
+        assert main(["trace", "qrd", "-c", "8", "-n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "SimulateRequest: application 'qrd' does not fit the SRF "
+            "at C=8, N=2: "
+        )
+
 
 class TestFigures:
     def test_single_figure(self, capsys):

@@ -391,6 +391,13 @@ class TestCli:
 
     def test_simulate_max_events_flag(self, capsys):
         # The budget only gates instrumented runs' completion events;
-        # with tracing on and a tiny budget the run aborts loudly.
-        with pytest.raises(RuntimeError, match="livelock"):
-            main(["simulate", "fft1k", "--json", "--max-events", "1"])
+        # with tracing on and a budget below the op count the run is a
+        # usage error: exit 2 and one line on stderr, no traceback.
+        assert main(["simulate", "fft1k", "--json", "--max-events", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "SimulateRequest: max_events=1 is too small for application "
+            "'fft1k': "
+        )
+        assert captured.err.count("\n") == 1

@@ -158,6 +158,20 @@ class TestHttpSemantics:
         assert response.error["code"] == "bad_request"
         assert "17600 words" in response.error["message"]
 
+    def test_too_small_event_budget_400(self, client):
+        # fft1k has 5 stream ops, and a run replays one event per op.
+        response = client.post(
+            "simulate",
+            {"application": "fft1k", "clusters": 8, "alus": 5,
+             "max_events": 3},
+        )
+        assert response.status == 400
+        assert response.error["code"] == "bad_request"
+        assert response.error["message"].startswith(
+            "SimulateRequest: max_events=3 is too small for application "
+            "'fft1k': "
+        )
+
     def test_stats_endpoint(self, client):
         response = client.stats()
         assert response.status == 200
