@@ -1,26 +1,32 @@
-"""Full-grid sweep throughput: simulated mode vs the analytical one.
+"""Full-grid throughput: a simulated run vs a sweep's evaluation.
 
-Both modes evaluate one timing recurrence (:mod:`repro.sim.engine`); a
-simulated point also keeps its per-operation timeline, the start and
-finish lists behind a lazy :class:`~repro.sim.metrics.Timeline` whose
-``OpRecord`` s are built only when read.  The gate bounds the cost of
-that timeline from above: a full figure-13/15-style application grid —
-every suite application on the Table-5 cluster counts and Figure-15
-ALU counts — may take at most 2x as long simulated as analytical
-(1.5x on quiet machines), and the two must agree cycle for cycle.
-Each mode is timed as the fastest of five fresh-engine passes: 1.03x
-to 1.33x over ten runs of this file on a 2-core VM, 1.04x to 1.15x over
-three runs of the whole suite.  A simulated path that builds its
-records eagerly reads 4.4x to 5.9x and fails.
-``tests/test_sim_timeline.py`` guards the same property by count
-rather than by time: a warm simulated point builds no ``OpRecord``
-until its timeline is read.
+Both entry points evaluate one timing recurrence (:mod:`repro.sim.engine`).
+A sweep (:meth:`~repro.analysis.sweep.SweepEngine.simulate_many`) evaluates
+each point without a per-operation timeline; a direct
+:func:`~repro.sim.processor.simulate` run also keeps its timeline, the
+start and finish lists behind a lazy :class:`~repro.sim.metrics.Timeline`
+whose ``OpRecord`` s are built only when read.  The gate bounds the cost
+of that timeline from above: a full figure-13/15-style application grid —
+every suite application on the Table-5 cluster counts and Figure-15 ALU
+counts — may take at most 2x as long through ``simulate`` as through a
+sweep (1.5x on quiet machines), and the two must agree cycle for cycle.
+Each side is timed as the fastest of five passes: 0.80x to 0.94x over
+eight runs of this file and 0.76x in one run of the whole suite, on a
+2-core VM, where a sweep's memo bookkeeping costs about what the
+timeline does.  While ``simulate`` still built its records eagerly, the
+same comparison read 4.4x to 5.9x and failed.
+``tests/test_sim_timeline.py`` guards the same property by count rather
+than by time: a warm simulated run builds no ``OpRecord`` until its
+timeline is read.
 
-Both modes run on fresh engines with warm compile caches (the grid
-pays kernel compilation once, ever), so the ratio compares evaluation
-cost only.  Set ``REPRO_BENCH_SWEEP_OUT=PATH`` to append the measured
-trajectory point as one compact envelope line — the same format CI
-publishes as ``BENCH_sweep.json``, mirroring ``BENCH_serve.json``.
+Both sides run with warm compile caches (the grid pays kernel compilation
+once, ever), and each sweep pass runs on a fresh engine, so the ratio
+compares evaluation cost only.  The envelope keeps the field names of
+earlier trajectory points: ``simulated`` is the ``simulate`` side and
+``analytical`` the sweep side.  Set ``REPRO_BENCH_SWEEP_OUT=PATH`` to
+append the measured trajectory point as one compact envelope line — the
+same format CI publishes as ``BENCH_sweep.json``, mirroring
+``BENCH_serve.json``.
 """
 
 from __future__ import annotations
@@ -31,14 +37,15 @@ import time
 
 from conftest import perf_floor, run_once
 
-from repro.analysis.model import clear_summary_cache
+from repro.analysis.model import clear_summary_cache, program_summary
 from repro.analysis.perf import FIG15_N_VALUES, TABLE5_C_VALUES
 from repro.analysis.sweep import SweepEngine
 from repro.apps.suite import APPLICATION_ORDER
 from repro.core.config import ProcessorConfig
 from repro.obs.manifest import build_envelope
+from repro.sim.processor import simulate
 
-#: The grid both backends answer: 6 applications x 5 cluster counts
+#: The grid both entry points answer: 6 applications x 5 cluster counts
 #: x 3 ALU counts = 90 points (the union of the Figure-15 sweep and
 #: Table 5's cluster axis).
 GRID = [
@@ -49,37 +56,47 @@ GRID = [
 ]
 
 
-#: Fresh-engine passes per mode; each mode is timed by its fastest.
+#: Passes per side; each side is timed by its fastest.
 PASSES = 5
 
 
-def _sweep_seconds(mode: str) -> tuple:
+def _simulate_seconds() -> tuple:
+    """Run every grid point through ``simulate``; (seconds, results)."""
+    started = time.perf_counter()
+    results = [
+        simulate(program_summary(application), config)
+        for application, config in GRID
+    ]
+    return time.perf_counter() - started, results
+
+
+def _sweep_seconds() -> tuple:
     """Answer the full grid on a fresh engine; (seconds, results)."""
     engine = SweepEngine()
     started = time.perf_counter()
-    results = engine.simulate_many(GRID, mode=mode)
+    results = engine.simulate_many(GRID)
     return time.perf_counter() - started, results
 
 
 def _fastest_passes() -> tuple:
-    """Alternate the two modes for :data:`PASSES` rounds; each mode's
+    """Alternate the two sides for :data:`PASSES` rounds; each side's
     fastest pass as (simulated_s, simulated, analytical_s, analytical)."""
     simulated_s = analytical_s = float("inf")
     for _ in range(PASSES):
-        seconds, simulated = _sweep_seconds("simulated")
+        seconds, simulated = _simulate_seconds()
         simulated_s = min(simulated_s, seconds)
-        seconds, analytical = _sweep_seconds("analytical")
+        seconds, analytical = _sweep_seconds()
         analytical_s = min(analytical_s, seconds)
     return simulated_s, simulated, analytical_s, analytical
 
 
 def test_sweep_analytical_vs_simulated(benchmark, archive):
-    """Simulated full-grid sweeps take at most 2x the analytical time
-    (1.5x on quiet machines) and agree with it point-by-point."""
+    """Simulating the full grid takes at most 2x a sweep's time (1.5x
+    on quiet machines) and agrees with it point-by-point."""
     # Warm the persistent compile caches and the engine's encoding /
     # point-table caches so every timed pass measures steady state.
     clear_summary_cache()
-    _sweep_seconds("analytical")
+    _sweep_seconds()
     simulated_s, simulated, analytical_s, analytical = run_once(
         benchmark, _fastest_passes
     )
@@ -89,7 +106,7 @@ def test_sweep_analytical_vs_simulated(benchmark, archive):
     ):
         assert model.cycles == sim.cycles, (
             f"{application} C={config.clusters} N={config.alus_per_cluster}: "
-            f"model {model.cycles} vs simulator {sim.cycles} cycles"
+            f"sweep {model.cycles} vs simulate {sim.cycles} cycles"
         )
 
     points = len(GRID)
@@ -107,11 +124,11 @@ def test_sweep_analytical_vs_simulated(benchmark, archive):
         f"Full-grid sweep ({points} application points: "
         f"{len(APPLICATION_ORDER)} apps x C{list(TABLE5_C_VALUES)} "
         f"x N{list(FIG15_N_VALUES)})\n"
-        f"  simulated:   {simulated_s * 1e3:10.1f} ms "
+        f"  simulate:    {simulated_s * 1e3:10.1f} ms "
         f"({points / simulated_s:10.1f} points/s)\n"
-        f"  analytical:  {analytical_s * 1e3:10.1f} ms "
+        f"  sweep:       {analytical_s * 1e3:10.1f} ms "
         f"({points / analytical_s:10.1f} points/s)\n"
-        f"  speedup:     {speedup:10.1f}x"
+        f"  ratio:       {speedup:10.1f}x"
     )
 
     out = os.environ.get("REPRO_BENCH_SWEEP_OUT", "").strip()
@@ -123,5 +140,5 @@ def test_sweep_analytical_vs_simulated(benchmark, archive):
             ) + "\n")
 
     assert speedup <= perf_floor(strict=1.5, relaxed=2.0), (
-        f"simulated sweep {speedup:.1f}x slower than the analytical one"
+        f"simulate {speedup:.1f}x slower than a sweep over the grid"
     )

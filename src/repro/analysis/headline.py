@@ -48,9 +48,7 @@ class HeadlineReport:
         return 1.0 - self.perf_per_area / self.perf_per_area_baseline
 
 
-def _report(
-    config, include_apps: bool, mode: str = "simulated"
-) -> HeadlineReport:
+def _report(config, include_apps: bool) -> HeadlineReport:
     base_model = CostModel(BASELINE_CONFIG)
     model = CostModel(config)
     feas = feasibility(config, TECH_45NM)
@@ -58,7 +56,7 @@ def _report(
     def perf_area(cfg) -> float:
         return harmonic_mean(
             [
-                performance_per_area(cfg, kernel_rate(name, cfg, mode))
+                performance_per_area(cfg, kernel_rate(name, cfg))
                 for name in PERFORMANCE_SUITE
             ]
         )
@@ -71,13 +69,13 @@ def _report(
         energy_per_op_overhead=(
             model.energy_per_alu_op() / base_model.energy_per_alu_op()
         ),
-        kernel_speedup=kernel_harmonic_speedup(config, mode),
+        kernel_speedup=kernel_harmonic_speedup(config),
         application_speedup=(
-            application_harmonic_speedup(config, mode=mode)
+            application_harmonic_speedup(config)
             if include_apps
             else 0.0
         ),
-        kernel_gops=kernel_harmonic_gops(config, mode=mode),
+        kernel_gops=kernel_harmonic_gops(config),
         peak_gops=feas.peak_gops,
         power_watts=feas.power_watts,
         perf_per_area=perf_area(config),
@@ -85,15 +83,11 @@ def _report(
     )
 
 
-def headline_640(
-    include_apps: bool = True, mode: str = "simulated"
-) -> HeadlineReport:
+def headline_640(include_apps: bool = True) -> HeadlineReport:
     """H1: the 640-ALU C=128/N=5 machine versus the 40-ALU baseline."""
-    return _report(HEADLINE_640, include_apps, mode)
+    return _report(HEADLINE_640, include_apps)
 
 
-def headline_1280(
-    include_apps: bool = True, mode: str = "simulated"
-) -> HeadlineReport:
+def headline_1280(include_apps: bool = True) -> HeadlineReport:
     """H2: the 1280-ALU C=128/N=10 machine versus the 40-ALU baseline."""
-    return _report(HEADLINE_1280, include_apps, mode)
+    return _report(HEADLINE_1280, include_apps)

@@ -9,20 +9,20 @@ inventory of short-stream overheads (dispatch, microcode reloads,
 software-pipeline priming, host instruction delivery) covers the rest.
 
 That analysis lives in :mod:`repro.sim.engine`, and the simulator runs
-it too: a simulated point is the same recurrence plus its per-operation
-timeline.  This module is the ``analytical`` execution mode over it:
-:func:`predict_application` answers the same question as
-:func:`repro.sim.processor.simulate` from the cached encoding of a
-named application, without the timeline — predicted results carry an
-empty ``records`` tuple (and no metrics snapshot), which is why
-analytical and simulated results must never alias in a memo cache.
+it too: a simulated run is the same recurrence plus its per-operation
+timeline.  :func:`predict_application` is how every sweep, API and
+daemon point is evaluated: the recurrence over the cached encoding of
+a named application, without the timeline — its results carry an
+empty ``records`` tuple and no metrics snapshot.
+:func:`repro.sim.processor.simulate` stays the entry point for runs
+that need the timeline, a trace or metrics.
 :func:`predict_kernel_call_cycles` is the kernel-level closed form.
 
 Speed: a predicted point is pure integer arithmetic over cached tables
 and runs in tens to hundreds of microseconds (see
 ``benchmarks/test_bench_sweep.py``).  ``tests/test_golden_simulations.py``
-checks both modes against a corpus captured from the per-operation
-component simulator.
+checks it against a corpus captured from the per-operation component
+simulator.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from ..sim.engine import (
 from ..sim.metrics import SimulationResult
 
 __all__ = [
-    "EXECUTION_MODES",
     "ProgramSummary",
     "build_summary",
     "clear_summary_cache",
@@ -53,21 +52,6 @@ __all__ = [
     "predict_program",
     "program_summary",
 ]
-
-#: The execution backends a sweep can route application points through.
-#: ``simulated`` is the cycle-accurate simulator; ``analytical`` is this
-#: module.  (:data:`repro.api.SWEEP_MODES` mirrors this tuple so the
-#: light-weight API module never has to import the model.)
-EXECUTION_MODES = ("simulated", "analytical")
-
-def check_mode(mode: str, who: str = "mode") -> str:
-    """Validate an execution-mode name; returns it unchanged."""
-    if mode not in EXECUTION_MODES:
-        raise ValueError(
-            f"unknown {who} {mode!r}; "
-            f"allowed modes: {', '.join(EXECUTION_MODES)}"
-        )
-    return mode
 
 
 def predict_kernel_call_cycles(

@@ -2,7 +2,8 @@
 
 Kernel inner-loop rates come from static analysis of compiled kernels
 (the modulo scheduler's initiation intervals), exactly as in the paper's
-section 5.1; application results come from whole-program simulation.
+section 5.1; application results come from the whole-program timing
+recurrence (:func:`repro.analysis.model.predict_application`).
 
 Every grid walk below routes through the shared
 :class:`~repro.analysis.sweep.SweepEngine`, so the figures, Table 5,
@@ -38,11 +39,9 @@ TABLE5_N_VALUES = (2, 5, 10, 14)
 TABLE5_C_VALUES = (8, 16, 32, 64, 128)
 
 
-def kernel_rate(
-    name: str, config: ProcessorConfig, mode: str = "simulated"
-) -> float:
+def kernel_rate(name: str, config: ProcessorConfig) -> float:
     """Sustained inner-loop ALU operations per cycle, whole chip."""
-    return default_engine().kernel_rate(name, config, mode)
+    return default_engine().kernel_rate(name, config)
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,6 @@ class KernelSpeedupSeries:
 
 def figure13_kernel_speedups(
     n_values: Sequence[int] = FIG13_N_VALUES,
-    mode: str = "simulated",
     kernels: Optional[Sequence[str]] = None,
 ) -> List[KernelSpeedupSeries]:
     """Figure 13: intracluster kernel speedups over C=8/N=5, at C=8.
@@ -65,24 +63,22 @@ def figure13_kernel_speedups(
     :data:`PERFORMANCE_SUITE`.
     """
     return _kernel_speedups(
-        [ProcessorConfig(BASELINE[0], n) for n in n_values], mode, kernels
+        [ProcessorConfig(BASELINE[0], n) for n in n_values], kernels
     )
 
 
 def figure14_kernel_speedups(
     c_values: Sequence[int] = FIG14_C_VALUES,
-    mode: str = "simulated",
     kernels: Optional[Sequence[str]] = None,
 ) -> List[KernelSpeedupSeries]:
     """Figure 14: intercluster kernel speedups over C=8/N=5, at N=5."""
     return _kernel_speedups(
-        [ProcessorConfig(c, BASELINE[1]) for c in c_values], mode, kernels
+        [ProcessorConfig(c, BASELINE[1]) for c in c_values], kernels
     )
 
 
 def _kernel_speedups(
     configs: Sequence[ProcessorConfig],
-    mode: str = "simulated",
     kernels: Optional[Sequence[str]] = None,
 ) -> List[KernelSpeedupSeries]:
     suite = tuple(kernels) if kernels else PERFORMANCE_SUITE
@@ -93,18 +89,17 @@ def _kernel_speedups(
             (name, config)
             for name in suite
             for config in [baseline, *configs]
-        ],
-        mode=mode,
+        ]
     )
     series: List[KernelSpeedupSeries] = []
     per_config_speedups: Dict[ProcessorConfig, List[float]] = {
         c: [] for c in configs
     }
     for name in suite:
-        base_rate = engine.kernel_rate(name, baseline, mode)
+        base_rate = engine.kernel_rate(name, baseline)
         points = []
         for config in configs:
-            speedup = engine.kernel_rate(name, config, mode) / base_rate
+            speedup = engine.kernel_rate(name, config) / base_rate
             points.append((config, speedup))
             per_config_speedups[config].append(speedup)
         series.append(KernelSpeedupSeries(kernel=name, points=tuple(points)))
@@ -120,29 +115,25 @@ def _kernel_speedups(
     return series
 
 
-def kernel_harmonic_speedup(
-    config: ProcessorConfig, mode: str = "simulated"
-) -> float:
+def kernel_harmonic_speedup(config: ProcessorConfig) -> float:
     """Harmonic-mean kernel speedup of ``config`` over the baseline."""
     engine = default_engine()
     baseline = ProcessorConfig(*BASELINE)
     speedups = [
-        engine.kernel_rate(name, config, mode)
-        / engine.kernel_rate(name, baseline, mode)
+        engine.kernel_rate(name, config)
+        / engine.kernel_rate(name, baseline)
         for name in PERFORMANCE_SUITE
     ]
     return harmonic_mean(speedups)
 
 
 def kernel_harmonic_gops(
-    config: ProcessorConfig,
-    clock_ghz: float = 1.0,
-    mode: str = "simulated",
+    config: ProcessorConfig, clock_ghz: float = 1.0
 ) -> float:
     """Harmonic-mean sustained kernel GOPS of ``config``."""
     engine = default_engine()
     rates = [
-        engine.kernel_rate(name, config, mode) * clock_ghz
+        engine.kernel_rate(name, config) * clock_ghz
         for name in PERFORMANCE_SUITE
     ]
     return harmonic_mean(rates)
@@ -151,7 +142,6 @@ def kernel_harmonic_gops(
 def table5_performance_per_area(
     n_values: Sequence[int] = TABLE5_N_VALUES,
     c_values: Sequence[int] = TABLE5_C_VALUES,
-    mode: str = "simulated",
     kernels: Optional[Sequence[str]] = None,
 ) -> Dict[Tuple[int, int], float]:
     """Table 5: harmonic-mean kernel GOPS per unit area over the grid.
@@ -169,8 +159,7 @@ def table5_performance_per_area(
             for name in suite
             for n in n_values
             for c in c_values
-        ],
-        mode=mode,
+        ]
     )
     grid: Dict[Tuple[int, int], float] = {}
     for n in n_values:
@@ -178,7 +167,7 @@ def table5_performance_per_area(
             config = ProcessorConfig(c, n)
             efficiencies = [
                 performance_per_area(
-                    config, engine.kernel_rate(name, config, mode)
+                    config, engine.kernel_rate(name, config)
                 )
                 for name in suite
             ]
@@ -203,7 +192,6 @@ def figure15_application_performance(
     applications: Sequence[str] = APPLICATION_ORDER,
     engine: Optional[SweepEngine] = None,
     workers: Optional[int] = None,
-    mode: str = "simulated",
 ) -> List[ApplicationPoint]:
     """Figure 15: application speedups over C=8/N=5 and sustained GOPS.
 
@@ -222,17 +210,15 @@ def figure15_application_performance(
         for c in c_values
     ]
     wanted = [(name, baseline_config) for name in applications] + grid
-    engine.simulate_many(wanted, workers=workers, mode=mode)
+    engine.simulate_many(wanted, workers=workers)
 
     points: List[ApplicationPoint] = []
     for name in applications:
-        baseline = engine.simulate_application(
-            name, baseline_config, mode=mode
-        )
+        baseline = engine.simulate_application(name, baseline_config)
         for n in n_values:
             for c in c_values:
                 config = ProcessorConfig(c, n)
-                result = engine.simulate_application(name, config, mode=mode)
+                result = engine.simulate_application(name, config)
                 points.append(
                     ApplicationPoint(
                         application=name,
@@ -248,7 +234,6 @@ def figure15_application_performance(
 def application_harmonic_speedup(
     config: ProcessorConfig,
     engine: Optional[SweepEngine] = None,
-    mode: str = "simulated",
 ) -> float:
     """Harmonic-mean application speedup of ``config`` over the baseline.
 
@@ -260,9 +245,7 @@ def application_harmonic_speedup(
     baseline_config = ProcessorConfig(*BASELINE)
     speedups = []
     for name in APPLICATION_ORDER:
-        baseline = engine.simulate_application(
-            name, baseline_config, mode=mode
-        )
-        result = engine.simulate_application(name, config, mode=mode)
+        baseline = engine.simulate_application(name, baseline_config)
+        result = engine.simulate_application(name, config)
         speedups.append(result.speedup_over(baseline))
     return harmonic_mean(speedups)

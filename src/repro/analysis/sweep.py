@@ -28,6 +28,12 @@ every completed point so an interrupted sweep resumes without
 recomputation.  None of it changes results: a sweep that succeeds is
 bit-identical to a fault-free serial run.
 
+Every application point is evaluated by
+:func:`repro.analysis.model.predict_application`: the simulator's
+timing recurrence without its per-operation timeline, which no sweep
+reads.  A point therefore has one memo key and one checkpoint entry,
+whichever deprecated ``mode`` a request named.
+
 The module-level :func:`default_engine` is what the public functions in
 :mod:`repro.analysis.perf` share; library users embedding sweeps can
 instantiate private engines with their own instrumentation.
@@ -39,6 +45,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..api import SWEEP_MODES
 from ..compiler.cache import default_cache
 from ..compiler.pipeline import compile_batch, compile_kernel
 from ..core.config import ProcessorConfig
@@ -52,16 +59,9 @@ from ..resilience.checkpoint import SweepCheckpoint
 from ..resilience.executor import ResilientExecutor
 from ..resilience.faults import fault_point
 from ..sim.metrics import SimulationResult
-from ..sim.processor import simulate
-from .model import (
-    EXECUTION_MODES,
-    check_mode,
-    predict_application,
-    program_summary,
-)
+from .model import predict_application
 
 __all__ = [
-    "EXECUTION_MODES",
     "SweepEngine",
     "SweepPoint",
     "clear_sweep_cache",
@@ -72,19 +72,20 @@ __all__ = [
 #: One application-simulation grid point: ``(application, config)``.
 SweepPoint = Tuple[str, ProcessorConfig]
 
-_SimKey = Tuple[str, ProcessorConfig, TechnologyNode, float, str]
+_SimKey = Tuple[str, ProcessorConfig, TechnologyNode, float]
+_RateKey = Tuple[str, ProcessorConfig]
 
 
-def _simulate_point(args: Tuple[str, ProcessorConfig, TechnologyNode, float]):
-    """Process-pool worker: one cold simulation (module level so it
-    pickles; each worker process warms its own compile cache)."""
+def _simulate_point(args: _SimKey) -> SimulationResult:
+    """Process-pool worker: one cold point (module level so it pickles;
+    each worker process warms its own compile cache)."""
     fault_point("sweep.point")
-    application, config, node, clock_ghz = args
-    return simulate(program_summary(application), config, node, clock_ghz)
+    return predict_application(*args)
 
 
 class SweepEngine:
-    """Shared memo cache + fan-out for ``simulate``/``compile_kernel``.
+    """Shared memo cache + fan-out for application points and
+    ``compile_kernel``.
 
     Parameters
     ----------
@@ -141,9 +142,7 @@ class SweepEngine:
         #: identical queries compute once, not twice.
         self._lock = threading.RLock()
         self._sim_cache: Dict[_SimKey, SimulationResult] = {}
-        self._rate_cache: Dict[
-            Tuple[str, ProcessorConfig, str], float
-        ] = {}
+        self._rate_cache: Dict[_RateKey, float] = {}
         self.sim_hits = 0
         self.sim_misses = 0
         self.rate_hits = 0
@@ -205,7 +204,6 @@ class SweepEngine:
         self,
         kernel: str,
         config: ProcessorConfig,
-        mode: str,
         rate: float,
     ) -> bool:
         """Install a kernel rate computed elsewhere (a cluster worker).
@@ -218,8 +216,7 @@ class SweepEngine:
         the key was already cached (the local value wins; both sides
         are deterministic so they cannot disagree).
         """
-        check_mode(mode)
-        key = (kernel, config, mode)
+        key = (kernel, config)
         with self._lock:
             if key in self._rate_cache:
                 return False
@@ -235,7 +232,6 @@ class SweepEngine:
         config: ProcessorConfig,
         node: TechnologyNode,
         clock_ghz: float,
-        mode: str,
         result: SimulationResult,
     ) -> bool:
         """Install a simulation result computed elsewhere.
@@ -245,12 +241,10 @@ class SweepEngine:
         int or an exactly-round-tripped float, so all derived metrics
         (gops, utilizations, speedups) recompute bit-identically — the
         property the cluster's serial-oracle equivalence rests on.
-        The one divergence is the per-op timeline: ``records`` is empty
-        (it never crosses the wire), the same shape the analytical
-        backend's results already have in this cache.
+        Like every result in this cache, it has no per-op timeline:
+        ``records`` is empty.
         """
-        check_mode(mode)
-        key = (application, config, node, clock_ghz, mode)
+        key = (application, config, node, clock_ghz)
         with self._lock:
             if key in self._sim_cache:
                 return False
@@ -260,14 +254,12 @@ class SweepEngine:
                 self.metrics.counter("sweep.sim.seeded").inc()
             return True
 
-    def has_rate(
-        self, kernel: str, config: ProcessorConfig, mode: str
-    ) -> bool:
+    def has_rate(self, kernel: str, config: ProcessorConfig) -> bool:
         """Whether a kernel rate is already memoized (no side effects:
         hit/miss statistics are untouched — this is a peek, used by the
         cluster coordinator to skip dispatching warm points)."""
         with self._lock:
-            return (kernel, config, mode) in self._rate_cache
+            return (kernel, config) in self._rate_cache
 
     def has_simulation(
         self,
@@ -275,14 +267,11 @@ class SweepEngine:
         config: ProcessorConfig,
         node: TechnologyNode,
         clock_ghz: float,
-        mode: str,
     ) -> bool:
         """Whether a simulation result is already memoized (a peek;
         statistics untouched)."""
         with self._lock:
-            return (
-                application, config, node, clock_ghz, mode
-            ) in self._sim_cache
+            return (application, config, node, clock_ghz) in self._sim_cache
 
     def stats(self) -> Dict[str, int]:
         """Cache effectiveness counters, for reports and tests."""
@@ -361,20 +350,13 @@ class SweepEngine:
         config: ProcessorConfig,
         node: TechnologyNode = TECH_45NM,
         clock_ghz: float = 1.0,
-        mode: str = "simulated",
     ) -> SimulationResult:
-        """``simulate(program_summary(application), config)``, memoized.
+        """``predict_application(application, config)``, memoized.
 
-        ``mode`` selects the execution backend: ``"simulated"`` runs
-        the simulator on the application's cached encoding, timeline
-        included; ``"analytical"`` evaluates the same recurrence through
-        the model (:mod:`repro.analysis.model`) — same scalar results,
-        no per-op timeline.  The mode is part of the memo key (and the
-        checkpoint key), so results from the two backends can never
-        alias.
+        The result carries every total ``simulate`` reports, and no
+        per-op timeline (``records`` is empty).
         """
-        check_mode(mode)
-        key = (application, config, node, clock_ghz, mode)
+        key = (application, config, node, clock_ghz)
         with self._lock:
             cached = self._sim_cache.get(key)
             if cached is not None:
@@ -383,18 +365,9 @@ class SweepEngine:
             self._count("sim", hit=False)
             with self.profiler.phase("sweep.simulate"):
                 started = time.perf_counter()
-                if mode == "analytical":
-                    result = predict_application(
-                        application, config, node, clock_ghz
-                    )
-                else:
-                    result = simulate(
-                        program_summary(application),
-                        config,
-                        node,
-                        clock_ghz,
-                        profiler=self.profiler,
-                    )
+                result = predict_application(
+                    application, config, node, clock_ghz
+                )
                 elapsed = time.perf_counter() - started
                 self._observe_point(elapsed)
             self._sim_cache[key] = result
@@ -408,27 +381,17 @@ class SweepEngine:
                 application=application,
                 clusters=config.clusters,
                 alus=config.alus_per_cluster,
-                mode=mode,
                 seconds=round(elapsed, 6),
             )
             return result
 
-    def kernel_rate(
-        self,
-        kernel: str,
-        config: ProcessorConfig,
-        mode: str = "simulated",
-    ) -> float:
+    def kernel_rate(self, kernel: str, config: ProcessorConfig) -> float:
         """Sustained whole-chip ops/cycle of a suite kernel, memoized.
 
         Sits above the compiler's own schedule cache: a hit skips the
         machine-description build and cache-key construction too.
-        Kernel rates are a schedule closed form in *both* modes (the
-        simulator's cluster array runs the same arithmetic), but the
-        mode still participates in the memo key so backends never alias.
         """
-        check_mode(mode)
-        key = (kernel, config, mode)
+        key = (kernel, config)
         with self._lock:
             cached = self._rate_cache.get(key)
             if cached is not None:
@@ -449,7 +412,6 @@ class SweepEngine:
                 kernel=kernel,
                 clusters=config.clusters,
                 alus=config.alus_per_cluster,
-                mode=mode,
                 seconds=round(elapsed, 6),
             )
             return rate
@@ -460,7 +422,6 @@ class SweepEngine:
         self,
         points: Sequence[Tuple[str, ProcessorConfig]],
         workers: Optional[int] = None,
-        mode: str = "simulated",
     ) -> List[float]:
         """Compile a (kernel, config) grid; whole-chip rates in order.
 
@@ -471,12 +432,11 @@ class SweepEngine:
         schedule at most once, ever.  Values are identical to repeated
         :meth:`kernel_rate` calls.
         """
-        check_mode(mode)
         with self._lock:
-            missing: List[Tuple[str, ProcessorConfig]] = []
+            missing: List[_RateKey] = []
             seen = set()
             for kernel, config in points:
-                key = (kernel, config, mode)
+                key = (kernel, config)
                 if key not in self._rate_cache and key not in seen:
                     seen.add(key)
                     missing.append((kernel, config))
@@ -504,7 +464,7 @@ class SweepEngine:
                     zip(missing, schedules), start=1
                 ):
                     rate = schedule.ops_per_cycle()
-                    key = (kernel, config, mode)
+                    key = (kernel, config)
                     self._rate_cache[key] = rate
                     self._count("rate", hit=False)
                     self._checkpoint_store("rate", key, rate)
@@ -517,8 +477,7 @@ class SweepEngine:
                 seconds=round(time.perf_counter() - started, 3),
             )
             return [
-                self.kernel_rate(kernel, config, mode)
-                for kernel, config in points
+                self.kernel_rate(kernel, config) for kernel, config in points
             ]
 
     def simulate_many(
@@ -529,27 +488,30 @@ class SweepEngine:
         workers: Optional[int] = None,
         mode: str = "simulated",
     ) -> List[SimulationResult]:
-        """Simulate a grid of points; results in input order.
+        """Evaluate a grid of points; results in input order.
 
         Cached points are served from the memo cache; the cold ones run
         serially, or across a process pool when ``workers`` asks for
         more than one.  Ordering and values are identical either way
-        (the simulator is deterministic), and every result lands in the
-        cache for later single-point lookups.  If the platform cannot
-        spawn worker processes the engine degrades to the serial path
-        rather than failing the sweep.
+        (the recurrence is deterministic), and every result lands in
+        the cache for later single-point lookups.  If the platform
+        cannot spawn worker processes the engine degrades to the serial
+        path rather than failing the sweep.
 
-        ``mode="analytical"`` evaluates the closed-form model instead
-        of the simulator for every cold point; a process pool is never
-        spawned for analytical grids — per-point cost is microseconds,
-        far below fork/pickle overhead, so the serial path always wins.
+        ``mode`` is deprecated and has no effect: it must name one of
+        :data:`repro.api.SWEEP_MODES`, and both evaluate every point
+        the same way.
         """
-        check_mode(mode)
+        if mode not in SWEEP_MODES:
+            raise ValueError(
+                f"unknown mode {mode!r}; "
+                f"allowed modes: {', '.join(SWEEP_MODES)}"
+            )
         with self._lock:
             missing: List[SweepPoint] = []
             seen = set()
             for application, config in points:
-                key = (application, config, node, clock_ghz, mode)
+                key = (application, config, node, clock_ghz)
                 if key not in self._sim_cache and key not in seen:
                     seen.add(key)
                     missing.append((application, config))
@@ -562,20 +524,17 @@ class SweepEngine:
             )
             started = time.perf_counter()
             done = 0
-            if (
-                missing and workers is not None and workers > 1
-                and mode == "simulated"
-            ):
+            if missing and workers is not None and workers > 1:
                 done = self._fan_out(
                     missing, node, clock_ghz, workers, started
                 )
             for application, config in missing:
                 # Serial fill for whatever the pool did not cover (all
                 # of it when workers is None or pool startup failed).
-                key = (application, config, node, clock_ghz, mode)
+                key = (application, config, node, clock_ghz)
                 was_cached = key in self._sim_cache
                 self.simulate_application(
-                    application, config, node, clock_ghz, mode
+                    application, config, node, clock_ghz
                 )
                 if not was_cached:
                     done += 1
@@ -591,7 +550,7 @@ class SweepEngine:
             )
             return [
                 self.simulate_application(
-                    application, config, node, clock_ghz, mode
+                    application, config, node, clock_ghz
                 )
                 for application, config in points
             ]
@@ -653,9 +612,7 @@ class SweepEngine:
             self.last_executor_stats = executor.stats()
         done = 0
         for (application, config), result in zip(missing, results):
-            # The pool only ever runs cycle-accurate points (analytical
-            # grids stay serial), so the key's mode is fixed.
-            key = (application, config, node, clock_ghz, "simulated")
+            key = (application, config, node, clock_ghz)
             self._sim_cache[key] = result
             self._count("sim", hit=False)
             self._checkpoint_store("sim", key, result)

@@ -74,16 +74,17 @@ __all__ = [
 #: ``/v1/jobs``), made ``/v1/sweeps`` the canonical sweep route (the
 #: singular alias answers with a ``Deprecation`` header for one
 #: version), and gave every error envelope an optional RFC 6901
-#: ``pointer`` alongside its stable ``code``.
+#: ``pointer`` alongside its stable ``code``.  The ``mode`` field of
+#: simulate and sweep requests is deprecated within v5 (accepted and
+#: validated, with no effect) and goes in v6.
 API_VERSION = 5
 
 #: Sweep targets :func:`run_sweep` understands.
 SWEEP_TARGETS = ("fig13", "fig14", "table5", "fig15", "headline")
 
-#: Execution backends simulate/sweep requests accept.  Mirrors
-#: :data:`repro.analysis.model.EXECUTION_MODES` (asserted by the test
-#: suite) without importing the heavy analysis stack at request-build
-#: time.
+#: The values the deprecated ``mode`` field of simulate and sweep
+#: requests accepts.  Both evaluate a point the same way, so the field
+#: has no effect; it stays, validated, until API v6 removes it.
 SWEEP_MODES = ("simulated", "analytical")
 
 
@@ -170,7 +171,7 @@ def _require(condition: bool, message: str) -> None:
         raise ApiError(message)
 
 
-def _check_mode(mode: Any, who: str) -> None:
+def _validate_mode(mode: Any, who: str) -> None:
     _require(
         mode in SWEEP_MODES,
         f"{who}: unknown mode {mode!r}; "
@@ -226,11 +227,9 @@ class CompileRequest(_Payload):
 class SimulateRequest(_Payload):
     """Simulate one application on one ``(C, N)`` configuration.
 
-    ``mode`` selects the execution backend: ``"simulated"`` (the
-    cycle-accurate simulator, the default) or ``"analytical"`` (the
-    closed-form model — same scalar results on the validated fleet,
-    answers in microseconds).  ``max_events`` is a simulator livelock
-    budget and therefore only meaningful with ``mode="simulated"``.
+    ``mode`` is deprecated and has no effect: it must be one of
+    :data:`SWEEP_MODES`, and every point is evaluated the same way.
+    It goes in API v6.
     """
 
     application: str = ""
@@ -261,12 +260,7 @@ class SimulateRequest(_Payload):
                 and self.max_events >= 1),
             "SimulateRequest: max_events must be None or an integer >= 1",
         )
-        _check_mode(self.mode, "SimulateRequest")
-        _require(
-            not (self.mode == "analytical" and self.max_events is not None),
-            "SimulateRequest: max_events is a simulator budget and cannot "
-            "be combined with mode='analytical'",
-        )
+        _validate_mode(self.mode, "SimulateRequest")
 
 
 @dataclass(frozen=True)
@@ -274,11 +268,10 @@ class SweepRequest(_Payload):
     """Regenerate one figure/table study as structured rows.
 
     ``target`` is one of :data:`SWEEP_TARGETS`; ``apps`` additionally
-    runs the (slower) application simulations where the target supports
-    them (``headline``); ``workers`` fans cold grid points out over a
-    process pool; ``mode`` selects the execution backend
-    (:data:`SWEEP_MODES` — ``"analytical"`` answers a full grid in
-    milliseconds from the closed-form model).
+    runs the application simulations where the target supports them
+    (``headline``); ``workers`` fans cold grid points out over a process
+    pool; ``mode`` is deprecated and has no effect (one of
+    :data:`SWEEP_MODES`; it goes in API v6).
     """
 
     target: str = ""
@@ -307,7 +300,7 @@ class SweepRequest(_Payload):
                 and self.workers >= 1),
             "SweepRequest: workers must be None or an integer >= 1",
         )
-        _check_mode(self.mode, "SweepRequest")
+        _validate_mode(self.mode, "SweepRequest")
         _require(
             isinstance(self.kernel, str),
             "SweepRequest: kernel must be a string",
@@ -532,6 +525,7 @@ class JobStatus(_Payload):
     state: str = "queued"
     tenant: str = ""
     target: str = ""
+    #: The submitted sweep's deprecated ``mode``, echoed until API v6.
     mode: str = "simulated"
     kernel: str = ""
     points_total: int = 0
@@ -636,12 +630,6 @@ def validate_request(request: AnyRequest) -> None:
             )
     elif isinstance(request, SimulateRequest):
         if request.application.startswith("kernel:"):
-            _require(
-                request.mode == "simulated",
-                "SimulateRequest: registered kernels run as synthetic "
-                "microbenchmarks and require mode='simulated' (the "
-                "analytical model covers the built-in applications)",
-            )
             _check_kernel_ref(request.application)
         else:
             from .apps.suite import APPLICATION_ORDER
@@ -758,7 +746,7 @@ def run_simulate(request: SimulateRequest) -> SimulateResult:
     (the budget changes failure behavior, never results).
 
     An application whose working set cannot fit the configuration's SRF
-    is a bad request, with the same message in both modes.  So is a
+    is a bad request, whichever ``mode`` the request names.  So is a
     ``max_events`` below the application's stream-operation count: a
     run replays one event per operation, so that budget always fails.
     """
@@ -773,10 +761,7 @@ def run_simulate(request: SimulateRequest) -> SimulateResult:
             from .analysis.sweep import default_engine
 
             result = default_engine().simulate_application(
-                request.application,
-                config,
-                clock_ghz=request.clock_ghz,
-                mode=request.mode,
+                request.application, config, clock_ghz=request.clock_ghz
             )
         else:
             from .apps.suite import get_application
@@ -852,9 +837,9 @@ def run_sweep(request: SweepRequest) -> SweepResult:
         )
 
         series = (
-            figure13_kernel_speedups(mode=request.mode, kernels=kernels)
+            figure13_kernel_speedups(kernels=kernels)
             if request.target == "fig13"
-            else figure14_kernel_speedups(mode=request.mode, kernels=kernels)
+            else figure14_kernel_speedups(kernels=kernels)
         )
         for entry in series:
             name = label if entry.kernel == request.kernel else entry.kernel
@@ -866,14 +851,14 @@ def run_sweep(request: SweepRequest) -> SweepResult:
     elif request.target == "table5":
         from .analysis.perf import table5_performance_per_area
 
-        grid = table5_performance_per_area(mode=request.mode, kernels=kernels)
+        grid = table5_performance_per_area(kernels=kernels)
         for (c, n), value in sorted(grid.items()):
             rows.append({"clusters": c, "alus": n, "perf_per_area": value})
     elif request.target == "fig15":
         from .analysis.perf import figure15_application_performance
 
         for point in figure15_application_performance(
-            workers=request.workers, mode=request.mode
+            workers=request.workers
         ):
             rows.append(
                 {
@@ -887,10 +872,8 @@ def run_sweep(request: SweepRequest) -> SweepResult:
         from .analysis.headline import headline_640, headline_1280
 
         for name, report in (
-            ("640alu",
-             headline_640(include_apps=request.apps, mode=request.mode)),
-            ("1280alu",
-             headline_1280(include_apps=request.apps, mode=request.mode)),
+            ("640alu", headline_640(include_apps=request.apps)),
+            ("1280alu", headline_1280(include_apps=request.apps)),
         ):
             rows.append(
                 {

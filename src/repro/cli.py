@@ -350,13 +350,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
               f"(or a registered kernel:<hash> reference)", file=sys.stderr)
         return 2
     config = _config(args)
-    if args.mode == "analytical":
-        if is_kernel_ref:
-            print("mode 'analytical' models the built-in applications; "
-                  "registered kernels need --mode simulated",
-                  file=sys.stderr)
-            return 2
-        return _simulate_analytical(args, config)
     if args.json or args.trace_out:
         tracer = Tracer()
         try:
@@ -441,64 +434,6 @@ def _event_budget_exceeded(application: str, max_events: int) -> int:
     return 2
 
 
-def _simulate_analytical(args: argparse.Namespace, config) -> int:
-    """``simulate --mode analytical``: the closed-form model's answer.
-
-    The model produces totals, not a per-operation timeline, so the
-    timeline-shaped outputs (``--timeline``/``--gantt``/``--trace-out``)
-    are rejected rather than silently printed empty.
-    """
-    if args.timeline or args.gantt or args.trace_out:
-        print("mode 'analytical' predicts totals without a timeline; "
-              "--timeline/--gantt/--trace-out need --mode simulated",
-              file=sys.stderr)
-        return 2
-    from .analysis.model import predict_application
-
-    profiler = PhaseProfiler()
-    try:
-        with profiler.phase("predict"):
-            result = predict_application(args.application, config)
-    except CapacityError:
-        return _srf_overflow(args.application, config)
-    if args.json:
-        from .api import SimulateResult
-
-        manifest = build_manifest(
-            result,
-            application=args.application,
-            timings=profiler.as_dict(),
-        )
-        return _emit_envelope(
-            "simulate",
-            SimulateResult.from_simulation(
-                result, args.application
-            ).to_dict(),
-            meta={
-                "manifest": manifest,
-                "compile_cache": default_cache().stats(),
-                "mode": "analytical",
-            },
-        )
-    print(f"{args.application} on {config.describe()} "
-          "(analytical model):")
-    print(f"  cycles:       {result.cycles}")
-    print(f"  sustained:    {result.gops:.1f} GOPS "
-          f"({result.alu_utilization:.1%} of peak)")
-    print(f"  memory busy:  {result.memory_utilization:.1%}")
-    print(f"  cluster busy: {result.cluster_utilization:.1%}")
-    print(f"  SRF spills:   {result.spill_words} words out, "
-          f"{result.reload_words} back")
-    lrf, srf, mem = result.bandwidth.gbps(result.cycles, result.clock_ghz)
-    print(f"  bandwidth:    LRF {lrf:.0f} / SRF {srf:.1f} / "
-          f"memory {mem:.2f} GB/s "
-          f"({result.bandwidth.locality_fraction:.1%} on-chip)")
-    print(f"  predicted in {profiler.seconds('predict') * 1e3:.2f} ms "
-          "(closed form; validated against the simulator, "
-          "see 'repro validate-model')")
-    return 0
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     if args.application not in APPLICATION_ORDER:
         print(f"unknown application {args.application!r}; "
@@ -545,37 +480,36 @@ def cmd_schedules(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Figure renderers.  Each takes the execution mode; the VLSI cost
-#: figures (6-11) are closed-form already and ignore it, the
-#: performance studies (13/14/table5) route it to the sweep engine.
+#: Figure renderers: the VLSI cost figures (6-11) and the performance
+#: studies (13/14/table5), which go through the sweep engine.
 _FIGURES = {
-    "fig6": lambda mode="simulated": render_stack_figure(
+    "fig6": lambda: render_stack_figure(
         "Figure 6: area/ALU, intracluster (C=8, norm N=5)",
         figure6_area_intracluster(), "N"),
-    "fig7": lambda mode="simulated": render_stack_figure(
+    "fig7": lambda: render_stack_figure(
         "Figure 7: energy/op, intracluster (C=8, norm N=5)",
         figure7_energy_intracluster(), "N"),
-    "fig8": lambda mode="simulated": render_delay_figure(
+    "fig8": lambda: render_delay_figure(
         "Figure 8: delays, intracluster (C=8)",
         figure8_delay_intracluster(), "N"),
-    "fig9": lambda mode="simulated": render_stack_figure(
+    "fig9": lambda: render_stack_figure(
         "Figure 9: area/ALU, intercluster (N=5, norm C=8)",
         figure9_area_intercluster(), "C"),
-    "fig10": lambda mode="simulated": render_stack_figure(
+    "fig10": lambda: render_stack_figure(
         "Figure 10: energy/op, intercluster (N=5, norm C=8)",
         figure10_energy_intercluster(), "C"),
-    "fig11": lambda mode="simulated": render_delay_figure(
+    "fig11": lambda: render_delay_figure(
         "Figure 11: delays, intercluster (N=5)",
         figure11_delay_intercluster(), "C"),
-    "fig13": lambda mode="simulated": render_speedup_figure(
+    "fig13": lambda: render_speedup_figure(
         "Figure 13: intracluster kernel speedup",
-        figure13_kernel_speedups(mode=mode), "N"),
-    "fig14": lambda mode="simulated": render_speedup_figure(
+        figure13_kernel_speedups(), "N"),
+    "fig14": lambda: render_speedup_figure(
         "Figure 14: intercluster kernel speedup",
-        figure14_kernel_speedups(mode=mode), "C"),
-    "table5": lambda mode="simulated": render_grid(
+        figure14_kernel_speedups(), "C"),
+    "table5": lambda: render_grid(
         "Table 5: kernel performance per unit area",
-        table5_performance_per_area(mode=mode),
+        table5_performance_per_area(),
         TABLE5_C_VALUES, TABLE5_N_VALUES),
 }
 
@@ -588,7 +522,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
                   f"available: {', '.join(sorted(_FIGURES))}",
                   file=sys.stderr)
             return 2
-        print(_FIGURES[name](mode=args.mode))
+        print(_FIGURES[name]())
         print()
     return 0
 
@@ -610,36 +544,6 @@ def _sweep_meta(engine, elapsed: float) -> dict:
     return meta
 
 
-def _model_error_meta() -> dict:
-    """The recorded model-validation summary, for envelope metadata."""
-    from .analysis.validate_model import recorded_report
-
-    report = recorded_report()
-    if report is None:
-        return {"recorded": False}
-    return {
-        "recorded": True,
-        "max_rel_error": report["max_rel_error"],
-        "mean_rel_error": report["mean_rel_error"],
-        "bound": report["bound"],
-        "passed": bool(report.get("passed")),
-    }
-
-
-def _mode_summary_line() -> str:
-    """One line naming the backend and its recorded honesty budget."""
-    from .analysis.validate_model import recorded_report
-
-    report = recorded_report()
-    if report is None:
-        return ("mode: analytical (closed-form model; no recorded "
-                "validation report — run 'repro validate-model')")
-    total = report.get("grid", {}).get("total", "?")
-    return (f"mode: analytical (closed-form model; recorded max rel "
-            f"error {report['max_rel_error']:.6f} vs the simulator over "
-            f"{total} points, bound {report['bound']:.3f})")
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     """Figures 13/14 + Table 5 (and Figure 15 with ``--apps``) in one
     run, followed by a one-line compile/cache summary."""
@@ -656,29 +560,25 @@ def cmd_report(args: argparse.Namespace) -> int:
             targets.append("fig15")
         studies = {
             target: run_sweep(
-                SweepRequest(target, workers=args.workers, mode=args.mode)
+                SweepRequest(target, workers=args.workers)
             ).to_dict()
             for target in targets
         }
         elapsed = time.perf_counter() - started
-        meta = _sweep_meta(default_engine(), elapsed)
-        meta["mode"] = args.mode
-        if args.mode == "analytical":
-            meta["model_error"] = _model_error_meta()
         return _emit_envelope(
             "report",
             {"studies": studies},
-            meta=meta,
+            meta=_sweep_meta(default_engine(), elapsed),
         )
     for name in ("fig13", "fig14", "table5"):
-        print(_FIGURES[name](mode=args.mode))
+        print(_FIGURES[name]())
         print()
     if args.apps:
         from .analysis.perf import figure15_application_performance
 
         print("Figure 15: application performance (speedup over C=8/N=5)")
         for point in figure15_application_performance(
-            workers=args.workers, mode=args.mode
+            workers=args.workers
         ):
             config = point.config
             print(f"  {point.application:10s} C={config.clusters:3d} "
@@ -692,50 +592,12 @@ def cmd_report(args: argparse.Namespace) -> int:
           f"points ({engine_stats['rate_misses']} compiled, "
           f"{engine_stats['rate_hits']} memo hits); "
           f"{_cache_summary()}; {elapsed:.2f}s wall")
-    if args.mode == "analytical":
-        print(_mode_summary_line())
     if engine.checkpoint is not None and engine.checkpoint.enabled:
         ck = engine.checkpoint.stats()
         print(f"checkpoint: {ck['loads']} points restored, "
               f"{ck['writes']} written, {ck['corrupt']} corrupt "
               f"({engine.checkpoint.root})")
     return 0
-
-
-def cmd_validate_model(args: argparse.Namespace) -> int:
-    """Run the analytical model point-by-point against the simulator
-    over the tier-1 grid; non-zero exit when the recorded bound is
-    exceeded."""
-    from .analysis.validate_model import (
-        MODEL_ERROR_BOUND,
-        build_report,
-        recorded_report,
-        render_report,
-        write_report,
-    )
-
-    if args.bound is not None:
-        bound = args.bound
-    else:
-        recorded = recorded_report()
-        bound = (
-            recorded["bound"] if recorded is not None else MODEL_ERROR_BOUND
-        )
-    report = build_report(bound=bound)
-    if args.out:
-        write_report(args.out, report)
-    if args.json:
-        summary = {k: v for k, v in report.items() if k != "points"}
-        _emit_envelope(
-            "validate-model",
-            summary,
-            meta={"points_written_to": args.out} if args.out else None,
-        )
-        return 0 if report["passed"] else 1
-    print(render_report(report))
-    if args.out:
-        print(f"wrote full report to {args.out}")
-    return 0 if report["passed"] else 1
 
 
 def cmd_export(args: argparse.Namespace) -> int:
@@ -887,10 +749,8 @@ def _job_client(args: argparse.Namespace):
 
 def _print_job_status(status: dict, meta: Optional[dict] = None) -> None:
     print(f"job {status.get('job_id')}: {status.get('state')}")
-    print(f"  target:   {status.get('target')} "
-          f"(mode={status.get('mode')}"
-          + (f", kernel={status['kernel']}" if status.get("kernel") else "")
-          + ")")
+    print(f"  target:   {status.get('target')}"
+          + (f" (kernel={status['kernel']})" if status.get("kernel") else ""))
     print(f"  tenant:   {status.get('tenant')}")
     print(f"  points:   {status.get('points_done')}/"
           f"{status.get('points_total')}")
@@ -922,7 +782,6 @@ def cmd_job_submit(args: argparse.Namespace) -> int:
             args.target,
             apps=args.apps,
             workers=args.workers,
-            mode=args.mode,
             kernel=args.kernel or "",
         )
         if response.status != 202:
@@ -1221,10 +1080,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="also write a Chrome-trace-format JSON trace")
     sim.add_argument("--max-events", type=int, default=DEFAULT_MAX_EVENTS,
                      help="event budget before declaring livelock")
-    sim.add_argument("--mode", choices=("simulated", "analytical"),
-                     default="simulated",
-                     help="execution backend: cycle-accurate simulator "
-                          "(default) or the closed-form analytical model")
     _add_cache_arguments(sim)
     sim.set_defaults(func=cmd_simulate)
 
@@ -1252,10 +1107,6 @@ def build_parser() -> argparse.ArgumentParser:
     figs = sub.add_parser("figures", help="regenerate tables/figures")
     figs.add_argument("--only", nargs="*",
                       help=f"subset: {', '.join(sorted(_FIGURES))}")
-    figs.add_argument("--mode", choices=("simulated", "analytical"),
-                      default="simulated",
-                      help="backend for the performance figures "
-                           "(cost figures are mode-independent)")
     _add_cache_arguments(figs)
     _add_checkpoint_arguments(figs)
     figs.set_defaults(func=cmd_figures)
@@ -1273,9 +1124,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "declared hung and retried")
     rep.add_argument("--json", action="store_true",
                      help="emit every study as one versioned JSON envelope")
-    rep.add_argument("--mode", choices=("simulated", "analytical"),
-                     default="simulated",
-                     help="execution backend for the performance studies")
     _add_cache_arguments(rep)
     _add_checkpoint_arguments(rep)
     rep.set_defaults(func=cmd_report)
@@ -1401,9 +1249,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="include application simulations")
     jsubmit.add_argument("--workers", type=int, default=None,
                          help="sweep executor width on the daemon")
-    jsubmit.add_argument("--mode", choices=("simulated", "analytical"),
-                         default="simulated",
-                         help="execution backend for the sweep points")
     jsubmit.add_argument("--kernel", default="",
                          help="restrict a kernel study to one suite "
                               "name or kernel:<hash> reference")
@@ -1453,20 +1298,6 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--apps", action="store_true",
                      help="include application simulations (slower)")
     val.set_defaults(func=cmd_validate)
-
-    vmodel = sub.add_parser(
-        "validate-model",
-        help="check the analytical model against the simulator "
-             "point-by-point (exit 1 if the error bound is exceeded)",
-    )
-    vmodel.add_argument("--out", metavar="PATH",
-                        help="also write the full per-point JSON report")
-    vmodel.add_argument("--bound", type=float, default=None,
-                        help="override the recorded max-rel-error bound")
-    vmodel.add_argument("--json", action="store_true",
-                        help="emit the summary as a versioned JSON envelope")
-    _add_cache_arguments(vmodel)
-    vmodel.set_defaults(func=cmd_validate_model)
 
     export = sub.add_parser(
         "export", help="write every figure/table as CSV"

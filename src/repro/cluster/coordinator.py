@@ -121,7 +121,7 @@ def expand_sweep_points(request: SweepRequest) -> List[AnyRequest]:
             (c, n) for n in FIG15_N_VALUES for c in FIG14_C_VALUES
         ]
         points = [
-            SimulateRequest(app, c, n, mode=request.mode)
+            SimulateRequest(app, c, n)
             for app in APPLICATION_ORDER
             for c, n in configs
         ]
@@ -135,7 +135,7 @@ def expand_sweep_points(request: SweepRequest) -> List[AnyRequest]:
         ]
         if request.apps:
             points.extend(
-                SimulateRequest(app, c, n, mode=request.mode)
+                SimulateRequest(app, c, n)
                 for app in APPLICATION_ORDER
                 for c, n in configs
             )
@@ -168,9 +168,7 @@ def compute_point_locally(point: AnyRequest) -> None:
     engine = default_engine()
     if isinstance(point, CompileRequest):
         engine.kernel_rate(
-            point.kernel,
-            ProcessorConfig(point.clusters, point.alus),
-            "simulated",
+            point.kernel, ProcessorConfig(point.clusters, point.alus)
         )
     else:
         engine.simulate_application(
@@ -178,7 +176,6 @@ def compute_point_locally(point: AnyRequest) -> None:
             ProcessorConfig(point.clusters, point.alus),
             TECH_45NM,
             point.clock_ghz,
-            point.mode,
         )
 
 
@@ -187,9 +184,8 @@ def _simulation_from_payload(payload: SimulateResult):
 
     Every raw field is an int (exact) or a JSON-round-tripped float
     (exact in Python), so the derived properties — gops, utilizations,
-    speedups — recompute bit-identically.  The per-op timeline does
-    not cross the wire: ``records`` is empty, the same shape the
-    analytical backend's memo entries already have.
+    speedups — recompute bit-identically.  Like every memo entry, it
+    has no per-op timeline: ``records`` is empty.
     """
     from ..core.config import ProcessorConfig
     from ..sim.metrics import BandwidthReport, SimulationResult
@@ -362,15 +358,13 @@ class ClusterCoordinator:
     def execute(self, request: AnyRequest) -> AnyResult:
         """Answer one API request through the fleet (or locally).
 
-        Sharding policy: simulated-mode sweeps with a live fleet shard;
-        analytical sweeps run locally (per-point cost is microseconds —
-        the same reasoning that keeps them off the process pool);
+        Sharding policy: sweeps shard over a live fleet;
         compile/simulate route to their ring owner; cost queries are
         local arithmetic.
         """
         alive = self.membership.alive()
         if isinstance(request, SweepRequest):
-            if alive and request.mode == "simulated":
+            if alive:
                 return self._sharded_sweep(request)
             self._count("cluster.points_local")
             return execute(request)
@@ -531,16 +525,13 @@ class ClusterCoordinator:
 
         if isinstance(point, CompileRequest):
             return engine.has_rate(
-                point.kernel,
-                ProcessorConfig(point.clusters, point.alus),
-                "simulated",
+                point.kernel, ProcessorConfig(point.clusters, point.alus)
             )
         return engine.has_simulation(
             point.application,
             ProcessorConfig(point.clusters, point.alus),
             TECH_45NM,
             point.clock_ghz,
-            point.mode,
         )
 
     def _seed_point(self, point: AnyRequest, result: AnyResult) -> None:
@@ -555,7 +546,6 @@ class ClusterCoordinator:
             engine.seed_rate(
                 point.kernel,
                 ProcessorConfig(point.clusters, point.alus),
-                "simulated",
                 result.ops_per_cycle,
             )
         else:
@@ -564,7 +554,6 @@ class ClusterCoordinator:
                 ProcessorConfig(point.clusters, point.alus),
                 TECH_45NM,
                 point.clock_ghz,
-                point.mode,
                 _simulation_from_payload(result),
             )
 

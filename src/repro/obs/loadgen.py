@@ -69,10 +69,10 @@ _SIMULATE_POINTS: Sequence[Tuple[str, int, int]] = (
     ("fft1k", 8, 5), ("depth", 8, 5),
 )
 _SWEEP_POINTS: Sequence[str] = ("table5",)
-#: Async-job cycle: analytical-mode sweeps restricted to one kernel are
-#: milliseconds of model evaluation each, so a short loadgen window
+#: Async-job cycle: sweeps restricted to one kernel are a few compiled
+#: points each (memo hits once warm), so a short loadgen window
 #: exercises the whole submit → queue → run → result lifecycle many
-#: times without paying simulator wall clock.
+#: times.
 _JOB_POINTS: Sequence[Tuple[str, str]] = (
     ("fig13", "fft"), ("fig14", "dct"), ("table5", "convolve"),
 )
@@ -216,7 +216,7 @@ def _run_jobs_loadgen(
 ) -> Dict[str, Any]:
     """Closed-loop driver for the async job surface.
 
-    Each worker submits an analytical job, polls it to a terminal
+    Each worker submits a one-kernel sweep job, polls it to a terminal
     state, and records the end-to-end submit→done latency.  The
     daemon's own ``queue_wait_ms`` (envelope ``meta``) is collected
     separately so the report distinguishes admission delay from
@@ -241,9 +241,7 @@ def _run_jobs_loadgen(
                 target, kernel = _JOB_POINTS[index % len(_JOB_POINTS)]
                 started = time.perf_counter()
                 try:
-                    submitted = client.submit_job(
-                        target, mode="analytical", kernel=kernel
-                    )
+                    submitted = client.submit_job(target, kernel=kernel)
                     if submitted.status != 202:
                         stat.record(
                             time.perf_counter() - started, submitted.status

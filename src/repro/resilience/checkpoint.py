@@ -56,7 +56,9 @@ __all__ = [
 ]
 
 #: Bump when the entry layout changes (old entries are then skipped).
-SCHEMA_VERSION = 1
+#: v2: memo keys lost their execution mode — sim points are keyed
+#: ``(application, config, node, clock_ghz)``, rates ``(kernel, config)``.
+SCHEMA_VERSION = 2
 
 #: Entry kinds the sweep engine persists.
 KINDS = ("sim", "rate")

@@ -297,7 +297,6 @@ class ServeClient:
         target: str,
         apps: bool = False,
         workers: Optional[int] = None,
-        mode: str = "simulated",
         kernel: str = "",
         request_id: Optional[str] = None,
     ) -> ServeResponse:
@@ -308,7 +307,7 @@ class ServeClient:
         """
         return self.post(
             "sweep",
-            SweepRequest(target, apps, workers, mode, kernel).to_dict(),
+            SweepRequest(target, apps, workers, kernel=kernel).to_dict(),
             request_id,
         )
 
@@ -357,7 +356,6 @@ class ServeClient:
         target: str,
         apps: bool = False,
         workers: Optional[int] = None,
-        mode: str = "simulated",
         kernel: str = "",
         request_id: Optional[str] = None,
     ) -> ServeResponse:
@@ -367,7 +365,7 @@ class ServeClient:
         poll :meth:`job_status` or stream :meth:`job_events` with its
         ``job_id``.
         """
-        sweep = SweepRequest(target, apps, workers, mode, kernel)
+        sweep = SweepRequest(target, apps, workers, kernel=kernel)
         return self.request(
             "POST",
             "/v1/jobs",

@@ -23,7 +23,7 @@ answers every :mod:`repro.api` request kind over a tiny JSON protocol:
   liveness protocol (see :mod:`repro.cluster`)
 
 With ``--fleet N`` the daemon is a **cluster coordinator**: it boots
-``N`` local workers and shards simulated-mode sweeps over the fleet by
+``N`` local workers and shards every sweep over the fleet by
 consistent hash of each point's ``dedup_key`` (cache affinity), then
 reassembles byte-identical results; with ``--join HOST:PORT`` it is a
 worker that registers and heartbeats.  Liveness routes are answered

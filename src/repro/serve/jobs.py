@@ -19,10 +19,6 @@ worker fleet, each point dispatches to its consistent-hash ring owner
 via the coordinator (which seeds the local memo with the result), so
 jobs shard over the fleet exactly like synchronous sweeps.
 
-Analytical-mode jobs skip the per-point walk — their whole grid costs
-milliseconds, the same reasoning that keeps them off the process pool
-— and run as one assembly step.
-
 State machine (persisted per transition, one atomic JSON file per job
 under the job directory)::
 
@@ -69,9 +65,7 @@ def count_sweep_points(sweep: SweepRequest) -> int:
     """How many primitive grid points one sweep resolves through.
 
     The unit quotas and fair-share weights are denominated in — the
-    same expansion cluster sharding uses, so an analytical job charges
-    the same budget as its simulated twin (the *grid* is the product,
-    not the backend).
+    same expansion cluster sharding uses.
     """
     from ..cluster.coordinator import expand_sweep_points
 
@@ -417,7 +411,9 @@ class JobManager:
                     ).observe(record.queue_wait_s)
             self.store.save(record)
             self._publish("job_state", record, state="running")
-            record.pending = deque(self._points_for(record.sweep))
+            from ..cluster.coordinator import expand_sweep_points
+
+            record.pending = deque(expand_sweep_points(record.sweep))
             return False
         if record.pending:
             point = record.pending.popleft()
@@ -484,16 +480,6 @@ class JobManager:
         )
 
     # --- execution plumbing ---------------------------------------------
-
-    def _points_for(self, sweep: SweepRequest) -> List[Any]:
-        """The per-point walk; analytical grids run whole (they cost
-        milliseconds — the same reasoning that keeps them off the
-        process pool)."""
-        if sweep.mode != "simulated":
-            return []
-        from ..cluster.coordinator import expand_sweep_points
-
-        return expand_sweep_points(sweep)
 
     def _run_point(self, record: JobRecord, point: Any) -> Tuple[bool, str]:
         """One point through the fleet (ring owner) or locally; either

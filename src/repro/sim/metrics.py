@@ -170,8 +170,8 @@ class SimulationResult:
     cycles: int
     useful_alu_ops: int
     #: The per-operation timeline: a :class:`Timeline` for a simulated
-    #: run, ``()`` for an analytical one or a result rebuilt from the
-    #: wire.  Either way a sequence of :class:`OpRecord`, in program
+    #: run, ``()`` for a predicted one (every sweep point) or a result
+    #: rebuilt from the wire.  Either way a sequence of :class:`OpRecord`, in program
     #: order.
     records: Sequence[OpRecord]
     spill_words: int

@@ -18,6 +18,7 @@ from repro.api import (
     CostQuery,
     CostResult,
     REQUEST_KINDS,
+    SWEEP_TARGETS,
     SimulateRequest,
     SimulateResult,
     SweepRequest,
@@ -183,7 +184,8 @@ class TestRunners:
 
 
 class TestExecutionModes:
-    """The ``mode`` field: strict validation and backend equivalence."""
+    """The deprecated ``mode`` field: still validated strictly, and an
+    alias with no effect — every accepted value answers the same bytes."""
 
     def test_mode_round_trips(self):
         request = SweepRequest("fig13", mode="analytical")
@@ -215,16 +217,19 @@ class TestExecutionModes:
             SweepRequest("fig13", mode="analytical")
         )
 
-    def test_analytical_max_events_rejected(self):
-        # max_events budgets the event loop; the model has none.
-        with pytest.raises(ApiError, match="max_events"):
-            SimulateRequest(
-                "fft1k", max_events=1_000_000, mode="analytical"
-            ).validate()
+    def test_analytical_max_events_accepted(self):
+        """The alias no longer conflicts with an event budget."""
+        request = SimulateRequest(
+            "fft1k", 8, 5, max_events=1_000_000, mode="analytical"
+        )
+        request.validate()
+        assert execute(request).to_json() == execute(
+            SimulateRequest("fft1k", 8, 5, max_events=1_000_000)
+        ).to_json()
 
     def test_analytical_simulate_matches_simulated(self):
-        simulated = run_simulate(SimulateRequest("fft1k", 8, 5))
-        analytical = run_simulate(
+        simulated = execute(SimulateRequest("fft1k", 8, 5))
+        analytical = execute(
             SimulateRequest("fft1k", 8, 5, mode="analytical")
         )
         assert analytical.to_json() == simulated.to_json()
@@ -251,9 +256,9 @@ class TestExecutionModes:
         enough = run_simulate(SimulateRequest("fft1k", 8, 5, max_events=ops))
         assert enough == run_simulate(SimulateRequest("fft1k", 8, 5))
 
-    @pytest.mark.parametrize("target", ("fig13", "fig14", "table5"))
+    @pytest.mark.parametrize("target", SWEEP_TARGETS)
     def test_analytical_sweep_matches_simulated(self, target):
-        simulated = run_sweep(SweepRequest(target))
-        analytical = run_sweep(SweepRequest(target, mode="analytical"))
+        simulated = execute(SweepRequest(target))
+        analytical = execute(SweepRequest(target, mode="analytical"))
         assert analytical.rows == simulated.rows
         assert analytical.to_json() == simulated.to_json()

@@ -74,12 +74,11 @@ class TestSimulate:
     @pytest.mark.parametrize("mode", ["simulated", "analytical"])
     def test_srf_overflow_is_one_line(self, capsys, mode):
         """qrd's working set does not fit the SRF at C=8, N=2: the CLI
-        prints the API's bad-request message, not a traceback."""
+        prints the API's bad-request message, not a traceback — the
+        same message whichever deprecated ``mode`` the request names."""
         from repro.api import ApiError, SimulateRequest, run_simulate
 
-        assert main(
-            ["simulate", "qrd", "-c", "8", "-n", "2", "--mode", mode]
-        ) == 2
+        assert main(["simulate", "qrd", "-c", "8", "-n", "2"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         with pytest.raises(ApiError) as excinfo:
@@ -180,64 +179,6 @@ class TestReportJson:
         envelope = _envelope(capsys)
         direct = run_sweep(SweepRequest("table5")).to_dict()
         assert envelope["data"]["studies"]["table5"] == direct
-
-
-class TestAnalyticalMode:
-    def test_simulate_analytical_matches_simulated(self, capsys):
-        assert main(["simulate", "fft1k", "--mode", "analytical"]) == 0
-        analytical = capsys.readouterr().out
-        assert "(analytical model)" in analytical
-        assert main(["simulate", "fft1k"]) == 0
-        simulated = capsys.readouterr().out
-        # Same cycle count through either backend.
-        cycles = [line for line in simulated.splitlines()
-                  if "cycles:" in line]
-        assert cycles and all(line in analytical for line in cycles)
-
-    def test_simulate_analytical_json_meta(self, capsys):
-        assert main(
-            ["simulate", "fft1k", "--mode", "analytical", "--json"]
-        ) == 0
-        envelope = _envelope(capsys)
-        assert envelope["kind"] == "simulate"
-        assert envelope["meta"]["mode"] == "analytical"
-        assert envelope["data"]["cycles"] > 0
-
-    def test_analytical_rejects_timeline(self, capsys):
-        assert main(
-            ["simulate", "fft1k", "--mode", "analytical", "--timeline"]
-        ) == 2
-        assert "--mode simulated" in capsys.readouterr().err
-
-    def test_figures_analytical(self, capsys):
-        assert main(
-            ["figures", "--only", "fig13", "--mode", "analytical"]
-        ) == 0
-        assert "Figure 13" in capsys.readouterr().out
-
-    def test_report_analytical_prints_mode_line(self, capsys):
-        assert main(["report", "--mode", "analytical"]) == 0
-        out = capsys.readouterr().out
-        assert "mode: analytical" in out
-        assert "closed-form model" in out
-
-    def test_report_analytical_json_matches_simulated(self, capsys):
-        assert main(["report", "--json"]) == 0
-        simulated = _envelope(capsys)
-        assert main(["report", "--mode", "analytical", "--json"]) == 0
-        analytical = _envelope(capsys)
-        # Identical study payloads; the mode only shows up in meta.
-        assert analytical["data"] == simulated["data"]
-        assert analytical["meta"]["mode"] == "analytical"
-        assert "model_error" in analytical["meta"]
-
-    def test_validate_model_json(self, capsys):
-        assert main(["validate-model", "--json"]) == 0
-        envelope = _envelope(capsys)
-        assert envelope["kind"] == "validate-model"
-        assert envelope["data"]["passed"] is True
-        assert envelope["data"]["max_rel_error"] <= envelope["data"]["bound"]
-        assert "points" not in envelope["data"]  # summary only
 
 
 class TestNewerCommands:

@@ -393,14 +393,24 @@ class TestCoordinatorLocalFallback:
         direct = execute(CompileRequest("fft", 8, 5))
         assert coordinator.execute(CompileRequest("fft", 8, 5)) == direct
 
-    def test_analytical_sweeps_stay_local(self):
-        coordinator = ClusterCoordinator()
+    def test_analytical_sweeps_shard(self):
+        """``mode`` is a deprecated alias: a live fleet shards an
+        analytical sweep like any other.  The worker registered here
+        listens nowhere, so its points fall back to local execution
+        and the rows match the single-node answer."""
+        from repro.obs.metrics import MetricsRegistry
+
+        metrics = MetricsRegistry()
+        coordinator = ClusterCoordinator(
+            metrics=metrics, max_requeue_rounds=0, backoff_base=0.0
+        )
         coordinator.membership.register("w1", "127.0.0.1", 1)
-        request = SweepRequest("fig13", mode="analytical")
-        # A live fleet must not shard analytical sweeps (per-point cost
-        # is microseconds; dispatch would only add overhead) — and the
-        # bogus worker above must therefore never be contacted.
+        request = SweepRequest("fig13", kernel="fft", mode="analytical")
+        clear_sweep_cache()
         assert (
             coordinator.execute(request).to_json()
-            == execute(request).to_json()
+            == execute(SweepRequest("fig13", kernel="fft")).to_json()
         )
+        snapshot = metrics.snapshot().as_dict()
+        assert snapshot["cluster.sweeps_sharded"] == 1
+        assert snapshot["cluster.points_local"] == 4

@@ -715,13 +715,20 @@ class TestApiSurface:
         with pytest.raises(ApiError, match="register it first"):
             validate_request(SweepRequest("fig13", kernel=missing))
 
-    def test_simulating_a_reference_needs_simulated_mode(self, registry):
-        from repro.api import ApiError, SimulateRequest, validate_request
+    def test_simulating_a_reference_accepts_the_analytical_alias(
+        self, registry
+    ):
+        """``mode`` is a deprecated alias with no effect, for registered
+        kernels as for the built-in applications."""
+        from repro.api import SimulateRequest, execute
 
         ref = registry.register(saxpy_document()).ref
-        validate_request(SimulateRequest(ref, 8, 5))
-        with pytest.raises(ApiError, match="analytical"):
-            validate_request(SimulateRequest(ref, 8, 5, mode="analytical"))
+        for clusters, alus in ((8, 5), (128, 14)):
+            default = execute(SimulateRequest(ref, clusters, alus))
+            alias = execute(
+                SimulateRequest(ref, clusters, alus, mode="analytical")
+            )
+            assert alias.to_json() == default.to_json()
 
     def test_sweep_kernel_field_validation(self, registry):
         from repro.api import ApiError, SweepRequest, validate_request
@@ -814,13 +821,6 @@ class TestCli:
         path.write_text(json.dumps(saxpy_document()))
         assert main(["simulate", "--kernel-file", str(path)]) == 0
         assert "cycles" in capsys.readouterr().out
-
-    def test_simulate_reference_rejects_analytical(self, registry, capsys):
-        from repro.cli import main
-
-        ref = registry.register(saxpy_document()).ref
-        assert main(["simulate", ref, "--mode", "analytical"]) == 2
-        assert "simulated" in capsys.readouterr().err
 
     def test_simulate_requires_a_target(self, registry, capsys):
         from repro.cli import main

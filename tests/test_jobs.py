@@ -262,14 +262,12 @@ def _quantum(manager):
 
 def _submit(manager, tenant, target="fig13", kernel="fft",
             mode="simulated"):
-    sweep = SweepRequest(target, mode=mode, kernel=kernel)
-    points = 0
-    if mode == "simulated":
-        from repro.cluster.coordinator import expand_sweep_points
+    from repro.cluster.coordinator import expand_sweep_points
 
-        points = len(expand_sweep_points(sweep))
+    sweep = SweepRequest(target, mode=mode, kernel=kernel)
     return manager.submit(
-        tenant, JobRequest(sweep=sweep.to_dict()), points
+        tenant, JobRequest(sweep=sweep.to_dict()),
+        len(expand_sweep_points(sweep)),
     )
 
 
@@ -322,15 +320,22 @@ class TestJobManagerStateMachine:
         assert record.state == "cancelled"
         assert 0 < record.points_done < record.points_total
 
-    def test_analytical_jobs_skip_the_point_walk(self):
-        manager = _make_manager()
-        record = _submit(manager, manager.registry.public,
-                         mode="analytical")
-        record.points_total = 4
-        _quantum(manager)  # -> running, empty pending
-        _quantum(manager)  # straight to assembly
-        assert record.state == "done"
-        assert record.points_done == record.points_total
+    def test_analytical_jobs_walk_their_points(self):
+        """``mode`` is a deprecated alias: an analytical job walks the
+        same points, one per quantum, as its default twin."""
+        walked = []
+        manager = _make_manager(point_runner=walked.append)
+        alias = _submit(manager, manager.registry.public,
+                        mode="analytical")
+        while _quantum(manager):
+            pass
+        default = _submit(manager, manager.registry.public)
+        while _quantum(manager):
+            pass
+        assert alias.state == default.state == "done"
+        assert alias.points_done == default.points_done == 4
+        assert walked[:4] == walked[4:]
+        assert alias.status().mode == "analytical"
 
 
 class TestJobManagerFairShare:
@@ -480,9 +485,7 @@ class TestJobRoutesOpenMode:
         oracle = execute(sweep)
         with running_server() as server:
             with ServeClient("127.0.0.1", server.port) as client:
-                submitted = client.submit_job(
-                    "fig13", mode="analytical", kernel="fft"
-                )
+                submitted = client.submit_job("fig13", kernel="fft")
                 assert submitted.status == 202
                 assert submitted.payload["kind"] == "job"
                 job_id = submitted.data["job_id"]
@@ -565,9 +568,7 @@ class TestJobRoutesOpenMode:
     def test_events_stream_ends_with_job_end(self, no_checkpoint):
         with running_server() as server:
             with ServeClient("127.0.0.1", server.port) as client:
-                submitted = client.submit_job(
-                    "fig13", mode="analytical", kernel="fft"
-                )
+                submitted = client.submit_job("fig13", kernel="fft")
                 job_id = submitted.data["job_id"]
                 events = list(client.job_events(job_id, max_s=30))
                 assert events, "stream yielded nothing"
@@ -601,9 +602,7 @@ class TestJobRoutesClosedMode:
                 assert response.error["code"] == "forbidden"
             with ServeClient("127.0.0.1", port,
                              api_key="key-alice") as alice:
-                submitted = alice.submit_job(
-                    "fig13", mode="analytical", kernel="fft"
-                )
+                submitted = alice.submit_job("fig13", kernel="fft")
                 assert submitted.status == 202
                 assert submitted.data["tenant"] == "alice"
                 job_id = submitted.data["job_id"]
@@ -627,13 +626,9 @@ class TestJobRoutesClosedMode:
             port = server.port
             with ServeClient("127.0.0.1", port, api_key="key-bob",
                              backpressure_retries=0) as bob:
-                first = bob.submit_job(
-                    "fig13", mode="analytical", kernel="fft"
-                )
+                first = bob.submit_job("fig13", kernel="fft")
                 assert first.status == 202
-                second = bob.submit_job(
-                    "fig13", mode="analytical", kernel="fft"
-                )
+                second = bob.submit_job("fig13", kernel="fft")
                 assert second.status == 429
                 assert second.error["code"] == "rate_limited"
                 assert second.retry_after is not None
@@ -642,13 +637,9 @@ class TestJobRoutesClosedMode:
                 # fig13/fft is 4 points against carol's quota of 5 —
                 # one fits, the next must not, and the rejection names
                 # the offending field.
-                first = carol.submit_job(
-                    "fig13", mode="analytical", kernel="fft"
-                )
+                first = carol.submit_job("fig13", kernel="fft")
                 assert first.status == 202
-                second = carol.submit_job(
-                    "fig13", mode="analytical", kernel="fft"
-                )
+                second = carol.submit_job("fig13", kernel="fft")
                 assert second.status == 403
                 assert second.error["code"] == "quota_exceeded"
                 assert second.error["pointer"] == "/sweep"

@@ -13,22 +13,14 @@ import dataclasses
 import pytest
 
 from repro.analysis.model import (
-    EXECUTION_MODES,
     build_summary,
-    check_mode,
     clear_summary_cache,
     predict_application,
     predict_kernel_call_cycles,
     predict_program,
     program_summary,
 )
-from repro.analysis.validate_model import (
-    MODEL_ERROR_BOUND,
-    build_report,
-    error_summary,
-    recorded_report,
-    render_report,
-)
+from repro.analysis.perf import TABLE5_C_VALUES, TABLE5_N_VALUES
 from repro.apps.suite import APPLICATION_ORDER, get_application
 from repro.compiler.pipeline import compile_kernel
 from repro.core.config import ProcessorConfig
@@ -135,12 +127,18 @@ class TestKernelClosedForm:
     @pytest.mark.parametrize("kernel", PERFORMANCE_SUITE)
     @pytest.mark.parametrize("work_items", [64, 1024, 8192])
     def test_call_cycles_exact(self, kernel, work_items):
-        config = ProcessorConfig(8, 5)
-        schedule = compile_kernel(get_kernel(kernel), config)
-        run = ClusterArray(config).run(schedule, work_items, 0)
-        assert predict_kernel_call_cycles(
-            schedule, work_items, ucode_reload=True
-        ) == run.cycles
+        """One cold call on a fresh cluster array, microcode load
+        included, on every Table-5 configuration: a short stream (fewer
+        items than the biggest machine's clusters), the paper's 1K
+        working size and a long steady-state run."""
+        for clusters in TABLE5_C_VALUES:
+            for alus in TABLE5_N_VALUES:
+                config = ProcessorConfig(clusters, alus)
+                schedule = compile_kernel(get_kernel(kernel), config)
+                run = ClusterArray(config).run(schedule, work_items, 0)
+                assert predict_kernel_call_cycles(
+                    schedule, work_items, ucode_reload=True
+                ) == run.cycles, (clusters, alus)
 
     def test_warm_call_skips_reload(self):
         """Second invocation of a resident kernel: no microcode reload
@@ -191,48 +189,3 @@ class TestSummaryCaching:
         result = simulate(get_application("fft1k"), ProcessorConfig(8, 5))
         assert summary.total_alu_ops == result.useful_alu_ops
         assert summary.lrf_words == result.bandwidth.lrf_words
-
-
-class TestModeValidation:
-    def test_check_mode_accepts_known_modes(self):
-        for mode in EXECUTION_MODES:
-            assert check_mode(mode) == mode
-
-    def test_check_mode_names_allowed_modes(self):
-        with pytest.raises(ValueError) as excinfo:
-            check_mode("oracular")
-        message = str(excinfo.value)
-        assert "oracular" in message
-        for mode in EXECUTION_MODES:
-            assert mode in message
-
-    def test_api_modes_mirror_model_modes(self):
-        """repro.api re-declares the mode list (to stay import-light);
-        the two must never drift apart."""
-        from repro.api import SWEEP_MODES
-
-        assert SWEEP_MODES == EXECUTION_MODES
-
-
-class TestValidationHarness:
-    def test_small_grid_report_passes(self):
-        report = build_report(bound=MODEL_ERROR_BOUND)
-        assert report["passed"]
-        assert report["max_rel_error"] <= MODEL_ERROR_BOUND
-        assert report["grid"]["total"] == (
-            report["grid"]["applications"] + report["grid"]["kernels"]
-        )
-        assert len(report["points"]) == report["grid"]["total"]
-        summary = error_summary(report)
-        assert "PASS" in summary
-        rendered = render_report(report)
-        assert summary in rendered
-
-    def test_recorded_report_ships_and_passes(self):
-        """The committed trajectory point next to the module must load,
-        pass, and carry the documented bound."""
-        report = recorded_report()
-        assert report is not None
-        assert report["passed"]
-        assert report["bound"] == MODEL_ERROR_BOUND
-        assert report["max_rel_error"] <= report["bound"]

@@ -34,7 +34,10 @@ from repro.resilience import (
     install_plan,
 )
 from repro.resilience import faults as faults_module
-from repro.resilience.checkpoint import default_checkpoint_root
+from repro.resilience.checkpoint import (
+    SCHEMA_VERSION,
+    default_checkpoint_root,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -462,7 +465,7 @@ class TestSweepCheckpoint:
         checkpoint = SweepCheckpoint(tmp_path)
         checkpoint.store("rate", "a", 1.0)
         checkpoint.store("rate", "b", 2.0)
-        victim = sorted((tmp_path / "v1").glob("*.ckpt"))[0]
+        victim = sorted((tmp_path / f"v{SCHEMA_VERSION}").glob("*.ckpt"))[0]
         data = victim.read_bytes()
         middle = len(data) // 2
         victim.write_bytes(
@@ -476,7 +479,7 @@ class TestSweepCheckpoint:
     def test_truncated_entry_dropped(self, tmp_path):
         checkpoint = SweepCheckpoint(tmp_path)
         checkpoint.store("rate", "a", 1.0)
-        victim = next((tmp_path / "v1").glob("*.ckpt"))
+        victim = next((tmp_path / f"v{SCHEMA_VERSION}").glob("*.ckpt"))
         victim.write_bytes(victim.read_bytes()[:10])
         assert list(checkpoint.entries()) == []
         assert checkpoint.stats()["corrupt"] == 1
@@ -485,7 +488,7 @@ class TestSweepCheckpoint:
         checkpoint = SweepCheckpoint(tmp_path)
         for i in range(5):
             checkpoint.store("rate", f"key{i}", float(i))
-        leftovers = list((tmp_path / "v1").glob(".tmp-*"))
+        leftovers = list((tmp_path / f"v{SCHEMA_VERSION}").glob(".tmp-*"))
         assert leftovers == []
 
     def test_clear(self, tmp_path):
@@ -527,7 +530,7 @@ class TestSweepCheckpoint:
             "kind": "rate",
             "checksum": hashlib.sha256(body).hexdigest(),
         }).encode()
-        entry_dir = tmp_path / "v1"
+        entry_dir = tmp_path / f"v{SCHEMA_VERSION}"
         entry_dir.mkdir()
         (entry_dir / "stale.ckpt").write_bytes(header + b"\n" + body)
         assert list(checkpoint.entries()) == []
@@ -541,11 +544,11 @@ class TestSweepCheckpoint:
         checkpoint = SweepCheckpoint(tmp_path)
         body = pickle.dumps({"kind": "rate", "key": "k", "value": 1.0})
         header = json.dumps({
-            "version": 1,
+            "version": SCHEMA_VERSION,
             "kind": "sim",  # disagrees with the body
             "checksum": hashlib.sha256(body).hexdigest(),
         }).encode()
-        entry_dir = tmp_path / "v1"
+        entry_dir = tmp_path / f"v{SCHEMA_VERSION}"
         entry_dir.mkdir()
         (entry_dir / "lied.ckpt").write_bytes(header + b"\n" + body)
         assert list(checkpoint.entries()) == []
@@ -553,7 +556,7 @@ class TestSweepCheckpoint:
 
     def test_vanished_entry_counts_as_skipped(self, tmp_path):
         checkpoint = SweepCheckpoint(tmp_path)
-        missing = tmp_path / "v1" / "gone.ckpt"
+        missing = tmp_path / f"v{SCHEMA_VERSION}" / "gone.ckpt"
         assert checkpoint._decode(missing) is None
         assert checkpoint.stats()["skipped"] == 1
 
@@ -587,6 +590,30 @@ class TestSweepEngineCheckpointing:
         assert results == gold
         # The two restored points were served from the checkpoint.
         assert second.stats()["sim_misses"] == len(self.POINTS) - 2
+
+    def test_entries_keyed_with_a_mode_are_not_resumed(
+        self, tmp_path, monkeypatch
+    ):
+        """Schema v1 keyed every point with its execution mode; no
+        lookup builds such a key now, so a directory holding only v1
+        entries resumes nothing rather than loading dead entries."""
+        from repro.core.params import TECH_45NM
+        from repro.resilience import checkpoint as checkpoint_module
+
+        config = ProcessorConfig(8, 5)
+        result = SweepEngine().simulate_many([("fft1k", config)])[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(checkpoint_module, "SCHEMA_VERSION", 1)
+            old = SweepCheckpoint(tmp_path)
+            old.store(
+                "sim", ("fft1k", config, TECH_45NM, 1.0, "simulated"), result
+            )
+            old.store("rate", ("fft", config, "simulated"), 2.5)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v1"]
+        resumed = SweepEngine(checkpoint=SweepCheckpoint(tmp_path))
+        assert resumed.resume() == 0
+        resumed.simulate_many([("fft1k", config)])
+        assert resumed.stats()["sim_misses"] == 1
 
     def test_rate_points_checkpointed_too(self, tmp_path):
         config = ProcessorConfig(8, 5)

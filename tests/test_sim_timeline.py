@@ -4,8 +4,10 @@ A simulated result's ``records`` is a :class:`~repro.sim.metrics.Timeline`
 over the start and finish lists the timing loop fills.  These tests pin
 it to the eager tuple of :class:`~repro.sim.metrics.OpRecord` s that
 results carried before, through every way a result is read, compared,
-hashed, pickled, checkpointed or returned from a worker process, and
-check that a run builds no record until one is read.
+hashed or pickled, and check that a run builds no record until one is
+read.  Sweep points, checkpointed or returned from a worker process,
+are evaluated without a timeline and must equal
+:func:`~repro.analysis.model.predict_application`.
 """
 
 import dataclasses
@@ -13,6 +15,7 @@ import pickle
 
 import pytest
 
+from repro.analysis.model import predict_application
 from repro.analysis.sweep import SweepEngine
 from repro.apps.suite import get_application
 from repro.core.config import ProcessorConfig
@@ -147,8 +150,7 @@ class TestRoundTrips:
         assert resumed.resume() == 1
         restored = resumed.simulate_application("qrd", C8N5)
         assert resumed.stats()["sim_misses"] == 0
-        assert restored == fresh
-        assert restored.records == eager_records("qrd")
+        assert restored == fresh == predict_application("qrd", C8N5)
 
     def test_pooled_points_equal_fresh_results(self):
         points = [("qrd", C8N5), ("fft1k", C8N5)]
@@ -156,10 +158,9 @@ class TestRoundTrips:
         pooled = engine.simulate_many(points, workers=2)
         assert engine.profiler.calls("sweep.simulate") == 0  # all pooled
         assert pooled == [
-            simulate(program_summary(application), config)
+            predict_application(application, config)
             for application, config in points
         ]
-        assert pooled[0].records == eager_records("qrd")
 
 
 class TestLaziness:
@@ -191,7 +192,10 @@ class TestLaziness:
             timing.records(summary)
 
     def test_analytical_results_have_no_timeline(self):
-        result = SweepEngine().simulate_application(
-            "qrd", C8N5, mode="analytical"
-        )
-        assert result.records == ()
+        """Nor do sweep points, whichever deprecated mode is named."""
+        assert predict_application("qrd", C8N5).records == ()
+        for mode in ("simulated", "analytical"):
+            (result,) = SweepEngine().simulate_many(
+                [("qrd", C8N5)], mode=mode
+            )
+            assert result.records == ()

@@ -1,5 +1,7 @@
 """Tests for the memoized sweep engine and its perf.py integration."""
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.perf import (
@@ -14,6 +16,7 @@ from repro.compiler.pipeline import compile_kernel
 from repro.core.config import ProcessorConfig
 from repro.kernels.suite import get_kernel
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.profile import PhaseProfiler
 from repro.sim.processor import simulate
 
 SMALL_APPS = ("fft1k", "depth")
@@ -45,11 +48,13 @@ class TestMemoization:
         assert engine.stats()["sim_misses"] == 3
 
     def test_cached_result_matches_direct_simulate(self):
+        """Every total of a direct run; no per-op timeline."""
         engine = SweepEngine()
         config = ProcessorConfig(8, 5)
         via_engine = engine.simulate_application("fft1k", config)
         direct = simulate(get_application("fft1k"), config)
-        assert via_engine == direct
+        assert via_engine.records == ()
+        assert via_engine == dataclasses.replace(direct, records=())
 
     def test_kernel_rate_cached(self):
         engine = SweepEngine()
@@ -170,44 +175,23 @@ class TestPerfIntegration:
 
 
 class TestExecutionModes:
-    """The analytical backend shares the engine but never its cache
-    entries: ``mode`` is part of every memo and checkpoint key."""
+    """``mode`` is a deprecated keyword of :meth:`simulate_many` with no
+    effect: a point has one memo and one checkpoint entry, whichever of
+    the accepted values a request names."""
 
-    def test_modes_cached_separately(self):
+    def test_modes_share_one_memo_entry(self):
         engine = SweepEngine()
-        config = ProcessorConfig(8, 5)
-        simulated = engine.simulate_application("fft1k", config)
-        analytical = engine.simulate_application(
-            "fft1k", config, mode="analytical"
-        )
-        # Two cold points, not one hit: the modes never alias.
-        assert engine.stats()["sim_misses"] == 2
-        assert analytical is not simulated
-        # The model is exact, so the answers still agree.
-        assert analytical.cycles == simulated.cycles
-        assert analytical.bandwidth == simulated.bandwidth
-        # Each mode's repeat is a hit on its own entry.
-        assert engine.simulate_application(
-            "fft1k", config, mode="analytical"
-        ) is analytical
-        assert engine.simulate_application("fft1k", config) is simulated
-        assert engine.stats()["sim_hits"] == 2
-
-    def test_kernel_rate_mode_in_key(self):
-        engine = SweepEngine()
-        config = ProcessorConfig(8, 5)
-        simulated = engine.kernel_rate("convolve", config)
-        analytical = engine.kernel_rate(
-            "convolve", config, mode="analytical"
-        )
-        assert analytical == simulated  # same closed form either way
-        assert engine.stats()["rate_misses"] == 2
+        point = [("fft1k", ProcessorConfig(8, 5))]
+        (simulated,) = engine.simulate_many(point, mode="simulated")
+        (analytical,) = engine.simulate_many(point, mode="analytical")
+        assert analytical is simulated
+        assert engine.stats()["sim_misses"] == 1
 
     def test_unknown_mode_rejected(self):
         engine = SweepEngine()
         with pytest.raises(ValueError) as excinfo:
-            engine.simulate_application(
-                "fft1k", ProcessorConfig(8, 5), mode="oracular"
+            engine.simulate_many(
+                [("fft1k", ProcessorConfig(8, 5))], mode="oracular"
             )
         message = str(excinfo.value)
         assert "simulated" in message and "analytical" in message
@@ -220,28 +204,26 @@ class TestExecutionModes:
         ]
         simulated = SweepEngine().simulate_many(points)
         analytical = SweepEngine().simulate_many(points, mode="analytical")
-        for sim, model in zip(simulated, analytical):
-            assert model.cycles == sim.cycles
-            assert model.bandwidth == sim.bandwidth
+        assert analytical == simulated
 
-    def test_checkpoint_never_aliases_modes(self, tmp_path):
-        """A checkpointed analytical sweep must not satisfy a simulated
-        resume (or vice versa): the on-disk keys carry the mode too."""
+    def test_checkpoint_serves_every_mode(self, tmp_path):
+        """A point checkpointed under either mode serves a later request
+        for it, whichever mode that request names."""
         from repro.resilience.checkpoint import SweepCheckpoint
 
-        config = ProcessorConfig(8, 5)
-        writer = SweepEngine(checkpoint=SweepCheckpoint(tmp_path))
-        writer.simulate_application("fft1k", config, mode="analytical")
-
-        resumed = SweepEngine(checkpoint=SweepCheckpoint(tmp_path))
-        assert resumed.resume() == 1
-        # The restored entry serves the analytical repeat...
-        resumed.simulate_application("fft1k", config, mode="analytical")
-        assert resumed.stats()["sim_hits"] == 1
-        assert resumed.stats()["sim_misses"] == 0
-        # ...but a simulated request at the same point is still cold.
-        resumed.simulate_application("fft1k", config)
-        assert resumed.stats()["sim_misses"] == 1
+        point = [("fft1k", ProcessorConfig(8, 5))]
+        modes = ("simulated", "analytical")
+        for written in modes:
+            root = tmp_path / written
+            writer = SweepEngine(checkpoint=SweepCheckpoint(root))
+            (expected,) = writer.simulate_many(point, mode=written)
+            for requested in modes:
+                resumed = SweepEngine(checkpoint=SweepCheckpoint(root))
+                assert resumed.resume() == 1
+                assert resumed.simulate_many(point, mode=requested) == [
+                    expected
+                ]
+                assert resumed.stats()["sim_misses"] == 0
 
 
 class TestInstrumentation:
@@ -253,9 +235,14 @@ class TestInstrumentation:
         assert profiler.calls("sweep.simulate") == 1
         assert profiler.seconds("sweep.simulate") > 0.0
         assert profiler.calls("sweep.kernel_rate") == 1
-        # simulate() charges its inner phases to the same profiler.
-        assert profiler.calls("sim.run") == 1
-        assert profiler.calls("sim.compile") >= 1
+        # A sweep point charges only its own phase; simulate() charges
+        # its inner phases to a profiler it is handed.
+        assert profiler.calls("sim.run") == 0
+        direct = PhaseProfiler()
+        simulate(get_application("fft1k"), ProcessorConfig(8, 5),
+                 profiler=direct)
+        assert direct.calls("sim.run") == 1
+        assert direct.calls("sim.compile") >= 1
 
     def test_metrics_counters_and_histogram(self):
         metrics = MetricsRegistry()
