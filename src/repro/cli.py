@@ -550,6 +550,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     import time
 
     from .analysis.sweep import default_engine
+    from .compiler.pipeline import memo_size
 
     started = time.perf_counter()
     if args.json:
@@ -588,9 +589,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - started
     engine = default_engine()
     engine_stats = engine.stats()
+    # Distinct schedules held in memory, less those loaded from disk:
+    # the modulo-schedule searches this run actually did.
+    searched = memo_size() - default_cache().stats()["hits"]
     print(f"compile summary: {engine_stats['rate_cached']} kernel-config "
-          f"points ({engine_stats['rate_misses']} compiled, "
-          f"{engine_stats['rate_hits']} memo hits); "
+          f"points ({engine_stats['rate_misses']} evaluated, "
+          f"{engine_stats['rate_hits']} memo hits), "
+          f"{searched} schedules compiled; "
           f"{_cache_summary()}; {elapsed:.2f}s wall")
     if engine.checkpoint is not None and engine.checkpoint.enabled:
         ck = engine.checkpoint.stats()

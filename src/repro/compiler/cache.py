@@ -2,24 +2,33 @@
 
 The performance studies (Figures 13-15, Table 5) recompile every suite
 kernel for every (C, N) machine point.  Within one process the in-memory
-cache in :mod:`repro.compiler.pipeline` already deduplicates that work,
+memos in :mod:`repro.compiler.pipeline` already deduplicate that work,
 but every *fresh* process — CI jobs, ``repro report``, notebook restarts
 — used to pay the full modulo-scheduling bill again.  This module stores
-verified schedules on disk so each unique (kernel, machine) pair is
-compiled exactly once, ever.
+verified schedules on disk so each distinct schedule is compiled
+exactly once, ever.
 
 Keying
 ------
-Entries are addressed by a SHA-256 over three ingredients:
+:func:`schedule_key` is a SHA-256 over four ingredients — everything a
+schedule depends on, and nothing else:
 
 * the **kernel dataflow graph** (opcodes, operand edges, recurrences —
   together with the unroll factor this determines the scheduler's
   :class:`~repro.compiler.unroll.SchedGraph` exactly),
-* the **machine description** (issue slots, latency-shaping parameters,
-  register capacity),
+* the **unroll factor** the compile starts from,
+* the kernel's **view of the machine** (:func:`machine_view`): the
+  issue resource and latency of each opcode the kernel uses, the issue
+  slots of those resources, the total ALU slots and the LRF capacity.
+  Cluster count C reaches a kernel only through COMM latency, so a
+  kernel that never communicates sees every C alike and compiles once
+  per N,
 * a **compiler fingerprint**: a hash of the compiler's own source code,
   so any change to the scheduling algorithms invalidates every entry
   automatically — a stale schedule can never survive a compiler edit.
+
+The same key addresses the in-memory schedule memo of
+:func:`repro.compiler.pipeline.compile_kernel`.
 
 Robustness
 ----------
@@ -59,6 +68,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from ..isa.kernel import KernelGraph
+from ..isa.ops import FUClass
 from ..resilience.faults import fault_point
 from .machine import MachineDescription
 
@@ -68,7 +78,7 @@ __all__ = [
     "configure_default_cache",
     "default_cache",
     "kernel_signature",
-    "machine_signature",
+    "machine_view",
     "schedule_key",
 ]
 
@@ -135,29 +145,40 @@ def kernel_signature(kernel: KernelGraph) -> str:
     return signature
 
 
-def machine_signature(machine: MachineDescription) -> str:
-    """Stable content hash of everything a machine shows the scheduler."""
-    canonical = json.dumps(
-        {
-            "issue_slots": sorted(machine.issue_slots.items()),
-            "extra_pipeline_stages": machine.extra_pipeline_stages,
-            "comm_latency": machine.comm_latency,
-            "register_capacity": machine.register_capacity,
-            "heterogeneous": machine.heterogeneous,
-        },
-        sort_keys=True,
+def machine_view(kernel: KernelGraph, machine: MachineDescription) -> Tuple:
+    """``kernel``'s view of ``machine``: all that its schedule reads.
+
+    The scheduler sees the machine only through the issue resource and
+    latency of each opcode the kernel uses, the issue slots of those
+    resources, the total ALU slots (the unroll choice) and the register
+    capacity (the MaxLive bound).  Two machines with the same view give
+    the kernel the same schedule.
+    """
+    opcodes = sorted(
+        {node.opcode for node in kernel.nodes}, key=lambda op: op.mnemonic
     )
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    ops = tuple(
+        (op.mnemonic, machine.resource(op), machine.latency(op))
+        for op in opcodes
+    )
+    resources = sorted({res for _, res, _ in ops if res is not None})
+    return (
+        ops,
+        tuple((res, machine.slots_of(res)) for res in resources),
+        machine.slots(FUClass.ALU),
+        machine.register_capacity,
+    )
 
 
 def schedule_key(
     kernel: KernelGraph, machine: MachineDescription, unroll_factor: int
 ) -> str:
-    """The content address of one (kernel, machine, unroll) compile."""
+    """The content address of one compile: everything its schedule
+    depends on (see :func:`machine_view`)."""
     digest = hashlib.sha256()
     digest.update(compiler_fingerprint().encode())
     digest.update(kernel_signature(kernel).encode())
-    digest.update(machine_signature(machine).encode())
+    digest.update(json.dumps(machine_view(kernel, machine)).encode())
     digest.update(f"unroll:{unroll_factor}".encode())
     return digest.hexdigest()
 

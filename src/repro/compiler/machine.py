@@ -27,8 +27,9 @@ Table 2 kernels — exactly the property the paper asserts.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
 from ..core.config import ProcessorConfig
 from ..core.costs import CostModel
@@ -173,17 +174,30 @@ def build_machine(
     ``alu_mix`` keeps the paper's homogeneous-ALU abstraction when
     ``None``; pass :data:`IMAGINE_ALU_MIX` (or any {kind: fraction}
     map over ``add``/``mul``/``dsq``) for a heterogeneous cluster.
+
+    Memoized per ``(config, mix items)``: the result is a pure function
+    of both, and callers must not mutate it.  The items keep the mix's
+    own order because :func:`_split_alus` breaks ties by it.
     """
+    mix = None if alu_mix is None else tuple(alu_mix.items())
+    return _build_machine(config, mix)
+
+
+@functools.lru_cache(maxsize=1024)
+def _build_machine(
+    config: ProcessorConfig,
+    mix: Tuple[Tuple[str, float], ...] | None,
+) -> MachineDescription:
     model = CostModel(config)
     issue_slots: Dict[str, int] = {
         "sp": SP_THROUGHPUT * config.n_sp,
         "comm": COMM_THROUGHPUT * config.n_comm,
         "sb": config.n_cluster_sbs,
     }
-    if alu_mix is None:
+    if mix is None:
         issue_slots["alu"] = config.alus_per_cluster
     else:
-        issue_slots.update(_split_alus(config.alus_per_cluster, alu_mix))
+        issue_slots.update(_split_alus(config.alus_per_cluster, dict(mix)))
     registers = config.n_fu * LRFS_PER_FU * LRF_WORDS
     return MachineDescription(
         config=config,
@@ -191,5 +205,5 @@ def build_machine(
         extra_pipeline_stages=model.intracluster_pipeline_stages(),
         comm_latency=model.intercluster_latency_cycles(),
         register_capacity=registers,
-        heterogeneous=alu_mix is not None,
+        heterogeneous=mix is not None,
     )

@@ -6,22 +6,29 @@ pipeline the body with the modulo scheduler, enforce LRF register
 pressure, and report the initiation interval and schedule length that the
 performance analysis and the application simulator consume.
 
-Compilation results are cached at two levels:
+A schedule is a function of the kernel and of the machine as that
+kernel sees it (:func:`repro.compiler.cache.machine_view`), not of the
+whole (C, N) point: cluster count reaches a kernel only through COMM
+latency.  Compilation results are therefore cached at three levels:
 
-* an **in-memory** memo keyed on each call's own inputs, so a hit
-  derives nothing (exact object reuse within one process), and
+* an **input** memo keyed on each call's own inputs, so a hit derives
+  nothing (exact object reuse within one process);
+* a **content** memo keyed on
+  :func:`~repro.compiler.cache.schedule_key`, which holds each distinct
+  schedule once; a hit returns it restamped with the caller's config;
 * the **persistent** content-addressed store of
-  :mod:`repro.compiler.cache`, so fresh processes (CI, ``repro report``,
-  notebook restarts) reuse schedules compiled by earlier ones.
+  :mod:`repro.compiler.cache` under the same key, so fresh processes
+  (CI, ``repro report``, notebook restarts) reuse schedules compiled by
+  earlier ones.
 
 :func:`compile_batch` compiles whole (kernel, config) grids at once:
-duplicates are deduplicated before any work is done, and cold points can
-fan out over a process pool.
+each distinct schedule is searched once, and cold schedules can fan out
+over a process pool.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import ProcessorConfig
@@ -140,29 +147,55 @@ def compile_kernel(
     if cached is not None:
         return cached
 
+    machine, unroll_factor, content = _resolve(
+        kernel, config, alu_mix, unroll_factor
+    )
+    shared = _SCHEDULES.get(content)
+    if shared is None:
+        disk = cache if cache is not None else default_cache()
+        payload = disk.load(content)
+        if payload is not None:
+            shared = _schedule_from_payload(kernel, machine, payload)
+            if shared is None:
+                # Decodable but semantically stale (e.g. fails
+                # verification): drop it and recompile from scratch.
+                disk.evict(content)
+        if shared is None:
+            shared, schedule = _search(kernel, machine, unroll_factor, verify)
+            disk.store(content, _schedule_to_payload(shared, schedule))
+        _SCHEDULES[content] = shared
+    # The schedule is shared by every config with the same view; its
+    # rates and efficiency read the config it is stamped with.
+    if shared.config != config:
+        shared = replace(shared, config=config)
+    _memo_store(key, kernel, shared)
+    return shared
+
+
+def _resolve(
+    kernel: KernelGraph,
+    config: ProcessorConfig,
+    alu_mix: Optional[Dict[str, float]],
+    unroll_factor: Optional[int],
+) -> Tuple[MachineDescription, int, str]:
+    """The machine, the unroll factor a compile starts from, and the
+    content key of its schedule."""
     machine = build_machine(config, alu_mix)
     if unroll_factor is None:
         unroll_factor = choose_unroll_factor(kernel, machine)
-    disk = cache if cache is not None else default_cache()
-    disk_key: Optional[str] = None
-    if disk.enabled:
-        disk_key = schedule_key(kernel, machine, unroll_factor)
-        payload = disk.load(disk_key)
-        if payload is not None:
-            result = _schedule_from_payload(kernel, machine, config, payload)
-            if result is not None:
-                _memo_store(key, kernel, result)
-                return result
-            # Decodable but semantically stale (e.g. fails verification):
-            # drop it and recompile from scratch.
-            disk.evict(disk_key)
+    return machine, unroll_factor, schedule_key(kernel, machine, unroll_factor)
 
+
+def _search(
+    kernel: KernelGraph,
+    machine: MachineDescription,
+    unroll_factor: int,
+    verify: bool,
+) -> Tuple[KernelSchedule, ModuloSchedule]:
+    """Cold compile: the II search, backing off the unroll factor."""
     fault_point("compile.kernel")
     # Register pressure may defeat an aggressive unroll at every II; the
     # compiler then backs off to smaller bodies (less ILP, same result).
-    graph = None
-    schedule = None
-    pressure = 0
     while True:
         graph = build_sched_graph(kernel, machine, unroll_factor)
         try:
@@ -174,7 +207,7 @@ def compile_kernel(
             unroll_factor //= 2
     result = KernelSchedule(
         kernel_name=kernel.name,
-        config=config,
+        config=machine.config,
         unroll_factor=unroll_factor,
         ii=schedule.ii,
         length=schedule.length,
@@ -184,10 +217,7 @@ def compile_kernel(
         recurrence_mii=schedule.recurrence_mii,
         alu_ops_per_iteration=graph.alu_ops_per_iteration,
     )
-    _memo_store(key, kernel, result)
-    if disk_key is not None:
-        disk.store(disk_key, _schedule_to_payload(result, schedule))
-    return result
+    return result, schedule
 
 
 def compile_batch(
@@ -203,38 +233,32 @@ def compile_batch(
 ) -> List[KernelSchedule]:
     """Compile a grid of (kernel, config) jobs; results in input order.
 
-    Identical jobs are deduplicated *before* any compilation happens, so
-    a full Figure-13/14/15 + Table 5 regeneration compiles each unique
-    schedule exactly once; pass ``workers`` to fan the cold uniques out
-    over a resilient process pool (each worker shares the persistent
-    cache directory, so its work is reused by every later process too).
-    Hung or crashed workers and transient task failures are retried and
-    quarantined by the :class:`~repro.resilience.executor.\
-ResilientExecutor` (``timeout`` / ``max_retries`` /
-    ``max_pool_failures``; recovery actions land in ``metrics`` as
-    ``resilience.*`` counters), and anything the pool still fails to
-    produce is compiled serially below.  The returned schedules are
-    byte-identical to serial ``compile_kernel`` calls, and every result
-    lands in the in-memory cache.
+    Each distinct schedule is compiled at most once: repeated jobs and
+    jobs whose kernels see the same machine are memo hits, so a full
+    Figure-13/14/15 + Table 5 regeneration searches each schedule
+    exactly once.  Pass ``workers`` to fan the cold schedules out over a
+    resilient process pool, one task per distinct schedule (each worker
+    shares the persistent cache directory, so its work is reused by
+    every later process too).  Hung or crashed workers and transient
+    task failures are retried and quarantined by the
+    :class:`~repro.resilience.executor.ResilientExecutor` (``timeout`` /
+    ``max_retries`` / ``max_pool_failures``; recovery actions land in
+    ``metrics`` as ``resilience.*`` counters), and anything the pool
+    still fails to produce is compiled serially below.  The returned
+    schedules are byte-identical to serial ``compile_kernel`` calls, and
+    every result lands in the in-memory memos.
     """
-    order: List[Tuple[int, ProcessorConfig]] = []
-    unique: Dict[Tuple[int, ProcessorConfig], CompileJob] = {}
-    for kernel, config in jobs:
-        dedup = (id(kernel), config)
-        if dedup not in unique:
-            unique[dedup] = (kernel, config)
-        order.append(dedup)
-
-    results: Dict[Tuple[int, ProcessorConfig], KernelSchedule] = {}
     if workers is not None and workers > 1:
-        cold = [
-            dedup
-            for dedup, (kernel, config) in unique.items()
-            if _memo_key(kernel, config, alu_mix, None) not in _CACHE
-        ]
+        cold: Dict[str, CompileJob] = {}
+        for kernel, config in jobs:
+            if _memo_key(kernel, config, alu_mix, None) in _CACHE:
+                continue
+            content = _resolve(kernel, config, alu_mix, None)[2]
+            if content not in _SCHEDULES:
+                cold.setdefault(content, (kernel, config))
         if len(cold) > 1:
             pooled = _compile_fan_out(
-                [unique[dedup] for dedup in cold],
+                list(cold.values()),
                 workers,
                 alu_mix,
                 metrics=metrics,
@@ -242,22 +266,16 @@ ResilientExecutor` (``timeout`` / ``max_retries`` /
                 max_retries=max_retries,
                 max_pool_failures=max_pool_failures,
             )
-            for dedup, schedule in zip(cold, pooled):
+            for content, schedule in zip(cold, pooled):
                 if schedule is not None:
-                    kernel, config = unique[dedup]
-                    _memo_store(
-                        _memo_key(kernel, config, alu_mix, None),
-                        kernel,
-                        schedule,
-                    )
-                    results[dedup] = schedule
+                    _SCHEDULES[content] = schedule
 
-    for dedup, (kernel, config) in unique.items():
-        if dedup not in results:
-            results[dedup] = compile_kernel(
-                kernel, config, verify=verify, alu_mix=alu_mix, cache=cache
-            )
-    return [results[dedup] for dedup in order]
+    return [
+        compile_kernel(
+            kernel, config, verify=verify, alu_mix=alu_mix, cache=cache
+        )
+        for kernel, config in jobs
+    ]
 
 
 def _compile_fan_out(
@@ -399,7 +417,6 @@ def _schedule_to_payload(
 def _schedule_from_payload(
     kernel: KernelGraph,
     machine: MachineDescription,
-    config: ProcessorConfig,
     payload: Dict[str, Any],
 ) -> Optional[KernelSchedule]:
     """Reconstruct a :class:`KernelSchedule` from a cache payload.
@@ -444,7 +461,7 @@ def _schedule_from_payload(
         return None
     return KernelSchedule(
         kernel_name=kernel.name,
-        config=config,
+        config=machine.config,
         unroll_factor=unroll_factor,
         ii=ii,
         length=length,
@@ -456,10 +473,13 @@ def _schedule_from_payload(
     )
 
 
-# --- compilation cache -------------------------------------------------
+# --- in-memory memos ---------------------------------------------------
 
+#: Input level: a call's own inputs -> the schedule returned for them.
 _CACHE: Dict[Tuple, KernelSchedule] = {}
 _CACHE_KERNELS: Dict[int, KernelGraph] = {}
+#: Content level: :func:`schedule_key` -> each distinct schedule, once.
+_SCHEDULES: Dict[str, KernelSchedule] = {}
 
 
 def _memo_key(
@@ -468,7 +488,7 @@ def _memo_key(
     alu_mix: Optional[Dict[str, float]],
     unroll_factor: Optional[int],
 ) -> Tuple:
-    """The in-memory memo key: the compile's inputs as given.
+    """The input-level memo key: the compile's inputs as given.
 
     Nothing is derived from them, so a hit is one dict lookup — no
     machine build and no unroll choice.  ``unroll_factor`` stays
@@ -492,8 +512,10 @@ def clear_cache() -> None:
     ``default_cache().clear()`` for that."""
     _CACHE.clear()
     _CACHE_KERNELS.clear()
+    _SCHEDULES.clear()
 
 
 def memo_size() -> int:
-    """Number of schedules in the in-memory cache (serving stats)."""
-    return len(_CACHE)
+    """Number of distinct schedules held in memory (serving stats): a
+    call that only restamps a held schedule does not grow it."""
+    return len(_SCHEDULES)

@@ -9,6 +9,7 @@ the processor's area measured in bare-ALU equivalents.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,8 +22,10 @@ def alu_equivalent_area(config: ProcessorConfig) -> float:
     return config.params.w_alu * config.params.h
 
 
+@functools.lru_cache(maxsize=256)
 def area_in_alu_equivalents(config: ProcessorConfig) -> float:
-    """Total chip area expressed in bare-ALU equivalents."""
+    """Total chip area expressed in bare-ALU equivalents (memoized: a
+    pure function of the frozen config)."""
     return CostModel(config).area().total / alu_equivalent_area(config)
 
 
