@@ -75,16 +75,18 @@ __all__ = [
 #: singular alias answers with a ``Deprecation`` header for one
 #: version), and gave every error envelope an optional RFC 6901
 #: ``pointer`` alongside its stable ``code``.  The ``mode`` field of
-#: simulate and sweep requests is deprecated within v5 (accepted and
-#: validated, with no effect) and goes in v6.
-API_VERSION = 5
+#: simulate and sweep requests was deprecated within v5 (accepted and
+#: validated, with no effect).  v6 removed ``SimulateRequest.mode``,
+#: ``SimulateRequest.max_events``, ``JobStatus.mode`` and the singular
+#: ``/v1/sweep`` route; ``SweepRequest.mode`` stays, validated, until
+#: the benchmark stops sending it.
+API_VERSION = 6
 
 #: Sweep targets :func:`run_sweep` understands.
 SWEEP_TARGETS = ("fig13", "fig14", "table5", "fig15", "headline")
 
-#: The values the deprecated ``mode`` field of simulate and sweep
-#: requests accepts.  Both evaluate a point the same way, so the field
-#: has no effect; it stays, validated, until API v6 removes it.
+#: The values the deprecated ``SweepRequest.mode`` field accepts.  Both
+#: evaluate a point the same way, so the field has no effect.
 SWEEP_MODES = ("simulated", "analytical")
 
 
@@ -171,14 +173,6 @@ def _require(condition: bool, message: str) -> None:
         raise ApiError(message)
 
 
-def _validate_mode(mode: Any, who: str) -> None:
-    _require(
-        mode in SWEEP_MODES,
-        f"{who}: unknown mode {mode!r}; "
-        f"allowed modes: {', '.join(SWEEP_MODES)}",
-    )
-
-
 def _check_config(clusters: Any, alus: Any, who: str) -> None:
     _require(
         isinstance(clusters, int) and not isinstance(clusters, bool)
@@ -225,20 +219,12 @@ class CompileRequest(_Payload):
 
 @dataclass(frozen=True)
 class SimulateRequest(_Payload):
-    """Simulate one application on one ``(C, N)`` configuration.
-
-    ``mode`` is deprecated and has no effect: it must be one of
-    :data:`SWEEP_MODES`, and every point is evaluated the same way.
-    It goes in API v6.
-    """
+    """Simulate one application on one ``(C, N)`` configuration."""
 
     application: str = ""
     clusters: int = 8
     alus: int = 5
     clock_ghz: float = 1.0
-    #: ``None`` uses the simulator's default livelock budget.
-    max_events: Optional[int] = None
-    mode: str = "simulated"
 
     def validate(self) -> None:
         """Raise :class:`ApiError` unless the request is well-formed."""
@@ -253,14 +239,6 @@ class SimulateRequest(_Payload):
             and self.clock_ghz > 0,
             "SimulateRequest: clock_ghz must be > 0",
         )
-        _require(
-            self.max_events is None
-            or (isinstance(self.max_events, int)
-                and not isinstance(self.max_events, bool)
-                and self.max_events >= 1),
-            "SimulateRequest: max_events must be None or an integer >= 1",
-        )
-        _validate_mode(self.mode, "SimulateRequest")
 
 
 @dataclass(frozen=True)
@@ -271,7 +249,7 @@ class SweepRequest(_Payload):
     runs the application simulations where the target supports them
     (``headline``); ``workers`` fans cold grid points out over a process
     pool; ``mode`` is deprecated and has no effect (one of
-    :data:`SWEEP_MODES`; it goes in API v6).
+    :data:`SWEEP_MODES`; it goes once the benchmark stops sending it).
     """
 
     target: str = ""
@@ -300,7 +278,11 @@ class SweepRequest(_Payload):
                 and self.workers >= 1),
             "SweepRequest: workers must be None or an integer >= 1",
         )
-        _validate_mode(self.mode, "SweepRequest")
+        _require(
+            self.mode in SWEEP_MODES,
+            f"SweepRequest: unknown mode {self.mode!r}; "
+            f"allowed modes: {', '.join(SWEEP_MODES)}",
+        )
         _require(
             isinstance(self.kernel, str),
             "SweepRequest: kernel must be a string",
@@ -525,8 +507,6 @@ class JobStatus(_Payload):
     state: str = "queued"
     tenant: str = ""
     target: str = ""
-    #: The submitted sweep's deprecated ``mode``, echoed until API v6.
-    mode: str = "simulated"
     kernel: str = ""
     points_total: int = 0
     points_done: int = 0
@@ -739,49 +719,26 @@ def run_compile(request: CompileRequest) -> CompileResult:
 def run_simulate(request: SimulateRequest) -> SimulateResult:
     """Simulate the application (through the shared sweep memo).
 
-    Default-budget runs resolve through
+    Every request resolves through
     :func:`repro.analysis.sweep.default_engine`, so a repeated query is
     a memo hit — the property the serving daemon's steady-state
-    throughput rests on.  A custom ``max_events`` bypasses the memo
-    (the budget changes failure behavior, never results).
-
-    An application whose working set cannot fit the configuration's SRF
-    is a bad request, whichever ``mode`` the request names.  So is a
-    ``max_events`` below the application's stream-operation count: a
-    run replays one event per operation, so that budget always fails.
+    throughput rests on.  An application whose working set cannot fit
+    the configuration's SRF is a bad request.
     """
     validate_request(request)
+    from .analysis.sweep import default_engine
     from .core.config import ProcessorConfig
-    from .sim.events import EventBudgetExceeded
     from .sim.srf import CapacityError
 
     config = ProcessorConfig(request.clusters, request.alus)
     try:
-        if request.max_events is None:
-            from .analysis.sweep import default_engine
-
-            result = default_engine().simulate_application(
-                request.application, config, clock_ghz=request.clock_ghz
-            )
-        else:
-            from .apps.suite import get_application
-            from .sim.processor import simulate
-
-            program = get_application(request.application)
-            result = simulate(
-                program,
-                config,
-                clock_ghz=request.clock_ghz,
-                max_events=request.max_events,
-            )
+        result = default_engine().simulate_application(
+            request.application, config, clock_ghz=request.clock_ghz
+        )
     except CapacityError:
         raise ApiError(
             srf_overflow_message(request.application, config)
         ) from None
-    except EventBudgetExceeded:
-        raise ApiError(event_budget_message(
-            request.application, request.max_events, len(program.ops)
-        )) from None
     return SimulateResult.from_simulation(result, request.application)
 
 
@@ -794,19 +751,6 @@ def srf_overflow_message(application: str, config: Any) -> str:
         "operation's working set exceeds its capacity of "
         f"{int(config.srf_capacity_words)} words (the application must "
         "strip-mine)"
-    )
-
-
-def event_budget_message(
-    application: str, max_events: int, op_count: int
-) -> str:
-    """The one-line error for an event budget below the run's event
-    count (the API's bad request, the CLI's exit 2)."""
-    return (
-        f"SimulateRequest: max_events={max_events} is too small for "
-        f"application {application!r}: its run replays one event per "
-        f"stream operation, {op_count} in all (use max_events >= "
-        f"{op_count}, or omit it)"
     )
 
 

@@ -74,12 +74,7 @@ from .apps import APPLICATION_ORDER, get_application
 from .compiler import compile_kernel, configure_default_cache, default_cache
 from .core import ProcessorConfig
 from .obs import MetricsRegistry, PhaseProfiler, Tracer, build_manifest
-from .sim import (
-    DEFAULT_MAX_EVENTS,
-    CapacityError,
-    EventBudgetExceeded,
-    simulate,
-)
+from .sim import CapacityError, simulate
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
@@ -309,7 +304,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
 def _run_instrumented(args: argparse.Namespace, tracer: Tracer):
     """Shared simulate/trace plumbing: build, compile, run, and time.
 
-    Returns ``(result, tracer, profiler)``; the profiler has ``build``,
+    Returns ``(result, profiler)``; the profiler has ``build``,
     ``compile`` and ``simulate`` wall-clock phases (kernel compilation
     is cached, so pre-compiling here moves its cost out of the
     ``simulate`` phase without changing what runs).
@@ -323,13 +318,7 @@ def _run_instrumented(args: argparse.Namespace, tracer: Tracer):
         for call in program.kernel_calls():
             compile_kernel(call.kernel, config)
     with profiler.phase("simulate"):
-        result = simulate(
-            program,
-            config,
-            tracer=tracer,
-            metrics=metrics,
-            max_events=getattr(args, "max_events", DEFAULT_MAX_EVENTS),
-        )
+        result = simulate(program, config, tracer=tracer, metrics=metrics)
     return result, profiler
 
 
@@ -356,8 +345,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             result, profiler = _run_instrumented(args, tracer)
         except CapacityError:
             return _srf_overflow(args.application, config)
-        except EventBudgetExceeded:
-            return _event_budget_exceeded(args.application, args.max_events)
         if args.trace_out:
             with open(args.trace_out, "w") as handle:
                 handle.write(tracer.to_chrome_json(indent=2))
@@ -381,15 +368,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             )
     else:
         try:
-            result = simulate(
-                get_application(args.application),
-                config,
-                max_events=args.max_events,
-            )
+            result = simulate(get_application(args.application), config)
         except CapacityError:
             return _srf_overflow(args.application, config)
-        except EventBudgetExceeded:
-            return _event_budget_exceeded(args.application, args.max_events)
     print(f"{args.application} on {config.describe()}:")
     print(f"  cycles:       {result.cycles}")
     print(f"  sustained:    {result.gops:.1f} GOPS "
@@ -423,17 +404,6 @@ def _srf_overflow(application: str, config) -> int:
     return 2
 
 
-def _event_budget_exceeded(application: str, max_events: int) -> int:
-    """Report a ``--max-events`` below the run's stream-operation count
-    (one replayed event each); exit status 2."""
-    from .api import event_budget_message
-
-    op_count = len(get_application(application).ops)
-    print(event_budget_message(application, max_events, op_count),
-          file=sys.stderr)
-    return 2
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     if args.application not in APPLICATION_ORDER:
         print(f"unknown application {args.application!r}; "
@@ -446,8 +416,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         result, profiler = _run_instrumented(args, tracer)
     except CapacityError:
         return _srf_overflow(args.application, _config(args))
-    except EventBudgetExceeded:
-        return _event_budget_exceeded(args.application, args.max_events)
     print(render_trace(tracer, max_rows_per_resource=args.rows))
     print(f"({result.cycles} cycles simulated in "
           f"{profiler.seconds('simulate') * 1e3:.1f} ms wall; "
@@ -1083,8 +1051,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "of the human summary")
     sim.add_argument("--trace-out", metavar="PATH",
                      help="also write a Chrome-trace-format JSON trace")
-    sim.add_argument("--max-events", type=int, default=DEFAULT_MAX_EVENTS,
-                     help="event budget before declaring livelock")
     _add_cache_arguments(sim)
     sim.set_defaults(func=cmd_simulate)
 
@@ -1099,8 +1065,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the run manifest JSON")
     trace.add_argument("--rows", type=int, default=40,
                        help="max timeline rows per resource")
-    trace.add_argument("--max-events", type=int, default=DEFAULT_MAX_EVENTS,
-                       help="event budget before declaring livelock")
     _add_cache_arguments(trace)
     trace.set_defaults(func=cmd_trace)
 

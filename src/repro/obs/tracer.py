@@ -2,9 +2,9 @@
 
 A :class:`Tracer` collects *spans* — ``(resource, label, start, finish,
 detail)`` records of a resource doing work for a cycle interval — and
-*instants* (zero-duration markers).  The simulator resources (host
-channel, memory pipe, cluster array, microcontroller, SRF, event queue)
-each accept a tracer and report what they do; the collected trace
+*instants* (zero-duration markers).  A simulated run reports what its
+resources (host channel, memory pipe, cluster array, microcontroller)
+do and when each stream operation completes; the collected trace
 exports as Chrome-trace-format JSON (loadable in ``chrome://tracing``
 or https://ui.perfetto.dev) or as a plain-text timeline via
 :func:`repro.analysis.timeline.render_trace`.
@@ -82,7 +82,7 @@ class Tracer:
     def instant(
         self, resource: str, label: str, time: int, **detail: Any
     ) -> None:
-        """Record a zero-duration marker (a spill, a livelock abort...).
+        """Record a zero-duration marker (an operation's completion...).
 
         When a request id is bound (:func:`repro.obs.log.bind_request_id`)
         it is attached to the marker's detail automatically, so Chrome

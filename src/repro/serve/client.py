@@ -34,9 +34,8 @@ from ..api import (
 
 __all__ = ["ServeClient", "ServeConnectionError", "ServeResponse"]
 
-#: Request kinds whose canonical route is spelled differently from the
-#: payload kind (API v5 made collection routes plural; the singular
-#: route still answers, with a ``Deprecation`` header).
+#: Request kinds whose route is spelled differently from the payload
+#: kind (collection routes are plural).
 _CANONICAL_ROUTES = {"sweep": "sweeps"}
 
 
@@ -280,15 +279,12 @@ class ServeClient:
         clusters: int = 8,
         alus: int = 5,
         clock_ghz: float = 1.0,
-        max_events: Optional[int] = None,
         request_id: Optional[str] = None,
     ) -> ServeResponse:
         """Simulate ``application`` on ``(clusters, alus)``."""
         return self.post(
             "simulate",
-            SimulateRequest(
-                application, clusters, alus, clock_ghz, max_events
-            ).to_dict(),
+            SimulateRequest(application, clusters, alus, clock_ghz).to_dict(),
             request_id,
         )
 

@@ -11,7 +11,7 @@ answers every :mod:`repro.api` request kind over a tiny JSON protocol:
 * ``POST /v1/costs`` — :class:`repro.api.CostQuery`
 * ``POST /v1/compile`` — :class:`repro.api.CompileRequest`
 * ``POST /v1/simulate`` — :class:`repro.api.SimulateRequest`
-* ``POST /v1/sweep`` — :class:`repro.api.SweepRequest`
+* ``POST /v1/sweeps`` — :class:`repro.api.SweepRequest`
 * ``POST /v1/kernels`` — :class:`repro.api.RegisterKernelRequest`
   (register a user kernel document; idempotent by content hash)
 * ``GET  /v1/kernels`` — registered-kernel summaries
@@ -83,7 +83,6 @@ from urllib.parse import parse_qs, urlsplit
 from ..api import (
     ApiError,
     JobRequest,
-    REQUEST_KINDS,
     dedup_key,
     execute,
     request_from_dict,
@@ -149,14 +148,40 @@ ERROR_CODES = {
 #: Executor-outcome error codes to HTTP statuses.
 _ERROR_STATUS = {"bad_request": 400, "internal": 500}
 
-#: Old route to canonical successor: still answered, with a
-#: ``Deprecation`` header and a ``Link rel="successor-version"``, for
-#: one API version (v5 deprecates, v6 removes).
-_DEPRECATED_ROUTES = {"/v1/sweep": "/v1/sweeps"}
+#: Every counted route, by request path: the label of its
+#: ``serve.requests.*`` and ``serve.request_seconds.*`` metrics, and the
+#: API request kind it serves (``/v1/sweeps`` serves the singular
+#: ``sweep`` payload kind) or None.  A route that ends in an id or a ref
+#: is keyed by its collection prefix (``/v1/jobs/``), so a label never
+#: carries an id, a ref or a query string.
+_ROUTES: Dict[str, Tuple[str, Optional[str]]] = {
+    "/healthz": ("healthz", None),
+    "/metrics": ("metrics", None),
+    "/v1/stats": ("stats", None),
+    "/v1/metrics": ("metrics", None),
+    "/v1/costs": ("costs", "costs"),
+    "/v1/compile": ("compile", "compile"),
+    "/v1/simulate": ("simulate", "simulate"),
+    "/v1/sweeps": ("sweeps", "sweep"),
+    "/v1/kernels": ("kernels", "kernels"),
+    "/v1/kernels/": ("kernel", None),
+    "/v1/jobs": ("jobs", None),
+    "/v1/jobs/": ("job", None),
+    "/v1/cluster/stats": ("stats", None),
+    "/v1/cluster/register": ("register", None),
+    "/v1/cluster/heartbeat": ("heartbeat", None),
+}
 
-#: Canonical-route path segments to request-kind names (the payload
-#: kinds keep their singular envelope spelling).
-_ROUTE_ALIASES = {"sweeps": "sweep"}
+#: The label and kind of a path no route matches.
+_NOT_FOUND: Tuple[str, Optional[str]] = ("not_found", None)
+
+
+def _route_of(path: str) -> Tuple[str, Optional[str]]:
+    """``path``'s metric label and API request kind (see
+    :data:`_ROUTES`)."""
+    return _ROUTES.get(path) or _ROUTES.get(
+        path[:path.find("/", 4) + 1], _NOT_FOUND
+    )
 
 
 @dataclass(frozen=True)
@@ -494,16 +519,9 @@ class ReproServer:
                 keep_alive = (
                     headers.get("connection", "").lower() != "close"
                 )
-                extra_headers = [f"X-Request-Id: {request_id}"]
-                successor = _DEPRECATED_ROUTES.get(base_path)
-                if successor is not None:
-                    extra_headers.append("Deprecation: true")
-                    extra_headers.append(
-                        f'Link: <{successor}>; rel="successor-version"'
-                    )
                 await self._write_response(
                     writer, status, payload, keep_alive,
-                    extra_headers=extra_headers,
+                    extra_headers=[f"X-Request-Id: {request_id}"],
                 )
                 if not keep_alive:
                     break
@@ -560,12 +578,12 @@ class ReproServer:
         request_id: Optional[str] = None,
         tenant: str = "public",
     ) -> None:
-        endpoint = path.rsplit("/", 1)[-1] or "root"
-        self.metrics.counter(f"serve.requests.{endpoint}").inc()
+        label, kind = _route_of(path)
+        self.metrics.counter(f"serve.requests.{label}").inc()
         self.metrics.counter(f"serve.responses.{status}").inc()
         elapsed = time.perf_counter() - started
         self.metrics.histogram("serve.request_seconds").observe(elapsed)
-        self.metrics.histogram(f"serve.request_seconds.{endpoint}").observe(
+        self.metrics.histogram(f"serve.request_seconds.{label}").observe(
             elapsed
         )
         if self.tracer.enabled:
@@ -591,9 +609,7 @@ class ReproServer:
             method=method, path=path, status=status,
             duration_ms=round(elapsed * 1000.0, 3),
         )
-        kind = path[len("/v1/"):] if path.startswith("/v1/") else None
-        kind = _ROUTE_ALIASES.get(kind, kind)
-        if kind in REQUEST_KINDS and request_id is not None:
+        if kind is not None and request_id is not None:
             self._finished.append((request_id, tenant, status))
             self._bus.publish(
                 "request_end",
@@ -687,8 +703,8 @@ class ReproServer:
                 return (200, build_envelope("cluster", data=ack))
             if path == "/v1/kernels" and method == "GET":
                 # Listing shares the POST path's URL; it must be
-                # answered before the REQUEST_KINDS fall-through or a
-                # bare GET would bounce off the 405 there.
+                # answered before the API-kind fall-through or a bare
+                # GET would bounce off the 405 there.
                 from ..frontend.registry import default_registry
 
                 return (
@@ -716,15 +732,13 @@ class ReproServer:
                 return self._handle_job_submit(body, api_key)
             if path.startswith("/v1/jobs/"):
                 return self._handle_job_route(method, path, api_key)
-            if path.startswith("/v1/"):
-                kind = path[len("/v1/"):]
-                kind = _ROUTE_ALIASES.get(kind, kind)
-                if kind in REQUEST_KINDS:
-                    if method != "POST":
-                        return self._error(
-                            path, 405, "method_not_allowed", "use POST"
-                        )
-                    return await self._handle_api(kind, body)
+            kind = _ROUTES.get(path, _NOT_FOUND)[1]
+            if kind is not None:
+                if method != "POST":
+                    return self._error(
+                        path, 405, "method_not_allowed", "use POST"
+                    )
+                return await self._handle_api(kind, body)
             return self._error(
                 path, 404, "not_found", f"no route for {path}"
             )

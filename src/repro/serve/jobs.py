@@ -101,7 +101,6 @@ class JobRecord:
             state=self.state,
             tenant=self.tenant,
             target=self.sweep.target,
-            mode=self.sweep.mode,
             kernel=self.sweep.kernel,
             points_total=self.points_total,
             points_done=self.points_done,

@@ -1,7 +1,6 @@
 """Stream-processor application simulator (the C++ simulator substitute)."""
 
 from .cluster import ClusterArray, KernelRun
-from .events import DEFAULT_MAX_EVENTS, EventBudgetExceeded, EventQueue
 from .host import Host
 from .memory import AccessPattern, MemorySystem, Transfer
 from .metrics import BandwidthReport, OpRecord, SimulationResult, Timeline
@@ -14,9 +13,6 @@ __all__ = [
     "BandwidthReport",
     "CapacityError",
     "ClusterArray",
-    "DEFAULT_MAX_EVENTS",
-    "EventBudgetExceeded",
-    "EventQueue",
     "Eviction",
     "Host",
     "KernelRun",

@@ -31,7 +31,8 @@ which builds ``OpRecord`` s only when read.  Given an
 metrics of the component models in :mod:`repro.sim.host`,
 :mod:`repro.sim.memory`, :mod:`repro.sim.srf` and
 :mod:`repro.sim.cluster`, which remain as the unit references this
-recurrence is checked against.
+recurrence is checked against, and :meth:`Observer.finished` then logs
+the run's completions in time order from the timeline.
 """
 
 from __future__ import annotations
@@ -68,6 +69,11 @@ __all__ = [
 #: Op kinds in the encoded tables, and the ``OpRecord.kind`` of each.
 _LOAD, _STORE, _KERNEL = 0, 1, 2
 _KIND_NAMES = ("LoadOp", "StoreOp", "KernelCall")
+
+#: Per op kind: the trace lane of its completion span and its
+#: ``ops.*`` counter.
+_LANES = ("stream.load", "stream.store", "stream.kernel")
+_OP_COUNTERS = ("ops.load", "ops.store", "ops.kernel")
 
 #: The pattern of spill writebacks (whole streams, unit stride).
 _SEQUENTIAL = AccessPattern.SEQUENTIAL
@@ -505,13 +511,15 @@ class Timing(NamedTuple):
 
 
 class Observer:
-    """The spans and SRF metrics a traced or metered run emits.
+    """Everything a traced or metered run emits.
 
-    Resource spans match the component models': ``host`` per stream
-    instruction, ``memory`` per transfer, ``microcontroller`` per
-    microcode load and ``clusters`` per kernel call.  The SRF metrics
-    are ``srf.peak_words``, ``srf.evictions``, ``srf.spill_words`` and
-    ``srf.reload_words``, each created when it first happens.
+    During the SRF loop, resource spans match the component models':
+    ``host`` per stream instruction, ``memory`` per transfer,
+    ``microcontroller`` per microcode load and ``clusters`` per kernel
+    call.  The SRF metrics are ``srf.peak_words``, ``srf.evictions``,
+    ``srf.spill_words`` and ``srf.reload_words``, each created when it
+    first happens.  After the loop, :meth:`finished` logs the
+    completions and the run's totals.
     """
 
     def __init__(
@@ -588,6 +596,61 @@ class Observer:
             iterations=-(-work_items // self.clusters),
             ucode_reload_cycles=reload_cycles,
         )
+
+    def finished(self, summary: ProgramSummary, timing: Timing) -> None:
+        """Log every operation's completion, then the run's totals.
+
+        Completions go out in ``(finish, index)`` order: per operation
+        an ``events`` instant ``complete <label>`` at its finish, its
+        ``stream.*`` span, and the ``ops.*`` metrics.  At each distinct
+        finish time ``events.queue_occupancy`` observes how many
+        operations are not yet logged; ``events.processed`` counts
+        them all.
+        """
+        tracer, metrics = self.tracer, self.metrics
+        kinds, labels = summary.kinds, summary.labels
+        starts, finishes = timing.starts, timing.finishes
+        n_ops = len(finishes)
+        occupancy = (
+            metrics.histogram("events.queue_occupancy")
+            if metrics is not None else None
+        )
+        now = None
+        order = sorted(range(n_ops), key=finishes.__getitem__)
+        for position, i in enumerate(order):
+            finish = finishes[i]
+            if finish != now:
+                now = finish
+                if occupancy is not None:
+                    occupancy.observe(n_ops - position)
+            if tracer is not None:
+                tracer.instant("events", f"complete {labels[i]}", finish)
+                tracer.span(
+                    _LANES[kinds[i]], labels[i], starts[i], finish, index=i
+                )
+            if metrics is not None:
+                metrics.histogram("ops.latency_cycles").observe(
+                    finish - starts[i]
+                )
+                metrics.counter(_OP_COUNTERS[kinds[i]]).inc()
+        if metrics is None:
+            return
+        for name, value in (
+            ("events.processed", n_ops),
+            ("host.instructions", summary.op_count),
+            ("memory.busy_cycles", timing.memory_busy_cycles),
+            ("memory.words", timing.memory_words),
+            ("memory.transfers", timing.memory_transfers),
+            ("clusters.busy_cycles", timing.cluster_busy_cycles),
+            ("clusters.ucode_reloads", timing.ucode_reloads),
+            ("clusters.ucode_reload_cycles", timing.ucode_reload_cycles),
+            ("bandwidth.lrf_words", summary.lrf_words),
+            (
+                "bandwidth.srf_words",
+                summary.srf_access_words + timing.memory_words,
+            ),
+        ):
+            metrics.counter(name).inc(value)
 
 
 def evaluate(

@@ -19,16 +19,16 @@ the paper's section 5.3 analysis names:
 * **short streams** — per-call dispatch, microcode reloads, software-
   pipeline priming and drain from the compiled schedule lengths.
 
-A traced or metered run also emits the host, memory, microcontroller
-and cluster spans and the SRF metrics from inside the recurrence.  It,
-and a run with a non-default event budget, then replays the operation
-completions through an :class:`~repro.sim.events.EventQueue` in time
-order.
+A traced or metered run hands the recurrence an
+:class:`~repro.sim.engine.Observer`, which emits the host, memory,
+microcontroller and cluster spans and the SRF metrics from inside the
+loop, then logs the operation completions in time order from the
+timeline.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from ..apps.streamc import StreamProgram
 from ..core.config import ProcessorConfig
@@ -40,20 +40,11 @@ from ..resilience.faults import fault_point
 from .engine import (
     Observer,
     ProgramSummary,
-    Timing,
     build_summary,
     evaluate,
     point_tables,
 )
-from .events import DEFAULT_MAX_EVENTS, EventQueue
-from .metrics import OpRecord, SimulationResult
-
-#: Trace lane per stream-operation kind.
-_OP_LANES = {
-    "LoadOp": "stream.load",
-    "KernelCall": "stream.kernel",
-    "StoreOp": "stream.store",
-}
+from .metrics import SimulationResult
 
 
 class StreamProcessor:
@@ -72,7 +63,6 @@ class StreamProcessor:
         clock_ghz: float = 1.0,
         tracer: Tracer = NULL_TRACER,
         metrics: Optional[MetricsRegistry] = None,
-        max_events: int = DEFAULT_MAX_EVENTS,
         profiler: Optional[PhaseProfiler] = None,
     ):
         self.config = config
@@ -80,7 +70,6 @@ class StreamProcessor:
         self.clock_ghz = clock_ghz
         self.tracer = tracer
         self.metrics = metrics
-        self.max_events = max_events
         #: Wall-clock profiler charged with ``sim.compile`` (the design
         #: point's tables, compiled schedules included) when present;
         #: sweeps use it to tell compile time from simulation time
@@ -107,84 +96,19 @@ class StreamProcessor:
                 summary, self.config, self.node, self.clock_ghz
             )
 
-        # An instrumented run replays its completions through the event
-        # queue so the tracer sees them in time order and the queue's
-        # own occupancy metrics are exercised; a non-default event
-        # budget engages the queue too, or it would go unenforced.
-        instrumented = self.tracer.enabled or self.metrics is not None
         observer = (
             Observer(self.tracer, self.metrics, point)
-            if instrumented else None
+            if self.tracer.enabled or self.metrics is not None
+            else None
         )
         timing = evaluate(summary, point, timeline=True, observer=observer)
-        records = timing.records(summary)
-        if instrumented or self.max_events != DEFAULT_MAX_EVENTS:
-            self._replay(records)
-            self._record_run_metrics(summary, timing)
+        if observer is not None:
+            observer.finished(summary, timing)
         return timing.result(
             summary,
             point,
-            records,
+            timing.records(summary),
             self.metrics.snapshot() if self.metrics is not None else None,
-        )
-
-    # --- instrumentation --------------------------------------------------
-
-    def _replay(self, records: Sequence[OpRecord]) -> None:
-        """Run every op completion through the event queue."""
-        queue = EventQueue(self.tracer, self.metrics)
-        for record in records:
-            queue.schedule(
-                record.finish,
-                lambda r=record: self._observe_completion(r),
-                label=f"complete {record.label}",
-            )
-        queue.run(self.max_events)
-
-    def _observe_completion(self, record: OpRecord) -> None:
-        """Event-queue action: log one finished stream operation."""
-        if self.tracer.enabled:
-            self.tracer.span(
-                _OP_LANES.get(record.kind, "stream.other"),
-                record.label,
-                record.start,
-                record.finish,
-                index=record.index,
-            )
-        if self.metrics is not None:
-            self.metrics.histogram("ops.latency_cycles").observe(
-                record.cycles
-            )
-            self.metrics.counter(
-                f"ops.{_OP_LANES.get(record.kind, 'other').split('.')[-1]}"
-            ).inc()
-
-    def _record_run_metrics(
-        self, summary: ProgramSummary, timing: Timing
-    ) -> None:
-        """Fold end-of-run resource totals into the registry."""
-        if self.metrics is None:
-            return
-        self.metrics.counter("host.instructions").inc(summary.op_count)
-        self.metrics.counter("memory.busy_cycles").inc(
-            timing.memory_busy_cycles
-        )
-        self.metrics.counter("memory.words").inc(timing.memory_words)
-        self.metrics.counter("memory.transfers").inc(
-            timing.memory_transfers
-        )
-        self.metrics.counter("clusters.busy_cycles").inc(
-            timing.cluster_busy_cycles
-        )
-        self.metrics.counter("clusters.ucode_reloads").inc(
-            timing.ucode_reloads
-        )
-        self.metrics.counter("clusters.ucode_reload_cycles").inc(
-            timing.ucode_reload_cycles
-        )
-        self.metrics.counter("bandwidth.lrf_words").inc(summary.lrf_words)
-        self.metrics.counter("bandwidth.srf_words").inc(
-            summary.srf_access_words + timing.memory_words
         )
 
 
@@ -195,7 +119,6 @@ def simulate(
     clock_ghz: float = 1.0,
     tracer: Tracer = NULL_TRACER,
     metrics: Optional[MetricsRegistry] = None,
-    max_events: int = DEFAULT_MAX_EVENTS,
     profiler: Optional[PhaseProfiler] = None,
 ) -> SimulationResult:
     """Convenience wrapper: run ``program`` (or its encoding) on a fresh
@@ -206,7 +129,6 @@ def simulate(
         clock_ghz,
         tracer=tracer,
         metrics=metrics,
-        max_events=max_events,
         profiler=profiler,
     )
     if profiler is not None:

@@ -38,8 +38,8 @@ class TestRoundTrips:
     CASES = (
         CostQuery(16, 10),
         CompileRequest("fft", 8, 5),
-        SimulateRequest("fft1k", 8, 5, 1.5, 2_000_000),
-        SimulateRequest("fft1k", 8, 5, mode="analytical"),
+        SimulateRequest("fft1k", 8, 5, 1.5),
+        SimulateRequest("qrd", 16, 10),
         SweepRequest("table5", apps=False, workers=2),
         SweepRequest("fig13", mode="analytical"),
     )
@@ -180,12 +180,34 @@ class TestRunners:
         # 4: kernel registration (RegisterKernelRequest/KernelRef) and
         # SweepRequest.kernel.  5: the async job surface (/v1/jobs),
         # the canonical /v1/sweeps route, and error-envelope pointers.
-        assert API_VERSION == 5
+        # 6: SimulateRequest.mode and .max_events, JobStatus.mode and
+        # the singular /v1/sweep route are gone.
+        assert API_VERSION == 6
+
+
+class TestV6Contract:
+    """Fields v6 removed are unknown fields, named in the error."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("max_events", 3), ("mode", "analytical"),
+    ])
+    def test_removed_simulate_fields_are_rejected(self, field, value):
+        body = {"application": "fft1k", "clusters": 8, "alus": 5,
+                field: value}
+        with pytest.raises(ApiError, match=f"unknown field.*{field}"):
+            SimulateRequest.from_dict(body)
+
+    def test_job_status_has_no_mode(self):
+        from repro.api import JobStatus
+
+        with pytest.raises(ApiError, match="unknown field.*mode"):
+            JobStatus.from_dict({"job_id": "job-1", "mode": "simulated"})
 
 
 class TestExecutionModes:
-    """The deprecated ``mode`` field: still validated strictly, and an
-    alias with no effect — every accepted value answers the same bytes."""
+    """The deprecated ``SweepRequest.mode`` field: still validated
+    strictly, and an alias with no effect — every accepted value answers
+    the same bytes."""
 
     def test_mode_round_trips(self):
         request = SweepRequest("fig13", mode="analytical")
@@ -195,16 +217,12 @@ class TestExecutionModes:
     def test_unknown_mode_names_allowed_modes(self):
         from repro.api import SWEEP_MODES
 
-        for cls, kwargs in (
-            (SweepRequest, {"target": "fig13"}),
-            (SimulateRequest, {"application": "fft1k"}),
-        ):
-            with pytest.raises(ApiError) as excinfo:
-                cls(mode="oracular", **kwargs).validate()
-            message = str(excinfo.value)
-            assert "oracular" in message
-            for mode in SWEEP_MODES:
-                assert mode in message
+        with pytest.raises(ApiError) as excinfo:
+            SweepRequest("fig13", mode="oracular").validate()
+        message = str(excinfo.value)
+        assert "oracular" in message
+        for mode in SWEEP_MODES:
+            assert mode in message
 
     def test_unknown_mode_rejected_from_json(self):
         with pytest.raises(ApiError, match="allowed modes"):
@@ -217,44 +235,19 @@ class TestExecutionModes:
             SweepRequest("fig13", mode="analytical")
         )
 
-    def test_analytical_max_events_accepted(self):
-        """The alias no longer conflicts with an event budget."""
-        request = SimulateRequest(
-            "fft1k", 8, 5, max_events=1_000_000, mode="analytical"
-        )
-        request.validate()
-        assert execute(request).to_json() == execute(
-            SimulateRequest("fft1k", 8, 5, max_events=1_000_000)
-        ).to_json()
-
-    def test_analytical_simulate_matches_simulated(self):
-        simulated = execute(SimulateRequest("fft1k", 8, 5))
-        analytical = execute(
-            SimulateRequest("fft1k", 8, 5, mode="analytical")
-        )
-        assert analytical.to_json() == simulated.to_json()
-
     def test_srf_overflow_is_a_bad_request_in_both_modes(self):
-        messages = set()
-        for mode in ("simulated", "analytical"):
-            with pytest.raises(ApiError) as excinfo:
-                run_simulate(SimulateRequest("qrd", 8, 2, mode=mode))
-            messages.add(str(excinfo.value))
-        (message,) = messages
+        """qrd cannot fit the SRF at C=8/N=2: the API's prediction is
+        a bad request, and the timeline simulator refuses it too."""
+        from repro.core.config import ProcessorConfig
+        from repro.sim import CapacityError, simulate
+
+        with pytest.raises(ApiError) as excinfo:
+            run_simulate(SimulateRequest("qrd", 8, 2))
+        message = str(excinfo.value)
         for part in ("'qrd'", "C=8", "N=2", "17600 words"):
             assert part in message
-
-    def test_too_small_event_budget_is_a_bad_request(self):
-        """A run replays one event per stream op, so a budget below the
-        op count fails every time: a bad request, not a server fault."""
-        ops = len(get_application("fft1k").ops)
-        with pytest.raises(ApiError) as excinfo:
-            run_simulate(SimulateRequest("fft1k", 8, 5, max_events=ops - 1))
-        message = str(excinfo.value)
-        for part in ("'fft1k'", f"max_events={ops - 1}", f"{ops} in all"):
-            assert part in message
-        enough = run_simulate(SimulateRequest("fft1k", 8, 5, max_events=ops))
-        assert enough == run_simulate(SimulateRequest("fft1k", 8, 5))
+        with pytest.raises(CapacityError):
+            simulate(get_application("qrd"), ProcessorConfig(8, 2))
 
     @pytest.mark.parametrize("target", SWEEP_TARGETS)
     def test_analytical_sweep_matches_simulated(self, target):

@@ -7,6 +7,35 @@ import pytest
 from repro.cli import main
 
 
+def _canonical(data):
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.fixture(scope="module")
+def daemon():
+    """A client of an in-process daemon on an ephemeral port."""
+    import asyncio
+    import threading
+
+    from repro.serve import ReproServer, ServeClient, ServerConfig
+
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+    server = ReproServer(ServerConfig(port=0, batch_window_ms=2.0))
+    asyncio.run_coroutine_threadsafe(server.start(), loop).result(10)
+    try:
+        with ServeClient("127.0.0.1", server.port) as client:
+            yield client
+    finally:
+        asyncio.run_coroutine_threadsafe(
+            server.drain_and_stop(10), loop
+        ).result(60)
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(5)
+        loop.close()
+
+
 def _envelope(capsys):
     """Parse and schema-check one ``--json`` envelope from stdout."""
     from repro.obs import validate_envelope
@@ -71,51 +100,53 @@ class TestSimulate:
         assert main(["simulate", "doom"]) == 2
         assert "unknown application" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mode", ["simulated", "analytical"])
-    def test_srf_overflow_is_one_line(self, capsys, mode):
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["plain", "json"])
+    def test_srf_overflow_is_one_line(self, capsys, flags):
         """qrd's working set does not fit the SRF at C=8, N=2: the CLI
-        prints the API's bad-request message, not a traceback — the
-        same message whichever deprecated ``mode`` the request names."""
+        prints the API's bad-request message, not a traceback — on the
+        plain run and on the instrumented ``--json`` run alike."""
         from repro.api import ApiError, SimulateRequest, run_simulate
 
-        assert main(["simulate", "qrd", "-c", "8", "-n", "2"]) == 2
+        assert main(["simulate", "qrd", "-c", "8", "-n", "2", *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         with pytest.raises(ApiError) as excinfo:
-            run_simulate(SimulateRequest("qrd", clusters=8, alus=2,
-                                         mode=mode))
+            run_simulate(SimulateRequest("qrd", clusters=8, alus=2))
         assert captured.err == f"{excinfo.value}\n"
         assert captured.err.startswith(
             "SimulateRequest: application 'qrd' does not fit the SRF "
             "at C=8, N=2: "
         )
 
-    def test_event_budget_is_one_line(self, capsys):
-        """A --max-events below fft1k's op count: the CLI prints the
-        API's bad-request message and exits 2 (the --json path is
-        ``test_observability.py::TestCli::test_simulate_max_events_flag``)."""
-        from repro.api import ApiError, SimulateRequest, run_simulate
+    def test_max_events_flag_is_gone(self, capsys):
+        """API v6 removed the event budget, so argparse rejects it."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "fft1k", "--max-events", "3"])
+        assert excinfo.value.code == 2
+        assert "--max-events" in capsys.readouterr().err
 
-        assert main(["simulate", "fft1k", "-c", "8", "-n", "5",
-                     "--max-events", "3"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        with pytest.raises(ApiError) as excinfo:
-            run_simulate(SimulateRequest("fft1k", 8, 5, max_events=3))
-        assert captured.err == f"{excinfo.value}\n"
-        assert captured.err.startswith(
-            "SimulateRequest: max_events=3 is too small for application "
-            "'fft1k': "
-        )
+    @pytest.mark.parametrize("application", ["fft1k", "qrd", "render"])
+    def test_json_matches_api_and_daemon(self, capsys, daemon, application):
+        """One answer on all three surfaces: the CLI runs the timeline
+        simulator, the API and the daemon the sweep engine's model.
+        qrd spills at C=8/N=5."""
+        from repro.api import SimulateRequest, execute
+
+        assert main(["simulate", application, "-c", "8", "-n", "5",
+                     "--json"]) == 0
+        cli = _envelope(capsys)["data"]
+        api = execute(SimulateRequest(application, 8, 5)).to_dict()
+        served = daemon.simulate(application, 8, 5)
+        assert served.status == 200
+        assert _canonical(cli) == _canonical(api) == _canonical(served.data)
 
 
 class TestTrace:
-    def test_event_budget_is_one_line(self, capsys):
-        assert main(["trace", "fft1k", "--max-events", "3"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("SimulateRequest: max_events=3 ")
-        assert captured.err.count("\n") == 1
+    def test_max_events_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trace", "fft1k", "--max-events", "3"])
+        assert excinfo.value.code == 2
+        assert "--max-events" in capsys.readouterr().err
 
     def test_srf_overflow_is_one_line(self, capsys):
         assert main(["trace", "qrd", "-c", "8", "-n", "2"]) == 2

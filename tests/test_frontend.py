@@ -715,21 +715,6 @@ class TestApiSurface:
         with pytest.raises(ApiError, match="register it first"):
             validate_request(SweepRequest("fig13", kernel=missing))
 
-    def test_simulating_a_reference_accepts_the_analytical_alias(
-        self, registry
-    ):
-        """``mode`` is a deprecated alias with no effect, for registered
-        kernels as for the built-in applications."""
-        from repro.api import SimulateRequest, execute
-
-        ref = registry.register(saxpy_document()).ref
-        for clusters, alus in ((8, 5), (128, 14)):
-            default = execute(SimulateRequest(ref, clusters, alus))
-            alias = execute(
-                SimulateRequest(ref, clusters, alus, mode="analytical")
-            )
-            assert alias.to_json() == default.to_json()
-
     def test_sweep_kernel_field_validation(self, registry):
         from repro.api import ApiError, SweepRequest, validate_request
 

@@ -13,7 +13,7 @@ Four walls:
 * **Route semantics** — an in-process daemon (open and closed mode):
   202 lifecycle, byte-identical results vs the synchronous sweep
   route, typed error envelopes (401/403/404/409/429), tenant
-  isolation, deprecated-route headers, and tenant-namespaced progress
+  isolation, the routes API v6 removed, and tenant-namespaced progress
   replay.
 * **Crash resume** — a real ``python -m repro serve`` process is
   SIGKILLed mid-sweep; the restarted daemon re-queues the job from the
@@ -335,7 +335,6 @@ class TestJobManagerStateMachine:
         assert alias.state == default.state == "done"
         assert alias.points_done == default.points_done == 4
         assert walked[:4] == walked[4:]
-        assert alias.status().mode == "analytical"
 
 
 class TestJobManagerFairShare:
@@ -675,21 +674,36 @@ class TestJobRoutesClosedMode:
             assert replay("key-carol") == []
 
 
-class TestDeprecatedRoutes:
-    def test_singular_sweep_route_answers_with_deprecation(
-        self, no_checkpoint
-    ):
+class TestV6Routes:
+    def test_singular_sweep_route_is_gone(self, no_checkpoint):
+        """API v6 removed ``/v1/sweep``: a plain 404, and no
+        ``request_end`` for a progress stream to replay."""
         with running_server() as server:
             with ServeClient("127.0.0.1", server.port) as client:
-                body = SweepRequest("fig13", mode="analytical",
-                                    kernel="fft").to_dict()
-                old = client.request("POST", "/v1/sweep", body)
-                new = client.request("POST", "/v1/sweeps", body)
-                assert old.status == new.status == 200
-                assert old.headers.get("deprecation") == "true"
-                assert "/v1/sweeps" in old.headers.get("link", "")
-                assert "deprecation" not in new.headers
-                assert _canonical(old.data) == _canonical(new.data)
+                body = SweepRequest("fig13", kernel="fft").to_dict()
+                old = client.request("POST", "/v1/sweep", body,
+                                     request_id="old-sweep-route")
+                assert old.status == 404
+                assert old.error["code"] == "not_found"
+                assert "deprecation" not in old.headers
+                assert "link" not in old.headers
+                events = list(client.progress(
+                    request_id="old-sweep-route", max_s=0.5
+                ))
+                assert all(e.get("event") != "request_end" for e in events)
+
+    def test_sweeps_mode_is_a_validated_no_op(self, no_checkpoint):
+        """``SweepRequest.mode`` outlives v6 while the benchmark sends
+        it: the answer is byte-identical to the same body without it."""
+        with running_server() as server:
+            with ServeClient("127.0.0.1", server.port) as client:
+                body = {"target": "fig13", "kernel": "fft"}
+                plain = client.request("POST", "/v1/sweeps", body)
+                alias = client.request(
+                    "POST", "/v1/sweeps", dict(body, mode="analytical")
+                )
+                assert plain.status == alias.status == 200
+                assert _canonical(alias.data) == _canonical(plain.data)
 
 
 # --- crash resume -------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from repro.apps import get_application
 from repro.cli import main
 from repro.core.config import ProcessorConfig
+from repro.core.params import TECH_45NM
 from repro.obs import (
     AccountingWarning,
     MetricsRegistry,
@@ -19,7 +20,8 @@ from repro.obs import (
 )
 from repro.obs.manifest import ManifestError
 from repro.obs.tracer import NULL_TRACER
-from repro.sim import EventQueue, simulate, simulate_partitioned
+from repro.sim import simulate, simulate_partitioned
+from repro.sim.engine import Observer, build_summary, evaluate, point_tables
 from repro.sim.metrics import BandwidthReport, SimulationResult
 
 CONFIG = ProcessorConfig(8, 5)
@@ -197,38 +199,53 @@ class TestMetricsRegistry:
         assert "events.queue_occupancy.max" in snap
 
 
-class TestEventQueue:
-    def test_livelock_error_is_diagnostic(self):
-        queue = EventQueue()
+class TestCompletionLog:
+    """The completion log a traced, metered run emits from its timeline."""
 
-        def reschedule():
-            queue.schedule(queue.now + 1, reschedule)
-
-        queue.schedule(0, reschedule)
-        with pytest.raises(RuntimeError) as excinfo:
-            queue.run(max_events=25)
-        message = str(excinfo.value)
-        assert "25" in message            # the budget
-        assert "cycle" in message         # current time
-        assert "pending" in message       # heap size
-
-    def test_max_events_configurable_from_simulate(self):
-        with pytest.raises(RuntimeError, match="livelock"):
-            simulate(
-                get_application("fft1k"),
-                CONFIG,
-                metrics=MetricsRegistry(),
-                max_events=2,
-            )
-
-    def test_traces_labelled_events(self):
+    def test_one_labelled_instant_per_op(self):
+        """One ``complete <label>`` instant and one ``stream.*`` span per
+        operation, in ``(finish, index)`` order."""
         tracer = Tracer()
-        queue = EventQueue(tracer=tracer)
-        queue.schedule(5, lambda: None, label="tick")
-        queue.schedule(6, lambda: None)  # unlabelled: not traced
-        queue.run()
-        assert [s.label for s in tracer.instants] == ["tick"]
-        assert queue.processed == 2
+        result = simulate(get_application("qrd"), CONFIG, tracer=tracer)
+        logged = sorted(result.records, key=lambda r: (r.finish, r.index))
+        instants = [s for s in tracer.instants if s.resource == "events"]
+        assert [(s.label, s.start) for s in instants] == [
+            (f"complete {r.label}", r.finish) for r in logged
+        ]
+        spans = [s for s in tracer.spans if s.resource.startswith("stream.")]
+        assert [dict(s.detail)["index"] for s in spans] == [
+            r.index for r in logged
+        ]
+
+    def test_runs_in_time_order(self):
+        """The log's instants never go back in time, and the last one
+        lands on the run's final cycle."""
+        tracer = Tracer()
+        result = simulate(get_application("render"), CONFIG, tracer=tracer)
+        times = [s.start for s in tracer.instants if s.resource == "events"]
+        assert len(times) == len(result.records)
+        assert times == sorted(times)
+        assert times[-1] == result.cycles
+
+    def test_equal_finishes_log_in_index_order(self):
+        """Ties go out in program order, and the occupancy histogram
+        sees the operations not yet logged at each distinct finish."""
+        summary = build_summary(get_application("fft1k"))
+        point = point_tables(summary, CONFIG, TECH_45NM, 1.0)
+        timing = evaluate(summary, point, timeline=True)._replace(
+            starts=[0] * 5, finishes=[10, 5, 10, 5, 20]
+        )
+        tracer, metrics = Tracer(), MetricsRegistry()
+        Observer(tracer, metrics, point).finished(summary, timing)
+        assert [s.start for s in tracer.instants] == [5, 5, 10, 10, 20]
+        assert [dict(s.detail)["index"] for s in tracer.spans] == [
+            1, 3, 0, 2, 4
+        ]
+        snap = metrics.snapshot()
+        assert snap["events.queue_occupancy.count"] == 3
+        assert snap["events.queue_occupancy.total"] == 5 + 3 + 1
+        assert snap["events.processed"] == 5
+        assert snap["ops.latency_cycles.total"] == 50
 
 
 class TestPhaseProfiler:
@@ -296,7 +313,7 @@ class TestEnvelope:
         assert envelope["ok"] is True
         assert envelope["kind"] == "costs"
         assert envelope["envelope_version"] == 1
-        assert envelope["api_version"] == 5
+        assert envelope["api_version"] == 6
         assert envelope["tool"]["name"] == "repro"
 
     def test_error_envelope(self):
@@ -388,16 +405,3 @@ class TestCli:
     def test_trace_unknown_application(self, capsys):
         assert main(["trace", "doom"]) == 2
         assert "unknown application" in capsys.readouterr().err
-
-    def test_simulate_max_events_flag(self, capsys):
-        # The budget only gates instrumented runs' completion events;
-        # with tracing on and a budget below the op count the run is a
-        # usage error: exit 2 and one line on stderr, no traceback.
-        assert main(["simulate", "fft1k", "--json", "--max-events", "1"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(
-            "SimulateRequest: max_events=1 is too small for application "
-            "'fft1k': "
-        )
-        assert captured.err.count("\n") == 1

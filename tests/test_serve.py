@@ -46,6 +46,21 @@ def _canonical(data):
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+def _request_labels(server):
+    """The route labels of a daemon's per-route request metrics."""
+    labels = set()
+    for name in server.metrics.snapshot().as_dict():
+        if name.startswith("serve.requests."):
+            labels.add(name[len("serve.requests."):])
+        elif name.startswith("serve.request_seconds."):
+            # ``serve.request_seconds.<route>.<stat>``; the aggregate
+            # histogram's own stats have no route part.
+            route = name[len("serve.request_seconds."):].rpartition(".")[0]
+            if route:
+                labels.add(route)
+    return labels
+
+
 @contextlib.contextmanager
 def running_server(**overrides):
     """An in-process daemon on an ephemeral port, drained on exit."""
@@ -110,7 +125,7 @@ class TestEndpointEquivalence:
         response = client.costs(8, 5)
         validate_envelope(response.payload)
         assert response.payload["kind"] == "costs"
-        assert response.payload["api_version"] == 5
+        assert response.payload["api_version"] == 6
         assert "duration_ms" in response.payload["meta"]
 
 
@@ -158,19 +173,43 @@ class TestHttpSemantics:
         assert response.error["code"] == "bad_request"
         assert "17600 words" in response.error["message"]
 
-    def test_too_small_event_budget_400(self, client):
-        # fft1k has 5 stream ops, and a run replays one event per op.
+    @pytest.mark.parametrize("field,value", [
+        ("max_events", 3), ("mode", "analytical"),
+    ])
+    def test_removed_simulate_fields_400(self, client, field, value):
+        """A v5 body that still sends a field v6 removed is a bad
+        request naming that field."""
         response = client.post(
             "simulate",
             {"application": "fft1k", "clusters": 8, "alus": 5,
-             "max_events": 3},
+             field: value},
         )
         assert response.status == 400
         assert response.error["code"] == "bad_request"
-        assert response.error["message"].startswith(
-            "SimulateRequest: max_events=3 is too small for application "
-            "'fft1k': "
+        assert response.error["message"] == (
+            f"SimulateRequest: unknown field(s) {field}"
         )
+
+    def test_unknown_paths_share_one_metric_label(self, client, warm_server):
+        """50 distinct unknown paths add at most the one ``not_found``
+        label to the per-route request metrics."""
+        before = _request_labels(warm_server)
+        for i in range(50):
+            assert client.post(f"zz{i}", {}).status == 404
+        assert _request_labels(warm_server) - before <= {"not_found"}
+        assert warm_server.metrics.counter(
+            "serve.requests.not_found"
+        ).value >= 50
+
+    def test_ids_and_queries_never_name_metrics(self, client, warm_server):
+        before = _request_labels(warm_server)
+        for i in range(10):
+            assert client.request("GET", f"/v1/stats?probe={i}").status == 404
+            assert client.get_kernel(f"{i:064x}").status == 404
+            assert client.job_status(f"job-{i}").status == 404
+        assert _request_labels(warm_server) - before <= {
+            "not_found", "kernel", "job",
+        }
 
     def test_stats_endpoint(self, client):
         response = client.stats()

@@ -1,5 +1,5 @@
-"""Tests for the simulator building blocks: events, memory, host,
-clusters, streambuffer allocation."""
+"""Tests for the simulator building blocks: memory, host, clusters,
+streambuffer allocation."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,42 +10,9 @@ from repro.core.config import BASELINE_CONFIG, ProcessorConfig
 from repro.core.params import TECH_45NM
 from repro.kernels import get_kernel
 from repro.sim.cluster import DISPATCH_CYCLES, ClusterArray
-from repro.sim.events import EventQueue
 from repro.sim.host import Host
 from repro.sim.memory import MemorySystem
 from repro.sim.srf import CapacityError, SRFAllocator
-
-
-class TestEventQueue:
-    def test_runs_in_time_order(self):
-        q = EventQueue()
-        log = []
-        q.schedule(5, lambda: log.append("b"))
-        q.schedule(1, lambda: log.append("a"))
-        q.schedule(9, lambda: log.append("c"))
-        assert q.run() == 9
-        assert log == ["a", "b", "c"]
-
-    def test_fifo_at_equal_times(self):
-        q = EventQueue()
-        log = []
-        q.schedule(3, lambda: log.append(1))
-        q.schedule(3, lambda: log.append(2))
-        q.run()
-        assert log == [1, 2]
-
-    def test_rejects_past_events(self):
-        q = EventQueue()
-        q.schedule(10, lambda: q.schedule(5, lambda: None))
-        with pytest.raises(ValueError):
-            q.run()
-
-    def test_events_can_spawn_events(self):
-        q = EventQueue()
-        log = []
-        q.schedule(1, lambda: q.schedule(2, lambda: log.append("x")))
-        q.run()
-        assert log == ["x"]
 
 
 class TestMemorySystem:
