@@ -66,7 +66,6 @@ __all__ = [
     "SweepPoint",
     "clear_sweep_cache",
     "default_engine",
-    "plan_shards",
 ]
 
 #: One application-simulation grid point: ``(application, config)``.
@@ -197,81 +196,6 @@ class SweepEngine:
     def _checkpoint_store(self, kind: str, key, value) -> None:
         if self.checkpoint is not None:
             self.checkpoint.store(kind, key, value)
-
-    # --- remote seeding (cluster mode) ----------------------------------
-
-    def seed_rate(
-        self,
-        kernel: str,
-        config: ProcessorConfig,
-        rate: float,
-    ) -> bool:
-        """Install a kernel rate computed elsewhere (a cluster worker).
-
-        The value is the *complete* memo payload — kernel rates are
-        plain floats and JSON round-trips floats exactly — so a seeded
-        entry is indistinguishable from a locally computed one: later
-        :meth:`kernel_rate`/:meth:`compile_kernels` calls hit it, and
-        it checkpoints like any other point.  Returns ``False`` when
-        the key was already cached (the local value wins; both sides
-        are deterministic so they cannot disagree).
-        """
-        key = (kernel, config)
-        with self._lock:
-            if key in self._rate_cache:
-                return False
-            self._rate_cache[key] = rate
-            self._checkpoint_store("rate", key, rate)
-            if self.metrics is not None:
-                self.metrics.counter("sweep.rate.seeded").inc()
-            return True
-
-    def seed_simulation(
-        self,
-        application: str,
-        config: ProcessorConfig,
-        node: TechnologyNode,
-        clock_ghz: float,
-        result: SimulationResult,
-    ) -> bool:
-        """Install a simulation result computed elsewhere.
-
-        ``result`` is rebuilt from a worker's wire payload: every raw
-        field (cycles, op counts, busy cycles, bandwidth words) is an
-        int or an exactly-round-tripped float, so all derived metrics
-        (gops, utilizations, speedups) recompute bit-identically — the
-        property the cluster's serial-oracle equivalence rests on.
-        Like every result in this cache, it has no per-op timeline:
-        ``records`` is empty.
-        """
-        key = (application, config, node, clock_ghz)
-        with self._lock:
-            if key in self._sim_cache:
-                return False
-            self._sim_cache[key] = result
-            self._checkpoint_store("sim", key, result)
-            if self.metrics is not None:
-                self.metrics.counter("sweep.sim.seeded").inc()
-            return True
-
-    def has_rate(self, kernel: str, config: ProcessorConfig) -> bool:
-        """Whether a kernel rate is already memoized (no side effects:
-        hit/miss statistics are untouched — this is a peek, used by the
-        cluster coordinator to skip dispatching warm points)."""
-        with self._lock:
-            return (kernel, config) in self._rate_cache
-
-    def has_simulation(
-        self,
-        application: str,
-        config: ProcessorConfig,
-        node: TechnologyNode,
-        clock_ghz: float,
-    ) -> bool:
-        """Whether a simulation result is already memoized (a peek;
-        statistics untouched)."""
-        with self._lock:
-            return (application, config, node, clock_ghz) in self._sim_cache
 
     def stats(self) -> Dict[str, int]:
         """Cache effectiveness counters, for reports and tests."""
@@ -630,33 +554,6 @@ class SweepEngine:
             )
             self._progress_event(done, len(missing), sweep_started)
         return done
-
-
-def plan_shards(
-    keys: Sequence[str],
-    assign,
-) -> "Dict[Optional[str], List[int]]":
-    """Partition sweep points into per-worker shards.
-
-    The cluster-mode sibling of the process-pool fan-out above: where
-    :meth:`SweepEngine._fan_out` hands a flat job list to one local
-    pool, this planner splits a grid into one shard per worker daemon.
-    ``keys`` are the points' :func:`repro.api.dedup_key` strings (the
-    sharding identity — hashing the canonical request JSON is what
-    keeps a point on the same worker across requests) and ``assign``
-    maps a key to a worker id (the coordinator passes the consistent-
-    hash ring's ``owner``), or to ``None`` for points that must be
-    computed locally (empty ring).
-
-    Returns ``{worker_id: [point indices]}`` with indices ascending
-    within each shard, so per-shard dispatch order is deterministic and
-    reassembly by index restores exact input order.  Duplicate keys
-    land on the same worker by construction (same key, same hash).
-    """
-    shards: Dict[Optional[str], List[int]] = {}
-    for index, key in enumerate(keys):
-        shards.setdefault(assign(key), []).append(index)
-    return shards
 
 
 _DEFAULT_ENGINE = SweepEngine()

@@ -371,10 +371,9 @@ class SimulateResult(_Payload):
     The payload carries both the derived metrics (gops, utilizations)
     and the raw integer accounting they derive from (cycles, op counts,
     busy cycles, bandwidth words).  The raw fields make the payload
-    *reconstructible*: the cluster coordinator rebuilds a full
-    :class:`~repro.sim.metrics.SimulationResult` from a worker's wire
-    payload and every derived metric recomputes bit-identically — ints
-    are exact and Python's JSON round-trips floats exactly.
+    *reconstructible*: a full :class:`~repro.sim.metrics.SimulationResult`
+    rebuilt from it recomputes every derived metric bit-identically —
+    ints are exact and Python's JSON round-trips floats exactly.
     """
 
     application: str = ""

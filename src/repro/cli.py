@@ -652,10 +652,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             max_batch=args.max_batch,
             request_timeout_s=args.timeout,
             trace_path=args.trace_out,
-            fleet=args.fleet,
-            join=args.join,
-            heartbeat_interval_s=args.heartbeat_interval,
-            heartbeat_timeout_s=args.heartbeat_timeout,
             tenants_path=args.tenants,
             job_dir=job_dir,
         )
@@ -680,7 +676,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         rate=args.rate,
         mix=args.mix,
         request_timeout_s=args.timeout,
-        cluster_workers=args.cluster,
         jobs=args.jobs,
         api_key=args.api_key,
     )
@@ -1126,17 +1121,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--trace-out", metavar="PATH", default=None,
                        help="write a Chrome trace of the serving window "
                             "on shutdown")
-    serve.add_argument("--fleet", type=int, default=0,
-                       help="cluster mode: spawn N local worker daemons "
-                            "and shard sweeps over them")
-    serve.add_argument("--join", metavar="HOST:PORT", default=None,
-                       help="cluster mode: register this daemon as a "
-                            "worker with the coordinator at HOST:PORT")
-    serve.add_argument("--heartbeat-interval", type=float, default=2.0,
-                       help="worker heartbeat period in seconds")
-    serve.add_argument("--heartbeat-timeout", type=float, default=6.0,
-                       help="seconds without a heartbeat before the "
-                            "coordinator declares a worker dead")
     serve.add_argument("--tenants", metavar="FILE", default=None,
                        help="tenant registry JSON (API keys, weights, "
                             "rate limits, quotas); omit for open mode")
@@ -1172,10 +1156,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "costs=6,compile=2,simulate=1,sweep=1")
     loadgen.add_argument("--timeout", type=float, default=120.0,
                          help="per-request client timeout seconds")
-    loadgen.add_argument("--cluster", type=int, default=None,
-                         help="record this worker-fleet size in the SLO "
-                              "report (default: auto-detect from the "
-                              "daemon's /v1/cluster/stats)")
     loadgen.add_argument("--json", action="store_true",
                          help="emit the SLO report as a versioned "
                               "JSON envelope")

@@ -9,8 +9,8 @@ into a real :class:`repro.isa.kernel.KernelGraph`.  Accepted documents
 are content-addressed by the SHA-256 of their canonical serialization
 and stored in a :class:`repro.frontend.registry.KernelRegistry`, after
 which the kernel is first-class everywhere a built-in is: compile,
-simulate, sweep, the serving daemon, and the cluster coordinator all
-accept ``kernel:<hash>`` references.
+simulate, sweep and the serving daemon all accept ``kernel:<hash>``
+references.
 """
 
 from .schema import (

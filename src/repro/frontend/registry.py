@@ -6,9 +6,7 @@ atomic writes, checksum-validated corruption-tolerant loads, and
 hit/miss/evict/write counters.  The content address is the SHA-256 of
 the document's canonical serialization, so registration is idempotent
 and the same document registered via any spelling (key order,
-whitespace, ``2`` vs ``2.0``) lands on the same id — which is also what
-keeps cluster shard affinity stable: the coordinator routes compile
-points by ``dedup_key``, which embeds the ``kernel:<hash>`` reference.
+whitespace, ``2`` vs ``2.0``) lands on the same id.
 
 A registry with ``root=None`` (disabled persistence) still works within
 the process through an in-memory overlay; the overlay also fronts the

@@ -51,7 +51,9 @@ __all__ = [
 #: v2: added ``cluster_workers`` (fleet size behind the target daemon).
 #: v3: added the ``jobs`` driving mode (``--jobs``) and its
 #: server-reported queue-wait percentiles (``jobs`` report section).
-SLO_VERSION = 3
+#: v4: removed ``cluster_workers`` and its ``/v1/cluster/stats`` probe;
+#: a run sends the daemon nothing beyond ``/healthz`` and its mix.
+SLO_VERSION = 4
 
 #: Default request mix (weights in the round-robin schedule).
 DEFAULT_MIX = "costs=6,compile=2,simulate=1"
@@ -119,10 +121,6 @@ class LoadgenConfig:
     rate: float = 50.0
     mix: str = DEFAULT_MIX
     request_timeout_s: float = 120.0
-    #: Worker-fleet size behind the target daemon, recorded in the SLO
-    #: report so cluster and single-node trajectories never alias.
-    #: ``None`` auto-detects via ``GET /v1/cluster/stats``.
-    cluster_workers: Optional[int] = None
     #: Drive the async job surface (``POST /v1/jobs`` + poll) instead of
     #: the synchronous mix; the report then carries the daemon-reported
     #: queue-wait percentiles alongside end-to-end job latency.
@@ -211,9 +209,7 @@ def _issue(client: Any, kind: str, index: int) -> Any:
     raise ValueError(f"unknown request kind {kind!r}")
 
 
-def _run_jobs_loadgen(
-    config: LoadgenConfig, cluster_workers: int
-) -> Dict[str, Any]:
+def _run_jobs_loadgen(config: LoadgenConfig) -> Dict[str, Any]:
     """Closed-loop driver for the async job surface.
 
     Each worker submits a one-kernel sweep job, polls it to a terminal
@@ -300,7 +296,6 @@ def _run_jobs_loadgen(
         "duration_s": round(elapsed, 3),
         "concurrency": max(1, config.concurrency),
         "mix": {"jobs": 1},
-        "cluster_workers": cluster_workers,
         "endpoints": {"jobs": stat.report()},
         "jobs": jobs_section,
         "overall": {
@@ -347,20 +342,13 @@ def run_loadgen(config: LoadgenConfig) -> Dict[str, Any]:
                         timeout=config.request_timeout_s,
                         backpressure_retries=0,
                         api_key=config.api_key)
-    cluster_workers = config.cluster_workers
     try:
         probe.health()
-        if cluster_workers is None:
-            response = probe.cluster_stats()
-            cluster_workers = (
-                int((response.data or {}).get("alive", 0))
-                if response.status == 200 else 0
-            )
     finally:
         probe.close()
 
     if config.jobs:
-        return _run_jobs_loadgen(config, cluster_workers or 0)
+        return _run_jobs_loadgen(config)
 
     def _execute(client: Any, op_index: int) -> None:
         kind = schedule[op_index % len(schedule)]
@@ -472,7 +460,6 @@ def run_loadgen(config: LoadgenConfig) -> Dict[str, Any]:
         "concurrency": max(1, config.concurrency),
         "mix": {kind: weight for kind, weight in sorted(mix.items())
                 if weight > 0},
-        "cluster_workers": cluster_workers,
         "endpoints": endpoints,
         "overall": {
             "requests": total,
@@ -524,8 +511,6 @@ def slo_line(report: Dict[str, Any]) -> str:
     ]
     if saturation is not None:
         parts.append(f"saturation={saturation}rps")
-    if report.get("cluster_workers"):
-        parts.append(f"cluster={report['cluster_workers']}")
     jobs = report.get("jobs")
     if jobs and jobs.get("queue_wait_p50_ms") is not None:
         parts.append(f"queue_wait_p50={jobs['queue_wait_p50_ms']}ms")

@@ -12,9 +12,6 @@ and the simulator (see ``docs/robustness.md``):
 * :mod:`repro.resilience.checkpoint` — :class:`SweepCheckpoint`, the
   atomic/versioned/checksummed store that lets interrupted sweeps
   resume without recomputation.
-* :mod:`repro.resilience.requeue`    — :class:`RequeueLadder`, the
-  bounded-round/backoff policy the cluster coordinator reuses for
-  requeue-on-dead-worker (same shape as the executor's pool retries).
 
 The invariant every piece preserves: with any fault plan active, a run
 that ultimately succeeds produces results bit-identical to the
@@ -38,7 +35,6 @@ from .faults import (
     install_plan,
     mark_worker_process,
 )
-from .requeue import RequeueLadder
 
 __all__ = [
     "FAULT_KINDS",
@@ -48,7 +44,6 @@ __all__ = [
     "FaultRule",
     "InjectedCrash",
     "InjectedFault",
-    "RequeueLadder",
     "ResilientExecutor",
     "SweepCheckpoint",
     "active_plan",

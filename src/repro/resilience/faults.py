@@ -97,8 +97,6 @@ FAULT_SITES: Dict[str, str] = {
     "checkpoint.store": "SweepCheckpoint store, after writing (path)",
     "sim.run": "StreamProcessor.run, before executing a program",
     "model.predict": "predict_application, before the closed-form eval",
-    "cluster.dispatch": "coordinator, before sending one point to a "
-                        "worker daemon",
 }
 
 

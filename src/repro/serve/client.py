@@ -329,10 +329,6 @@ class ServeClient:
         """Fetch the daemon's cache/queue/dedup counters."""
         return self.request("GET", "/v1/stats")
 
-    def cluster_stats(self) -> ServeResponse:
-        """Fetch the coordinator's fleet membership and shard stats."""
-        return self.request("GET", "/v1/cluster/stats")
-
     def metrics(self) -> ServeResponse:
         """Fetch the full metrics-registry snapshot."""
         return self.request("GET", "/v1/metrics")

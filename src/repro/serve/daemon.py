@@ -18,17 +18,6 @@ answers every :mod:`repro.api` request kind over a tiny JSON protocol:
 * ``GET  /v1/kernels/{id}`` — one kernel's summary plus its canonical
   document (``{id}`` is the ``kernel:<hash>`` ref, the bare hash, or a
   unique prefix of at least 8 hex characters)
-* ``GET  /v1/cluster/stats`` — fleet membership and shard statistics
-* ``POST /v1/cluster/register`` / ``/v1/cluster/heartbeat`` — worker
-  liveness protocol (see :mod:`repro.cluster`)
-
-With ``--fleet N`` the daemon is a **cluster coordinator**: it boots
-``N`` local workers and shards every sweep over the fleet by
-consistent hash of each point's ``dedup_key`` (cache affinity), then
-reassembles byte-identical results; with ``--join HOST:PORT`` it is a
-worker that registers and heartbeats.  Liveness routes are answered
-inline on the event loop — never through the batcher — so a long sweep
-cannot starve heartbeats.
 
 Every request gets a **correlation id**: the sanitized ``X-Request-Id``
 header if the client sent one, else a freshly minted id.  The id comes
@@ -167,9 +156,6 @@ _ROUTES: Dict[str, Tuple[str, Optional[str]]] = {
     "/v1/kernels/": ("kernel", None),
     "/v1/jobs": ("jobs", None),
     "/v1/jobs/": ("job", None),
-    "/v1/cluster/stats": ("stats", None),
-    "/v1/cluster/register": ("register", None),
-    "/v1/cluster/heartbeat": ("heartbeat", None),
 }
 
 #: The label and kind of a path no route matches.
@@ -205,14 +191,6 @@ class ServerConfig:
     max_body_bytes: int = 1 << 20
     #: Write a Chrome trace of the serving window here on drain.
     trace_path: Optional[str] = None
-    #: Cluster mode: spawn this many local worker daemons and shard
-    #: sweeps over them (coordinator role; see ``docs/serving.md``).
-    fleet: int = 0
-    #: Cluster mode: register with the coordinator at ``host:port``
-    #: (worker role).  Mutually exclusive with ``fleet``.
-    join: Optional[str] = None
-    heartbeat_interval_s: float = 2.0
-    heartbeat_timeout_s: float = 6.0
     #: Multi-tenancy: a ``{"tenants": [...]}`` JSON file of API keys,
     #: weights, rate limits, and point quotas.  ``None`` runs open
     #: (every caller is the unlimited anonymous ``public`` tenant).
@@ -222,6 +200,18 @@ class ServerConfig:
     #: this next to the sweep checkpoints; in-process test servers
     #: stay memory-only).
     job_dir: Optional[str] = None
+
+
+class _Unframeable(Exception):
+    """A request whose framing the parser cannot trust: a line over the
+    stream limit or a ``Content-Length`` that is not a non-negative
+    integer.  Answered 400, then the connection closes, because where
+    the next request starts is unknown."""
+
+    def __init__(self, method: str, path: str, message: str):
+        super().__init__(message)
+        self.method = method
+        self.path = path
 
 
 def _safe_execute(item: Tuple[Optional[str], Any]) -> Tuple[str, Any]:
@@ -282,20 +272,6 @@ class ReproServer:
         self._started_monotonic = 0.0
         self._log = get_logger("serve")
         self._bus = default_bus()
-        # Every daemon can coordinate: the coordinator object is cheap
-        # and its routes only matter once workers register.  The fleet
-        # supervisor and heartbeat agent attach in start() (they need
-        # the bound port).
-        from ..cluster import ClusterCoordinator
-
-        self.coordinator = ClusterCoordinator(
-            metrics=self.metrics,
-            heartbeat_timeout_s=config.heartbeat_timeout_s,
-            point_timeout_s=config.request_timeout_s or 60.0,
-            progress=self._bus,
-        )
-        self.fleet = None
-        self._heartbeat_agent = None
         # Recently finished request ids, so a /v1/progress subscriber
         # that connects after its request completed gets an immediate
         # request_end instead of hanging until its deadline.  Entries
@@ -319,7 +295,6 @@ class ReproServer:
             registry=self.tenants,
             metrics=self.metrics,
             bus=self._bus,
-            coordinator=self.coordinator,
         )
 
     # --- execution ------------------------------------------------------
@@ -343,12 +318,6 @@ class ReproServer:
             (rids[0] if rids else None, request)
             for request, rids in zip(requests, request_ids)
         ]
-        if self.coordinator.membership.alive():
-            # Coordinator role with a live fleet: route through the
-            # cluster (sweeps shard over workers, points go to their
-            # ring owner).  Sequential per batch — the parallelism
-            # lives inside the sharded dispatch.
-            return [self.coordinator.safe_execute(item) for item in items]
         return self.executor.map(_safe_execute, items)
 
     # --- lifecycle ------------------------------------------------------
@@ -363,44 +332,6 @@ class ReproServer:
         # Persisted jobs from a previous process re-queue here; their
         # points resume as memo hits off the sweep checkpoint.
         self.jobs.start()
-        if self.config.fleet > 0:
-            from ..cluster import LocalFleet
-
-            self.fleet = LocalFleet(
-                self.config.fleet,
-                self.config.host,
-                self.port,
-                heartbeat_interval_s=self.config.heartbeat_interval_s,
-            )
-            self.fleet.start()
-        if self.config.join:
-            from ..cluster import HeartbeatAgent
-
-            host, _, port = self.config.join.rpartition(":")
-            self._heartbeat_agent = HeartbeatAgent(
-                host or "127.0.0.1",
-                int(port),
-                self.config.host,
-                self.port,
-                interval_s=self.config.heartbeat_interval_s,
-                stats_fn=self._worker_stats,
-            )
-            self._heartbeat_agent.start()
-
-    def _worker_stats(self) -> Dict[str, Any]:
-        """The lightweight per-worker stats heartbeats carry (shard
-        hit-rates for the coordinator's ``/v1/cluster/stats``)."""
-        from ..analysis.sweep import default_engine
-        from ..compiler.cache import default_cache
-
-        cache = default_cache()
-        engine = default_engine()
-        return {
-            "engine": engine.stats(),
-            "compile_cache": {
-                **cache.stats(), "hit_rate": cache.hit_rate,
-            },
-        }
 
     @property
     def port(self) -> int:
@@ -413,8 +344,6 @@ class ReproServer:
         release the worker pool, flush the trace.  Returns ``True`` when
         every queued request finished within ``timeout``."""
         self.draining = True
-        if self._heartbeat_agent is not None:
-            self._heartbeat_agent.stop()
         # Jobs stop after their in-flight point; interrupted jobs stay
         # queued/running on disk and resume on the next boot — drain
         # must not wait out a multi-minute sweep.
@@ -423,11 +352,6 @@ class ReproServer:
             self._server.close()
             await self._server.wait_closed()
         clean = await self.batcher.drain(timeout)
-        if self.fleet is not None:
-            await asyncio.get_running_loop().run_in_executor(
-                None, self.fleet.stop
-            )
-        self.coordinator.close()
         # Kick idle keep-alive connections loose so their handler
         # coroutines finish instead of waiting on a dead socket.
         for writer in list(self._connections):
@@ -462,7 +386,6 @@ class ReproServer:
             "engine": default_engine().stats(),
             "compile_cache": {**cache.stats(), "hit_rate": cache.hit_rate},
             "compile_memo_entries": memo_size(),
-            "cluster": self.coordinator.stats(),
             "jobs": self.jobs.stats(),
             "tenants": self.tenants.stats(),
         }
@@ -475,7 +398,19 @@ class ReproServer:
         self._connections.add(writer)
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _Unframeable as exc:
+                    status, payload = self._error(
+                        exc.path, 400, "bad_request", str(exc)
+                    )
+                    self._observe(
+                        exc.method, exc.path, status, time.perf_counter()
+                    )
+                    await self._write_response(
+                        writer, status, payload, keep_alive=False
+                    )
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
@@ -538,11 +473,18 @@ class ReproServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        """Parse one HTTP/1.1 request; ``None`` on a closed connection."""
+        """Parse one HTTP/1.1 request; ``None`` on a closed connection.
+
+        Raises :class:`_Unframeable` for a request whose end cannot be
+        found.  ``StreamReader.readline`` reports a line over the
+        stream limit as ``ValueError``.
+        """
         try:
             line = await reader.readline()
-        except (ConnectionError, asyncio.LimitOverrunError):
+        except ConnectionError:
             return None
+        except ValueError:
+            raise _Unframeable("", "", "request line too long")
         if not line:
             return None
         parts = line.decode("latin-1").strip().split()
@@ -551,12 +493,23 @@ class ReproServer:
         method, path = parts[0].upper(), parts[1]
         headers: Dict[str, str] = {}
         while True:
-            raw = await reader.readline()
+            try:
+                raw = await reader.readline()
+            except ValueError:
+                raise _Unframeable(method, path, "header line too long")
             if not raw or raw in (b"\r\n", b"\n"):
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        try:
+            length = int(headers.get("content-length", "0") or "0")
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _Unframeable(
+                method, path,
+                "Content-Length must be a non-negative integer",
+            )
         if length > self.config.max_body_bytes:
             # Drain what we can without buffering it, then refuse.
             remaining = length
@@ -666,41 +619,6 @@ class ReproServer:
                         path, 405, "method_not_allowed", "use GET"
                     )
                 return (200, render_prometheus(self.metrics))
-            if path == "/v1/cluster/stats":
-                if method != "GET":
-                    return self._error(
-                        path, 405, "method_not_allowed", "use GET"
-                    )
-                return (
-                    200,
-                    build_envelope(
-                        "cluster_stats", data=self.coordinator.stats()
-                    ),
-                )
-            if path in ("/v1/cluster/register", "/v1/cluster/heartbeat"):
-                # Liveness traffic is handled inline on the event loop
-                # — never through the batcher — so a fleet stays
-                # registered even while the dispatcher is buried in a
-                # long sweep.
-                if method != "POST":
-                    return self._error(
-                        path, 405, "method_not_allowed", "use POST"
-                    )
-                try:
-                    data = json.loads(body.decode("utf-8")) if body else {}
-                except ValueError as exc:
-                    return self._error(
-                        path, 400, "bad_request",
-                        f"invalid JSON body ({exc})",
-                    )
-                try:
-                    if path.endswith("register"):
-                        ack = self.coordinator.register_worker(data)
-                    else:
-                        ack = self.coordinator.worker_heartbeat(data)
-                except ApiError as exc:
-                    return self._error(path, 400, "bad_request", str(exc))
-                return (200, build_envelope("cluster", data=ack))
             if path == "/v1/kernels" and method == "GET":
                 # Listing shares the POST path's URL; it must be
                 # answered before the API-kind fall-through or a bare
@@ -1268,21 +1186,6 @@ def run_server(config: ServerConfig) -> int:
             f"window={config.batch_window_ms}ms)",
             flush=True,
         )
-        if config.fleet > 0:
-            # Registration arrives over this very event loop, so the
-            # wait must not block it.
-            ready = await loop.run_in_executor(
-                None,
-                server.coordinator.wait_for_workers,
-                config.fleet,
-                60.0,
-            )
-            registered = len(server.coordinator.membership.alive())
-            print(
-                f"repro serve: fleet {'ready' if ready else 'DEGRADED'} "
-                f"({registered}/{config.fleet} workers registered)",
-                flush=True,
-            )
         await stop
         print("repro serve: draining...", flush=True)
         clean = await server.drain_and_stop()

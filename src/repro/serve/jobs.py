@@ -14,11 +14,6 @@ a daemon crash the new process replays the checkpoint into the memo
 and re-walks the point list, where every previously completed point is
 a memo hit.
 
-Point routing composes with cluster mode: when the daemon has a live
-worker fleet, each point dispatches to its consistent-hash ring owner
-via the coordinator (which seeds the local memo with the result), so
-jobs shard over the fleet exactly like synchronous sweeps.
-
 State machine (persisted per transition, one atomic JSON file per job
 under the job directory)::
 
@@ -41,11 +36,15 @@ from pathlib import Path
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..api import (
+    AnyRequest,
     ApiError,
+    CompileRequest,
     JobRequest,
     JobStatus,
+    SimulateRequest,
     SweepRequest,
     SweepResult,
+    dedup_key,
 )
 from ..obs.log import bind_request_id, get_logger, log_event
 from .tenancy import FairShareScheduler, Tenant, TenantRegistry
@@ -54,22 +53,128 @@ __all__ = [
     "JobManager",
     "JobRecord",
     "JobStore",
+    "compute_point",
     "count_sweep_points",
+    "expand_sweep_points",
 ]
 
 #: Bump when the persisted job layout changes (old files are skipped).
 STORE_SCHEMA_VERSION = 1
 
 
-def count_sweep_points(sweep: SweepRequest) -> int:
-    """How many primitive grid points one sweep resolves through.
+def expand_sweep_points(request: SweepRequest) -> List[AnyRequest]:
+    """The primitive grid points one sweep target resolves through.
 
-    The unit quotas and fair-share weights are denominated in — the
-    same expansion cluster sharding uses.
+    Exactly the grids :func:`repro.api.run_sweep` walks (baselines
+    included), expressed as API point requests.  Duplicates are removed
+    with first-occurrence order preserved — ``dedup_key`` equality
+    means result equality, so one computation serves every occurrence.
     """
-    from ..cluster.coordinator import expand_sweep_points
+    from ..analysis.perf import (
+        BASELINE,
+        FIG13_N_VALUES,
+        FIG14_C_VALUES,
+        FIG15_N_VALUES,
+        TABLE5_C_VALUES,
+        TABLE5_N_VALUES,
+    )
+    from ..apps.suite import APPLICATION_ORDER
+    from ..kernels.suite import PERFORMANCE_SUITE
 
+    base_c, base_n = BASELINE
+    # A kernel-restricted study (SweepRequest.kernel) walks the same
+    # grid as the full suite — its points just cover one kernel.
+    suite = (request.kernel,) if request.kernel else PERFORMANCE_SUITE
+    configs: List[Tuple[int, int]]
+    points: List[AnyRequest] = []
+    if request.target == "fig13":
+        configs = [(base_c, base_n)] + [(base_c, n) for n in FIG13_N_VALUES]
+        points = [
+            CompileRequest(kernel, c, n)
+            for kernel in suite
+            for c, n in configs
+        ]
+    elif request.target == "fig14":
+        configs = [(base_c, base_n)] + [(c, base_n) for c in FIG14_C_VALUES]
+        points = [
+            CompileRequest(kernel, c, n)
+            for kernel in suite
+            for c, n in configs
+        ]
+    elif request.target == "table5":
+        points = [
+            CompileRequest(kernel, c, n)
+            for kernel in suite
+            for n in TABLE5_N_VALUES
+            for c in TABLE5_C_VALUES
+        ]
+    elif request.target == "fig15":
+        configs = [(base_c, base_n)] + [
+            (c, n) for n in FIG15_N_VALUES for c in FIG14_C_VALUES
+        ]
+        points = [
+            SimulateRequest(app, c, n)
+            for app in APPLICATION_ORDER
+            for c, n in configs
+        ]
+    elif request.target == "headline":
+        # H1/H2 machines (C=128, N=5/10) versus the baseline.
+        configs = [(base_c, base_n), (128, 5), (128, 10)]
+        points = [
+            CompileRequest(kernel, c, n)
+            for kernel in PERFORMANCE_SUITE
+            for c, n in configs
+        ]
+        if request.apps:
+            points.extend(
+                SimulateRequest(app, c, n)
+                for app in APPLICATION_ORDER
+                for c, n in configs
+            )
+    else:  # pragma: no cover - validate_request rejects earlier
+        raise ApiError(f"unknown sweep target {request.target!r}")
+
+    seen = set()
+    unique: List[AnyRequest] = []
+    for point in points:
+        key = dedup_key(point)
+        if key not in seen:
+            seen.add(key)
+            unique.append(point)
+    return unique
+
+
+def count_sweep_points(sweep: SweepRequest) -> int:
+    """How many primitive grid points one sweep resolves through: the
+    unit quotas and fair-share weights are denominated in."""
     return len(expand_sweep_points(sweep))
+
+
+def compute_point(point: AnyRequest) -> None:
+    """Fill the engine memo (and sweep checkpoint) for one point.
+
+    The exact code path a synchronous sweep takes —
+    ``engine.kernel_rate`` / ``engine.simulate_application`` memoize
+    *and* checkpoint, so the job runner, walking a sweep's points one
+    at a time, leaves the final assembly all memo hits and the
+    checkpoint resumable after a crash.
+    """
+    from ..analysis.sweep import default_engine
+    from ..core.config import ProcessorConfig
+    from ..core.params import TECH_45NM
+
+    engine = default_engine()
+    if isinstance(point, CompileRequest):
+        engine.kernel_rate(
+            point.kernel, ProcessorConfig(point.clusters, point.alus)
+        )
+    else:
+        engine.simulate_application(
+            point.application,
+            ProcessorConfig(point.clusters, point.alus),
+            TECH_45NM,
+            point.clock_ghz,
+        )
 
 
 @dataclass
@@ -221,8 +326,7 @@ class JobManager:
 
     ``point_runner`` and ``assemble`` are injectable for the clocked
     scheduler tests; the defaults are the real engine paths
-    (:func:`repro.cluster.coordinator.compute_point_locally` and
-    :func:`repro.api.execute`).
+    (:func:`compute_point` and :func:`repro.api.execute`).
     """
 
     def __init__(
@@ -231,7 +335,6 @@ class JobManager:
         registry: TenantRegistry,
         metrics=None,
         bus=None,
-        coordinator=None,
         point_runner: Optional[Callable[[Any], None]] = None,
         assemble: Optional[Callable[[SweepRequest], SweepResult]] = None,
         clock: Callable[[], float] = time.monotonic,
@@ -240,7 +343,6 @@ class JobManager:
         self.registry = registry
         self.metrics = metrics
         self._bus = bus
-        self.coordinator = coordinator
         self._point_runner = point_runner
         self._assemble = assemble
         self._clock = clock
@@ -410,8 +512,6 @@ class JobManager:
                     ).observe(record.queue_wait_s)
             self.store.save(record)
             self._publish("job_state", record, state="running")
-            from ..cluster.coordinator import expand_sweep_points
-
             record.pending = deque(expand_sweep_points(record.sweep))
             return False
         if record.pending:
@@ -481,28 +581,11 @@ class JobManager:
     # --- execution plumbing ---------------------------------------------
 
     def _run_point(self, record: JobRecord, point: Any) -> Tuple[bool, str]:
-        """One point through the fleet (ring owner) or locally; either
-        path lands the result in the local engine memo + checkpoint."""
+        """One point into the engine memo + checkpoint."""
+        runner = self._point_runner or compute_point
         try:
-            if self._point_runner is not None:
-                with bind_request_id(record.job_id, propagate_env=True):
-                    self._point_runner(point)
-                return True, ""
-            coordinator = self.coordinator
-            if (
-                coordinator is not None
-                and coordinator.membership.alive()
-            ):
-                status, value = coordinator.safe_execute(
-                    (record.job_id, point)
-                )
-                if status != "ok":
-                    return False, str(value[1])
-                return True, ""
-            from ..cluster.coordinator import compute_point_locally
-
             with bind_request_id(record.job_id, propagate_env=True):
-                compute_point_locally(point)
+                runner(point)
             return True, ""
         except ApiError as exc:
             return False, str(exc)

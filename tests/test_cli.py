@@ -266,3 +266,18 @@ class TestParser:
         assert args.max_queue == 8
         assert args.timeout == 10.0
         assert args.trace_out == "t.json"
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--fleet", "2"],
+        ["serve", "--join", "127.0.0.1:1"],
+        ["serve", "--heartbeat-interval", "1"],
+        ["serve", "--heartbeat-timeout", "1"],
+        ["loadgen", "--cluster", "1"],
+    ], ids=lambda argv: argv[1].lstrip("-"))
+    def test_no_cluster_flags(self, argv, capsys):
+        """The daemon runs one process; no flag shards it or sizes a
+        fleet."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,28 +1,20 @@
-"""User-defined kernels over the wire: daemon routes + fleet identity.
+"""User-defined kernels over the wire: the daemon's kernel routes.
 
 The acceptance contract for the open frontend: a kernel document
 ``POST``-ed to ``/v1/kernels`` must be sweepable by its ``kernel:<hash>``
-reference with results **byte-identical** to the built-in path — through
-a single daemon, and through a coordinator sharding over real worker
-subprocesses (registrations are broadcast to the fleet and persisted in
-a shared registry directory, so every shard resolves the same bytes).
+reference through the daemon with results **byte-identical** to the
+built-in path.
 """
 
 import asyncio
 import contextlib
 import json
-import os
-import subprocess
-import sys
 import threading
-from collections import Counter
-from pathlib import Path
 
 import pytest
 
 from repro.analysis.sweep import clear_sweep_cache
-from repro.api import SweepRequest, dedup_key, execute
-from repro.cluster.coordinator import expand_sweep_points
+from repro.api import execute
 from repro.frontend import document_from_graph
 from repro.frontend.registry import configure_default_registry
 from repro.kernels.suite import get_kernel
@@ -138,83 +130,3 @@ class TestKernelRoutes:
                 assert response.status == 200
                 assert _canonical(response.data) == direct
 
-
-# --- fleet identity -----------------------------------------------------
-
-
-def _spawn_worker(coordinator_port, tmp_path, registry_dir, index):
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    env["REPRO_COMPILE_CACHE_DIR"] = str(tmp_path / f"wcache{index}")
-    env["REPRO_KERNEL_REGISTRY_DIR"] = str(registry_dir)
-    env.pop("REPRO_SWEEP_CHECKPOINT", None)
-    return subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--port", "0",
-            "--join", f"127.0.0.1:{coordinator_port}",
-            "--batch-window-ms", "0",
-            "--heartbeat-interval", "0.5",
-        ],
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-
-
-@pytest.mark.slow
-class TestFleetIdentity:
-    def test_registered_kernel_sweeps_identically_through_fleet(
-        self, tmp_path, registry
-    ):
-        """Register through the coordinator, sweep by ref across two
-        real workers: rows byte-identical to the built-in kernel."""
-        with running_server() as server:
-            procs = [
-                _spawn_worker(
-                    server.port, tmp_path, tmp_path / "kernels", i
-                )
-                for i in range(2)
-            ]
-            try:
-                assert server.coordinator.wait_for_workers(2, 60.0), (
-                    "workers never registered"
-                )
-                clear_sweep_cache()
-                with ServeClient("127.0.0.1", server.port) as client:
-                    ref = client.register_kernel(fft_document()).data["ref"]
-                    by_ref = client.sweep("fig13", kernel=ref)
-                    assert by_ref.status == 200
-                # Worker ids are ephemeral ports, so the ring may give
-                # one worker every point; each must have answered
-                # exactly the points the ring assigns it.
-                membership = server.coordinator.membership
-                alive = membership.alive()
-                points = expand_sweep_points(SweepRequest("fig13", kernel=ref))
-                owners = Counter(
-                    membership.ring.owner(dedup_key(point), alive)
-                    for point in points
-                )
-                answered = {
-                    w["worker_id"]: w["points_ok"]
-                    for w in membership.stats()["workers"]
-                }
-                assert answered == {
-                    worker: owners[worker] for worker in answered
-                }
-                assert sum(answered.values()) == len(points)
-                oracle = execute(
-                    SweepRequest("fig13", kernel="fft")
-                ).to_json()
-                assert _canonical(by_ref.data) == oracle
-            finally:
-                for proc in procs:
-                    if proc.poll() is None:
-                        proc.terminate()
-                for proc in procs:
-                    try:
-                        proc.wait(timeout=15)
-                    except subprocess.TimeoutExpired:
-                        proc.kill()
-                        proc.wait(timeout=5)

@@ -35,9 +35,24 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import JobRequest, SweepRequest, SweepResult, execute
+from repro.analysis.sweep import clear_sweep_cache, default_engine
+from repro.api import (
+    CompileRequest,
+    JobRequest,
+    SimulateRequest,
+    SweepRequest,
+    SweepResult,
+    dedup_key,
+    execute,
+)
 from repro.serve import ReproServer, ServeClient, ServerConfig
-from repro.serve.jobs import JobManager, JobRecord, JobStore
+from repro.serve.jobs import (
+    JobManager,
+    JobRecord,
+    JobStore,
+    compute_point,
+    expand_sweep_points,
+)
 from repro.serve.tenancy import (
     FairShareScheduler,
     Tenant,
@@ -262,13 +277,76 @@ def _quantum(manager):
 
 def _submit(manager, tenant, target="fig13", kernel="fft",
             mode="simulated"):
-    from repro.cluster.coordinator import expand_sweep_points
-
     sweep = SweepRequest(target, mode=mode, kernel=kernel)
     return manager.submit(
         tenant, JobRequest(sweep=sweep.to_dict()),
         len(expand_sweep_points(sweep)),
     )
+
+
+class TestSweepPointExpansion:
+    @pytest.mark.parametrize(
+        "target", ("fig13", "fig14", "table5", "fig15", "headline")
+    )
+    def test_points_are_unique_and_typed(self, target):
+        points = expand_sweep_points(SweepRequest(target, apps=True))
+        assert points
+        keys = [dedup_key(p) for p in points]
+        assert len(keys) == len(set(keys))
+        assert all(
+            isinstance(p, (CompileRequest, SimulateRequest)) for p in points
+        )
+
+    def test_fig13_grid_shape(self):
+        # 6 kernels x 4 distinct configs (the baseline (8,5) coincides
+        # with the N=5 study point and must dedup away).
+        points = expand_sweep_points(SweepRequest("fig13"))
+        assert len(points) == 24
+        assert all(isinstance(p, CompileRequest) for p in points)
+
+    def test_headline_apps_flag_adds_simulations(self):
+        bare = expand_sweep_points(SweepRequest("headline"))
+        full = expand_sweep_points(SweepRequest("headline", apps=True))
+        assert all(isinstance(p, CompileRequest) for p in bare)
+        assert len(full) > len(bare)
+        assert any(isinstance(p, SimulateRequest) for p in full)
+
+
+class TestPointListIsTheSweepsWork:
+    """A job walks ``expand_sweep_points`` and then assembles the sweep
+    with ``execute``; quotas charge by the same list.  The list must be
+    exactly the grid ``run_sweep`` reads: nothing missing (the assembly
+    would compute off the job's books) and nothing extra (a point that
+    is charged but never read)."""
+
+    @pytest.mark.parametrize("sweep", [
+        SweepRequest("fig13"),
+        SweepRequest("fig14"),
+        SweepRequest("table5"),
+        SweepRequest("fig15"),
+        SweepRequest("headline"),
+        SweepRequest("headline", apps=True),
+        SweepRequest("fig13", kernel="fft"),
+        SweepRequest("table5", kernel="dct"),
+    ], ids=lambda s: "-".join(
+        part for part in (s.target, s.kernel, "apps" if s.apps else "")
+        if part
+    ))
+    def test_points_fill_exactly_the_sweeps_memo(self, sweep, no_checkpoint):
+        engine = default_engine()
+        clear_sweep_cache()
+        points = expand_sweep_points(sweep)
+        for point in points:
+            compute_point(point)
+        after_points = engine.stats()
+        assert (
+            after_points["rate_cached"] + after_points["sim_cached"]
+            == len(points)
+        )
+        execute(sweep)
+        after_sweep = engine.stats()
+        assert after_sweep["rate_misses"] == after_points["rate_misses"]
+        assert after_sweep["sim_misses"] == after_points["sim_misses"]
 
 
 class TestJobManagerStateMachine:

@@ -109,6 +109,25 @@ class TestClosedLoop:
             assert sum(c for _, c in endpoint["histogram"]) == \
                 endpoint["ok"]
 
+    def test_sends_only_healthz_and_its_mix(self):
+        """Beyond its ``/healthz`` probe a run sends only its mix; the
+        report carries no fleet size."""
+        with running_server() as server:
+            report = run_loadgen(
+                LoadgenConfig(
+                    port=server.port, duration_s=0.3, concurrency=1,
+                    mix="costs=1",
+                )
+            )
+            labels = {
+                name[len("serve.requests."):]
+                for name in server.metrics.snapshot().as_dict()
+                if name.startswith("serve.requests.")
+            }
+        assert labels == {"healthz", "costs"}
+        assert report["slo_version"] == SLO_VERSION == 4
+        assert "cluster_workers" not in report
+
     def test_envelope_validates(self):
         with running_server() as server:
             port = server.port

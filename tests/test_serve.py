@@ -211,6 +211,37 @@ class TestHttpSemantics:
             "not_found", "kernel", "job",
         }
 
+    @pytest.mark.parametrize("head", [
+        b"POST /v1/costs HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+        b"POST /v1/costs HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+        b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70_000
+        + b"\r\n\r\n",
+    ], ids=["length-not-a-number", "negative-length", "header-over-limit"])
+    def test_unframeable_request_400_then_close(self, warm_server, head):
+        """A request the parser cannot frame gets a 400 envelope and a
+        closed connection, is counted, and leaves the daemon serving."""
+        before = warm_server.metrics.counter("serve.responses.400").value
+        with socket.create_connection(
+            ("127.0.0.1", warm_server.port), timeout=10
+        ) as sock:
+            sock.sendall(head)
+            raw = b""
+            while True:
+                chunk = sock.recv(1 << 16)
+                if not chunk:
+                    break
+                raw += chunk
+        status_line, _, rest = raw.partition(b"\r\n")
+        header_block, _, body = rest.partition(b"\r\n\r\n")
+        assert status_line == b"HTTP/1.1 400 Bad Request"
+        assert b"Connection: close" in header_block.split(b"\r\n")
+        assert json.loads(body)["error"]["code"] == "bad_request"
+        assert warm_server.metrics.counter(
+            "serve.responses.400"
+        ).value == before + 1
+        with ServeClient("127.0.0.1", warm_server.port) as fresh:
+            assert fresh.health().status == 200
+
     def test_stats_endpoint(self, client):
         response = client.stats()
         assert response.status == 200
@@ -219,6 +250,23 @@ class TestHttpSemantics:
         assert "hit_rate" in stats["compile_cache"]
         assert "tasks_ok" in stats["executor"]
         assert "sim_hits" in stats["engine"]
+        assert "cluster" not in stats
+
+    @pytest.mark.parametrize("method,path", [
+        ("GET", "/v1/cluster/stats"),
+        ("POST", "/v1/cluster/register"),
+        ("POST", "/v1/cluster/heartbeat"),
+    ], ids=["stats", "register", "heartbeat"])
+    def test_no_cluster_routes(self, client, warm_server, method, path):
+        """One daemon serves everything: the fleet routes are plain
+        unknown paths."""
+        counter = warm_server.metrics.counter("serve.requests.not_found")
+        before = counter.value
+        body = {"host": "127.0.0.1", "port": 1} if method == "POST" else None
+        response = client.request(method, path, body)
+        assert response.status == 404
+        assert response.error["code"] == "not_found"
+        assert counter.value == before + 1
 
     def test_metrics_endpoint(self, client):
         response = client.metrics()
