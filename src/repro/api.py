@@ -636,9 +636,13 @@ def validate_request(request: AnyRequest) -> None:
         try:
             parse_document(request.document)
         except KernelValidationError as exc:
-            # str(exc) carries "<code> at <pointer>: <message>" — the
-            # JSON-pointer contract survives into the API error.
-            raise ApiError(f"invalid kernel document: {exc}") from None
+            raise _invalid_document(exc) from None
+
+
+def _invalid_document(exc: Exception) -> ApiError:
+    # str(exc) carries "<code> at <pointer>: <message>" — the
+    # JSON-pointer contract survives into the API error.
+    return ApiError(f"invalid kernel document: {exc}")
 
 
 def _check_kernel_ref(ref: str) -> None:
@@ -840,14 +844,20 @@ def run_register(request: RegisterKernelRequest) -> KernelRef:
 
     Registration goes to the process-wide default registry
     (:func:`repro.frontend.registry.default_registry`), which persists
-    to disk so separate processes — CLI invocations, cluster workers —
-    resolve the same references.
+    to disk so separate processes — CLI invocations, daemons — resolve
+    the same references.  The registry parses the document once; the
+    summary reads the graph it built.
     """
-    validate_request(request)
-    from .frontend.registry import default_registry, summarize
+    request.validate()
+    from .frontend.registry import default_registry
+    from .frontend.schema import KernelValidationError
 
-    entry = default_registry().register(request.document)
-    summary = summarize(entry.kernel_id, entry.document)
+    registry = default_registry()
+    try:
+        entry = registry.register(request.document)
+    except KernelValidationError as exc:
+        raise _invalid_document(exc) from None
+    summary = registry.summary(entry)
     return KernelRef(
         kernel_id=summary["kernel_id"],
         ref=summary["ref"],

@@ -945,11 +945,7 @@ def cmd_kernel_list(args: argparse.Namespace) -> int:
 
 
 def cmd_kernel_show(args: argparse.Namespace) -> int:
-    from .frontend.registry import (
-        KERNEL_REF_PREFIX,
-        default_registry,
-        summarize,
-    )
+    from .frontend.registry import KERNEL_REF_PREFIX, default_registry
 
     registry = default_registry()
     ref = args.ref
@@ -961,7 +957,7 @@ def cmd_kernel_show(args: argparse.Namespace) -> int:
         print(exc, file=sys.stderr)
         return 2
     document = entry.document
-    summary = dict(summarize(entry.kernel_id, document))
+    summary = registry.summary(entry)
     if args.json:
         summary["document"] = document
         return _emit_envelope("kernel", summary)

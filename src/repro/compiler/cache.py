@@ -154,12 +154,11 @@ def machine_view(kernel: KernelGraph, machine: MachineDescription) -> Tuple:
     capacity (the MaxLive bound).  Two machines with the same view give
     the kernel the same schedule.
     """
-    opcodes = sorted(
-        {node.opcode for node in kernel.nodes}, key=lambda op: op.mnemonic
-    )
+    resource = machine.opcode_resource
+    latency = machine.opcode_latency
     ops = tuple(
-        (op.mnemonic, machine.resource(op), machine.latency(op))
-        for op in opcodes
+        (op.mnemonic, resource[op], latency[op])
+        for op in kernel.distinct_opcodes()
     )
     resources = sorted({res for _, res, _ in ops if res is not None})
     return (

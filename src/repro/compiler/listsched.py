@@ -84,6 +84,8 @@ def list_schedule(
     """Greedy earliest-slot list scheduling under issue-slot constraints."""
     n = len(graph)
     height = _priorities(graph)
+    resources = graph.resources
+    latencies = graph.latencies
     start: Dict[int, int] = {}
     unscheduled_preds = [0] * n
     for v in range(n):
@@ -102,7 +104,7 @@ def list_schedule(
         # Highest priority first; ties broken by node order (determinism).
         ready.sort(key=lambda v: (-height[v], v))
         v = ready.pop(0)
-        resource = machine.resource(graph.opcodes[v])
+        resource = resources[v]
         earliest = 0
         for u, latency, distance in graph.preds[v]:
             if distance > 0:
@@ -129,7 +131,5 @@ def list_schedule(
             f"list scheduler left {n - len(start)} nodes unscheduled "
             "(dependence cycle without distance?)"
         )
-    length = 1 + max(
-        start[v] + machine.latency(graph.opcodes[v]) - 1 for v in range(n)
-    )
+    length = 1 + max(start[v] + latencies[v] - 1 for v in range(n))
     return ListSchedule(start=start, length=length)

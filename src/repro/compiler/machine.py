@@ -28,8 +28,8 @@ Table 2 kernels — exactly the property the paper asserts.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Tuple
 
 from ..core.config import ProcessorConfig
 from ..core.costs import CostModel
@@ -85,32 +85,34 @@ class MachineDescription:
     #: True when the ALU pool is split into adder/multiplier/DSQ units.
     heterogeneous: bool = False
 
+    #: Latency of every opcode on this machine (see :meth:`latency`).
+    opcode_latency: Dict[Opcode, int] = field(
+        init=False, repr=False, compare=False
+    )
+    #: Issue resource of every opcode (see :meth:`resource`).
+    opcode_resource: Dict[Opcode, Optional[str]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        # Derived once per machine: the scheduler's inner loops read
+        # these per node, and a table read costs far less than the
+        # derivation (an Enum hash plus several Opcode properties).
+        object.__setattr__(self, "opcode_latency", {
+            op: _latency(op, self.extra_pipeline_stages, self.comm_latency)
+            for op in Opcode
+        })
+        object.__setattr__(self, "opcode_resource", {
+            op: _resource(op, self.heterogeneous) for op in Opcode
+        })
+
     def latency(self, opcode: Opcode) -> int:
         """Operation latency in cycles on this machine."""
-        if opcode.fu_class is FUClass.NONE:
-            return 0
-        if opcode.is_comm:
-            return self.comm_latency
-        if opcode.is_alu or opcode.is_srf_access:
-            # ALU results and streambuffer reads traverse the intracluster
-            # switch; extra transport stages lengthen them (section 5.1).
-            return opcode.base_latency + self.extra_pipeline_stages
-        return opcode.base_latency
+        return self.opcode_latency[opcode]
 
     def resource(self, opcode: Opcode) -> str | None:
         """The issue-resource name ``opcode`` occupies (None = free)."""
-        cls = opcode.fu_class
-        if cls is FUClass.NONE:
-            return None
-        if cls is FUClass.ALU:
-            if not self.heterogeneous:
-                return "alu"
-            if opcode in _DSQ_OPS:
-                return "alu_dsq"
-            if opcode in _MULTIPLIER_OPS:
-                return "alu_mul"
-            return "alu_add"
-        return cls.value
+        return self.opcode_resource[opcode]
 
     def slots_of(self, resource: str) -> int:
         """Issue slots per cycle for a resource name."""
@@ -142,6 +144,33 @@ class MachineDescription:
             f"+{self.extra_pipeline_stages} stages, "
             f"COMM latency {self.comm_latency}"
         )
+
+
+def _latency(opcode: Opcode, extra_stages: int, comm_latency: int) -> int:
+    if opcode.fu_class is FUClass.NONE:
+        return 0
+    if opcode.is_comm:
+        return comm_latency
+    if opcode.is_alu or opcode.is_srf_access:
+        # ALU results and streambuffer reads traverse the intracluster
+        # switch; extra transport stages lengthen them (section 5.1).
+        return opcode.base_latency + extra_stages
+    return opcode.base_latency
+
+
+def _resource(opcode: Opcode, heterogeneous: bool) -> Optional[str]:
+    cls = opcode.fu_class
+    if cls is FUClass.NONE:
+        return None
+    if cls is FUClass.ALU:
+        if not heterogeneous:
+            return "alu"
+        if opcode in _DSQ_OPS:
+            return "alu_dsq"
+        if opcode in _MULTIPLIER_OPS:
+            return "alu_mul"
+        return "alu_add"
+    return cls.value
 
 
 def _split_alus(n: int, mix: Dict[str, float]) -> Dict[str, int]:

@@ -48,8 +48,7 @@ class ModuloSchedule:
 def resource_mii(graph: SchedGraph, machine: MachineDescription) -> int:
     """Resource-constrained minimum II: ``max_r ceil(uses_r / slots_r)``."""
     uses: Dict[str, int] = {}
-    for opcode in graph.opcodes:
-        resource = machine.resource(opcode)
+    for resource in graph.resources:
         if resource is not None:
             uses[resource] = uses.get(resource, 0) + 1
     bound = 1
@@ -192,18 +191,15 @@ def try_modulo_schedule(
 
     The scheduling decisions — priority order, slot probing, forced
     placement and eviction — are exactly the reference IMS algorithm's;
-    this implementation only precomputes per-node resources/latencies
-    and uses the reservation table's O(1) occupancy counts, so any
-    schedule it returns is bit-identical to the original scheduler's.
+    this implementation only reads the graph's per-node resources and
+    latencies and uses the reservation table's O(1) occupancy counts,
+    so any schedule it returns is bit-identical to the original
+    scheduler's.
     """
     n = len(graph)
     height = _heights(graph, ii)
-    resource_of: List[Optional[str]] = [
-        machine.resource(opcode) for opcode in graph.opcodes
-    ]
-    latency_of: List[int] = [
-        machine.latency(opcode) for opcode in graph.opcodes
-    ]
+    resource_of = graph.resources
+    latency_of = graph.latencies
     capacity = dict(machine.issue_slots)
     preds = graph.preds
     succs = graph.succs
@@ -306,19 +302,19 @@ def verify_schedule(
     """
     ii = schedule.ii
     start = schedule.start
-    for v in range(len(graph)):
-        for u, latency, distance in graph.preds[v]:
+    for v, preds in enumerate(graph.preds):
+        for u, latency, distance in preds:
             assert start[v] >= start[u] + latency - ii * distance, (
                 f"dependence {u}->{v} violated in {graph.name} at II={ii}"
             )
+    slots = machine.issue_slots
     usage: Dict[Tuple[int, str], int] = {}
-    for v in range(len(graph)):
-        resource = machine.resource(graph.opcodes[v])
+    for v, resource in enumerate(graph.resources):
         if resource is None:
             continue
         key = (start[v] % ii, resource)
         usage[key] = usage.get(key, 0) + 1
-        assert usage[key] <= machine.slots_of(resource), (
+        assert usage[key] <= slots[resource], (
             f"{resource} oversubscribed at slot {start[v] % ii} "
             f"in {graph.name} at II={ii}"
         )

@@ -40,8 +40,8 @@ def max_live(graph: SchedGraph, start: Dict[int, int], ii: int) -> int:
     # per II attempt, so it was the II search's second-hottest path.
     uniform = 0
     delta = [0] * (ii + 1)
-    for u in range(len(graph)):
-        if graph.opcodes[u].fu_class is FUClass.NONE:
+    for u, resource in enumerate(graph.resources):
+        if resource is None:
             continue  # constants and loop indices live in immediates
         defined = start[u]
         for v, _lat, dist in graph.succs[u]:

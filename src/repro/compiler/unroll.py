@@ -18,8 +18,8 @@ slots when ``N`` approaches the per-iteration operation count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from ..isa.kernel import KernelGraph
 from ..isa.ops import FUClass, Opcode
@@ -32,6 +32,9 @@ class SchedGraph:
 
     ``preds[v]`` holds ``(u, latency_u, distance)`` triples: ``v`` may
     start no earlier than ``start(u) + latency_u - II * distance``.
+    ``resources[v]`` and ``latencies[v]`` are node ``v``'s issue
+    resource and latency on the machine the graph was built for, so the
+    schedulers index lists instead of asking the machine per node.
     """
 
     name: str
@@ -41,6 +44,10 @@ class SchedGraph:
     unroll_factor: int
     #: ALU operations per *original* kernel iteration.
     alu_ops_per_iteration: int
+    #: Issue resource per node (None = occupies no slot).
+    resources: List[Optional[str]]
+    #: Latency per node, in cycles.
+    latencies: List[int]
 
     def __len__(self) -> int:
         return len(self.opcodes)
@@ -64,7 +71,10 @@ def build_sched_graph(
     body = kernel.nodes
     n = len(body)
     total = n * unroll_factor
-    opcodes: List[Opcode] = [None] * total  # type: ignore[list-item]
+    # One table read per body node; every copy shares the body's values.
+    body_opcodes = [node.opcode for node in body]
+    body_latencies = [machine.opcode_latency[op] for op in body_opcodes]
+    body_resources = [machine.opcode_resource[op] for op in body_opcodes]
     preds: List[List[Tuple[int, int, int]]] = [[] for _ in range(total)]
     succs: List[List[Tuple[int, int, int]]] = [[] for _ in range(total)]
 
@@ -76,16 +86,14 @@ def build_sched_graph(
         offset = copy * n
         for node in body:
             v = offset + node.index
-            opcodes[v] = node.opcode
             for operand in node.operands:
-                u = offset + operand
-                add_edge(u, v, machine.latency(body[operand].opcode), 0)
+                add_edge(offset + operand, v, body_latencies[operand], 0)
 
     for rec in kernel.recurrences:
+        latency = body_latencies[rec.source]
         for copy in range(unroll_factor):
             target = copy * n + rec.target
             source_copy = copy - rec.distance
-            latency = machine.latency(body[rec.source].opcode)
             if source_copy >= 0:
                 # Both endpoints live in the unrolled body: plain edge.
                 add_edge(source_copy * n + rec.source, target, latency, 0)
@@ -99,11 +107,13 @@ def build_sched_graph(
 
     return SchedGraph(
         name=kernel.name,
-        opcodes=opcodes,
+        opcodes=body_opcodes * unroll_factor,
         preds=preds,
         succs=succs,
         unroll_factor=unroll_factor,
         alu_ops_per_iteration=kernel.stats().alu_ops,
+        resources=body_resources * unroll_factor,
+        latencies=body_latencies * unroll_factor,
     )
 
 

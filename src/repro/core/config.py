@@ -9,6 +9,7 @@ section of paper Table 3.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -23,6 +24,17 @@ def _ceil_at_least_one(value: float) -> int:
     each — the paper's "N = 5, or one COMM unit per arithmetic cluster".
     """
     return max(1, math.ceil(value - 1e-9))
+
+
+@functools.lru_cache(maxsize=64)
+def _validate_params(params: MachineParameters) -> None:
+    """:meth:`MachineParameters.validate`, once per distinct set.
+
+    Sweeps build thousands of configs over a few parameter sets.  A set
+    that fails raises and is not cached, so every config built on it
+    raises too.
+    """
+    params.validate()
 
 
 @dataclass(frozen=True)
@@ -48,7 +60,7 @@ class ProcessorConfig:
             raise ValueError("a stream processor needs at least one cluster")
         if self.alus_per_cluster < 1:
             raise ValueError("a cluster needs at least one ALU")
-        self.params.validate()
+        _validate_params(self.params)
 
     # --- structural quantities (paper Table 3, first section) -----------
 

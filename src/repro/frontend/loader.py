@@ -110,51 +110,56 @@ def document_hash(document: Dict[str, Any]) -> str:
 # --- validation ---------------------------------------------------------
 
 
-def _check_name(value: Any, pointer: str, limits: SandboxLimits,
-                what: str) -> str:
+# The checkers take the JSON-pointer *tokens* of the value they check
+# and build the pointer only when they fail: a valid document builds
+# none.
+
+
+def _check_name(value: Any, limits: SandboxLimits, what: str,
+                *where: Any) -> str:
     if not isinstance(value, str):
-        fail("E_FIELD_TYPE", pointer, f"{what} must be a string")
+        fail("E_FIELD_TYPE", json_pointer(*where), f"{what} must be a string")
     if not value:
-        fail("E_NAME_INVALID", pointer, f"{what} must be non-empty")
+        fail("E_NAME_INVALID", json_pointer(*where),
+             f"{what} must be non-empty")
     if len(value) > limits.max_name_length:
         fail(
-            "E_NAME_INVALID", pointer,
+            "E_NAME_INVALID", json_pointer(*where),
             f"{what} exceeds {limits.max_name_length} characters",
         )
     if any(ord(ch) < 0x20 or ord(ch) == 0x7F for ch in value):
-        fail("E_NAME_INVALID", pointer, f"{what} contains control characters")
+        fail("E_NAME_INVALID", json_pointer(*where),
+             f"{what} contains control characters")
     return value
 
 
-def _check_int(value: Any, pointer: str, what: str) -> int:
+def _check_int(value: Any, what: str, *where: Any) -> int:
     # JSON has no integer type distinct from bool in Python's reading;
     # booleans are explicitly not indices.
     if isinstance(value, bool) or not isinstance(value, int):
-        fail("E_FIELD_TYPE", pointer, f"{what} must be an integer")
+        fail("E_FIELD_TYPE", json_pointer(*where),
+             f"{what} must be an integer")
     return value
 
 
 def _check_unknown_fields(obj: Dict[str, Any], allowed: frozenset,
-                          pointer: str) -> None:
+                          *where: Any) -> None:
     for key in obj:
         if key not in allowed:
             fail(
-                "E_FIELD_UNKNOWN", json_pointer(*_tokens(pointer), key),
+                "E_FIELD_UNKNOWN", json_pointer(*where, key),
                 f"unknown field {key!r}",
             )
 
 
-def _tokens(pointer: str) -> List[str]:
-    return [t for t in pointer.split("/") if t != ""] if pointer else []
-
-
 def _parse_node(index: int, raw: Any, limits: SandboxLimits) -> Dict[str, Any]:
-    pointer = json_pointer("nodes", index)
     if not isinstance(raw, dict):
-        fail("E_DOC_TYPE", pointer, "node must be a JSON object")
-    _check_unknown_fields(raw, _NODE_FIELDS, pointer)
+        fail("E_DOC_TYPE", json_pointer("nodes", index),
+             "node must be a JSON object")
+    _check_unknown_fields(raw, _NODE_FIELDS, "nodes", index)
     if "op" not in raw:
-        fail("E_FIELD_MISSING", pointer, "node is missing 'op'")
+        fail("E_FIELD_MISSING", json_pointer("nodes", index),
+             "node is missing 'op'")
     mnemonic = raw["op"]
     if not isinstance(mnemonic, str):
         fail("E_FIELD_TYPE", json_pointer("nodes", index, "op"),
@@ -170,11 +175,11 @@ def _parse_node(index: int, raw: Any, limits: SandboxLimits) -> Dict[str, Any]:
              "'args' must be an array")
     args: List[int] = []
     for position, arg in enumerate(args_raw):
-        arg_pointer = json_pointer("nodes", index, "args", position)
-        arg = _check_int(arg, arg_pointer, "arg")
+        arg = _check_int(arg, "arg", "nodes", index, "args", position)
         if not 0 <= arg < index:
             fail(
-                "E_OPERAND_RANGE", arg_pointer,
+                "E_OPERAND_RANGE",
+                json_pointer("nodes", index, "args", position),
                 f"arg {arg} must reference an earlier node (< {index})",
             )
         args.append(arg)
@@ -196,7 +201,8 @@ def _parse_node(index: int, raw: Any, limits: SandboxLimits) -> Dict[str, Any]:
 
     if opcode is Opcode.CONST:
         if "value" not in raw:
-            fail("E_CONST_VALUE", pointer, "const node is missing 'value'")
+            fail("E_CONST_VALUE", json_pointer("nodes", index),
+                 "const node is missing 'value'")
         value = raw["value"]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             fail("E_CONST_VALUE", json_pointer("nodes", index, "value"),
@@ -217,11 +223,10 @@ def _parse_node(index: int, raw: Any, limits: SandboxLimits) -> Dict[str, Any]:
 
     if opcode in _STREAM_OPS:
         if "stream" not in raw:
-            fail("E_STREAM_INVALID", pointer,
+            fail("E_STREAM_INVALID", json_pointer("nodes", index),
                  f"{mnemonic} node is missing 'stream'")
         node["stream"] = _check_name(
-            raw["stream"], json_pointer("nodes", index, "stream"),
-            limits, "stream name",
+            raw["stream"], limits, "stream name", "nodes", index, "stream"
         )
         if "name" in raw:
             fail(
@@ -236,8 +241,7 @@ def _parse_node(index: int, raw: Any, limits: SandboxLimits) -> Dict[str, Any]:
             )
         if "name" in raw:
             node["name"] = _check_name(
-                raw["name"], json_pointer("nodes", index, "name"),
-                limits, "node name",
+                raw["name"], limits, "node name", "nodes", index, "name"
             )
     return node
 
@@ -251,7 +255,7 @@ def parse_document(
     """
     if not isinstance(data, dict):
         fail("E_DOC_TYPE", "", "kernel document must be a JSON object")
-    _check_unknown_fields(data, _DOC_FIELDS, "")
+    _check_unknown_fields(data, _DOC_FIELDS)
 
     if "schema_version" not in data:
         fail("E_VERSION", "", "document is missing 'schema_version'")
@@ -268,7 +272,7 @@ def parse_document(
 
     if "name" not in data:
         fail("E_FIELD_MISSING", "", "document is missing 'name'")
-    name = _check_name(data["name"], "/name", limits, "kernel name")
+    name = _check_name(data["name"], limits, "kernel name", "name")
 
     if "nodes" not in data:
         fail("E_FIELD_MISSING", "", "document is missing 'nodes'")
@@ -312,18 +316,16 @@ def parse_document(
         )
     recurrences: List[Dict[str, int]] = []
     for index, raw in enumerate(recs_raw):
-        pointer = json_pointer("recurrences", index)
         if not isinstance(raw, dict):
-            fail("E_DOC_TYPE", pointer, "recurrence must be a JSON object")
-        _check_unknown_fields(raw, _REC_FIELDS, pointer)
+            fail("E_DOC_TYPE", json_pointer("recurrences", index),
+                 "recurrence must be a JSON object")
+        _check_unknown_fields(raw, _REC_FIELDS, "recurrences", index)
         for key in ("source", "target", "distance"):
             if key not in raw:
-                fail("E_FIELD_MISSING", pointer,
+                fail("E_FIELD_MISSING", json_pointer("recurrences", index),
                      f"recurrence is missing {key!r}")
         entry = {
-            key: _check_int(
-                raw[key], json_pointer("recurrences", index, key), key
-            )
+            key: _check_int(raw[key], key, "recurrences", index, key)
             for key in ("source", "target", "distance")
         }
         for key in ("source", "target"):
@@ -364,7 +366,10 @@ def canonicalize_document(
     that differ in key order, whitespace, or ``2`` vs ``2.0`` const
     spellings canonicalize identically.
     """
-    parsed = parse_document(data, limits)
+    return _canonical_form(parse_document(data, limits))
+
+
+def _canonical_form(parsed: Dict[str, Any]) -> Dict[str, Any]:
     nodes = []
     for node in parsed["nodes"]:
         canonical: Dict[str, Any] = {"op": node["op"]}
@@ -394,7 +399,10 @@ def graph_from_document(
     data: Any, limits: SandboxLimits = SANDBOX_LIMITS
 ) -> KernelGraph:
     """Compile a (validated) document into a real :class:`KernelGraph`."""
-    parsed = parse_document(data, limits)
+    return _build_graph(parse_document(data, limits))
+
+
+def _build_graph(parsed: Dict[str, Any]) -> KernelGraph:
     graph = KernelGraph(parsed["name"])
     values = []
     for node in parsed["nodes"]:
@@ -418,11 +426,16 @@ def graph_from_document(
 def load_document(
     data: Any, limits: SandboxLimits = SANDBOX_LIMITS
 ) -> LoadedKernel:
-    """Validate, canonicalize, hash and compile one document."""
-    document = canonicalize_document(data, limits)
+    """Validate, canonicalize, hash and compile one document.
+
+    One :func:`parse_document` feeds both the canonical form and the
+    graph.
+    """
+    parsed = parse_document(data, limits)
+    document = _canonical_form(parsed)
     canonical = canonical_json(document)
     return LoadedKernel(
-        graph=graph_from_document(data, limits),
+        graph=_build_graph(parsed),
         document=document,
         canonical=canonical,
         kernel_id=hashlib.sha256(canonical.encode("utf-8")).hexdigest(),

@@ -55,6 +55,8 @@ REGISTRY_SCHEMA_VERSION = 1
 #: Shortest accepted id prefix in a reference (full ids are 64 hex chars).
 MIN_REF_PREFIX = 8
 
+_HEX_DIGITS = frozenset("0123456789abcdef")
+
 
 def is_kernel_ref(name: str) -> bool:
     """True if ``name`` is a ``kernel:<hash>`` registry reference."""
@@ -251,7 +253,7 @@ class KernelRegistry:
         if (
             len(kernel_id) < MIN_REF_PREFIX
             or len(kernel_id) > 64
-            or any(ch not in "0123456789abcdef" for ch in kernel_id)
+            or not set(kernel_id) <= _HEX_DIGITS
         ):
             raise KeyError(f"malformed kernel reference: {ref!r}")
         if len(kernel_id) < 64:
@@ -272,12 +274,19 @@ class KernelRegistry:
     def graph(self, ref: str) -> KernelGraph:
         """The compiled :class:`KernelGraph` for a reference (memoized
         per id, so in-process compile caches key stably on identity)."""
-        entry = self.resolve(ref)
+        return self._graph_of(self.resolve(ref))
+
+    def _graph_of(self, entry: RegisteredKernel) -> KernelGraph:
         graph = self._graphs.get(entry.kernel_id)
         if graph is None:
             graph = graph_from_document(entry.document)
             self._graphs[entry.kernel_id] = graph
         return graph
+
+    def summary(self, entry: RegisteredKernel) -> Dict[str, Any]:
+        """:func:`summarize` ``entry`` from its memoized graph."""
+        return summarize(entry.kernel_id, entry.document,
+                         self._graph_of(entry))
 
     def list(self) -> List[Dict[str, Any]]:
         """Summaries of every registered kernel, sorted by id."""
@@ -297,13 +306,24 @@ class KernelRegistry:
             document = self.get_document(kernel_id)
             if document is None:
                 continue  # evicted as corrupt between listing and read
-            summaries.append(summarize(kernel_id, document))
+            summaries.append(
+                self.summary(RegisteredKernel(kernel_id, document))
+            )
         return summaries
 
 
-def summarize(kernel_id: str, document: Dict[str, Any]) -> Dict[str, Any]:
-    """The deterministic wire summary of one registered kernel."""
-    graph = graph_from_document(document)
+def summarize(
+    kernel_id: str,
+    document: Dict[str, Any],
+    graph: Optional[KernelGraph] = None,
+) -> Dict[str, Any]:
+    """The deterministic wire summary of one registered kernel.
+
+    ``graph`` is ``document``'s compiled graph when the caller already
+    holds it (:meth:`KernelRegistry.summary`); otherwise it is built.
+    """
+    if graph is None:
+        graph = graph_from_document(document)
     stats = graph.stats()
     return {
         "kernel_id": kernel_id,

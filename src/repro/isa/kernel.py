@@ -74,6 +74,7 @@ class KernelGraph:
         self._recurrences: List[Recurrence] = []
         self._const_values: Dict[int, float] = {}
         self._stats: Optional[OpCounts] = None
+        self._opcodes: Optional[Tuple[Opcode, ...]] = None
 
     # --- construction --------------------------------------------------
 
@@ -88,6 +89,7 @@ class KernelGraph:
         node = Node(len(self._nodes), opcode, tuple(indices), name)
         self._nodes.append(node)
         self._stats = None
+        self._opcodes = None
         return Value(self._id, node.index)
 
     def op(self, opcode: Opcode, *operands: Value, name: str = "") -> Value:
@@ -204,6 +206,18 @@ class KernelGraph:
                 sp_accesses=by_class[FUClass.SP],
             )
         return self._stats
+
+    def distinct_opcodes(self) -> Tuple[Opcode, ...]:
+        """The opcodes this kernel uses, each once, in mnemonic order.
+
+        Cached like :meth:`stats`; every compile's content key reads it.
+        """
+        if self._opcodes is None:
+            self._opcodes = tuple(sorted(
+                {node.opcode for node in self._nodes},
+                key=lambda op: op.mnemonic,
+            ))
+        return self._opcodes
 
     def critical_path(
         self, latency_of: Optional[Dict[Opcode, int]] = None

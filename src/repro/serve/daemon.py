@@ -669,11 +669,7 @@ class ReproServer:
         self, path: str, ref: str
     ) -> Tuple[int, Dict[str, Any]]:
         """``GET /v1/kernels/{id}``: summary plus canonical document."""
-        from ..frontend.registry import (
-            KERNEL_REF_PREFIX,
-            default_registry,
-            summarize,
-        )
+        from ..frontend.registry import KERNEL_REF_PREFIX, default_registry
 
         registry = default_registry()
         if not ref.startswith(KERNEL_REF_PREFIX):
@@ -682,9 +678,8 @@ class ReproServer:
             entry = registry.resolve(ref)
         except KeyError as exc:
             return self._error(path, 404, "not_found", str(exc))
-        document = entry.document
-        data = dict(summarize(entry.kernel_id, document))
-        data["document"] = document
+        data = registry.summary(entry)
+        data["document"] = entry.document
         return (200, build_envelope("kernel", data=data))
 
     def _error(

@@ -6,12 +6,45 @@ from repro.core.config import ProcessorConfig
 from repro.core.costs import CostModel
 from repro.compiler.machine import (
     COMM_THROUGHPUT,
+    IMAGINE_ALU_MIX,
     LRF_WORDS,
     LRFS_PER_FU,
     SP_THROUGHPUT,
     build_machine,
 )
 from repro.isa.ops import FUClass, Opcode
+
+
+class TestOpcodeTables:
+    """``latency``/``resource`` are table reads; the tables must hold
+    exactly what the per-opcode rules derive."""
+
+    @pytest.mark.parametrize("mix", [None, IMAGINE_ALU_MIX])
+    @pytest.mark.parametrize("c,n", [(8, 2), (8, 5), (32, 10), (128, 14)])
+    def test_every_opcode_follows_the_rules(self, c, n, mix):
+        m = build_machine(ProcessorConfig(c, n), mix)
+        for op in Opcode:
+            if op.fu_class is FUClass.NONE:
+                latency, resource = 0, None
+            elif op.is_comm:
+                latency, resource = m.comm_latency, "comm"
+            elif op.is_alu:
+                latency = op.base_latency + m.extra_pipeline_stages
+                if mix is None:
+                    resource = "alu"
+                elif op in (Opcode.FDIV, Opcode.FSQRT):
+                    resource = "alu_dsq"
+                elif op in (Opcode.IMUL, Opcode.FMUL):
+                    resource = "alu_mul"
+                else:
+                    resource = "alu_add"
+            elif op.is_srf_access:
+                latency = op.base_latency + m.extra_pipeline_stages
+                resource = "sb"
+            else:
+                latency, resource = op.base_latency, op.fu_class.value
+            assert m.latency(op) == latency, op
+            assert m.resource(op) == resource, op
 
 
 class TestIssueSlots:

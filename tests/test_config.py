@@ -10,6 +10,8 @@ from repro.core.config import (
     IMAGINE_CONFIG,
     ProcessorConfig,
 )
+from repro.core import config as config_module
+from repro.core.params import IMAGINE_PARAMETERS, MachineParameters
 
 configs = st.builds(
     ProcessorConfig,
@@ -26,6 +28,32 @@ class TestValidation:
     def test_rejects_zero_alus(self):
         with pytest.raises(ValueError):
             ProcessorConfig(8, 0)
+
+    @pytest.mark.parametrize(
+        "changes", [{"t_cyc": 0.0}, {"b": -1}, {"g_comm": -0.1}]
+    )
+    def test_rejects_invalid_params_every_time(self, changes):
+        # Parameters are validated once per distinct set; an invalid
+        # set is never remembered as valid, so each config raises.
+        bad = IMAGINE_PARAMETERS.replace(**changes)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="parameter"):
+                ProcessorConfig(8, 5, bad)
+        ProcessorConfig(8, 5, IMAGINE_PARAMETERS.replace(t_cyc=20.0))
+
+    def test_validates_each_distinct_parameter_set_once(self, monkeypatch):
+        calls = []
+        real = MachineParameters.validate
+        monkeypatch.setattr(
+            MachineParameters, "validate",
+            lambda self: calls.append(self) or real(self),
+        )
+        config_module._validate_params.cache_clear()
+        fresh = IMAGINE_PARAMETERS.replace(r_uc=4096.0)
+        for clusters in (8, 16, 32):
+            ProcessorConfig(clusters, 5, fresh)
+            ProcessorConfig(clusters, 5, fresh.replace())  # equal copy
+        assert calls == [fresh]
 
 
 class TestDerivedCounts:

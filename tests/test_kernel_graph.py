@@ -32,6 +32,18 @@ class TestBuilder:
         assert g.stats().alu_ops == 3
         assert g.stats().srf_accesses == 4
 
+    def test_distinct_opcodes_follow_added_nodes(self):
+        g = saxpy()
+        ops = g.distinct_opcodes()
+        assert ops == (Opcode.CONST, Opcode.FADD, Opcode.FMUL,
+                       Opcode.SB_READ, Opcode.SB_WRITE)  # mnemonic order
+        assert g.distinct_opcodes() is ops  # cached
+        g.op(Opcode.FABS, g.read("z"))
+        assert g.distinct_opcodes() == (
+            Opcode.CONST, Opcode.FABS, Opcode.FADD, Opcode.FMUL,
+            Opcode.SB_READ, Opcode.SB_WRITE,
+        )
+
     def test_values_are_opaque_references(self):
         g = KernelGraph("t")
         v = g.const(1.0)

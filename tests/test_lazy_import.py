@@ -80,6 +80,73 @@ def test_serve_client_is_light():
         assert module not in loaded, module
 
 
+#: Prints whether numpy is loaded after the probe's own lines ran.
+_NUMPY_LOADED = "print(json.dumps('numpy' in sys.modules))"
+
+
+def test_cli_import_loads_no_numpy():
+    assert _run_probe(
+        "import json, sys\n"
+        "import repro.cli\n" + _NUMPY_LOADED
+    ) is False
+
+
+def test_api_compile_simulate_register_load_no_numpy():
+    """Only the functional interpreter's vector backend needs numpy."""
+    assert _run_probe(
+        "import json, sys\n"
+        "from repro.api import (CompileRequest, RegisterKernelRequest,\n"
+        "                       SimulateRequest, execute)\n"
+        "from repro.frontend.registry import configure_default_registry\n"
+        "configure_default_registry(enabled=False)\n"
+        "execute(CompileRequest('fft', 8, 5))\n"
+        "execute(SimulateRequest('fft1k', 8, 5))\n"
+        "doc = {'schema_version': 1, 'name': 'saxpy', 'nodes': [\n"
+        "    {'op': 'sb_read', 'stream': 'x'},\n"
+        "    {'op': 'const', 'value': 2.0},\n"
+        "    {'op': 'fmul', 'args': [0, 1]},\n"
+        "    {'op': 'sb_write', 'args': [2], 'stream': 'out'}]}\n"
+        "ref = execute(RegisterKernelRequest(doc)).ref\n"
+        "execute(SimulateRequest(ref, 8, 5))\n" + _NUMPY_LOADED
+    ) is False
+
+
+def test_warm_grid_pass_loads_no_numpy():
+    assert _run_probe(
+        "import json, sys\n"
+        "from repro.analysis.perf import FIG15_N_VALUES, TABLE5_C_VALUES\n"
+        "from repro.analysis.sweep import SweepEngine\n"
+        "from repro.apps.suite import APPLICATION_ORDER\n"
+        "from repro.core.config import ProcessorConfig\n"
+        "points = [(app, ProcessorConfig(c, n))\n"
+        "          for app in APPLICATION_ORDER\n"
+        "          for c in TABLE5_C_VALUES for n in FIG15_N_VALUES]\n"
+        "SweepEngine().simulate_many(points)\n"
+        "SweepEngine().simulate_many(points)  # warm compile memo\n"
+        + _NUMPY_LOADED
+    ) is False
+
+
+def test_vector_backend_still_loads_numpy_on_use():
+    assert _run_probe(
+        "import json, sys\n"
+        "import repro.isa\n"
+        "from repro.isa import KernelInterpreter\n"
+        "from repro.kernels import get_kernel\n"
+        "before = 'numpy' in sys.modules\n"
+        "assert issubclass(repro.isa.VectorUnsupported, Exception)\n"
+        "assert 'unsupported_reason' in dir(repro.isa)\n"
+        "from repro.isa import unsupported_reason\n"
+        "kernel = get_kernel('fft')\n"
+        "interp = KernelInterpreter(kernel, clusters=4, backend='vector')\n"
+        "inputs = {s: [0.25 * i for i in range(16)]\n"
+        "          for s in kernel.input_streams()}\n"
+        "interp.run(inputs)\n"
+        "print(json.dumps([before, interp.last_backend,\n"
+        "                  'numpy' in sys.modules]))"
+    ) == [False, "vector", True]
+
+
 def test_lazy_exports_all_resolve():
     import repro
 

@@ -1,17 +1,30 @@
 """Tests for repro.compiler.unroll (scheduling graphs and unrolling)."""
 
-import pytest
+import random
 
-from repro.compiler.machine import build_machine
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.compiler.machine import IMAGINE_ALU_MIX, build_machine
 from repro.compiler.unroll import (
     MAX_UNROLL,
     build_sched_graph,
     choose_unroll_factor,
 )
 from repro.core.config import ProcessorConfig
+from repro.frontend import graph_from_document
 from repro.isa.kernel import KernelGraph
 from repro.isa.ops import FUClass, Opcode
-from repro.kernels import get_kernel
+from repro.kernels import KERNELS, get_kernel
+
+from test_frontend_fuzz import generate_document
+
+#: Suite kernels plus generated ones (those carry recurrences too).
+_KERNELS = [get_kernel(name) for name in sorted(KERNELS)] + [
+    graph_from_document(generate_document(random.Random(seed)))
+    for seed in range(12)
+]
 
 
 @pytest.fixture()
@@ -58,6 +71,33 @@ class TestSchedGraph:
         four = build_sched_graph(kernel, machine, 4).counts_by_class()
         for cls in FUClass:
             assert four[cls] == 4 * one[cls]
+
+
+class TestPerNodeTables:
+    """The per-node lists the schedulers index agree with the machine."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kernel=st.sampled_from(_KERNELS),
+        clusters=st.sampled_from((1, 8, 32, 128)),
+        alus=st.sampled_from((1, 2, 3, 5, 10, 14)),
+        mix=st.sampled_from((None, IMAGINE_ALU_MIX)),
+        unroll=st.integers(min_value=1, max_value=MAX_UNROLL),
+    )
+    def test_match_machine_per_node(self, kernel, clusters, alus, mix,
+                                    unroll):
+        machine = build_machine(ProcessorConfig(clusters, alus), mix)
+        graph = build_sched_graph(kernel, machine, unroll)
+        assert graph.resources == [
+            machine.resource(op) for op in graph.opcodes
+        ]
+        assert graph.latencies == [
+            machine.latency(op) for op in graph.opcodes
+        ]
+        # Every edge carries its producer's latency.
+        for v in range(len(graph)):
+            for u, latency, _distance in graph.preds[v]:
+                assert latency == graph.latencies[u]
 
 
 class TestRecurrenceRewiring:
