@@ -27,8 +27,13 @@ schedule depends on, and nothing else:
   so any change to the scheduling algorithms invalidates every entry
   automatically — a stale schedule can never survive a compiler edit.
 
-The same key addresses the in-memory schedule memo of
-:func:`repro.compiler.pipeline.compile_kernel`.
+:func:`schedule_key` is the disk key.  The in-memory schedule memo of
+:func:`repro.compiler.pipeline.compile_kernel` keys on the same
+ingredients left unhashed — the tuple ``(kernel_signature,
+machine_view, unroll)``; the fingerprint is constant within a process —
+so a memory hit costs no JSON and no SHA-256.  ``schedule_key`` is
+computed only when the persistent cache is enabled and the memory memo
+missed.
 
 Robustness
 ----------
@@ -68,7 +73,6 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from ..isa.kernel import KernelGraph
-from ..isa.ops import FUClass
 from ..resilience.faults import fault_point
 from .machine import MachineDescription
 
@@ -154,17 +158,15 @@ def machine_view(kernel: KernelGraph, machine: MachineDescription) -> Tuple:
     capacity (the MaxLive bound).  Two machines with the same view give
     the kernel the same schedule.
     """
-    resource = machine.opcode_resource
-    latency = machine.opcode_latency
-    ops = tuple(
-        (op.mnemonic, resource[op], latency[op])
-        for op in kernel.distinct_opcodes()
-    )
-    resources = sorted({res for _, res, _ in ops if res is not None})
+    entry = machine.opcode_entry
+    ops = tuple([entry[op.mnemonic] for op in kernel.distinct_opcodes()])
+    resources = {res for _, res, _ in ops}
+    resources.discard(None)
+    slots_of = machine.slots_of
     return (
         ops,
-        tuple((res, machine.slots_of(res)) for res in resources),
-        machine.slots(FUClass.ALU),
+        tuple([(res, slots_of(res)) for res in sorted(resources)]),
+        machine.alu_slots,
         machine.register_capacity,
     )
 

@@ -93,18 +93,36 @@ class MachineDescription:
     opcode_resource: Dict[Opcode, Optional[str]] = field(
         init=False, repr=False, compare=False
     )
+    #: ``(mnemonic, resource, latency)`` of every opcode, keyed by
+    #: mnemonic: its entry in a kernel's
+    #: :func:`~repro.compiler.cache.machine_view`.  A ``str`` key hashes
+    #: in C, an ``Opcode`` key through ``Enum.__hash__``.
+    opcode_entry: Dict[str, Tuple[str, Optional[str], int]] = field(
+        init=False, repr=False, compare=False
+    )
+    #: Aggregate ALU issue slots per cycle (``slots(FUClass.ALU)``).
+    alu_slots: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # Derived once per machine: the scheduler's inner loops read
-        # these per node, and a table read costs far less than the
-        # derivation (an Enum hash plus several Opcode properties).
-        object.__setattr__(self, "opcode_latency", {
+        # Derived once per machine: the scheduler's inner loops and
+        # every compile's memo key read these, and a table read costs
+        # far less than the derivation (an Enum hash plus several
+        # Opcode properties).
+        latency = {
             op: _latency(op, self.extra_pipeline_stages, self.comm_latency)
             for op in Opcode
+        }
+        resource = {op: _resource(op, self.heterogeneous) for op in Opcode}
+        object.__setattr__(self, "opcode_latency", latency)
+        object.__setattr__(self, "opcode_resource", resource)
+        object.__setattr__(self, "opcode_entry", {
+            op.mnemonic: (op.mnemonic, resource[op], latency[op])
+            for op in Opcode
         })
-        object.__setattr__(self, "opcode_resource", {
-            op: _resource(op, self.heterogeneous) for op in Opcode
-        })
+        object.__setattr__(self, "alu_slots", sum(
+            count for name, count in self.issue_slots.items()
+            if name.startswith("alu")
+        ))
 
     def latency(self, opcode: Opcode) -> int:
         """Operation latency in cycles on this machine."""
@@ -115,18 +133,16 @@ class MachineDescription:
         return self.opcode_resource[opcode]
 
     def slots_of(self, resource: str) -> int:
-        """Issue slots per cycle for a resource name."""
-        return self.issue_slots[resource]
+        """Issue slots per cycle for a resource name (0 for a resource
+        this machine lacks, such as ``alu_mul`` in a one-ALU cluster)."""
+        return self.issue_slots.get(resource, 0)
 
     def slots(self, fu_class: FUClass) -> int:
         """Aggregate issue slots per cycle for a functional-unit class."""
         if fu_class is FUClass.NONE:
             return 0
         if fu_class is FUClass.ALU:
-            return sum(
-                count for name, count in self.issue_slots.items()
-                if name.startswith("alu")
-            )
+            return self.alu_slots
         return self.issue_slots[fu_class.value]
 
     def describe(self) -> str:

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import add
 from typing import Dict, List, Optional, Tuple
 
-from ..isa.ops import FUClass
 from .machine import MachineDescription
 from .unroll import SchedGraph
 
@@ -120,59 +120,22 @@ def _heights(graph: SchedGraph, ii: int) -> List[int]:
     which raises the priority of operations on recurrence cycles.
     """
     height = [0] * len(graph)
+    succs = graph.succs
     for v in range(len(graph) - 1, -1, -1):
         best = 0
-        for succ, latency, distance in graph.succs[v]:
+        for succ, latency, distance in succs[v]:
             if distance == 0:
-                best = max(best, height[succ] + latency)
+                reach = height[succ] + latency
             elif succ <= v:
                 # One relaxation pass over back edges is enough for the
                 # sparse recurrences of the kernel suite.
-                best = max(best, height[succ] + latency - ii * distance)
+                reach = height[succ] + latency - ii * distance
+            else:
+                continue
+            if reach > best:
+                best = reach
         height[v] = best
     return height
-
-
-class _ReservationTable:
-    """Modulo reservation table: who occupies each (slot, resource).
-
-    Occupancy is tracked incrementally — an integer count per
-    (resource, slot) next to the occupant list — so :meth:`has_room`
-    and :meth:`occupants` are O(1) array reads rather than list scans;
-    the placement loop in :func:`try_modulo_schedule` probes up to II
-    slots per operation, which made lookup cost the scheduler's
-    hottest path at large N.
-    """
-
-    __slots__ = ("ii", "machine", "counts", "nodes", "capacity")
-
-    def __init__(self, ii: int, machine: MachineDescription):
-        self.ii = ii
-        self.machine = machine
-        self.counts: Dict[str, List[int]] = {
-            name: [0] * ii for name in machine.issue_slots
-        }
-        self.nodes: Dict[str, List[List[int]]] = {
-            name: [[] for _ in range(ii)] for name in machine.issue_slots
-        }
-        self.capacity: Dict[str, int] = dict(machine.issue_slots)
-
-    def occupants(self, time: int, resource: str) -> List[int]:
-        return self.nodes[resource][time % self.ii]
-
-    def has_room(self, time: int, resource: str) -> bool:
-        slot = time % self.ii
-        return self.counts[resource][slot] < self.capacity[resource]
-
-    def place(self, node: int, time: int, resource: str) -> None:
-        slot = time % self.ii
-        self.counts[resource][slot] += 1
-        self.nodes[resource][slot].append(node)
-
-    def remove(self, node: int, time: int, resource: str) -> None:
-        slot = time % self.ii
-        self.counts[resource][slot] -= 1
-        self.nodes[resource][slot].remove(node)
 
 
 def try_modulo_schedule(
@@ -190,46 +153,63 @@ def try_modulo_schedule(
     returned schedule); when omitted they are recomputed here.
 
     The scheduling decisions — priority order, slot probing, forced
-    placement and eviction — are exactly the reference IMS algorithm's;
-    this implementation only reads the graph's per-node resources and
-    latencies and uses the reservation table's O(1) occupancy counts,
-    so any schedule it returns is bit-identical to the original
-    scheduler's.
+    placement and eviction — are exactly the reference IMS algorithm's.
+    The state lives in flat lists: start times and previous starts per
+    node, and a modulo reservation table of ``rows x II`` cells (one row
+    per issue resource the graph uses) holding each cell's occupant
+    count and occupants, addressed through each node's row offset.
     """
     n = len(graph)
     height = _heights(graph, ii)
-    resource_of = graph.resources
-    latency_of = graph.latencies
-    capacity = dict(machine.issue_slots)
     preds = graph.preds
     succs = graph.succs
-    start: Dict[int, int] = {}
-    previous: Dict[int, int] = {}
-    table = _ReservationTable(ii, machine)
+    # Row offset of each node's resource in the reservation table (-1:
+    # the node occupies no slot), and that resource's issue slots.
+    resources = graph.resources
+    names = sorted({name for name in resources if name is not None})
+    rows: Dict[Optional[str], int] = {None: -1}
+    caps: Dict[Optional[str], int] = {None: 0}
+    for index, name in enumerate(names):
+        rows[name] = index * ii
+        caps[name] = machine.slots_of(name)
+    row_of = [rows[resource] for resource in resources]
+    cap_of = [caps[resource] for resource in resources]
+    used = [0] * (len(names) * ii)
+    occupants: List[List[int]] = [[] for _ in used]
+    #: Start time per node; ``None`` while unscheduled.
+    start: List[Optional[int]] = [None] * n
+    #: Each node's start before its last eviction (-1: never evicted).
+    previous = [-1] * n
     budget = budget_factor * n
 
-    # Max-heap by (height, reverse node order) for deterministic choices.
-    pending: List[Tuple[int, int]] = [(-height[v], v) for v in range(n)]
+    # Max-heap by (height, reverse node order) for deterministic choices,
+    # each pair packed into one int: ``-height * n + v`` orders exactly
+    # as the tuple ``(-height, v)`` does (0 <= v < n), and ``key % n``
+    # recovers ``v``.
+    priority = [-height[v] * n + v for v in range(n)]
+    pending = list(priority)
     heapq.heapify(pending)
     in_pending = [True] * n
     heappush = heapq.heappush
     heappop = heapq.heappop
 
-    def evict(v: int) -> None:
-        if v in start:
-            resource = resource_of[v]
-            if resource is not None:
-                table.remove(v, start[v], resource)
-            previous[v] = start[v]
-            del start[v]
-            if not in_pending[v]:
-                in_pending[v] = True
-                heappush(pending, (-height[v], v))
+    def evict(u: int) -> None:
+        begin = start[u]
+        if begin is None:
+            return
+        row = row_of[u]
+        if row >= 0:
+            cell = row + begin % ii
+            used[cell] -= 1
+            occupants[cell].remove(u)
+        previous[u] = begin
+        start[u] = None
+        if not in_pending[u]:
+            in_pending[u] = True
+            heappush(pending, priority[u])
 
     while pending:
-        _negh, v = heappop(pending)
-        if not in_pending[v]:
-            continue
+        v = heappop(pending) % n
         in_pending[v] = False
         if budget <= 0:
             return None
@@ -237,47 +217,54 @@ def try_modulo_schedule(
 
         earliest = 0
         for u, latency, distance in preds[v]:
-            if u in start:
-                candidate = start[u] + latency - ii * distance
+            begin = start[u]
+            if begin is not None:
+                candidate = begin + latency - ii * distance
                 if candidate > earliest:
                     earliest = candidate
 
-        resource = resource_of[v]
-        if resource is None:
+        row = row_of[v]
+        if row < 0:
             chosen = earliest
         else:
-            counts = table.counts[resource]
-            cap = capacity[resource]
+            cap = cap_of[v]
             chosen = -1
             for t in range(earliest, earliest + ii):
-                if counts[t % ii] < cap:
+                if used[row + t % ii] < cap:
                     chosen = t
                     break
             if chosen < 0:
                 # Forced placement (IMS): bump past the previous slot so
                 # repeated conflicts walk forward instead of livelocking.
                 chosen = earliest
-                if v in previous and chosen <= previous[v]:
+                if chosen <= previous[v]:
                     chosen = previous[v] + 1
-                occupants = list(table.occupants(chosen, resource))
                 # Evict the lowest-priority occupant(s) to make room.
-                occupants.sort(key=lambda u: (height[u], -u))
-                needed = len(occupants) - cap + 1
-                for u in occupants[:needed]:
+                victims = sorted(
+                    occupants[row + chosen % ii],
+                    key=lambda u: (height[u], -u),
+                )
+                for u in victims[:len(victims) - cap + 1]:
                     evict(u)
-            table.place(v, chosen, resource)
+            cell = row + chosen % ii
+            used[cell] += 1
+            occupants[cell].append(v)
 
         start[v] = chosen
         # Displace any scheduled successor that the new start violates.
         for succ, latency, distance in succs[v]:
-            if succ in start and succ != v:
-                if start[succ] < chosen + latency - ii * distance:
-                    evict(succ)
+            begin = start[succ]
+            if (
+                begin is not None
+                and succ != v
+                and begin < chosen + latency - ii * distance
+            ):
+                evict(succ)
 
-    length = 1 + max(start[v] + latency_of[v] - 1 for v in range(n))
+    length = max(map(add, start, graph.latencies))
     return ModuloSchedule(
         ii=ii,
-        start=dict(start),
+        start=dict(enumerate(start)),
         length=length,
         resource_mii=(
             resource_bound
@@ -298,23 +285,30 @@ def verify_schedule(
     """Raise ``AssertionError`` if the schedule violates any constraint.
 
     Used by tests and (cheaply) by the compilation driver: all dependence
-    inequalities must hold and no (slot, class) pair may be oversubscribed.
+    inequalities must hold and no (slot, resource) pair may be
+    oversubscribed.  The checks raise explicitly rather than through
+    ``assert``, so ``python -O`` verifies every cold compile and every
+    verified cache load too.
     """
     ii = schedule.ii
     start = schedule.start
     for v, preds in enumerate(graph.preds):
+        begin = start[v]
         for u, latency, distance in preds:
-            assert start[v] >= start[u] + latency - ii * distance, (
-                f"dependence {u}->{v} violated in {graph.name} at II={ii}"
-            )
+            if begin < start[u] + latency - ii * distance:
+                raise AssertionError(
+                    f"dependence {u}->{v} violated in {graph.name} "
+                    f"at II={ii}"
+                )
     slots = machine.issue_slots
     usage: Dict[Tuple[int, str], int] = {}
     for v, resource in enumerate(graph.resources):
         if resource is None:
             continue
         key = (start[v] % ii, resource)
-        usage[key] = usage.get(key, 0) + 1
-        assert usage[key] <= slots[resource], (
-            f"{resource} oversubscribed at slot {start[v] % ii} "
-            f"in {graph.name} at II={ii}"
-        )
+        count = usage[key] = usage.get(key, 0) + 1
+        if count > slots.get(resource, 0):
+            raise AssertionError(
+                f"{resource} oversubscribed at slot {start[v] % ii} "
+                f"in {graph.name} at II={ii}"
+            )

@@ -13,13 +13,17 @@ latency.  Compilation results are therefore cached at three levels:
 
 * an **input** memo keyed on each call's own inputs, so a hit derives
   nothing (exact object reuse within one process);
-* a **content** memo keyed on
-  :func:`~repro.compiler.cache.schedule_key`, which holds each distinct
-  schedule once; a hit returns it restamped with the caller's config;
+* a **content** memo keyed on the tuple ``(kernel_signature,
+  machine_view, unroll)``, which holds each distinct schedule once; a
+  hit returns it restamped with the caller's config, and costs a dict
+  lookup on that tuple — no JSON and no SHA-256;
 * the **persistent** content-addressed store of
-  :mod:`repro.compiler.cache` under the same key, so fresh processes
-  (CI, ``repro report``, notebook restarts) reuse schedules compiled by
-  earlier ones.
+  :mod:`repro.compiler.cache`, keyed on
+  :func:`~repro.compiler.cache.schedule_key` (the same ingredients plus
+  the compiler fingerprint, hashed), so fresh processes (CI, ``repro
+  report``, notebook restarts) reuse schedules compiled by earlier ones.
+  The disk key is computed only when the persistent store is enabled
+  and the content memo missed.
 
 :func:`compile_batch` compiles whole (kernel, config) grids at once:
 each distinct schedule is searched once, and cold schedules can fan out
@@ -28,13 +32,19 @@ over a process pool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import ProcessorConfig
 from ..isa.kernel import KernelGraph
 from ..resilience.faults import fault_point
-from .cache import ScheduleCache, default_cache, schedule_key
+from .cache import (
+    ScheduleCache,
+    default_cache,
+    kernel_signature,
+    machine_view,
+    schedule_key,
+)
 from .listsched import list_schedule
 from .machine import MachineDescription, build_machine
 from .modulo import (
@@ -153,21 +163,11 @@ def compile_kernel(
     shared = _SCHEDULES.get(content)
     if shared is None:
         disk = cache if cache is not None else default_cache()
-        payload = disk.load(content)
-        if payload is not None:
-            shared = _schedule_from_payload(kernel, machine, payload)
-            if shared is None:
-                # Decodable but semantically stale (e.g. fails
-                # verification): drop it and recompile from scratch.
-                disk.evict(content)
-        if shared is None:
-            shared, schedule = _search(kernel, machine, unroll_factor, verify)
-            disk.store(content, _schedule_to_payload(shared, schedule))
+        shared = _load_or_search(kernel, machine, unroll_factor, verify, disk)
         _SCHEDULES[content] = shared
     # The schedule is shared by every config with the same view; its
     # rates and efficiency read the config it is stamped with.
-    if shared.config != config:
-        shared = replace(shared, config=config)
+    shared = _restamp(shared, config)
     _memo_store(key, kernel, shared)
     return shared
 
@@ -177,13 +177,58 @@ def _resolve(
     config: ProcessorConfig,
     alu_mix: Optional[Dict[str, float]],
     unroll_factor: Optional[int],
-) -> Tuple[MachineDescription, int, str]:
+) -> Tuple[MachineDescription, int, Tuple]:
     """The machine, the unroll factor a compile starts from, and the
-    content key of its schedule."""
+    content-memo key of its schedule: ``(kernel_signature, machine_view,
+    unroll)``, the ingredients of :func:`schedule_key` left unhashed."""
     machine = build_machine(config, alu_mix)
     if unroll_factor is None:
         unroll_factor = choose_unroll_factor(kernel, machine)
-    return machine, unroll_factor, schedule_key(kernel, machine, unroll_factor)
+    content = (
+        kernel_signature(kernel),
+        machine_view(kernel, machine),
+        unroll_factor,
+    )
+    return machine, unroll_factor, content
+
+
+def _load_or_search(
+    kernel: KernelGraph,
+    machine: MachineDescription,
+    unroll_factor: int,
+    verify: bool,
+    disk: ScheduleCache,
+) -> KernelSchedule:
+    """A content-memo miss: the persistent store's schedule when it
+    holds a usable one, else a cold search (stored back).  The disk key
+    is hashed only when the store is enabled."""
+    if not disk.enabled:
+        return _search(kernel, machine, unroll_factor, verify)[0]
+    address = schedule_key(kernel, machine, unroll_factor)
+    payload = disk.load(address)
+    if payload is not None:
+        loaded = _schedule_from_payload(kernel, machine, payload)
+        if loaded is not None:
+            return loaded
+        # Decodable but semantically stale (e.g. fails verification):
+        # drop it and recompile from scratch.
+        disk.evict(address)
+    result, schedule = _search(kernel, machine, unroll_factor, verify)
+    disk.store(address, _schedule_to_payload(result, schedule))
+    return result
+
+
+def _restamp(
+    schedule: KernelSchedule, config: ProcessorConfig
+) -> KernelSchedule:
+    """``schedule`` stamped with ``config``: a field-for-field copy that
+    skips :func:`dataclasses.replace`'s re-run of ``__init__`` (the
+    class has no ``__post_init__`` to miss)."""
+    if schedule.config == config:
+        return schedule
+    stamped = object.__new__(KernelSchedule)
+    stamped.__dict__.update(schedule.__dict__, config=config)
+    return stamped
 
 
 def _search(
@@ -249,7 +294,7 @@ def compile_batch(
     every result lands in the in-memory memos.
     """
     if workers is not None and workers > 1:
-        cold: Dict[str, CompileJob] = {}
+        cold: Dict[Tuple, CompileJob] = {}
         for kernel, config in jobs:
             if _memo_key(kernel, config, alu_mix, None) in _CACHE:
                 continue
@@ -478,8 +523,9 @@ def _schedule_from_payload(
 #: Input level: a call's own inputs -> the schedule returned for them.
 _CACHE: Dict[Tuple, KernelSchedule] = {}
 _CACHE_KERNELS: Dict[int, KernelGraph] = {}
-#: Content level: :func:`schedule_key` -> each distinct schedule, once.
-_SCHEDULES: Dict[str, KernelSchedule] = {}
+#: Content level: ``(kernel_signature, machine_view, unroll)`` (see
+#: :func:`_resolve`) -> each distinct schedule, once.
+_SCHEDULES: Dict[Tuple, KernelSchedule] = {}
 
 
 def _memo_key(

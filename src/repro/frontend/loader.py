@@ -26,7 +26,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Optional
 
 from ..isa.kernel import KernelGraph
@@ -83,16 +84,28 @@ _REC_FIELDS = frozenset(("source", "target", "distance"))
 
 @dataclass(frozen=True)
 class LoadedKernel:
-    """A validated document with its canonical form and compiled graph."""
+    """A validated document with its canonical form and content address.
 
-    graph: KernelGraph
+    :attr:`graph` is compiled on first access, so a caller that needs
+    only the id (re-registering a known kernel) builds no graph.  The
+    parse already checked everything the build relies on, so a loaded
+    document always compiles.
+    """
+
     document: Dict[str, Any]
     canonical: str
     kernel_id: str
+    #: The :func:`parse_document` result :attr:`graph` is built from.
+    parsed: Dict[str, Any] = field(repr=False, compare=False)
 
     @property
     def name(self) -> str:
-        return self.graph.name
+        return self.document["name"]
+
+    @cached_property
+    def graph(self) -> KernelGraph:
+        """The compiled :class:`KernelGraph`, built once."""
+        return _build_graph(self.parsed)
 
 
 def canonical_json(document: Dict[str, Any]) -> str:
@@ -426,19 +439,19 @@ def _build_graph(parsed: Dict[str, Any]) -> KernelGraph:
 def load_document(
     data: Any, limits: SandboxLimits = SANDBOX_LIMITS
 ) -> LoadedKernel:
-    """Validate, canonicalize, hash and compile one document.
+    """Validate, canonicalize and hash one document.
 
     One :func:`parse_document` feeds both the canonical form and the
-    graph.
+    graph, which :attr:`LoadedKernel.graph` compiles on first access.
     """
     parsed = parse_document(data, limits)
     document = _canonical_form(parsed)
     canonical = canonical_json(document)
     return LoadedKernel(
-        graph=_build_graph(parsed),
         document=document,
         canonical=canonical,
         kernel_id=hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+        parsed=parsed,
     )
 
 

@@ -129,7 +129,9 @@ class KernelRegistry:
         """Validate + canonicalize ``document`` and store it.
 
         Idempotent: re-registering the same content (under any JSON
-        spelling) returns the same id and rewrites nothing.  Raises
+        spelling) returns the same id, rewrites nothing and builds no
+        graph (the id is derived first; only a new id reads
+        ``loaded.graph``).  Raises
         :class:`~repro.frontend.schema.KernelValidationError` on an
         invalid document.
         """

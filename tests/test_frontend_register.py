@@ -1,7 +1,8 @@
 """One registration, one parse; and the exact text of every rejection.
 
 ``execute(RegisterKernelRequest)`` parses its document once and builds
-one :class:`~repro.isa.kernel.KernelGraph`.  The summaries the API,
+one :class:`~repro.isa.kernel.KernelGraph`, and none when the document
+is already registered.  The summaries the API,
 ``repro kernel show`` and ``GET /v1/kernels/{ref}`` return read the
 registry's graph instead of compiling the document again.
 
@@ -150,7 +151,9 @@ class TestOneParse:
         first = execute(RegisterKernelRequest(document=base_document()))
         second = execute(RegisterKernelRequest(document=base_document()))
         assert second == first
-        assert counts == {"parse_document": 2, "KernelGraph": 2}
+        # The second call derives the id and finds it registered: it
+        # builds no graph.
+        assert counts == {"parse_document": 2, "KernelGraph": 1}
 
     def test_rejection_parses_once(self, registry, counts):
         document = base_document()

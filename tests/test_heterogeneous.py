@@ -10,7 +10,7 @@ from repro.compiler.machine import (
 from repro.compiler.pipeline import compile_kernel
 from repro.core.config import ProcessorConfig
 from repro.isa.ops import FUClass, Opcode
-from repro.kernels import PERFORMANCE_SUITE, get_kernel
+from repro.kernels import KERNELS, PERFORMANCE_SUITE, get_kernel
 
 
 class TestUnitSplit:
@@ -95,3 +95,26 @@ class TestCompilation:
         )
         homo = compile_kernel(get_kernel("fft"), config)
         assert hetero.ii_per_iteration <= 1.5 * homo.ii_per_iteration
+
+    def test_a_missing_unit_is_a_typed_error(self):
+        """At N=1 the Imagine mix keeps only an adder, so a kernel that
+        multiplies has no unit for its multiplies.  Its compile raises
+        the ``machine has no alu_mul slots`` ValueError, not a bare
+        KeyError, and every other compile of the grid succeeds."""
+        failed = []
+        for name in sorted(KERNELS):
+            for n in (1, 2, 3, 5, 10, 14):
+                for mix in (None, IMAGINE_ALU_MIX):
+                    try:
+                        compile_kernel(
+                            get_kernel(name), ProcessorConfig(8, n),
+                            alu_mix=mix,
+                        )
+                    except ValueError as exc:
+                        assert str(exc) == "machine has no alu_mul slots"
+                        failed.append((name, n, mix))
+        assert len(KERNELS) * 6 * 2 == 84
+        assert failed == [
+            (name, 1, IMAGINE_ALU_MIX)
+            for name in ("convolve", "dct", "fft", "irast", "noise", "update")
+        ]

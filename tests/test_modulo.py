@@ -1,5 +1,11 @@
 """Tests for repro.compiler.modulo (iterative modulo scheduling)."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +21,8 @@ from repro.core.config import ProcessorConfig
 from repro.isa.kernel import KernelGraph
 from repro.isa.ops import Opcode
 from repro.kernels import KERNELS, get_kernel
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture()
@@ -127,6 +135,52 @@ class TestScheduling:
         )
         with pytest.raises(AssertionError):
             verify_schedule(graph, machine, bad)
+
+    def test_verify_survives_python_optimize(self):
+        """``python -O`` strips ``assert`` statements; a shifted start
+        time must still fail verification there."""
+        code = textwrap.dedent("""
+            import sys
+            from repro.compiler.machine import build_machine
+            from repro.compiler.modulo import (
+                ModuloSchedule, try_modulo_schedule, verify_schedule,
+            )
+            from repro.compiler.unroll import build_sched_graph
+            from repro.core.config import ProcessorConfig
+            from repro.kernels import get_kernel
+
+            if not sys.flags.optimize:
+                sys.exit("not running under -O")
+            machine = build_machine(ProcessorConfig(8, 5))
+            graph = build_sched_graph(get_kernel("blocksad"), machine, 1)
+            schedule = try_modulo_schedule(graph, machine, 12)
+            start = dict(schedule.start)
+            victim = next(
+                v for v in range(len(graph))
+                if graph.preds[v] and start[v] > 0
+            )
+            start[victim] -= 1
+            shifted = ModuloSchedule(
+                ii=schedule.ii, start=start, length=schedule.length,
+                resource_mii=schedule.resource_mii,
+                recurrence_mii=schedule.recurrence_mii,
+            )
+            verify_schedule(graph, machine, schedule)
+            try:
+                verify_schedule(graph, machine, shifted)
+            except AssertionError as exc:
+                print("rejected:", exc)
+            else:
+                print("accepted")
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("rejected: dependence"), out.stdout
 
 
 @st.composite

@@ -6,7 +6,9 @@ only through COMM latency.  These tests pin the two halves of that
 claim: every schedule ``compile_kernel`` returns, shared or not, is the
 one a memo-free, disk-free compile of that exact config produces; and
 a kernel that never communicates is compiled once per view, not once
-per (C, N) point.
+per (C, N) point.  The in-memory memo keys on the view itself; the
+hashed :func:`~repro.compiler.cache.schedule_key` addresses only the
+disk, and only a memory miss computes it.
 """
 
 import json
@@ -18,9 +20,18 @@ from repro import api
 from repro.analysis.perf import TABLE5_C_VALUES, TABLE5_N_VALUES
 from repro.analysis.sweep import clear_sweep_cache
 from repro.compiler import pipeline
-from repro.compiler.cache import ScheduleCache
+from repro.compiler.cache import (
+    ScheduleCache,
+    configure_default_cache,
+    schedule_key,
+)
 from repro.compiler.machine import IMAGINE_ALU_MIX
-from repro.compiler.pipeline import clear_cache, compile_kernel, memo_size
+from repro.compiler.pipeline import (
+    clear_cache,
+    compile_batch,
+    compile_kernel,
+    memo_size,
+)
 from repro.core.config import ProcessorConfig
 from repro.frontend import graph_from_document
 from repro.kernels import KERNELS, get_kernel
@@ -48,14 +59,14 @@ def _points(kernels):
 
 
 def _reference(kernel, config, mix):
-    """A cold compile of exactly ``config``: no memo, no disk, and the
-    payload it would store (with the schedule's start map)."""
-    machine, unroll, key = pipeline._resolve(kernel, config, mix, None)
+    """A cold compile of exactly ``config``: no memo, no disk, its disk
+    key, and the payload it would store (with the start map)."""
+    machine, unroll, _content = pipeline._resolve(kernel, config, mix, None)
     result, schedule = pipeline._search(kernel, machine, unroll, verify=True)
     start = json.loads(json.dumps(
         pipeline._schedule_to_payload(result, schedule)["start"]
     ))
-    return key, result, start
+    return schedule_key(kernel, machine, unroll), result, start
 
 
 @pytest.fixture
@@ -142,3 +153,88 @@ class TestCompileCounts:
         loaded = compile_kernel(kernel, ProcessorConfig(128, 5), cache=disk)
         assert disk.hits == 1
         assert loaded.config.clusters == 128
+
+
+class TestMemoKey:
+    """The content memo keys on ``(signature, view, unroll)``; the
+    SHA-256 disk key is computed only for the disk, on a memory miss."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Count the disk keys the compile path hashes, and its searches."""
+        counts = {"keys": [], "searches": 0}
+        hash_key = pipeline.schedule_key
+        search = pipeline._search
+
+        def counting_key(*args):
+            key = hash_key(*args)
+            counts["keys"].append(key)
+            return key
+
+        def counting_search(*args, **kwargs):
+            counts["searches"] += 1
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "schedule_key", counting_key)
+        monkeypatch.setattr(pipeline, "_search", counting_search)
+        return counts
+
+    def _jobs(self):
+        return [
+            (get_kernel(name), ProcessorConfig(c, n))
+            for name in ("blocksad", "fft")
+            for c in TABLE5_C_VALUES
+            for n in TABLE5_N_VALUES
+        ]
+
+    def test_memory_path_hashes_no_disk_key(self, fresh_memo, counted):
+        off = ScheduleCache(None)
+        jobs = self._jobs()
+        for kernel, config in jobs:
+            compile_kernel(kernel, config, cache=off)
+        # Cold compiles and content hits alike; blocksad never
+        # communicates, so most of its points are content hits.
+        assert counted["searches"] == memo_size() < len(jobs)
+        assert counted["keys"] == []
+
+    def test_each_memory_miss_hashes_one_disk_key(
+        self, tmp_path, fresh_memo, counted
+    ):
+        disk = ScheduleCache(tmp_path)
+        for kernel, config in self._jobs():
+            compile_kernel(kernel, config, cache=disk)
+        keys = counted["keys"]
+        assert len(keys) == len(set(keys)) == memo_size() == disk.writes
+        stored = {path.stem for path in tmp_path.rglob("*.json")}
+        assert stored == set(keys)
+
+    def test_pool_fills_the_memo_serial_compiles_read(
+        self, tmp_path, fresh_memo, counted, monkeypatch
+    ):
+        # This process reads no disk: a schedule the pool found but the
+        # memo filed under another key could only be searched again.
+        off = ScheduleCache(None)
+        configure_default_cache(cache_dir=tmp_path)  # the workers' store
+        fan_out = pipeline._compile_fan_out
+        pooled = []
+
+        def recording_fan_out(*args, **kwargs):
+            results = fan_out(*args, **kwargs)
+            pooled.extend(results)
+            return results
+
+        monkeypatch.setattr(pipeline, "_compile_fan_out", recording_fan_out)
+        jobs = self._jobs()
+        try:
+            batch = compile_batch(jobs, workers=2, cache=off)
+            if not pooled or None in pooled:
+                pytest.skip("no process pool on this platform")
+            serial = [
+                compile_kernel(kernel, config, cache=off)
+                for kernel, config in jobs
+            ]
+        finally:
+            configure_default_cache()
+        assert counted["searches"] == 0
+        assert memo_size() == len(pooled)
+        assert serial == batch
