@@ -11,8 +11,8 @@ Packages:
 * :mod:`repro.apps`      — the six applications (StreamC substitute).
 * :mod:`repro.analysis`  — regeneration of every paper table and figure.
 * :mod:`repro.obs`       — tracing, metrics, profiling, run manifests.
-* :mod:`repro.resilience` — fault injection, resilient fan-out, sweep
-  checkpointing (see ``docs/robustness.md``).
+* :mod:`repro.resilience` — fault injection and resilient fan-out (see
+  ``docs/robustness.md``).
 * :mod:`repro.api`       — the stable typed request/result facade
   (``docs/api.md``).
 * :mod:`repro.serve`     — the batched serving daemon (``docs/serving.md``).

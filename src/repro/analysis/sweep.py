@@ -22,17 +22,15 @@ Resilience (PR 4) rides on :mod:`repro.resilience`: the fan-out goes
 through a :class:`~repro.resilience.executor.ResilientExecutor` (per-
 task timeouts, bounded retries, serial fallback — all counted as
 ``resilience.*`` metrics), named fault points let the chaos suite
-inject worker crashes/hangs/transient errors deterministically, and an
-optional :class:`~repro.resilience.checkpoint.SweepCheckpoint` persists
-every completed point so an interrupted sweep resumes without
-recomputation.  None of it changes results: a sweep that succeeds is
-bit-identical to a fault-free serial run.
+inject worker crashes/hangs/transient errors deterministically.  None
+of it changes results: a sweep that succeeds is bit-identical to a
+fault-free serial run.
 
 Every application point is evaluated by
 :func:`repro.analysis.model.predict_application`: the simulator's
 timing recurrence without its per-operation timeline, which no sweep
-reads.  A point therefore has one memo key and one checkpoint entry,
-whichever deprecated ``mode`` a request named.
+reads.  A point therefore has one memo key, whichever deprecated
+``mode`` a request named.
 
 The module-level :func:`default_engine` is what the public functions in
 :mod:`repro.analysis.perf` share; library users embedding sweeps can
@@ -55,7 +53,6 @@ from ..obs.log import get_logger, log_event
 from ..obs.metrics import MetricsRegistry
 from ..obs.profile import PhaseProfiler
 from ..obs.progress import ProgressBus, default_bus
-from ..resilience.checkpoint import SweepCheckpoint
 from ..resilience.executor import ResilientExecutor
 from ..resilience.faults import fault_point
 from ..sim.metrics import SimulationResult
@@ -97,11 +94,6 @@ class SweepEngine:
         observes a ``sweep.point_seconds`` histogram per cold point,
         and the resilience machinery mirrors its ``resilience.*``
         recovery counters here too.
-    checkpoint:
-        Optional :class:`~repro.resilience.checkpoint.SweepCheckpoint`;
-        when enabled every completed point is persisted as it lands and
-        :meth:`resume` replays a prior run's points into the memo
-        caches with zero recomputation.
     task_timeout:
         Per-task seconds before a pooled point is declared hung and
         retried (``None`` disables; see
@@ -120,7 +112,6 @@ class SweepEngine:
         self,
         profiler: Optional[PhaseProfiler] = None,
         metrics: Optional[MetricsRegistry] = None,
-        checkpoint: Optional[SweepCheckpoint] = None,
         task_timeout: Optional[float] = None,
         max_retries: int = 2,
         max_pool_failures: int = 2,
@@ -128,7 +119,6 @@ class SweepEngine:
     ):
         self.profiler = profiler if profiler is not None else PhaseProfiler()
         self.metrics = metrics
-        self.checkpoint = checkpoint
         self.task_timeout = task_timeout
         self.max_retries = max_retries
         self.max_pool_failures = max_pool_failures
@@ -150,8 +140,6 @@ class SweepEngine:
             # Surface the persistent schedule store's counters alongside
             # the engine's own (compile_cache.{hits,misses,...}).
             default_cache().attach_metrics(metrics)
-            if checkpoint is not None:
-                checkpoint.attach_metrics(metrics)
 
     # --- bookkeeping ---------------------------------------------------
 
@@ -160,42 +148,6 @@ class SweepEngine:
         with self._lock:
             self._sim_cache.clear()
             self._rate_cache.clear()
-
-    # --- checkpointing --------------------------------------------------
-
-    def configure_checkpoint(
-        self, checkpoint: Optional[SweepCheckpoint]
-    ) -> None:
-        """Attach (or detach, with ``None``) a sweep checkpoint."""
-        self.checkpoint = checkpoint
-        if checkpoint is not None and self.metrics is not None:
-            checkpoint.attach_metrics(self.metrics)
-
-    def resume(self) -> int:
-        """Replay the checkpoint's completed points into the memo
-        caches; returns how many points were restored.
-
-        A resumed point is the pickled result the interrupted run
-        computed — bit-identical to recomputing it — so a resumed sweep
-        finishes with zero recomputation of restored points (damaged
-        entries are dropped and simply recomputed).
-        """
-        if self.checkpoint is None or not self.checkpoint.enabled:
-            return 0
-        restored = 0
-        with self._lock:
-            for kind, key, value in self.checkpoint.entries():
-                if kind == "sim" and key not in self._sim_cache:
-                    self._sim_cache[key] = value
-                    restored += 1
-                elif kind == "rate" and key not in self._rate_cache:
-                    self._rate_cache[key] = value
-                    restored += 1
-        return restored
-
-    def _checkpoint_store(self, kind: str, key, value) -> None:
-        if self.checkpoint is not None:
-            self.checkpoint.store(kind, key, value)
 
     def stats(self) -> Dict[str, int]:
         """Cache effectiveness counters, for reports and tests."""
@@ -295,7 +247,6 @@ class SweepEngine:
                 elapsed = time.perf_counter() - started
                 self._observe_point(elapsed)
             self._sim_cache[key] = result
-            self._checkpoint_store("sim", key, result)
             # Publish on *miss* only: the collection pass at the end of
             # simulate_many re-reads every point through this method,
             # and those hits must not double-count progress.
@@ -329,7 +280,6 @@ class SweepEngine:
                 ).ops_per_cycle()
                 elapsed = time.perf_counter() - started
             self._rate_cache[key] = rate
-            self._checkpoint_store("rate", key, rate)
             self._publish(
                 "point",
                 kind="rate",
@@ -391,7 +341,6 @@ class SweepEngine:
                     key = (kernel, config)
                     self._rate_cache[key] = rate
                     self._count("rate", hit=False)
-                    self._checkpoint_store("rate", key, rate)
                     self._progress_event(done, len(missing), started)
             self._publish(
                 "sweep_end",
@@ -539,7 +488,6 @@ class SweepEngine:
             key = (application, config, node, clock_ghz)
             self._sim_cache[key] = result
             self._count("sim", hit=False)
-            self._checkpoint_store("sim", key, result)
             self._observe_point(
                 (time.perf_counter() - started) / len(jobs)
             )

@@ -463,8 +463,8 @@ class KernelRef(_Payload):
 
 #: The job state machine, in lifecycle order.  ``queued -> running``
 #: then exactly one of the three terminal states.  A daemon restart
-#: moves ``running`` back to ``queued`` (the work resumes from the
-#: sweep checkpoint, so replayed points are memo hits).
+#: moves ``running`` back to ``queued``, and the job recomputes its
+#: points (deterministically, so its result is unchanged).
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
 

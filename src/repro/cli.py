@@ -26,8 +26,8 @@ worker processes, tracer instants, and log lines all join on it.
 (:func:`repro.obs.manifest.build_envelope`) whose ``data`` is exactly
 the :mod:`repro.api` result payload the serving daemon returns for the
 same query — the two surfaces share one schema by construction.
-Volatile context (wall-clock timings, the run manifest, cache and
-checkpoint statistics) rides in the envelope's ``meta``.
+Volatile context (wall-clock timings, the run manifest, cache
+statistics) rides in the envelope's ``meta``.
 
 Examples
 --------
@@ -148,48 +148,6 @@ def _apply_cache_arguments(args: argparse.Namespace) -> None:
         configure_default_cache(enabled=False)
     elif getattr(args, "cache_dir", None):
         configure_default_cache(cache_dir=args.cache_dir)
-
-
-def _add_checkpoint_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--checkpoint-dir", metavar="PATH", default=None,
-        help="sweep checkpoint directory (default: "
-             "$REPRO_SWEEP_CHECKPOINT_DIR or ~/.cache)"
-    )
-    parser.add_argument(
-        "--no-checkpoint", action="store_true",
-        help="do not persist completed sweep points for this run"
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="replay an interrupted run's checkpointed points before "
-             "sweeping (restored points are never recomputed)"
-    )
-
-
-def _apply_checkpoint_arguments(args: argparse.Namespace) -> None:
-    """Honor the sweep-checkpoint knobs on commands that carry them."""
-    if not hasattr(args, "no_checkpoint"):
-        return
-    from .analysis.sweep import default_engine
-    from .resilience.checkpoint import (
-        SweepCheckpoint,
-        default_checkpoint_root,
-    )
-
-    if args.no_checkpoint:
-        root = None
-    elif args.checkpoint_dir:
-        root = args.checkpoint_dir
-    else:
-        root = default_checkpoint_root()
-    engine = default_engine()
-    engine.configure_checkpoint(
-        SweepCheckpoint(root) if root is not None else None
-    )
-    if getattr(args, "resume", False):
-        restored = engine.resume()
-        print(f"resumed {restored} checkpointed sweep points")
 
 
 def _cache_summary() -> str:
@@ -497,19 +455,13 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 def _sweep_meta(engine, elapsed: float) -> dict:
     """Volatile sweep context for ``--json`` envelopes: engine memo and
-    compile-cache counters, checkpoint statistics, wall-clock."""
+    compile-cache counters, wall-clock."""
     cache = default_cache()
-    meta = {
+    return {
         "elapsed_s": round(elapsed, 6),
         "engine": engine.stats(),
         "compile_cache": {**cache.stats(), "hit_rate": cache.hit_rate},
     }
-    if engine.checkpoint is not None and engine.checkpoint.enabled:
-        meta["checkpoint"] = {
-            **engine.checkpoint.stats(),
-            "root": str(engine.checkpoint.root),
-        }
-    return meta
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -555,8 +507,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                   f"{point.speedup:6.2f}x  {point.gops:7.1f} GOPS")
         print()
     elapsed = time.perf_counter() - started
-    engine = default_engine()
-    engine_stats = engine.stats()
+    engine_stats = default_engine().stats()
     # Distinct schedules held in memory, less those loaded from disk:
     # the modulo-schedule searches this run actually did.
     searched = memo_size() - default_cache().stats()["hits"]
@@ -565,11 +516,6 @@ def cmd_report(args: argparse.Namespace) -> int:
           f"{engine_stats['rate_hits']} memo hits), "
           f"{searched} schedules compiled; "
           f"{_cache_summary()}; {elapsed:.2f}s wall")
-    if engine.checkpoint is not None and engine.checkpoint.enabled:
-        ck = engine.checkpoint.stats()
-        print(f"checkpoint: {ck['loads']} points restored, "
-              f"{ck['writes']} written, {ck['corrupt']} corrupt "
-              f"({engine.checkpoint.root})")
     return 0
 
 
@@ -629,19 +575,14 @@ def cmd_headline(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from .resilience.checkpoint import default_checkpoint_root
     from .serve.daemon import ServerConfig, run_server
+    from .serve.jobs import default_job_dir
 
-    # Real daemons persist jobs by default (next to the sweep
-    # checkpoints, so both survive the same restart); in-process test
-    # servers stay memory-only unless they opt in.
+    # Real daemons persist jobs by default, so they survive a restart;
+    # in-process test servers stay memory-only unless they opt in.
     job_dir = args.job_dir
     if job_dir is None:
-        job_dir = os.environ.get("REPRO_JOB_DIR")
-    if job_dir is None:
-        checkpoint_root = default_checkpoint_root()
-        if checkpoint_root is not None:
-            job_dir = str(checkpoint_root.parent / "jobs")
+        job_dir = str(default_job_dir())
     return run_server(
         ServerConfig(
             host=args.host,
@@ -1068,7 +1009,6 @@ def build_parser() -> argparse.ArgumentParser:
     figs.add_argument("--only", nargs="*",
                       help=f"subset: {', '.join(sorted(_FIGURES))}")
     _add_cache_arguments(figs)
-    _add_checkpoint_arguments(figs)
     figs.set_defaults(func=cmd_figures)
 
     rep = sub.add_parser(
@@ -1085,7 +1025,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--json", action="store_true",
                      help="emit every study as one versioned JSON envelope")
     _add_cache_arguments(rep)
-    _add_checkpoint_arguments(rep)
     rep.set_defaults(func=cmd_report)
 
     head = sub.add_parser("headline", help="check the headline claims")
@@ -1122,8 +1061,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "rate limits, quotas); omit for open mode")
     serve.add_argument("--job-dir", metavar="DIR", default=None,
                        help="persistent job store directory (default: "
-                            "$REPRO_JOB_DIR, else a `jobs` dir next to "
-                            "the sweep checkpoints)")
+                            "$REPRO_JOB_DIR, else "
+                            "$XDG_CACHE_HOME/repro-stream/jobs or "
+                            "~/.cache/repro-stream/jobs)")
     _add_cache_arguments(serve)
     _add_logging_arguments(serve, suppress=True)
     serve.set_defaults(func=cmd_serve)
@@ -1260,7 +1200,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     _apply_logging_arguments(args)
     _apply_cache_arguments(args)
-    _apply_checkpoint_arguments(args)
     if getattr(args, "task_timeout", None) is not None:
         from .analysis.sweep import default_engine
 

@@ -1,6 +1,6 @@
 """Fault injection and resilient execution for the sweep machinery.
 
-Three pieces, threaded through the sweep engine, the compile pipeline
+Two pieces, threaded through the sweep engine, the compile pipeline
 and the simulator (see ``docs/robustness.md``):
 
 * :mod:`repro.resilience.faults`     — deterministic, seed-driven
@@ -9,16 +9,12 @@ and the simulator (see ``docs/robustness.md``):
 * :mod:`repro.resilience.executor`   — :class:`ResilientExecutor`, the
   process-pool fan-out with per-task timeouts, bounded retries,
   dead-worker quarantine, and serial fallback.
-* :mod:`repro.resilience.checkpoint` — :class:`SweepCheckpoint`, the
-  atomic/versioned/checksummed store that lets interrupted sweeps
-  resume without recomputation.
 
-The invariant every piece preserves: with any fault plan active, a run
+The invariant both pieces preserve: with any fault plan active, a run
 that ultimately succeeds produces results bit-identical to the
 fault-free serial path — degraded means slower, never different.
 """
 
-from .checkpoint import SweepCheckpoint, default_checkpoint_root
 from .executor import ResilientExecutor
 from .faults import (
     FAULT_KINDS,
@@ -45,10 +41,8 @@ __all__ = [
     "InjectedCrash",
     "InjectedFault",
     "ResilientExecutor",
-    "SweepCheckpoint",
     "active_plan",
     "clear_plan",
-    "default_checkpoint_root",
     "fault_point",
     "in_worker_process",
     "install_plan",

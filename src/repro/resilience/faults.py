@@ -43,8 +43,8 @@ Fault kinds
     raises :class:`MemoryError` (simulated allocation failure).
 ``corrupt``
     flips bytes of the file named by the fault point's ``path`` context
-    (cache entries, checkpoint entries); the checksum-validating
-    loaders must treat the damage as a miss.
+    (compile-cache entries); the checksum-validating loader must
+    treat the damage as a miss.
 """
 
 from __future__ import annotations
@@ -93,8 +93,6 @@ FAULT_SITES: Dict[str, str] = {
     "compile.kernel": "compile_kernel, before the II search",
     "cache.load": "ScheduleCache.load, before reading an entry (path)",
     "cache.store": "ScheduleCache.store, after writing an entry (path)",
-    "checkpoint.load": "SweepCheckpoint load, before reading (path)",
-    "checkpoint.store": "SweepCheckpoint store, after writing (path)",
     "sim.run": "StreamProcessor.run, before executing a program",
     "model.predict": "predict_application, before the closed-form eval",
 }

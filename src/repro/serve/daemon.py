@@ -197,8 +197,8 @@ class ServerConfig:
     tenants_path: Optional[str] = None
     #: Persist job records here so jobs survive daemon restarts.
     #: ``None`` keeps the job table in memory only (the CLI defaults
-    #: this next to the sweep checkpoints; in-process test servers
-    #: stay memory-only).
+    #: this to :func:`repro.serve.jobs.default_job_dir`; in-process
+    #: test servers stay memory-only).
     job_dir: Optional[str] = None
 
 
@@ -329,8 +329,8 @@ class ReproServer:
         self._server = await asyncio.start_server(
             self._handle_client, self.config.host, self.config.port
         )
-        # Persisted jobs from a previous process re-queue here; their
-        # points resume as memo hits off the sweep checkpoint.
+        # Persisted jobs from a previous process re-queue here and
+        # recompute their points.
         self.jobs.start()
 
     @property

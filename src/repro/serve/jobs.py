@@ -1,4 +1,4 @@
-"""The async job layer: persistent sweep jobs with checkpointed resume.
+"""The async job layer: persistent sweep jobs that survive a restart.
 
 ``POST /v1/jobs`` accepts any :class:`~repro.api.SweepRequest` and
 answers immediately with a job id; a single runner thread then walks
@@ -6,13 +6,13 @@ the job's primitive grid points **one at a time**, interleaving points
 across tenants under the fair-share scheduler
 (:mod:`repro.serve.tenancy`).  Each point executes through the sweep
 engine's memoizing primitives — the exact code path a synchronous
-sweep takes — so every completed point lands in the engine memo *and*
-the sweep checkpoint.  The final assembly step then replays the whole
-sweep out of the memo, which is why a job's result is byte-identical
-to the synchronous ``/v1/sweeps`` route, and why resume is free: after
-a daemon crash the new process replays the checkpoint into the memo
-and re-walks the point list, where every previously completed point is
-a memo hit.
+sweep takes — so every completed point lands in the engine memo.  The
+final assembly step then replays the whole sweep out of the memo,
+which is why a job's result is byte-identical to the synchronous
+``/v1/sweeps`` route.  After a daemon crash the new process re-queues
+the job and recomputes its points; the recurrence is deterministic, so
+the result is the same bytes, and each re-run compile is a disk hit
+when the compile cache is on.
 
 State machine (persisted per transition, one atomic JSON file per job
 under the job directory)::
@@ -22,11 +22,12 @@ under the job directory)::
        │          └──────> cancelled
        └─────────────────> cancelled
 
-    (restart: running ──> queued, points replay as memo hits)
+    (restart: running ──> queued, points recompute)
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 import uuid
@@ -55,6 +56,7 @@ __all__ = [
     "JobStore",
     "compute_point",
     "count_sweep_points",
+    "default_job_dir",
     "expand_sweep_points",
 ]
 
@@ -151,13 +153,12 @@ def count_sweep_points(sweep: SweepRequest) -> int:
 
 
 def compute_point(point: AnyRequest) -> None:
-    """Fill the engine memo (and sweep checkpoint) for one point.
+    """Fill the engine memo for one point.
 
     The exact code path a synchronous sweep takes —
-    ``engine.kernel_rate`` / ``engine.simulate_application`` memoize
-    *and* checkpoint, so the job runner, walking a sweep's points one
-    at a time, leaves the final assembly all memo hits and the
-    checkpoint resumable after a crash.
+    ``engine.kernel_rate`` / ``engine.simulate_application`` memoize,
+    so the job runner, walking a sweep's points one at a time, leaves
+    the final assembly all memo hits.
     """
     from ..analysis.sweep import default_engine
     from ..core.config import ProcessorConfig
@@ -258,13 +259,24 @@ class JobRecord:
         return record
 
 
+def default_job_dir() -> Path:
+    """Where ``repro serve`` persists jobs: ``$REPRO_JOB_DIR``, else
+    ``$XDG_CACHE_HOME/repro-stream/jobs`` (``~/.cache`` when unset)."""
+    override = os.environ.get("REPRO_JOB_DIR")
+    if override:
+        return Path(override)
+    base = os.environ.get("XDG_CACHE_HOME")
+    root = Path(base) if base else Path.home() / ".cache"
+    return root / "repro-stream" / "jobs"
+
+
 class JobStore:
     """One directory of job files, written atomically per transition.
 
     ``root=None`` builds a memory-only store (in-process test servers):
     saves are no-ops and :meth:`load_all` yields nothing, so the
-    manager never branches on persistence.  Follows the sweep
-    checkpoint's storage discipline — tempfile + ``os.replace`` in the
+    manager never branches on persistence.  Follows the compile
+    cache's storage discipline — tempfile + ``os.replace`` in the
     target directory, damaged files skipped on load.
     """
 
@@ -283,7 +295,6 @@ class JobStore:
         if self.root is None:
             return
         import json
-        import os
         import tempfile
 
         self.root.mkdir(parents=True, exist_ok=True)
@@ -354,7 +365,6 @@ class JobManager:
         self._wake = threading.Event()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        self._checkpoint_ready = False
 
     # --- lifecycle ------------------------------------------------------
 
@@ -498,7 +508,6 @@ class JobManager:
             self._finalize(record, "cancelled")
             return True
         if record.state == "queued":
-            self._ensure_checkpoint()
             record.state = "running"
             record._started_monotonic = self._clock()
             submitted = record._submitted_monotonic
@@ -581,7 +590,7 @@ class JobManager:
     # --- execution plumbing ---------------------------------------------
 
     def _run_point(self, record: JobRecord, point: Any) -> Tuple[bool, str]:
-        """One point into the engine memo + checkpoint."""
+        """One point into the engine memo."""
         runner = self._point_runner or compute_point
         try:
             with bind_request_id(record.job_id, propagate_env=True):
@@ -600,41 +609,6 @@ class JobManager:
         from ..api import execute
 
         return execute(sweep)  # type: ignore[return-value]
-
-    def _ensure_checkpoint(self) -> None:
-        """Attach the sweep checkpoint to the engine (once) and replay
-        completed points, so resumed jobs re-walk their grids as memo
-        hits.  The daemon never configures this otherwise — only job
-        execution needs durability."""
-        if self._checkpoint_ready:
-            return
-        self._checkpoint_ready = True
-        try:
-            from ..analysis.sweep import default_engine
-            from ..resilience.checkpoint import (
-                SweepCheckpoint,
-                default_checkpoint_root,
-            )
-
-            engine = default_engine()
-            checkpoint = getattr(engine, "checkpoint", None)
-            if checkpoint is None or not checkpoint.enabled:
-                root = default_checkpoint_root()
-                if root is None:
-                    return
-                engine.configure_checkpoint(
-                    SweepCheckpoint(root, metrics=self.metrics)
-                )
-            restored = engine.resume()
-            if restored:
-                log_event(self._log, "jobs.resume", points=restored)
-        except Exception as exc:  # durability is best-effort
-            import logging
-
-            log_event(
-                self._log, "jobs.checkpoint_error",
-                level=logging.WARNING, error=str(exc),
-            )
 
     # --- observability ---------------------------------------------------
 

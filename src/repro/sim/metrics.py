@@ -82,8 +82,8 @@ class Timeline(Sequence[OpRecord]):
     costs only its starts list.
 
     A timeline compares equal to another column by column, and to a
-    tuple of the same records, so a result or checkpoint that holds
-    such a tuple compares equal too; it hashes like that tuple.  It
+    tuple of the same records, so a result that holds such a tuple
+    compares equal too; it hashes like that tuple.  It
     pickles as its four columns, never the program behind them.
     """
 

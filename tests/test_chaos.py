@@ -31,7 +31,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.resilience import (
     FaultPlan,
     FaultRule,
-    SweepCheckpoint,
     clear_plan,
     install_plan,
 )
@@ -185,53 +184,6 @@ class TestStorageChaos:
         )))
         clear_cache()
         assert SweepEngine().compile_kernels(FIG13_GRID) == gold_rates
-
-    def test_corrupt_checkpoint_entry_recomputed_on_resume(
-        self, tmp_path, gold_sims
-    ):
-        """A checkpointed sweep whose first entry rots on disk resumes
-        the intact points and recomputes only the damaged one — final
-        results identical to the oracle."""
-        writer = SweepEngine(
-            checkpoint=SweepCheckpoint(tmp_path / "ckpt")
-        )
-        assert writer.simulate_many(APP_POINTS) == gold_sims
-
-        # The first entry read during resume gets bit-flipped.
-        install_plan(FaultPlan(seed=CHAOS_SEED, rules=(
-            FaultRule(site="checkpoint.load", kind="corrupt", at=(0,)),
-        )))
-        resumed = SweepEngine(
-            checkpoint=SweepCheckpoint(tmp_path / "ckpt")
-        )
-        assert resumed.resume() == len(APP_POINTS) - 1
-        assert resumed.checkpoint.stats()["corrupt"] == 1
-        clear_plan()
-        assert resumed.simulate_many(APP_POINTS) == gold_sims
-        assert resumed.stats()["sim_misses"] == 1
-
-    def test_checkpointed_chaos_sweep_resumes_identically(
-        self, tmp_path, gold_sims
-    ):
-        """End-to-end: a sweep that survives crashing workers while
-        checkpointing, then a clean resume with zero recomputation."""
-        install_plan(FaultPlan(seed=CHAOS_SEED, rules=(
-            FaultRule(site="sweep.point", kind="crash", at=(0,),
-                      workers_only=True),
-        )))
-        chaotic = SweepEngine(
-            checkpoint=SweepCheckpoint(tmp_path / "ckpt"),
-            task_timeout=120,
-        )
-        assert chaotic.simulate_many(APP_POINTS, workers=2) == gold_sims
-
-        clear_plan()
-        resumed = SweepEngine(
-            checkpoint=SweepCheckpoint(tmp_path / "ckpt")
-        )
-        assert resumed.resume() == len(APP_POINTS)
-        assert resumed.simulate_many(APP_POINTS) == gold_sims
-        assert resumed.stats()["sim_misses"] == 0  # zero recomputation
 
 
 class TestEveryFaultKindAtOnce:

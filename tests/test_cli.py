@@ -1,10 +1,18 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
+
+SRC = Path(repro.__file__).resolve().parent
 
 
 def _canonical(data):
@@ -281,3 +289,111 @@ class TestParser:
             main(argv)
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, options", [
+        ("figures", {"--only", "--cache-dir", "--no-compile-cache"}),
+        ("report", {"--apps", "--workers", "--task-timeout", "--json",
+                    "--cache-dir", "--no-compile-cache"}),
+    ])
+    def test_sweep_commands_take_only_their_options(self, command, options):
+        """``figures`` and ``report`` persist nothing but compile-cache
+        schedules, so they carry no option for any other store."""
+        import argparse
+
+        from repro.cli import build_parser
+
+        (commands,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        parser = commands.choices[command]
+        assert set(parser._option_string_actions) == options | {
+            "-h", "--help"
+        }
+
+
+class TestDiskFootprint:
+    def test_fresh_home_report_writes_only_schedules(self, tmp_path):
+        """A default ``report --apps`` in an empty home leaves the 94
+        schedules it compiled, and nothing else."""
+        env = {
+            name: value for name, value in os.environ.items()
+            if not name.startswith("REPRO_") and name != "XDG_CACHE_HOME"
+        }
+        env.update(HOME=str(tmp_path), PYTHONPATH=str(SRC.parent))
+        subprocess.run(
+            [sys.executable, "-m", "repro", "report", "--apps"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        written = [
+            path.relative_to(tmp_path)
+            for path in tmp_path.rglob("*") if path.is_file()
+        ]
+        stores = {path.parts[:3] for path in written}
+        assert stores == {(".cache", "repro-stream", "schedules")}
+        assert len(written) == 94
+
+
+def _repro_switches():
+    """Every ``REPRO_*`` environment variable the package reads."""
+    names = set()
+    for path in SRC.rglob("*.py"):
+        names.update(re.findall(r"\bREPRO_[A-Z0-9_]+\b", path.read_text()))
+    return sorted(names)
+
+
+class TestServeJobDir:
+    """``repro serve`` persists jobs by default: ``--job-dir``, else
+    ``$REPRO_JOB_DIR``, else ``$XDG_CACHE_HOME/repro-stream/jobs``,
+    else ``~/.cache/repro-stream/jobs``."""
+
+    @pytest.fixture()
+    def served(self, monkeypatch, tmp_path):
+        """Run ``main`` with ``run_server`` captured; returns the
+        :class:`ServerConfig` it would have served."""
+        import repro.serve.daemon as daemon_module
+
+        configs = []
+        monkeypatch.setattr(
+            daemon_module, "run_server",
+            lambda config: configs.append(config) or 0,
+        )
+        for name in _repro_switches():
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+
+        def serve(*flags):
+            assert main(["serve", *flags]) == 0
+            return configs.pop()
+
+        return serve
+
+    def test_home_fallback(self, served, tmp_path):
+        assert served().job_dir == str(
+            tmp_path / "home" / ".cache" / "repro-stream" / "jobs"
+        )
+
+    def test_xdg_cache_home(self, served, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        assert served().job_dir == str(
+            tmp_path / "xdg" / "repro-stream" / "jobs"
+        )
+
+    def test_env_then_flag_override(self, served, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_JOB_DIR", str(tmp_path / "env"))
+        assert served().job_dir == str(tmp_path / "env")
+        flag = str(tmp_path / "flag")
+        assert served("--job-dir", flag).job_dir == flag
+
+    def test_no_other_switch_turns_jobs_off(self, served, tmp_path,
+                                            monkeypatch):
+        """Every other store can be switched off; the job store keeps
+        its default."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        for name in _repro_switches():
+            if name != "REPRO_JOB_DIR":
+                monkeypatch.setenv(name, "off")
+        assert served().job_dir == str(
+            tmp_path / "xdg" / "repro-stream" / "jobs"
+        )

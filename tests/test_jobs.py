@@ -17,8 +17,8 @@ Four walls:
   replay.
 * **Crash resume** — a real ``python -m repro serve`` process is
   SIGKILLed mid-sweep; the restarted daemon re-queues the job from the
-  store, replays checkpointed points as memo hits, and produces a
-  result byte-identical to the in-process oracle.
+  store, recomputes its points, and produces a result byte-identical
+  to the in-process oracle.
 """
 
 import contextlib
@@ -255,8 +255,6 @@ def _make_manager(tmp_path=None, registry=None, point_runner=None,
         assemble=assemble,
         **kwargs,
     )
-    # Unit tests never touch the global engine's checkpoint.
-    manager._checkpoint_ready = True
     return manager
 
 
@@ -332,7 +330,7 @@ class TestPointListIsTheSweepsWork:
         part for part in (s.target, s.kernel, "apps" if s.apps else "")
         if part
     ))
-    def test_points_fill_exactly_the_sweeps_memo(self, sweep, no_checkpoint):
+    def test_points_fill_exactly_the_sweeps_memo(self, sweep):
         engine = default_engine()
         clear_sweep_cache()
         points = expand_sweep_points(sweep)
@@ -525,20 +523,6 @@ def running_server(**overrides):
         loop.close()
 
 
-@pytest.fixture()
-def no_checkpoint(monkeypatch):
-    """Job execution must not attach a checkpoint to the global engine
-    during in-process tests (state would leak across the suite)."""
-    monkeypatch.setenv("REPRO_SWEEP_CHECKPOINT", "off")
-    from repro.analysis.sweep import default_engine
-
-    engine = default_engine()
-    previous = engine.checkpoint
-    engine.configure_checkpoint(None)
-    yield
-    engine.configure_checkpoint(previous)
-
-
 @pytest.fixture(scope="module")
 def tenants_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("tenants") / "tenants.json"
@@ -555,9 +539,7 @@ def tenants_file(tmp_path_factory):
 
 
 class TestJobRoutesOpenMode:
-    def test_job_result_byte_identical_to_sync_sweep(
-        self, no_checkpoint
-    ):
+    def test_job_result_byte_identical_to_sync_sweep(self):
         sweep = SweepRequest("fig13", mode="analytical", kernel="fft")
         oracle = execute(sweep)
         with running_server() as server:
@@ -579,9 +561,7 @@ class TestJobRoutesOpenMode:
                 assert "queue_wait_ms" in result.payload["meta"]
                 assert "run_ms" in result.payload["meta"]
 
-    def test_simulated_job_walks_points_and_matches_sync(
-        self, no_checkpoint
-    ):
+    def test_simulated_job_walks_points_and_matches_sync(self):
         sweep = SweepRequest("fig13", kernel="fft")
         oracle = execute(sweep)
         with running_server() as server:
@@ -598,7 +578,7 @@ class TestJobRoutesOpenMode:
         snapshot = server.metrics.snapshot().as_dict()
         assert snapshot.get("serve.jobs.points", 0) >= 4
 
-    def test_invalid_sweep_rejected_with_pointer(self, no_checkpoint):
+    def test_invalid_sweep_rejected_with_pointer(self):
         with running_server() as server:
             with ServeClient("127.0.0.1", server.port) as client:
                 response = client.request(
@@ -609,7 +589,7 @@ class TestJobRoutesOpenMode:
                 assert response.error["code"] == "bad_request"
                 assert response.error["pointer"] == "/sweep"
 
-    def test_result_before_done_is_conflict(self, no_checkpoint):
+    def test_result_before_done_is_conflict(self):
         with running_server() as server:
             with ServeClient("127.0.0.1", server.port) as client:
                 submitted = client.submit_job("table5", kernel="fft")
@@ -621,7 +601,7 @@ class TestJobRoutesOpenMode:
                 assert response.error["code"] == "conflict"
                 client.cancel_job(job_id)
 
-    def test_cancel_then_cancel_again_conflicts(self, no_checkpoint):
+    def test_cancel_then_cancel_again_conflicts(self):
         with running_server() as server:
             # Hold the job on its first point until the first cancel is
             # in: with a warm schedule memo, table5 can otherwise finish
@@ -642,7 +622,7 @@ class TestJobRoutesOpenMode:
                 assert second.status == 409
                 assert second.error["code"] == "conflict"
 
-    def test_events_stream_ends_with_job_end(self, no_checkpoint):
+    def test_events_stream_ends_with_job_end(self):
         with running_server() as server:
             with ServeClient("127.0.0.1", server.port) as client:
                 submitted = client.submit_job("fig13", kernel="fft")
@@ -653,7 +633,7 @@ class TestJobRoutesOpenMode:
                 assert events[-1]["state"] == "done"
                 assert events[-1]["job_id"] == job_id
 
-    def test_unknown_job_routes_are_not_found(self, no_checkpoint):
+    def test_unknown_job_routes_are_not_found(self):
         with running_server() as server:
             with ServeClient("127.0.0.1", server.port) as client:
                 assert client.job_status("job-missing").status == 404
@@ -665,7 +645,7 @@ class TestJobRoutesOpenMode:
 
 
 class TestJobRoutesClosedMode:
-    def test_auth_and_isolation(self, no_checkpoint, tenants_file):
+    def test_auth_and_isolation(self, tenants_file):
         with running_server(tenants_path=tenants_file) as server:
             port = server.port
             with ServeClient("127.0.0.1", port) as anonymous:
@@ -696,9 +676,7 @@ class TestJobRoutesClosedMode:
                 assert carol.cancel_job(job_id).status == 404
                 assert carol.list_jobs().data["jobs"] == []
 
-    def test_rate_limit_and_quota_envelopes(
-        self, no_checkpoint, tenants_file
-    ):
+    def test_rate_limit_and_quota_envelopes(self, tenants_file):
         with running_server(tenants_path=tenants_file) as server:
             port = server.port
             with ServeClient("127.0.0.1", port, api_key="key-bob",
@@ -724,9 +702,7 @@ class TestJobRoutesClosedMode:
             assert snapshot["serve.jobs.rejected.rate_limited"] == 1
             assert snapshot["serve.jobs.rejected.quota_exceeded"] == 1
 
-    def test_progress_replay_is_tenant_namespaced(
-        self, no_checkpoint, tenants_file
-    ):
+    def test_progress_replay_is_tenant_namespaced(self, tenants_file):
         with running_server(tenants_path=tenants_file) as server:
             port = server.port
             with ServeClient("127.0.0.1", port,
@@ -753,7 +729,7 @@ class TestJobRoutesClosedMode:
 
 
 class TestV6Routes:
-    def test_singular_sweep_route_is_gone(self, no_checkpoint):
+    def test_singular_sweep_route_is_gone(self):
         """API v6 removed ``/v1/sweep``: a plain 404, and no
         ``request_end`` for a progress stream to replay."""
         with running_server() as server:
@@ -770,7 +746,7 @@ class TestV6Routes:
                 ))
                 assert all(e.get("event") != "request_end" for e in events)
 
-    def test_sweeps_mode_is_a_validated_no_op(self, no_checkpoint):
+    def test_sweeps_mode_is_a_validated_no_op(self):
         """``SweepRequest.mode`` outlives v6 while the benchmark sends
         it: the answer is byte-identical to the same body without it."""
         with running_server() as server:
@@ -784,13 +760,47 @@ class TestV6Routes:
                 assert _canonical(alias.data) == _canonical(plain.data)
 
 
+class TestSweepsAfterAJob:
+    def test_cold_sweep_after_a_job_writes_only_schedules(
+        self, tmp_path, monkeypatch
+    ):
+        """Running a job leaves later sweeps as they were: a cold
+        synchronous fig15 sweep afterwards writes no file but compile
+        cache schedules, wherever it might put one."""
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        written = []
+        replace = os.replace
+
+        def recording_replace(source, target, *args, **kwargs):
+            written.append(Path(target))
+            return replace(source, target, *args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        with running_server() as server:
+            with ServeClient("127.0.0.1", server.port) as client:
+                job_id = client.submit_job("fig13", kernel="fft") \
+                    .data["job_id"]
+                final = client.wait_job(job_id, timeout_s=60, poll_s=0.01)
+                assert final.data["state"] == "done"
+                clear_sweep_cache()
+                sweep = client.request(
+                    "POST", "/v1/sweeps", {"target": "fig15"}
+                )
+                assert sweep.status == 200
+        written += [path for path in tmp_path.rglob("*") if path.is_file()]
+        assert [
+            path for path in written if "schedules" not in path.parts
+        ] == []
+
+
 # --- crash resume -------------------------------------------------------
 
 
 class TestJobCrashResume:
     def test_sigkill_mid_sweep_resumes_byte_identical(self, tmp_path):
         """Kill -9 a daemon mid-job; the restarted daemon re-queues the
-        job from the store, replays the checkpoint, and finishes with a
+        job from the store, recomputes its points, and finishes with a
         result byte-identical to the in-process oracle."""
         sweep = SweepRequest("table5", kernel="fft")
         oracle = execute(sweep)
@@ -799,10 +809,8 @@ class TestJobCrashResume:
         src = str(Path(__file__).resolve().parent.parent / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         # Cold caches in tmp: points take real work (kill lands
-        # mid-run) and both durability layers live where we can see
-        # them.
+        # mid-run) and the job store lives where we can see it.
         env["REPRO_COMPILE_CACHE_DIR"] = str(tmp_path / "cache")
-        env["REPRO_SWEEP_CHECKPOINT_DIR"] = str(tmp_path / "ckpt")
         env["REPRO_JOB_DIR"] = str(tmp_path / "jobs")
 
         def boot():
@@ -838,12 +846,9 @@ class TestJobCrashResume:
             proc.send_signal(signal.SIGKILL)
             proc.communicate(timeout=30)
 
-            # Durability on disk: the job file and at least one
-            # checkpointed point survived the kill.
+            # Durability on disk: the job file survived the kill.
             job_files = list((tmp_path / "jobs").glob("job-*.json"))
             assert job_files, "no persisted job file"
-            assert any((tmp_path / "ckpt").rglob("*")), \
-                "no checkpointed points"
 
             proc, port = boot()
             with ServeClient("127.0.0.1", port) as client:

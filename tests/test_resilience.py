@@ -1,7 +1,7 @@
 """Tests for the fault-injection and resilient-execution layer.
 
 Covers the :mod:`repro.resilience` package directly — plan semantics,
-executor recovery ladders, checkpoint storage — plus the regression
+executor recovery ladders — plus the regression
 guarantees the satellites demand: interrupts are never retried, and the
 sweep/compile fan-out paths propagate them instead of degrading.
 The end-to-end chaos runs (faults injected under real sweeps) live in
@@ -9,7 +9,6 @@ The end-to-end chaos runs (faults injected under real sweeps) live in
 """
 
 import os
-import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -29,15 +28,10 @@ from repro.resilience import (
     InjectedCrash,
     InjectedFault,
     ResilientExecutor,
-    SweepCheckpoint,
     clear_plan,
     install_plan,
 )
 from repro.resilience import faults as faults_module
-from repro.resilience.checkpoint import (
-    SCHEMA_VERSION,
-    default_checkpoint_root,
-)
 
 
 @pytest.fixture(autouse=True)
@@ -437,213 +431,3 @@ class TestFanOutInterruptAudit:
         with pytest.raises(KeyboardInterrupt):
             compile_batch(jobs, workers=2)
 
-
-class TestSweepCheckpoint:
-    def test_disabled_checkpoint_is_inert(self):
-        checkpoint = SweepCheckpoint(None)
-        checkpoint.store("rate", ("fft", 1), 2.5)
-        assert list(checkpoint.entries()) == []
-        assert not checkpoint.enabled
-
-    def test_round_trip(self, tmp_path):
-        checkpoint = SweepCheckpoint(tmp_path)
-        checkpoint.store("rate", ("fft", "cfg"), 12.5)
-        checkpoint.store("sim", ("fft1k", "cfg"), {"cycles": 99})
-        entries = sorted(list(checkpoint.entries()))
-        assert entries == [
-            ("rate", ("fft", "cfg"), 12.5),
-            ("sim", ("fft1k", "cfg"), {"cycles": 99}),
-        ]
-        assert checkpoint.stats()["writes"] == 2
-        assert checkpoint.stats()["loads"] == 2
-
-    def test_unknown_kind_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown checkpoint kind"):
-            SweepCheckpoint(tmp_path).store("bogus", "k", 1)
-
-    def test_corrupt_entry_dropped_and_counted(self, tmp_path):
-        checkpoint = SweepCheckpoint(tmp_path)
-        checkpoint.store("rate", "a", 1.0)
-        checkpoint.store("rate", "b", 2.0)
-        victim = sorted((tmp_path / f"v{SCHEMA_VERSION}").glob("*.ckpt"))[0]
-        data = victim.read_bytes()
-        middle = len(data) // 2
-        victim.write_bytes(
-            data[:middle] + bytes([data[middle] ^ 0xFF]) + data[middle + 1:]
-        )
-        survivors = list(checkpoint.entries())
-        assert len(survivors) == 1
-        assert checkpoint.stats()["corrupt"] == 1
-        assert not victim.exists()  # damaged file evicted
-
-    def test_truncated_entry_dropped(self, tmp_path):
-        checkpoint = SweepCheckpoint(tmp_path)
-        checkpoint.store("rate", "a", 1.0)
-        victim = next((tmp_path / f"v{SCHEMA_VERSION}").glob("*.ckpt"))
-        victim.write_bytes(victim.read_bytes()[:10])
-        assert list(checkpoint.entries()) == []
-        assert checkpoint.stats()["corrupt"] == 1
-
-    def test_atomic_store_leaves_no_temp_files(self, tmp_path):
-        checkpoint = SweepCheckpoint(tmp_path)
-        for i in range(5):
-            checkpoint.store("rate", f"key{i}", float(i))
-        leftovers = list((tmp_path / f"v{SCHEMA_VERSION}").glob(".tmp-*"))
-        assert leftovers == []
-
-    def test_clear(self, tmp_path):
-        checkpoint = SweepCheckpoint(tmp_path)
-        checkpoint.store("rate", "a", 1.0)
-        checkpoint.clear()
-        assert list(checkpoint.entries()) == []
-
-    def test_default_root_env_knobs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_CHECKPOINT", "off")
-        assert default_checkpoint_root() is None
-        monkeypatch.setenv("REPRO_SWEEP_CHECKPOINT", "1")
-        monkeypatch.setenv("REPRO_SWEEP_CHECKPOINT_DIR", "/tmp/ckpt-here")
-        assert str(default_checkpoint_root()) == "/tmp/ckpt-here"
-        monkeypatch.delenv("REPRO_SWEEP_CHECKPOINT_DIR")
-        monkeypatch.setenv("XDG_CACHE_HOME", "/tmp/xdg-cache")
-        root = default_checkpoint_root()
-        assert str(root).startswith("/tmp/xdg-cache")
-        monkeypatch.delenv("XDG_CACHE_HOME")
-        assert default_checkpoint_root() is not None  # falls back to ~
-
-    def test_metrics_mirroring(self, tmp_path):
-        metrics = MetricsRegistry()
-        checkpoint = SweepCheckpoint(tmp_path, metrics=metrics)
-        checkpoint.store("rate", "a", 1.0)
-        list(checkpoint.entries())
-        assert metrics.counter("resilience.checkpoint.writes").value == 1
-        assert metrics.counter("resilience.checkpoint.loads").value == 1
-
-    def test_version_skewed_entry_dropped(self, tmp_path):
-        import hashlib
-        import json
-        import pickle
-
-        checkpoint = SweepCheckpoint(tmp_path)
-        body = pickle.dumps({"kind": "rate", "key": "k", "value": 1.0})
-        header = json.dumps({
-            "version": 999,
-            "kind": "rate",
-            "checksum": hashlib.sha256(body).hexdigest(),
-        }).encode()
-        entry_dir = tmp_path / f"v{SCHEMA_VERSION}"
-        entry_dir.mkdir()
-        (entry_dir / "stale.ckpt").write_bytes(header + b"\n" + body)
-        assert list(checkpoint.entries()) == []
-        assert checkpoint.stats()["corrupt"] == 1
-
-    def test_header_body_kind_mismatch_dropped(self, tmp_path):
-        import hashlib
-        import json
-        import pickle
-
-        checkpoint = SweepCheckpoint(tmp_path)
-        body = pickle.dumps({"kind": "rate", "key": "k", "value": 1.0})
-        header = json.dumps({
-            "version": SCHEMA_VERSION,
-            "kind": "sim",  # disagrees with the body
-            "checksum": hashlib.sha256(body).hexdigest(),
-        }).encode()
-        entry_dir = tmp_path / f"v{SCHEMA_VERSION}"
-        entry_dir.mkdir()
-        (entry_dir / "lied.ckpt").write_bytes(header + b"\n" + body)
-        assert list(checkpoint.entries()) == []
-        assert checkpoint.stats()["corrupt"] == 1
-
-    def test_vanished_entry_counts_as_skipped(self, tmp_path):
-        checkpoint = SweepCheckpoint(tmp_path)
-        missing = tmp_path / f"v{SCHEMA_VERSION}" / "gone.ckpt"
-        assert checkpoint._decode(missing) is None
-        assert checkpoint.stats()["skipped"] == 1
-
-    def test_clear_tolerates_disabled_and_empty(self, tmp_path):
-        SweepCheckpoint(None).clear()  # disabled: no-op
-        SweepCheckpoint(tmp_path).clear()  # no entries yet: no-op
-
-
-class TestSweepEngineCheckpointing:
-    POINTS = [
-        ("fft1k", ProcessorConfig(8, 5)),
-        ("fft1k", ProcessorConfig(16, 5)),
-        ("fft1k", ProcessorConfig(32, 5)),
-        ("fft1k", ProcessorConfig(8, 10)),
-    ]
-
-    @pytest.fixture(scope="class")
-    def gold(self):
-        """The fault-free serial results (the bit-identity oracle)."""
-        return SweepEngine().simulate_many(self.POINTS)
-
-    def test_interrupted_sweep_resumes_without_recompute(
-        self, tmp_path, gold
-    ):
-        first = SweepEngine(checkpoint=SweepCheckpoint(tmp_path))
-        first.simulate_many(self.POINTS[:2])  # "interrupted" here
-
-        second = SweepEngine(checkpoint=SweepCheckpoint(tmp_path))
-        assert second.resume() == 2
-        results = second.simulate_many(self.POINTS)
-        assert results == gold
-        # The two restored points were served from the checkpoint.
-        assert second.stats()["sim_misses"] == len(self.POINTS) - 2
-
-    def test_entries_keyed_with_a_mode_are_not_resumed(
-        self, tmp_path, monkeypatch
-    ):
-        """Schema v1 keyed every point with its execution mode; no
-        lookup builds such a key now, so a directory holding only v1
-        entries resumes nothing rather than loading dead entries."""
-        from repro.core.params import TECH_45NM
-        from repro.resilience import checkpoint as checkpoint_module
-
-        config = ProcessorConfig(8, 5)
-        result = SweepEngine().simulate_many([("fft1k", config)])[0]
-        with monkeypatch.context() as patch:
-            patch.setattr(checkpoint_module, "SCHEMA_VERSION", 1)
-            old = SweepCheckpoint(tmp_path)
-            old.store(
-                "sim", ("fft1k", config, TECH_45NM, 1.0, "simulated"), result
-            )
-            old.store("rate", ("fft", config, "simulated"), 2.5)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["v1"]
-        resumed = SweepEngine(checkpoint=SweepCheckpoint(tmp_path))
-        assert resumed.resume() == 0
-        resumed.simulate_many([("fft1k", config)])
-        assert resumed.stats()["sim_misses"] == 1
-
-    def test_rate_points_checkpointed_too(self, tmp_path):
-        config = ProcessorConfig(8, 5)
-        first = SweepEngine(checkpoint=SweepCheckpoint(tmp_path))
-        rate = first.kernel_rate("fft", config)
-
-        second = SweepEngine(checkpoint=SweepCheckpoint(tmp_path))
-        assert second.resume() == 1
-        assert second.kernel_rate("fft", config) == rate
-        assert second.stats()["rate_misses"] == 0
-        assert second.stats()["rate_hits"] == 1
-
-    @given(prefix=st.integers(min_value=0, max_value=4))
-    @settings(
-        max_examples=5,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    def test_any_prefix_resumes_to_identical_result(
-        self, prefix, tmp_path_factory, gold
-    ):
-        """Checkpoint round-trip property: whatever prefix of points a
-        killed run managed to complete, the resumed run reproduces the
-        full sweep bit-identically and recomputes only the suffix."""
-        root = tmp_path_factory.mktemp("ckpt")
-        checkpoint = SweepCheckpoint(root)
-        writer = SweepEngine(checkpoint=checkpoint)
-        writer.simulate_many(self.POINTS[:prefix])
-
-        resumed = SweepEngine(checkpoint=SweepCheckpoint(root))
-        assert resumed.resume() == prefix
-        assert resumed.simulate_many(self.POINTS) == gold
-        assert resumed.stats()["sim_misses"] == len(self.POINTS) - prefix

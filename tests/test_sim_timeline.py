@@ -5,8 +5,8 @@ over the start and finish lists the timing loop fills.  These tests pin
 it to the eager tuple of :class:`~repro.sim.metrics.OpRecord` s that
 results carried before, through every way a result is read, compared,
 hashed or pickled, and check that a run builds no record until one is
-read.  Sweep points, checkpointed or returned from a worker process,
-are evaluated without a timeline and must equal
+read.  Sweep points, memoized or returned from a worker process, are
+evaluated without a timeline and must equal
 :func:`~repro.analysis.model.predict_application`.
 """
 
@@ -22,7 +22,6 @@ from repro.core.config import ProcessorConfig
 from repro.core.params import TECH_45NM
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
-from repro.resilience.checkpoint import SweepCheckpoint
 from repro.sim.engine import evaluate, point_tables, program_summary
 from repro.sim.metrics import OpRecord, Timeline
 from repro.sim.processor import simulate
@@ -142,15 +141,6 @@ class TestRoundTrips:
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         assert len(data) < len(eager)
-
-    def test_checkpoint_resume_equals_the_fresh_result(self, tmp_path):
-        writer = SweepEngine(checkpoint=SweepCheckpoint(tmp_path))
-        fresh = writer.simulate_application("qrd", C8N5)
-        resumed = SweepEngine(checkpoint=SweepCheckpoint(tmp_path))
-        assert resumed.resume() == 1
-        restored = resumed.simulate_application("qrd", C8N5)
-        assert resumed.stats()["sim_misses"] == 0
-        assert restored == fresh == predict_application("qrd", C8N5)
 
     def test_pooled_points_equal_fresh_results(self):
         points = [("qrd", C8N5), ("fft1k", C8N5)]

@@ -176,8 +176,8 @@ class TestPerfIntegration:
 
 class TestExecutionModes:
     """``mode`` is a deprecated keyword of :meth:`simulate_many` with no
-    effect: a point has one memo and one checkpoint entry, whichever of
-    the accepted values a request names."""
+    effect: a point has one memo entry, whichever of the accepted
+    values a request names."""
 
     def test_modes_share_one_memo_entry(self):
         engine = SweepEngine()
@@ -205,25 +205,6 @@ class TestExecutionModes:
         simulated = SweepEngine().simulate_many(points)
         analytical = SweepEngine().simulate_many(points, mode="analytical")
         assert analytical == simulated
-
-    def test_checkpoint_serves_every_mode(self, tmp_path):
-        """A point checkpointed under either mode serves a later request
-        for it, whichever mode that request names."""
-        from repro.resilience.checkpoint import SweepCheckpoint
-
-        point = [("fft1k", ProcessorConfig(8, 5))]
-        modes = ("simulated", "analytical")
-        for written in modes:
-            root = tmp_path / written
-            writer = SweepEngine(checkpoint=SweepCheckpoint(root))
-            (expected,) = writer.simulate_many(point, mode=written)
-            for requested in modes:
-                resumed = SweepEngine(checkpoint=SweepCheckpoint(root))
-                assert resumed.resume() == 1
-                assert resumed.simulate_many(point, mode=requested) == [
-                    expected
-                ]
-                assert resumed.stats()["sim_misses"] == 0
 
 
 class TestInstrumentation:
