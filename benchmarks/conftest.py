@@ -3,7 +3,10 @@
 Every benchmark regenerates one paper table or figure, times the
 regeneration (pytest-benchmark), prints the rows/series the paper
 reports, and archives the rendered artifact under
-``benchmarks/output/``.
+``benchmarks/output/``.  Those files are committed and must come out
+byte-identical on every run: a benchmark that also reports wall-clock
+numbers archives them separately, under the untracked
+``benchmarks/timings/``.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import pathlib
 import pytest
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
+TIMINGS_DIR = pathlib.Path(__file__).parent / "timings"
 
 
 def perf_floor(strict: float, relaxed: float) -> float:
@@ -35,14 +39,23 @@ def perf_floor(strict: float, relaxed: float) -> float:
 
 @pytest.fixture()
 def archive(request):
-    """Return a callable that prints and archives a rendered artifact."""
+    """Return a callable that prints and archives a rendered artifact.
+
+    ``archive(text, timings="")``: ``text`` (deterministic) goes to
+    ``output/<test>.txt``; ``timings``, the lines that change from run
+    to run, go to ``timings/<test>.txt``.
+    """
     OUTPUT_DIR.mkdir(exist_ok=True)
 
-    def _archive(text: str) -> None:
+    def _archive(text: str, timings: str = "") -> None:
         print()
         print(text)
         name = request.node.name.replace("/", "_")
         (OUTPUT_DIR / f"{name}.txt").write_text(text + "\n")
+        if timings:
+            print(timings)
+            TIMINGS_DIR.mkdir(exist_ok=True)
+            (TIMINGS_DIR / f"{name}.txt").write_text(timings + "\n")
 
     return _archive
 

@@ -108,11 +108,11 @@ def test_serve_throughput_vs_process_spawn(benchmark, archive):
     archive(
         "Serving daemon vs process-per-request (mixed workload: "
         f"{len(WORKLOAD)} queries x {ROUNDS} rounds)\n"
+        f"  batches: {stats['batches']}, submitted: {stats['submitted']}",
         f"  warm daemon:    {served_s * 1e3:8.2f} ms/request\n"
         f"  process spawn:  {spawn_s * 1e3:8.2f} ms/request (cold "
         "`python -m repro costs`)\n"
-        f"  speedup:        {ratio:8.1f}x\n"
-        f"  batches: {stats['batches']}, submitted: {stats['submitted']}"
+        f"  speedup:        {ratio:8.1f}x",
     )
     assert ratio >= perf_floor(strict=25.0, relaxed=5.0), (
         f"daemon only {ratio:.1f}x faster than process spawn"
@@ -156,7 +156,12 @@ def test_serve_slo_loadgen(benchmark, archive):
         loop.close()
 
     overall = report["overall"]
-    archive(render_report(report))
+    archive(
+        f"loadgen: {config.mode} loop, {config.duration_s}s x "
+        f"{config.concurrency} workers, mix {config.mix}\n"
+        f"errors: {overall['errors']}",
+        render_report(report),
+    )
     assert overall["ok"] >= 50, "too few samples for meaningful SLOs"
     assert overall["errors"] == 0
     assert overall["p50_ms"] is not None and overall["p50_ms"] > 0.0

@@ -123,7 +123,7 @@ def test_sweep_analytical_vs_simulated(benchmark, archive):
     archive(
         f"Full-grid sweep ({points} application points: "
         f"{len(APPLICATION_ORDER)} apps x C{list(TABLE5_C_VALUES)} "
-        f"x N{list(FIG15_N_VALUES)})\n"
+        f"x N{list(FIG15_N_VALUES)})",
         f"  simulate:    {simulated_s * 1e3:10.1f} ms "
         f"({points / simulated_s:10.1f} points/s)\n"
         f"  sweep:       {analytical_s * 1e3:10.1f} ms "

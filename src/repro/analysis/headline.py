@@ -51,7 +51,7 @@ class HeadlineReport:
 def _report(config, include_apps: bool) -> HeadlineReport:
     base_model = CostModel(BASELINE_CONFIG)
     model = CostModel(config)
-    feas = feasibility(config, TECH_45NM)
+    feas = feasibility(config, TECH_45NM, model)
 
     def perf_area(cfg) -> float:
         return harmonic_mean(

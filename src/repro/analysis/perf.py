@@ -82,24 +82,21 @@ def _kernel_speedups(
     kernels: Optional[Sequence[str]] = None,
 ) -> List[KernelSpeedupSeries]:
     suite = tuple(kernels) if kernels else PERFORMANCE_SUITE
-    engine = default_engine()
-    baseline = ProcessorConfig(*BASELINE)
-    engine.compile_kernels(
-        [
-            (name, config)
-            for name in suite
-            for config in [baseline, *configs]
-        ]
+    row = [ProcessorConfig(*BASELINE), *configs]
+    rates = default_engine().compile_kernels(
+        [(name, config) for name in suite for config in row]
     )
     series: List[KernelSpeedupSeries] = []
     per_config_speedups: Dict[ProcessorConfig, List[float]] = {
         c: [] for c in configs
     }
-    for name in suite:
-        base_rate = engine.kernel_rate(name, baseline)
+    for index, name in enumerate(suite):
+        base_rate, *config_rates = rates[
+            index * len(row):(index + 1) * len(row)
+        ]
         points = []
-        for config in configs:
-            speedup = engine.kernel_rate(name, config) / base_rate
+        for config, rate in zip(configs, config_rates):
+            speedup = rate / base_rate
             points.append((config, speedup))
             per_config_speedups[config].append(speedup)
         series.append(KernelSpeedupSeries(kernel=name, points=tuple(points)))
@@ -152,26 +149,20 @@ def table5_performance_per_area(
     registered ``kernel:<hash>`` names).
     """
     suite = tuple(kernels) if kernels else PERFORMANCE_SUITE
-    engine = default_engine()
-    engine.compile_kernels(
-        [
-            (name, ProcessorConfig(c, n))
-            for name in suite
-            for n in n_values
-            for c in c_values
-        ]
+    configs = [ProcessorConfig(c, n) for n in n_values for c in c_values]
+    rates = default_engine().compile_kernels(
+        [(name, config) for name in suite for config in configs]
     )
+    # rates is kernel-major: config i's rates sit len(configs) apart.
     grid: Dict[Tuple[int, int], float] = {}
-    for n in n_values:
-        for c in c_values:
-            config = ProcessorConfig(c, n)
-            efficiencies = [
-                performance_per_area(
-                    config, engine.kernel_rate(name, config)
-                )
-                for name in suite
-            ]
-            grid[(c, n)] = harmonic_mean(efficiencies)
+    for index, config in enumerate(configs):
+        efficiencies = [
+            performance_per_area(config, rate)
+            for rate in rates[index::len(configs)]
+        ]
+        grid[(config.clusters, config.alus_per_cluster)] = harmonic_mean(
+            efficiencies
+        )
     return grid
 
 

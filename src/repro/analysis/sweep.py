@@ -160,20 +160,20 @@ class SweepEngine:
             "rate_cached": len(self._rate_cache),
         }
 
-    def _count(self, name: str, hit: bool) -> None:
+    def _count(self, name: str, hit: bool, amount: int = 1) -> None:
         if name == "sim":
             if hit:
-                self.sim_hits += 1
+                self.sim_hits += amount
             else:
-                self.sim_misses += 1
+                self.sim_misses += amount
         else:
             if hit:
-                self.rate_hits += 1
+                self.rate_hits += amount
             else:
-                self.rate_misses += 1
-        if self.metrics is not None:
+                self.rate_misses += amount
+        if self.metrics is not None and amount:
             outcome = "hits" if hit else "misses"
-            self.metrics.counter(f"sweep.{name}.{outcome}").inc()
+            self.metrics.counter(f"sweep.{name}.{outcome}").inc(amount)
 
     def _observe_point(self, seconds: float) -> None:
         if self.metrics is not None:
@@ -238,27 +238,28 @@ class SweepEngine:
             if cached is not None:
                 self._count("sim", hit=True)
                 return cached
-            self._count("sim", hit=False)
-            with self.profiler.phase("sweep.simulate"):
-                started = time.perf_counter()
-                result = predict_application(
-                    application, config, node, clock_ghz
-                )
-                elapsed = time.perf_counter() - started
-                self._observe_point(elapsed)
-            self._sim_cache[key] = result
-            # Publish on *miss* only: the collection pass at the end of
-            # simulate_many re-reads every point through this method,
-            # and those hits must not double-count progress.
-            self._publish(
-                "point",
-                kind="sim",
-                application=application,
-                clusters=config.clusters,
-                alus=config.alus_per_cluster,
-                seconds=round(elapsed, 6),
-            )
-            return result
+            return self._simulate_cold(key)
+
+    def _simulate_cold(self, key: _SimKey) -> SimulationResult:
+        """One memo miss: count it, evaluate it, keep it, and publish
+        its ``point`` event (the caller holds the lock)."""
+        self._count("sim", hit=False)
+        with self.profiler.phase("sweep.simulate"):
+            started = time.perf_counter()
+            result = predict_application(*key)
+            elapsed = time.perf_counter() - started
+            self._observe_point(elapsed)
+        self._sim_cache[key] = result
+        application, config = key[:2]
+        self._publish(
+            "point",
+            kind="sim",
+            application=application,
+            clusters=config.clusters,
+            alus=config.alus_per_cluster,
+            seconds=round(elapsed, 6),
+        )
+        return result
 
     def kernel_rate(self, kernel: str, config: ProcessorConfig) -> float:
         """Sustained whole-chip ops/cycle of a suite kernel, memoized.
@@ -305,53 +306,57 @@ class SweepEngine:
         so regenerating Figure 13/14 or Table 5 compiles each unique
         schedule at most once, ever.  Values are identical to repeated
         :meth:`kernel_rate` calls.
+
+        One pass reads every point from the memo; each kernel name
+        among the cold points is resolved once.  Statistics are counted
+        in bulk: one miss per distinct cold point, then one hit per
+        point, the totals of filling the misses and reading every point
+        back through :meth:`kernel_rate`.
         """
         with self._lock:
-            missing: List[_RateKey] = []
-            seen = set()
-            for kernel, config in points:
-                key = (kernel, config)
-                if key not in self._rate_cache and key not in seen:
-                    seen.add(key)
-                    missing.append((kernel, config))
+            keys = [(kernel, config) for kernel, config in points]
+            cache = self._rate_cache
+            rates = [cache.get(key) for key in keys]
+            missing = list(dict.fromkeys(
+                [key for key, rate in zip(keys, rates) if rate is None]
+            ))
             self._publish(
                 "sweep_start",
                 kind="compile",
-                total=len(points),
-                cached=len(points) - len(missing),
+                total=len(keys),
+                cached=len(keys) - len(missing),
             )
             started = time.perf_counter()
             if missing:
+                graphs = {
+                    kernel: get_kernel(kernel)
+                    for kernel in dict.fromkeys([k for k, _ in missing])
+                }
                 with self.profiler.phase("sweep.compile_batch"):
                     schedules = compile_batch(
-                        [
-                            (get_kernel(kernel), config)
-                            for kernel, config in missing
-                        ],
+                        [(graphs[name], config) for name, config in missing],
                         workers=workers,
                         metrics=self.metrics,
                         timeout=self.task_timeout,
                         max_retries=self.max_retries,
                         max_pool_failures=self.max_pool_failures,
                     )
-                for done, ((kernel, config), schedule) in enumerate(
-                    zip(missing, schedules), start=1
-                ):
-                    rate = schedule.ops_per_cycle()
-                    key = (kernel, config)
-                    self._rate_cache[key] = rate
-                    self._count("rate", hit=False)
-                    self._progress_event(done, len(missing), started)
+                for key, schedule in zip(missing, schedules):
+                    cache[key] = schedule.ops_per_cycle()
+                self._count("rate", hit=False, amount=len(missing))
+                if self.progress.subscriber_count():
+                    for done in range(1, len(missing) + 1):
+                        self._progress_event(done, len(missing), started)
+                rates = [cache[key] for key in keys]
             self._publish(
                 "sweep_end",
                 kind="compile",
-                total=len(points),
+                total=len(keys),
                 computed=len(missing),
                 seconds=round(time.perf_counter() - started, 3),
             )
-            return [
-                self.kernel_rate(kernel, config) for kernel, config in points
-            ]
+            self._count("rate", hit=True, amount=len(keys))
+            return rates
 
     def simulate_many(
         self,
@@ -371,6 +376,12 @@ class SweepEngine:
         cannot spawn worker processes the engine degrades to the serial
         path rather than failing the sweep.
 
+        Like :meth:`compile_kernels`, one pass reads every point from
+        the memo and the hits are counted in bulk: one per point, plus
+        one per point a pool filled, the totals of computing the misses
+        and reading every point back through
+        :meth:`simulate_application`.
+
         ``mode`` is deprecated and has no effect: it must name one of
         :data:`repro.api.SWEEP_MODES`, and both evaluate every point
         the same way.
@@ -381,52 +392,49 @@ class SweepEngine:
                 f"allowed modes: {', '.join(SWEEP_MODES)}"
             )
         with self._lock:
-            missing: List[SweepPoint] = []
-            seen = set()
-            for application, config in points:
-                key = (application, config, node, clock_ghz)
-                if key not in self._sim_cache and key not in seen:
-                    seen.add(key)
-                    missing.append((application, config))
-
+            keys = [
+                (application, config, node, clock_ghz)
+                for application, config in points
+            ]
+            cache = self._sim_cache
+            results = [cache.get(key) for key in keys]
+            missing = list(dict.fromkeys(
+                [key for key, result in zip(keys, results) if result is None]
+            ))
             self._publish(
                 "sweep_start",
                 kind="simulate",
-                total=len(points),
-                cached=len(points) - len(missing),
+                total=len(keys),
+                cached=len(keys) - len(missing),
             )
             started = time.perf_counter()
-            done = 0
-            if missing and workers is not None and workers > 1:
-                done = self._fan_out(
-                    missing, node, clock_ghz, workers, started
-                )
-            for application, config in missing:
-                # Serial fill for whatever the pool did not cover (all
-                # of it when workers is None or pool startup failed).
-                key = (application, config, node, clock_ghz)
-                was_cached = key in self._sim_cache
-                self.simulate_application(
-                    application, config, node, clock_ghz
-                )
-                if not was_cached:
-                    done += 1
-                    self._progress_event(done, len(missing), started)
-
+            if missing:
+                done = 0
+                if workers is not None and workers > 1:
+                    done = self._fan_out(
+                        [key[:2] for key in missing],
+                        node, clock_ghz, workers, started,
+                    )
+                    # The extra hit per pooled point (see above).
+                    self._count("sim", hit=True, amount=done)
+                for key in missing:
+                    # Serial fill for whatever the pool did not cover (all
+                    # of it when workers is None or pool startup failed).
+                    if key not in cache:
+                        self._simulate_cold(key)
+                        done += 1
+                        self._progress_event(done, len(missing), started)
+                results = [cache[key] for key in keys]
             self._publish(
                 "sweep_end",
                 kind="simulate",
-                total=len(points),
+                total=len(keys),
                 computed=len(missing),
                 seconds=round(time.perf_counter() - started, 3),
                 cache_hit_rate=self._hit_rate(),
             )
-            return [
-                self.simulate_application(
-                    application, config, node, clock_ghz
-                )
-                for application, config in points
-            ]
+            self._count("sim", hit=True, amount=len(keys))
+            return results
 
     def _fan_out(
         self,

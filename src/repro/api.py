@@ -659,7 +659,8 @@ def _check_kernel_ref(ref: str) -> None:
 
 
 def run_cost_query(query: CostQuery) -> CostResult:
-    """Evaluate the cost model; pure arithmetic, no caching needed."""
+    """Evaluate the cost model: one model per query, so each Table 3
+    term is derived once; nothing is kept across queries."""
     validate_request(query)
     from .core.config import ProcessorConfig
     from .core.costs import CostModel
@@ -670,7 +671,7 @@ def run_cost_query(query: CostQuery) -> CostResult:
     area = model.area()
     energy = model.energy()
     delay = model.delay()
-    feas = feasibility(config, TECH_45NM)
+    feas = feasibility(config, TECH_45NM, model)
     return CostResult(
         clusters=query.clusters,
         alus=query.alus,

@@ -133,7 +133,7 @@ def kernel_signature(kernel: KernelGraph) -> str:
     constant values do not affect schedules and are excluded, so
     renaming a value cannot cause a spurious recompile.)
     """
-    guard = (len(kernel), len(kernel.recurrences))
+    guard = (len(kernel), kernel.recurrence_count)
     memo = _kernel_signatures.get(id(kernel))
     if memo is not None and memo[0] == guard:
         return memo[1]

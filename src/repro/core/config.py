@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-from .params import IMAGINE_PARAMETERS, MachineParameters
+from .params import IMAGINE_PARAMETERS, MachineParameters, hash_once
 
 
 def _ceil_at_least_one(value: float) -> int:
@@ -37,6 +37,7 @@ def _validate_params(params: MachineParameters) -> None:
     params.validate()
 
 
+@hash_once
 @dataclass(frozen=True)
 class ProcessorConfig:
     """One point in the (C, N) design space.

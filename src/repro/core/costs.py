@@ -26,10 +26,36 @@ cycle at C=8/N=5).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
 from .config import ProcessorConfig
+
+
+def _term(method):
+    """Memoize a no-argument :class:`CostModel` term on its instance.
+
+    The Table 3 rows nest: the intracluster switch area feeds the
+    cluster area, which feeds the intercluster switch, the
+    microcontroller, both chip-side delays and the intercluster energy,
+    so one cost query would otherwise re-derive the same row some
+    twenty times.  A model's configuration is fixed, so each term is
+    computed once per instance.  Terms are keyed on the method itself,
+    so a subclass override that calls ``super()`` reaches the memoized
+    base value.
+    """
+
+    @functools.wraps(method)
+    def memoized(self):
+        terms = self._terms
+        try:
+            return terms[method]
+        except KeyError:
+            value = terms[method] = method(self)
+            return value
+
+    return memoized
 
 
 @dataclass(frozen=True)
@@ -122,17 +148,20 @@ class CostModel:
 
     All intermediate quantities (SRF bank area, intracluster switch area,
     switch traversal energy, ...) are exposed as methods so tests and the
-    analysis layer can inspect each Table 3 row individually.
+    analysis layer can inspect each Table 3 row individually.  Each is
+    evaluated once per model and then remembered.
     """
 
     def __init__(self, config: ProcessorConfig):
         self.config = config
         self.params = config.params
+        self._terms: dict = {}
 
     # ------------------------------------------------------------------
     # Areas (grids)
     # ------------------------------------------------------------------
 
+    @_term
     def srf_bank_area(self) -> float:
         """``A_SRF``: one SRF bank — stream storage plus its streambuffers.
 
@@ -146,6 +175,7 @@ class CostModel:
         buffers = (2.0 * p.g_srf * c.alus_per_cluster) * c.n_sbs_cost * p.a_sb
         return storage + buffers
 
+    @_term
     def intracluster_switch_area(self) -> float:
         """``A_SW``: the full crossbar inside one cluster (Figure 5).
 
@@ -178,6 +208,7 @@ class CostModel:
         ports = (c.external_ports_cost * p.b) * (width + height)
         return rows + columns + ports
 
+    @_term
     def cluster_area(self) -> float:
         """``A_CLST``: one arithmetic cluster.
 
@@ -190,6 +221,7 @@ class CostModel:
         scratchpads = c.n_sp_cost * p.w_sp * p.h
         return lrfs + alus + scratchpads + self.intracluster_switch_area()
 
+    @_term
     def intercluster_switch_area(self) -> float:
         """``A_COMM``: the chip-level grid switch between clusters (Fig. 4).
 
@@ -211,6 +243,7 @@ class CostModel:
         )
         return wire_count * pitch
 
+    @_term
     def microcontroller_area(self) -> float:
         """``A_UC``: microcode storage plus control-wire distribution.
 
@@ -229,6 +262,7 @@ class CostModel:
         distribution = (p.i_n * c.n_fu_cost) * span
         return storage + distribution
 
+    @_term
     def area(self) -> AreaBreakdown:
         """``A_TOT`` and its components (Table 3, whole chip)."""
         c = self.config
@@ -239,6 +273,7 @@ class CostModel:
             intercluster_switch=self.intercluster_switch_area(),
         )
 
+    @_term
     def area_per_alu(self) -> float:
         """Total area divided by the number of ALUs (grids per ALU)."""
         return self.area().total / self.config.total_alus
@@ -247,6 +282,7 @@ class CostModel:
     # Delays (FO4)
     # ------------------------------------------------------------------
 
+    @_term
     def intracluster_delay(self) -> float:
         """``t_intra``: worst-case traversal of the intracluster switch.
 
@@ -262,6 +298,7 @@ class CostModel:
         """
         return self._intra_wire_delay() + self._intra_logic_delay()
 
+    @_term
     def _intra_wire_delay(self) -> float:
         p, c = self.params, self.config
         root = math.sqrt(c.n_fu_cost)
@@ -270,11 +307,13 @@ class CostModel:
         )
         return distance / p.v0
 
+    @_term
     def _intra_logic_delay(self) -> float:
         p, c = self.params, self.config
         root = math.sqrt(c.n_fu_cost)
         return p.t_mux * (math.log2(c.n_fu_cost) + root)
 
+    @_term
     def intercluster_delay(self) -> float:
         """``t_inter``: worst-case cluster-to-cluster communication.
 
@@ -294,6 +333,7 @@ class CostModel:
             + self._inter_logic_delay()
         )
 
+    @_term
     def _inter_wire_delay(self) -> float:
         p, c = self.params, self.config
         chip_side = math.sqrt(
@@ -303,12 +343,14 @@ class CostModel:
         )
         return 2.0 * chip_side / p.v0
 
+    @_term
     def _inter_logic_delay(self) -> float:
         p, c = self.params, self.config
         return p.t_mux * (
             math.log2(c.clusters * c.n_comm_cost) + math.sqrt(c.clusters)
         )
 
+    @_term
     def delay(self) -> DelayBreakdown:
         """Both switch traversal delays, split into wire and logic parts."""
         return DelayBreakdown(
@@ -327,6 +369,7 @@ class CostModel:
     #: pipeline stage appears in the N=14 configurations (and not N=10).
     PIPELINE_SLACK = 1.10
 
+    @_term
     def intracluster_pipeline_stages(self) -> int:
         """Extra pipeline stages ALU ops need for intracluster transport.
 
@@ -339,6 +382,7 @@ class CostModel:
             return 0
         return math.ceil(excess / budget)
 
+    @_term
     def intercluster_latency_cycles(self) -> int:
         """COMM operation latency in cycles (fully pipelined wire delay)."""
         return max(1, math.ceil(self.intercluster_delay() / self.params.t_cyc))
@@ -347,6 +391,7 @@ class CostModel:
     # Energies (E_w per processor cycle at full utilization)
     # ------------------------------------------------------------------
 
+    @_term
     def intracluster_switch_energy(self) -> float:
         """``E_intra``: energy of one *bit* crossing the cluster crossbar.
 
@@ -362,6 +407,7 @@ class CostModel:
             + 2.0 * root * (p.w_alu + p.w_lrf + root * p.b)
         )
 
+    @_term
     def intercluster_switch_energy(self) -> float:
         """``E_inter``: energy of one *bit* of intercluster communication.
 
@@ -384,6 +430,7 @@ class CostModel:
             )
         )
 
+    @_term
     def srf_bank_energy(self) -> float:
         """``E_SRF``: per-cycle energy of one SRF bank at typical activity.
 
@@ -407,6 +454,7 @@ class CostModel:
         )
         return storage + buffers
 
+    @_term
     def cluster_energy(self) -> float:
         """``E_CLST``: per-cycle energy of one cluster at full utilization.
 
@@ -422,6 +470,7 @@ class CostModel:
             + c.n_fu_cost * p.b * self.intracluster_switch_energy()
         )
 
+    @_term
     def microcontroller_energy(self) -> float:
         """``E_UC``: per-cycle microcode fetch plus instruction broadcast.
 
@@ -440,6 +489,7 @@ class CostModel:
         broadcast = (p.i_n * c.n_fu_cost) * p.e_w * math.sqrt(c.clusters) * chip_side
         return fetch + broadcast
 
+    @_term
     def intercluster_traffic_energy(self) -> float:
         """Chip-wide per-cycle intercluster-communication energy.
 
@@ -451,6 +501,7 @@ class CostModel:
         words = p.g_comm * c.alus_per_cluster * c.clusters
         return words * p.b * self.intercluster_switch_energy()
 
+    @_term
     def energy(self) -> EnergyBreakdown:
         """``E_TOT`` and its components (per cycle, whole chip)."""
         c = self.config
@@ -461,6 +512,7 @@ class CostModel:
             intercluster_switch=self.intercluster_traffic_energy(),
         )
 
+    @_term
     def energy_per_alu_op(self) -> float:
         """Average energy per ALU operation (units of ``E_w``)."""
         return self.energy().total / self.config.total_alus

@@ -19,9 +19,37 @@ only the absolute conversion (``TechnologyNode``) changes.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass
 
 
+def hash_once(cls: type) -> type:
+    """Give a frozen dataclass a ``__hash__`` computed once per instance.
+
+    Parameter sets, configurations and technology nodes sit in every
+    sweep and compile memo key, and the generated hash rebuilds the
+    field tuple (28 floats for :class:`MachineParameters`) on each
+    lookup.  The replacement returns the same value, the hash of the
+    field tuple, and keeps it in the instance ``__dict__`` after the
+    first call.  It is not a field, so ``==``, ``repr``, ``fields()``,
+    ``asdict`` and ``replace`` ignore it.  Every field of these classes
+    is a number, and numbers hash alike in every process, so a copy
+    that arrives by pickle (a pool worker's point) carries a valid hash.
+    """
+    values = operator.attrgetter(*[f.name for f in dataclasses.fields(cls)])
+
+    def __hash__(self) -> int:
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = self.__dict__["_hash"] = hash(values(self))
+            return value
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@hash_once
 @dataclass(frozen=True)
 class MachineParameters:
     """Process-independent stream-processor parameters (paper Table 1).
@@ -133,6 +161,7 @@ CUSTOM_PARAMETERS = IMAGINE_PARAMETERS.replace(
 )
 
 
+@hash_once
 @dataclass(frozen=True)
 class TechnologyNode:
     """Absolute technology parameters for one process node.

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from .config import ProcessorConfig
 from .costs import CostModel
@@ -62,14 +63,19 @@ class FeasibilityReport:
 
 
 def feasibility(
-    config: ProcessorConfig, node: TechnologyNode = TECH_45NM
+    config: ProcessorConfig,
+    node: TechnologyNode = TECH_45NM,
+    model: Optional[CostModel] = None,
 ) -> FeasibilityReport:
     """Evaluate a configuration's absolute feasibility at a process node.
 
     Reproduces the arithmetic behind the paper's conclusion: at 45 nm a
     C=128/N=10 processor (1280 ALUs) provides >1 TFLOP peak in <10 W.
+    ``model`` is ``config``'s cost model when the caller already holds
+    one, so the area and energy it has evaluated are not derived again.
     """
-    model = CostModel(config)
+    if model is None:
+        model = CostModel(config)
     clock = node.clock_ghz(config.params.t_cyc)
     peak_gops = config.total_alus * clock
     area = node.grids_to_mm2(model.area().total)

@@ -75,6 +75,7 @@ class KernelGraph:
         self._const_values: Dict[int, float] = {}
         self._stats: Optional[OpCounts] = None
         self._opcodes: Optional[Tuple[Opcode, ...]] = None
+        self._validated = False
 
     # --- construction --------------------------------------------------
 
@@ -90,6 +91,7 @@ class KernelGraph:
         self._nodes.append(node)
         self._stats = None
         self._opcodes = None
+        self._validated = False
         return Value(self._id, node.index)
 
     def op(self, opcode: Opcode, *operands: Value, name: str = "") -> Value:
@@ -162,6 +164,7 @@ class KernelGraph:
         self._recurrences.append(
             Recurrence(source.index, target.index, distance)
         )
+        self._validated = False
 
     # --- inspection ------------------------------------------------------
 
@@ -172,6 +175,11 @@ class KernelGraph:
     @property
     def recurrences(self) -> Sequence[Recurrence]:
         return tuple(self._recurrences)
+
+    @property
+    def recurrence_count(self) -> int:
+        """``len(recurrences)``, without copying them."""
+        return len(self._recurrences)
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -247,7 +255,15 @@ class KernelGraph:
           topological order, so intra-iteration edges are acyclic),
         * recurrences reference existing nodes with positive distance,
         * every stream write has exactly one data operand.
+
+        A pass is remembered until the next node or recurrence is added,
+        so compiling one graph for many machines walks it once.
         """
+        if not self._validated:
+            self._check_invariants()
+            self._validated = True
+
+    def _check_invariants(self) -> None:
         for node in self._nodes:
             for operand in node.operands:
                 if not 0 <= operand < node.index:

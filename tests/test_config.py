@@ -1,5 +1,12 @@
 """Tests for repro.core.config (derived structural quantities)."""
 
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,7 +18,12 @@ from repro.core.config import (
     ProcessorConfig,
 )
 from repro.core import config as config_module
-from repro.core.params import IMAGINE_PARAMETERS, MachineParameters
+from repro.core.params import (
+    IMAGINE_PARAMETERS,
+    TECH_45NM,
+    MachineParameters,
+    TechnologyNode,
+)
 
 configs = st.builds(
     ProcessorConfig,
@@ -144,3 +156,100 @@ class TestProperties:
     def test_bandwidth_hierarchy_ordering(self, config):
         """LRF bandwidth always exceeds SRF bandwidth (paper section 2.2)."""
         assert config.lrf_bandwidth_words > config.srf_bandwidth_words
+
+
+def _equal_pairs():
+    """Instances built separately with equal values."""
+    return [
+        (MachineParameters(), IMAGINE_PARAMETERS),
+        (MachineParameters(t_cyc=20.0), IMAGINE_PARAMETERS.replace(t_cyc=20.0)),
+        (ProcessorConfig(8, 5), BASELINE_CONFIG),
+        (
+            ProcessorConfig(128, 10, MachineParameters()),
+            ProcessorConfig(128, 10),
+        ),
+        (TechnologyNode(**dataclasses.asdict(TECH_45NM)), TECH_45NM),
+    ]
+
+
+class TestHashOnce:
+    """Configs, parameter sets and nodes hash once per instance, to the
+    value the generated dataclass hash gives."""
+
+    @pytest.mark.parametrize("a, b", _equal_pairs())
+    def test_equal_values_compare_and_hash_equal(self, a, b):
+        assert a is not b
+        assert a == b
+        assert hash(a) == hash(b) == hash(a)
+
+    @pytest.mark.parametrize("value", [
+        IMAGINE_PARAMETERS, BASELINE_CONFIG, TECH_45NM,
+    ])
+    def test_hash_is_the_field_tuple_hash(self, value):
+        fields = tuple(
+            getattr(value, f.name) for f in dataclasses.fields(value)
+        )
+        assert hash(value) == hash(fields)
+
+    def test_hash_is_not_a_field(self):
+        config = ProcessorConfig(16, 5)
+        before = repr(config)
+        hash(config)
+        assert repr(config) == before
+        assert [f.name for f in dataclasses.fields(config)] == [
+            "clusters", "alus_per_cluster", "params",
+        ]
+        assert set(dataclasses.asdict(config)) == {
+            "clusters", "alus_per_cluster", "params",
+        }
+
+    @pytest.mark.parametrize("a, b", _equal_pairs())
+    def test_pickle_round_trip_keeps_eq_and_hash(self, a, b):
+        hash(a)  # the remembered hash travels with the copy
+        for value in (a, b):
+            copy = pickle.loads(pickle.dumps(value))
+            assert copy == a and hash(copy) == hash(a)
+
+    def test_replace_keeps_eq_and_hash(self):
+        config = ProcessorConfig(8, 5)
+        hash(config)
+        same = dataclasses.replace(config)
+        assert same == config and hash(same) == hash(config)
+        moved = dataclasses.replace(config, clusters=16)
+        assert moved == ProcessorConfig(16, 5)
+        assert hash(moved) == hash(ProcessorConfig(16, 5))
+        assert hash(moved) != hash(config)
+        params = IMAGINE_PARAMETERS.replace(t_cyc=20.0)
+        assert hash(params) == hash(MachineParameters(t_cyc=20.0))
+        assert hash(params) != hash(IMAGINE_PARAMETERS)
+
+    def test_hash_is_the_same_in_another_process(self):
+        probe = (
+            "from repro.core.config import ProcessorConfig;"
+            "from repro.core.params import TECH_45NM;"
+            "print(hash(ProcessorConfig(32, 10)), hash(TECH_45NM))"
+        )
+        src = Path(config_module.__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="7")
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout.split()
+        assert out == [
+            str(hash(ProcessorConfig(32, 10))), str(hash(TECH_45NM)),
+        ]
+
+    def test_caches_keyed_on_configs_hit_for_an_equal_config(self):
+        from repro.compiler.machine import _build_machine, build_machine
+        from repro.core.efficiency import area_in_alu_equivalents
+
+        build_machine(ProcessorConfig(64, 14))
+        area_in_alu_equivalents(ProcessorConfig(64, 14))
+        machines = _build_machine.cache_info().hits
+        areas = area_in_alu_equivalents.cache_info().hits
+        assert build_machine(ProcessorConfig(64, 14)) is build_machine(
+            ProcessorConfig(64, 14, MachineParameters())
+        )
+        area_in_alu_equivalents(ProcessorConfig(64, 14))
+        assert _build_machine.cache_info().hits == machines + 2
+        assert area_in_alu_equivalents.cache_info().hits == areas + 1

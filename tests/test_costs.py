@@ -198,3 +198,67 @@ class TestModelProperties:
         """No configuration dissipates less per op than the bare ALU."""
         model = CostModel(ProcessorConfig(c, 5))
         assert model.energy_per_alu_op() > model.params.e_alu
+
+
+@pytest.fixture()
+def switch_area_evaluations(monkeypatch):
+    """How many times ``intracluster_switch_area`` is really derived."""
+    from repro.core import costs
+
+    evaluations = []
+    derive = CostModel.intracluster_switch_area.__wrapped__
+
+    def intracluster_switch_area(self):
+        evaluations.append(self.config)
+        return derive(self)
+
+    monkeypatch.setattr(
+        CostModel, "intracluster_switch_area",
+        costs._term(intracluster_switch_area),
+    )
+    return evaluations
+
+
+class TestTermsComputedOnce:
+    def test_one_model_derives_the_switch_area_once(
+        self, switch_area_evaluations
+    ):
+        model = CostModel(ProcessorConfig(32, 5))
+        area, energy, delay = model.area(), model.energy(), model.delay()
+        model.area_per_alu()
+        model.energy_per_alu_op()
+        model.intercluster_latency_cycles()
+        assert switch_area_evaluations == [ProcessorConfig(32, 5)]
+        fresh = CostModel(ProcessorConfig(32, 5))
+        assert (fresh.area(), fresh.energy(), fresh.delay()) == (
+            area, energy, delay
+        )
+        assert len(switch_area_evaluations) == 2  # nothing shared across models
+
+    def test_a_cost_query_builds_one_model(self, switch_area_evaluations,
+                                           monkeypatch):
+        from repro.api import CostQuery, run_cost_query
+
+        built = []
+        init = CostModel.__init__
+
+        def counting_init(self, config):
+            built.append(config)
+            init(self, config)
+
+        monkeypatch.setattr(CostModel, "__init__", counting_init)
+        result = run_cost_query(CostQuery(128, 10))
+        assert built == [ProcessorConfig(128, 10)]
+        assert switch_area_evaluations == [ProcessorConfig(128, 10)]
+        assert result.feasibility["power_watts"] > 0
+
+    def test_subclass_overrides_still_apply(self):
+        from repro.core.crossbar import SparseSwitchModel
+
+        full = CostModel(ProcessorConfig(8, 16))
+        half = SparseSwitchModel(ProcessorConfig(8, 16), 0.5)
+        assert half.intracluster_switch_area() == pytest.approx(
+            0.5 * full.intracluster_switch_area()
+        )
+        assert half.cluster_area() < full.cluster_area()
+        assert half.intracluster_delay() < full.intracluster_delay()

@@ -213,3 +213,30 @@ if __name__ == "__main__":
         json.dumps(entry, ensure_ascii=True) for entry in register_outcomes()
     )
     GOLDEN.write_text(f"[\n{lines}\n]\n")
+
+
+class TestResolveOncePerSweep:
+    def test_cold_table5_resolves_the_reference_three_times(
+        self, registry, monkeypatch
+    ):
+        """The request check, the row label and the one compile pass
+        each resolve the reference once; the 20 cold points share the
+        pass's resolution."""
+        from repro.analysis.sweep import clear_sweep_cache
+        from repro.api import SweepRequest
+        from repro.frontend.registry import KernelRegistry
+
+        ref = execute(RegisterKernelRequest(document=base_document())).ref
+        clear_sweep_cache()
+        resolved = []
+        resolve = KernelRegistry.resolve
+
+        def counting_resolve(self, name):
+            resolved.append(name)
+            return resolve(self, name)
+
+        monkeypatch.setattr(KernelRegistry, "resolve", counting_resolve)
+        result = execute(SweepRequest(target="table5", kernel=ref))
+        assert len(result.rows) == 20
+        assert resolved and set(resolved) == {ref}
+        assert len(resolved) <= 3

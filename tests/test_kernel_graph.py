@@ -167,3 +167,54 @@ class TestGraphProperties:
         cp = g.critical_path()
         total = sum(n.opcode.base_latency for n in g.nodes)
         assert 0 < cp <= total
+
+
+@pytest.fixture()
+def walks(monkeypatch):
+    """Names of the graphs ``validate`` actually walked."""
+    walked = []
+    check = KernelGraph._check_invariants
+
+    def counting_check(self):
+        walked.append(self.name)
+        check(self)
+
+    monkeypatch.setattr(KernelGraph, "_check_invariants", counting_check)
+    return walked
+
+
+class TestValidationIsRemembered:
+    def test_a_valid_graph_is_walked_once(self, walks):
+        g = saxpy()
+        for _ in range(4):
+            g.validate()
+        assert walks == ["saxpy"]
+
+    def test_adding_a_node_or_recurrence_walks_again(self, walks):
+        g = saxpy()
+        g.validate()
+        v = g.op(Opcode.FADD, g.read("z"), g.const(1.0))
+        g.validate()
+        g.validate()
+        assert len(walks) == 2
+        g.recurrence(v, v)
+        g.validate()
+        assert len(walks) == 3
+
+    def test_a_graph_made_invalid_after_validating_is_rejected(self):
+        g = saxpy()
+        x = g.read("x")
+        g.validate()
+        g.op(Opcode.FADD, x, Value(x.graph_id, 99))
+        with pytest.raises(ValueError, match="not an earlier node"):
+            g.validate()
+        with pytest.raises(ValueError, match="not an earlier node"):
+            g.validate()  # a failure is never remembered
+
+    def test_a_recurrence_to_a_missing_node_is_rejected(self):
+        g = saxpy()
+        x = g.read("x")
+        g.validate()
+        g.recurrence(x, Value(x.graph_id, 99))
+        with pytest.raises(ValueError, match="missing node"):
+            g.validate()

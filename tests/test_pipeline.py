@@ -171,3 +171,54 @@ class TestUnrollBackoff:
         g.write(total)
         schedule = compile_kernel(g, ProcessorConfig(8, 14), verify=True)
         assert schedule.max_live <= schedule.register_capacity
+
+
+class TestValidateOncePerGraph:
+    """``build_sched_graph`` still validates on every cold search, and
+    a graph that already passed is not walked again."""
+
+    @staticmethod
+    def graph(name):
+        from repro.isa.kernel import KernelGraph
+        from repro.isa.ops import Opcode
+
+        g = KernelGraph(name)
+        x, y = g.read("x"), g.read("y")
+        g.write(g.op(Opcode.FADD, g.op(Opcode.FMUL, g.const(2.0), x), y))
+        return g
+
+    def test_four_compiles_walk_the_graph_once(self, monkeypatch):
+        from repro.compiler.cache import ScheduleCache
+        from repro.isa.kernel import KernelGraph, Value
+        from repro.isa.ops import Opcode
+
+        walked = []
+        check = KernelGraph._check_invariants
+
+        def counting_check(self):
+            walked.append(self.name)
+            check(self)
+
+        monkeypatch.setattr(KernelGraph, "_check_invariants", counting_check)
+        searched = []
+        build = pipeline.build_sched_graph
+        monkeypatch.setattr(
+            pipeline, "build_sched_graph",
+            lambda kernel, *args: searched.append(kernel.name)
+            or build(kernel, *args),
+        )
+        no_disk = ScheduleCache(None)
+        kernel = self.graph("validate_once_probe")
+        for n in (2, 5, 10, 14):
+            compile_kernel(kernel, ProcessorConfig(8, n), cache=no_disk)
+        assert len(searched) >= 4  # four cold searches...
+        assert walked == ["validate_once_probe"]  # ...one walk
+
+        kernel.op(Opcode.FABS, kernel.read("z"))
+        compile_kernel(kernel, ProcessorConfig(16, 5), cache=no_disk)
+        assert len(walked) == 2
+
+        x = kernel.read("w")
+        kernel.op(Opcode.FADD, x, Value(x.graph_id, 999))
+        with pytest.raises(ValueError, match="not an earlier node"):
+            compile_kernel(kernel, ProcessorConfig(32, 5), cache=no_disk)
