@@ -10,14 +10,11 @@ conditional streams: a thresholding kernel whose output stream length is
 data dependent, compacted across clusters exactly as the paper's
 conditional-stream mechanism [7] does in hardware.
 
-Execution uses ``backend="auto"`` — the numpy lane-parallel engine with
-scalar fallback — and times the same run on both backends, so the
-example doubles as a demo of the vectorized interpreter's throughput.
+numpy is the independent reference here only; the interpreter itself
+needs no third-party package.
 
 Run:  python examples/functional_simulation.py
 """
-
-import time
 
 import numpy as np
 
@@ -58,19 +55,6 @@ def build_threshold() -> KernelGraph:
     return g
 
 
-def time_backends(kernel: KernelGraph, inputs: dict, clusters: int) -> None:
-    """Run the same inputs on both backends and report the win."""
-    timings = {}
-    for backend in ("scalar", "vector"):
-        interp = KernelInterpreter(kernel, clusters=clusters, backend=backend)
-        started = time.perf_counter()
-        interp.run(inputs)
-        timings[backend] = time.perf_counter() - started
-    print(f"  {kernel.name}: scalar {timings['scalar'] * 1e3:7.2f} ms, "
-          f"vector {timings['vector'] * 1e3:7.2f} ms "
-          f"({timings['scalar'] / timings['vector']:.0f}x faster)")
-
-
 def main() -> None:
     rng = np.random.default_rng(2003)
 
@@ -79,10 +63,8 @@ def main() -> None:
     windows = []
     for i in range(1, len(signal) - 1):
         windows.extend(signal[i - 1 : i + 2])
-    interp = KernelInterpreter(build_blur3(), clusters=CLUSTERS,
-                               backend="auto")
+    interp = KernelInterpreter(build_blur3(), clusters=CLUSTERS)
     out = interp.run({"window": windows})
-    assert interp.last_backend == "vector", interp.fallback_reason
 
     blurred = np.array(out["blurred"])
     expected = np.convolve(signal, np.ones(3) / 3.0, mode="valid")
@@ -102,28 +84,12 @@ def main() -> None:
 
     # --- conditional streams ------------------------------------------
     samples = rng.uniform(size=16 * CLUSTERS)
-    interp = KernelInterpreter(build_threshold(), clusters=CLUSTERS,
-                               backend="auto")
+    interp = KernelInterpreter(build_threshold(), clusters=CLUSTERS)
     kept = interp.run({"samples": samples})["kept"]
     expected_kept = [s for s in samples if s < 0.5]
     assert np.allclose(kept, expected_kept), "compaction mismatch!"
     print(f"conditional stream compacted {len(samples)} samples down to "
           f"{len(kept)} (threshold 0.5) — order preserved, no bubbles")
-
-    # --- scalar vs vector wall time ------------------------------------
-    # SIMD lockstep pays off in software too: at C=128 every opcode of
-    # the graph executes as one length-128 array operation instead of
-    # 128 Python evaluations.
-    wide = 128
-    long_signal = rng.normal(size=500 * wide + 2)
-    long_windows = np.lib.stride_tricks.sliding_window_view(
-        long_signal, 3
-    ).reshape(-1)
-    print(f"wall time on {wide} clusters, {len(long_signal) - 2} outputs:")
-    time_backends(build_blur3(), {"window": long_windows}, wide)
-    time_backends(
-        build_threshold(), {"samples": rng.uniform(size=500 * wide)}, wide
-    )
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ Packages:
 
 Importing :mod:`repro` is deliberately cheap: the symbols below resolve
 lazily (:pep:`562` module ``__getattr__``), so ``import repro`` pulls in
-neither numpy nor the simulator — thin clients of :mod:`repro.api` and
+neither the compiler nor the simulator — thin clients of :mod:`repro.api` and
 :mod:`repro.serve.client` pay only for what they touch.
 """
 

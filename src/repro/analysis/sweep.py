@@ -377,10 +377,9 @@ class SweepEngine:
         path rather than failing the sweep.
 
         Like :meth:`compile_kernels`, one pass reads every point from
-        the memo and the hits are counted in bulk: one per point, plus
-        one per point a pool filled, the totals of computing the misses
-        and reading every point back through
-        :meth:`simulate_application`.
+        the memo and counts in bulk: one miss per distinct cold point
+        and one hit per point, whether the misses ran serially or in a
+        pool.
 
         ``mode`` is deprecated and has no effect: it must name one of
         :data:`repro.api.SWEEP_MODES`, and both evaluate every point
@@ -415,8 +414,6 @@ class SweepEngine:
                         [key[:2] for key in missing],
                         node, clock_ghz, workers, started,
                     )
-                    # The extra hit per pooled point (see above).
-                    self._count("sim", hit=True, amount=done)
                 for key in missing:
                     # Serial fill for whatever the pool did not cover (all
                     # of it when workers is None or pool startup failed).

@@ -17,9 +17,9 @@ Design rules
   round-trips.  ``to_json()`` is canonical (sorted keys, compact
   separators) so identical queries serialize to identical bytes —
   the serving daemon's deduplication keys on it.
-* This module imports **nothing heavy at the top level**: numpy, the
-  simulator and the analysis grids load only when a ``run_*`` function
-  executes, so ``from repro.api import SimulateRequest`` is cheap
+* This module imports **nothing heavy at the top level**: the
+  compiler, the simulator and the analysis grids load only when a
+  ``run_*`` function executes, so ``from repro.api import SimulateRequest`` is cheap
   enough for thin clients.
 * Results are **deterministic**: no wall-clock times, hostnames or pids
   ever appear in a result payload (volatile context belongs in an
@@ -695,14 +695,21 @@ def run_cost_query(query: CostQuery) -> CostResult:
 
 
 def run_compile(request: CompileRequest) -> CompileResult:
-    """Compile the kernel (through the warm in-memory + disk caches)."""
+    """Compile the kernel (through the warm in-memory + disk caches).
+
+    A kernel the modulo scheduler cannot fit on the configuration is a
+    bad request, as in :func:`run_simulate` and :func:`run_sweep`.
+    """
     validate_request(request)
-    from .compiler.pipeline import compile_kernel
+    from .compiler.pipeline import CompilationError, compile_kernel
     from .core.config import ProcessorConfig
     from .kernels.suite import get_kernel
 
     config = ProcessorConfig(request.clusters, request.alus)
-    schedule = compile_kernel(get_kernel(request.kernel), config)
+    try:
+        schedule = compile_kernel(get_kernel(request.kernel), config)
+    except CompilationError as exc:
+        raise ApiError(str(exc)) from None
     return CompileResult(
         kernel=request.kernel,
         clusters=request.clusters,
@@ -727,10 +734,12 @@ def run_simulate(request: SimulateRequest) -> SimulateResult:
     :func:`repro.analysis.sweep.default_engine`, so a repeated query is
     a memo hit — the property the serving daemon's steady-state
     throughput rests on.  An application whose working set cannot fit
-    the configuration's SRF is a bad request.
+    the configuration's SRF, or whose kernel cannot be scheduled on it,
+    is a bad request.
     """
     validate_request(request)
     from .analysis.sweep import default_engine
+    from .compiler.pipeline import CompilationError
     from .core.config import ProcessorConfig
     from .sim.srf import CapacityError
 
@@ -743,6 +752,8 @@ def run_simulate(request: SimulateRequest) -> SimulateResult:
         raise ApiError(
             srf_overflow_message(request.application, config)
         ) from None
+    except CompilationError as exc:
+        raise ApiError(str(exc)) from None
     return SimulateResult.from_simulation(result, request.application)
 
 
@@ -768,9 +779,22 @@ def run_sweep(request: SweepRequest) -> SweepResult:
     ``request.kernel`` restricts the kernel studies to one kernel.  Row
     labels always carry the kernel graph's *own* name, so sweeping a
     registered copy of a built-in yields rows byte-identical to sweeping
-    the built-in directly — the frontend conformance contract.
+    the built-in directly — the frontend conformance contract.  A kernel
+    the modulo scheduler cannot fit on some point's configuration is a
+    bad request.
     """
     validate_request(request)
+    from .compiler.pipeline import CompilationError
+
+    try:
+        rows = _sweep_rows(request)
+    except CompilationError as exc:
+        raise ApiError(str(exc)) from None
+    return SweepResult(target=request.target, rows=tuple(rows))
+
+
+def _sweep_rows(request: SweepRequest) -> list:
+    """The rows of a validated sweep request."""
     kernels = (request.kernel,) if request.kernel else None
     label = request.kernel
     if request.kernel.startswith("kernel:"):
@@ -837,7 +861,7 @@ def run_sweep(request: SweepRequest) -> SweepResult:
                     "perf_per_area_drop": report.perf_per_area_drop,
                 }
             )
-    return SweepResult(target=request.target, rows=tuple(rows))
+    return rows
 
 
 def run_register(request: RegisterKernelRequest) -> KernelRef:

@@ -71,7 +71,12 @@ from .analysis import (
 )
 from .analysis.perf import TABLE5_C_VALUES, TABLE5_N_VALUES
 from .apps import APPLICATION_ORDER, get_application
-from .compiler import compile_kernel, configure_default_cache, default_cache
+from .compiler import (
+    CompilationError,
+    compile_kernel,
+    configure_default_cache,
+    default_cache,
+)
 from .core import ProcessorConfig
 from .obs import MetricsRegistry, PhaseProfiler, Tracer, build_manifest
 from .sim import CapacityError, simulate
@@ -110,24 +115,26 @@ def _add_logging_arguments(
     )
 
 
-def _apply_logging_arguments(args: argparse.Namespace) -> None:
+def _apply_logging_arguments(args: argparse.Namespace) -> bool:
     """Configure structured logging when asked; silent otherwise.
 
     Enabling logging also exports a run-level correlation id
     (``REPRO_REQUEST_ID``) unless one is already inherited, so sweep
     worker processes and tracer instants join the run's log lines.
+    Returns whether it exported one, which :func:`main` removes again
+    when the command returns.
     """
-    import os
-
     from .obs.log import REQUEST_ID_ENV, configure, new_request_id
 
     json_lines = getattr(args, "log_json", False)
     level = getattr(args, "log_level", None)
     if not json_lines and level is None:
-        return
+        return False
     configure(json_lines=json_lines, level=level or "INFO")
-    if not os.environ.get(REQUEST_ID_ENV):
-        os.environ[REQUEST_ID_ENV] = new_request_id()
+    if os.environ.get(REQUEST_ID_ENV):
+        return False
+    os.environ[REQUEST_ID_ENV] = new_request_id()
+    return True
 
 
 def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
@@ -303,6 +310,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             result, profiler = _run_instrumented(args, tracer)
         except CapacityError:
             return _srf_overflow(args.application, config)
+        except CompilationError as exc:
+            return _unschedulable(exc)
         if args.trace_out:
             with open(args.trace_out, "w") as handle:
                 handle.write(tracer.to_chrome_json(indent=2))
@@ -329,6 +338,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             result = simulate(get_application(args.application), config)
         except CapacityError:
             return _srf_overflow(args.application, config)
+        except CompilationError as exc:
+            return _unschedulable(exc)
     print(f"{args.application} on {config.describe()}:")
     print(f"  cycles:       {result.cycles}")
     print(f"  sustained:    {result.gops:.1f} GOPS "
@@ -359,6 +370,13 @@ def _srf_overflow(application: str, config) -> int:
     from .api import srf_overflow_message
 
     print(srf_overflow_message(application, config), file=sys.stderr)
+    return 2
+
+
+def _unschedulable(exc: Exception) -> int:
+    """Report a kernel the scheduler cannot fit (the API's bad request
+    text); exit status 2."""
+    print(exc, file=sys.stderr)
     return 2
 
 
@@ -1198,13 +1216,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_logging_arguments(args)
-    _apply_cache_arguments(args)
-    if getattr(args, "task_timeout", None) is not None:
-        from .analysis.sweep import default_engine
+    exported_request_id = _apply_logging_arguments(args)
+    try:
+        _apply_cache_arguments(args)
+        if getattr(args, "task_timeout", None) is not None:
+            from .analysis.sweep import default_engine
 
-        default_engine().task_timeout = args.task_timeout
-    return args.func(args)
+            default_engine().task_timeout = args.task_timeout
+        return args.func(args)
+    finally:
+        if exported_request_id:
+            from .obs.log import REQUEST_ID_ENV
+
+            os.environ.pop(REQUEST_ID_ENV, None)
 
 
 if __name__ == "__main__":

@@ -78,11 +78,13 @@ ERROR_CODES: Dict[str, str] = {
 class SandboxLimits:
     """Resource bounds enforced before a document reaches the compiler.
 
-    Untrusted documents arrive over the wire; these caps bound what the
-    modulo scheduler and the interpreter can be asked to chew on.  The
-    defaults are far above every paper kernel (the largest, ``fft``,
-    has well under 200 nodes) while keeping worst-case compile time
-    small.
+    Untrusted documents arrive over the wire; these caps bound the size
+    of what the modulo scheduler and the interpreter can be asked to
+    chew on.  The defaults are far above every paper kernel (the
+    largest, ``fft``, has 331 nodes).  They do not bound compile time:
+    a legal document of about 1,000 densely connected ALU nodes can
+    take seconds to tens of seconds to fail scheduling, and one of
+    2,048 nodes can outlast the daemon's default request timeout.
     """
 
     max_nodes: int = 4096

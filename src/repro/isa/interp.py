@@ -37,10 +37,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .kernel import KernelGraph, Node
-from .ops import FUClass, Opcode
-
-#: Accepted ``backend=`` arguments of :class:`KernelInterpreter`.
-BACKENDS = ("auto", "vector", "scalar")
+from .ops import Opcode
 
 
 class InterpreterError(RuntimeError):
@@ -78,14 +75,6 @@ class KernelInterpreter:
         Optional override for ``CONST`` node values, keyed by node name
         (the graph builder stores ``const(v, name)``); unnamed constants
         evaluate to their recorded value.
-    backend:
-        ``"scalar"`` runs the per-cluster Python loop; ``"vector"``
-        requires the numpy lane-parallel engine
-        (:mod:`repro.isa.vector`) and raises :class:`InterpreterError`
-        for kernels it cannot express; ``"auto"`` (the default) runs
-        vectorized and falls back to the scalar path per run — the two
-        backends produce identical results, so the choice is purely a
-        throughput matter.
     """
 
     def __init__(
@@ -93,25 +82,13 @@ class KernelInterpreter:
         kernel: KernelGraph,
         clusters: int = 4,
         constants: Optional[Dict[str, float]] = None,
-        backend: str = "auto",
     ):
         if clusters < 1:
             raise InterpreterError("need at least one cluster")
-        if backend not in BACKENDS:
-            raise InterpreterError(
-                f"unknown backend {backend!r}; choose from {BACKENDS}"
-            )
         kernel.validate()
         self.kernel = kernel
         self.clusters = clusters
         self.constants = dict(constants or {})
-        self.backend = backend
-        #: Backend the most recent :meth:`run` actually executed on
-        #: (``"auto"`` resolves to ``"vector"`` or ``"scalar"``).
-        self.last_backend: Optional[str] = None
-        #: Why the most recent ``auto`` run fell back to the scalar
-        #: path (``None`` when it ran vectorized).
-        self.fallback_reason: Optional[str] = None
         self.states = [ClusterState(k) for k in range(clusters)]
         #: Loop-carried values: (node index, cluster) -> value.
         self._carried: Dict[tuple, float] = {}
@@ -136,46 +113,26 @@ class KernelInterpreter:
     ) -> Dict[str, List[float]]:
         """Run the kernel loop until its inputs are exhausted.
 
-        ``inputs`` maps stream names to flat word sequences — lists,
-        tuples, or numpy arrays; arrays are consumed in place (no
-        copy).  Records are interleaved per cluster: with ``R`` reads
-        of a stream per iteration, cluster ``k`` of iteration ``i``
-        reads words ``(i*C + k)*R .. +R`` — the strip-mined SIMD access
-        of paper section 2.2.  Outputs come back as flat sequences too,
+        ``inputs`` maps stream names to flat word sequences (any
+        indexable sequence of numbers; none is copied).  Records are
+        interleaved per cluster: with ``R`` reads of a stream per
+        iteration, cluster ``k`` of iteration ``i`` reads words
+        ``(i*C + k)*R .. +R`` — the strip-mined SIMD access of paper
+        section 2.2.  Outputs come back as flat sequences too,
         with conditional writes compacted in cluster order.
         """
         # The interpreter only ever indexes into the input sequences,
-        # so they are shared, not copied — feeding numpy arrays stays
-        # allocation-free on this hot path.
+        # so they are shared, not copied.
         streams = dict(inputs)
 
         reads = self._reads_per_iteration()
         if iterations is None:
             iterations = self._iterations_available(streams, reads)
 
-        if self.backend != "scalar":
-            from .vector import VectorUnsupported, run_vectorized
-
-            try:
-                outputs = run_vectorized(self, streams, iterations, reads)
-                self.last_backend = "vector"
-                self.fallback_reason = None
-                return outputs
-            except VectorUnsupported as exc:
-                # State was not written back; the scalar retry below
-                # sees exactly the pre-run architectural state.
-                if self.backend == "vector":
-                    raise InterpreterError(
-                        f"kernel {self.kernel.name!r} cannot run on the "
-                        f"vector backend: {exc}"
-                    ) from exc
-                self.fallback_reason = str(exc)
-
         cursors = {name: 0 for name in streams}
         outputs = {}
         for iteration in range(iterations):
             self._run_iteration(streams, cursors, outputs, reads, iteration)
-        self.last_backend = "scalar"
         return outputs
 
     def _reads_per_iteration(self) -> Dict[str, int]:

@@ -130,3 +130,71 @@ class TestKernelRoutes:
                 assert response.status == 200
                 assert _canonical(response.data) == direct
 
+
+
+def wide_fold_document():
+    """96 reads of one stream folded by a chain of ``fdiv``s into one
+    write.  It registers, but no initiation interval the scheduler tries
+    keeps MaxLive within the register file: at C=8/N=5 it fails in under
+    0.1 s (256 reads folded by ``fadd``s fail the same way, only several
+    times slower)."""
+    nodes = [{"op": "sb_read", "stream": "x"} for _ in range(96)]
+    total = 0
+    for read in range(1, 96):
+        nodes.append({"op": "fdiv", "args": [total, read]})
+        total = len(nodes) - 1
+    nodes.append({"op": "sb_write", "args": [total], "stream": "out"})
+    return {"schema_version": 1, "name": "wide_fold", "nodes": nodes}
+
+
+class TestUnschedulableKernel:
+    """A registered kernel the scheduler cannot fit is a bad request on
+    every surface, not an internal error."""
+
+    def test_execute_raises_api_error(self, registry):
+        from repro.api import (
+            ApiError,
+            CompileRequest,
+            SimulateRequest,
+            SweepRequest,
+        )
+
+        ref = registry.register(wide_fold_document()).ref
+        for request in (
+            CompileRequest(ref, 8, 5),
+            SimulateRequest(ref, 8, 5),
+            SweepRequest("fig13", kernel=ref),
+        ):
+            with pytest.raises(ApiError, match="MaxLive .* exceeds"):
+                execute(request)
+
+    def test_daemon_answers_bad_request(self, registry):
+        ref = registry.register(wide_fold_document()).ref
+        with running_server() as server:
+            with ServeClient("127.0.0.1", server.port) as client:
+                for response in (
+                    client.compile(ref, 8, 5),
+                    client.simulate(ref, 8, 5),
+                    client.sweep("fig13", kernel=ref),
+                ):
+                    assert response.status == 400, response.payload
+                    assert response.error["code"] == "bad_request"
+                    assert "cannot schedule kernel 'wide_fold'" in (
+                        response.error["message"]
+                    )
+
+    @pytest.mark.parametrize("command", (
+        ["compile"], ["simulate"], ["simulate", "--json"],
+    ))
+    def test_cli_exits_2_with_one_line(
+        self, registry, tmp_path, capsys, command
+    ):
+        from repro.cli import main
+
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(wide_fold_document()))
+        assert main(command + ["--kernel-file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cannot schedule kernel 'wide_fold'")
+        assert captured.err.count("\n") == 1

@@ -9,6 +9,7 @@ Each test runs a fresh interpreter so this process's warm
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -92,7 +93,6 @@ def test_cli_import_loads_no_numpy():
 
 
 def test_api_compile_simulate_register_load_no_numpy():
-    """Only the functional interpreter's vector backend needs numpy."""
     assert _run_probe(
         "import json, sys\n"
         "from repro.api import (CompileRequest, RegisterKernelRequest,\n"
@@ -127,24 +127,29 @@ def test_warm_grid_pass_loads_no_numpy():
     ) is False
 
 
-def test_vector_backend_still_loads_numpy_on_use():
+def test_interpreter_runs_a_suite_kernel_without_numpy():
     assert _run_probe(
         "import json, sys\n"
-        "import repro.isa\n"
         "from repro.isa import KernelInterpreter\n"
         "from repro.kernels import get_kernel\n"
-        "before = 'numpy' in sys.modules\n"
-        "assert issubclass(repro.isa.VectorUnsupported, Exception)\n"
-        "assert 'unsupported_reason' in dir(repro.isa)\n"
-        "from repro.isa import unsupported_reason\n"
         "kernel = get_kernel('fft')\n"
-        "interp = KernelInterpreter(kernel, clusters=4, backend='vector')\n"
-        "inputs = {s: [0.25 * i for i in range(16)]\n"
+        "interp = KernelInterpreter(kernel, clusters=4)\n"
+        "inputs = {s: [0.25 * i for i in range(128)]\n"
         "          for s in kernel.input_streams()}\n"
-        "interp.run(inputs)\n"
-        "print(json.dumps([before, interp.last_backend,\n"
-        "                  'numpy' in sys.modules]))"
-    ) == [False, "vector", True]
+        "assert interp.run(inputs)\n" + _NUMPY_LOADED
+    ) is False
+
+
+def test_no_source_file_imports_numpy():
+    """The package has no runtime dependencies: numpy is a test-only
+    reference."""
+    offenders = [
+        str(path.relative_to(SRC))
+        for path in sorted(Path(SRC).rglob("*.py"))
+        if re.search(r"^\s*(import|from)\s+numpy\b",
+                     path.read_text(encoding="utf-8"), re.MULTILINE)
+    ]
+    assert offenders == []
 
 
 def test_lazy_exports_all_resolve():

@@ -194,3 +194,14 @@ class TestBitIdentity:
     def test_cli_without_flags_leaves_env_unset(self, capsys):
         assert main(["costs", "-c", "8", "-n", "5"]) == 0
         assert REQUEST_ID_ENV not in os.environ
+
+    def test_cli_removes_the_id_it_exported(self, capsys):
+        assert main(["--log-level", "WARNING",
+                     "costs", "-c", "8", "-n", "5"]) == 0
+        assert REQUEST_ID_ENV not in os.environ
+
+    def test_cli_keeps_an_inherited_id(self, capsys, monkeypatch):
+        monkeypatch.setenv(REQUEST_ID_ENV, "inherited")
+        assert main(["--log-level", "WARNING",
+                     "costs", "-c", "8", "-n", "5"]) == 0
+        assert os.environ[REQUEST_ID_ENV] == "inherited"

@@ -393,19 +393,19 @@ class TestOnePass:
         assert after["sim_misses"] == before["sim_misses"]
 
     def test_pool_fan_out_keeps_its_events_and_counts(self):
-        engine, _, subscription = self.engines(
+        engine, serial, subscription = self.engines(
             self.SIM_WARM, "simulate_application"
         )
         before = engine.stats()
         results = engine.simulate_many(self.SIM_POINTS, workers=2)
-        assert results == SweepEngine().simulate_many(self.SIM_POINTS)
+        assert results == serial.simulate_many(self.SIM_POINTS)
         after = engine.stats()
         cold = len(self.SIM_COLD)
         assert after["sim_misses"] - before["sim_misses"] == cold
-        # Each pooled point is read back once before the final pass.
-        assert after["sim_hits"] - before["sim_hits"] == (
-            len(self.SIM_POINTS) + cold
-        )
+        # As on the serial path: one hit per point, none extra for the
+        # points the pool computed.
+        assert after["sim_hits"] - before["sim_hits"] == len(self.SIM_POINTS)
+        assert after == serial.stats()
         events = _stable_events(subscription)
         pooled = [e for e in events if e["event"] == "point"]
         assert [(e["application"], e["clusters"], e.get("pooled"))
