@@ -182,15 +182,13 @@ def figure15_application_performance(
     n_values: Sequence[int] = FIG15_N_VALUES,
     applications: Sequence[str] = APPLICATION_ORDER,
     engine: Optional[SweepEngine] = None,
-    workers: Optional[int] = None,
 ) -> List[ApplicationPoint]:
     """Figure 15: application speedups over C=8/N=5 and sustained GOPS.
 
     All ``len(applications) * len(n_values) * len(c_values)`` points
     (plus each application's baseline, built once, not once per grid
-    row) resolve through the sweep cache; pass ``workers`` to fan cold
-    points out over a process pool.  Point values and ordering are
-    identical to a serial, uncached run.
+    row) resolve through the sweep cache.  Point values and ordering
+    are identical to an uncached run.
     """
     engine = engine if engine is not None else default_engine()
     baseline_config = ProcessorConfig(*BASELINE)
@@ -201,7 +199,7 @@ def figure15_application_performance(
         for c in c_values
     ]
     wanted = [(name, baseline_config) for name in applications] + grid
-    engine.simulate_many(wanted, workers=workers)
+    engine.simulate_many(wanted)
 
     points: List[ApplicationPoint] = []
     for name in applications:

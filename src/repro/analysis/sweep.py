@@ -1,4 +1,4 @@
-"""Memoized, optionally parallel sweep engine for design-space studies.
+"""Memoized sweep engine for design-space studies.
 
 Every performance regeneration walks the same ``(application, config)``
 and ``(kernel, config)`` grids: Figures 13/14 compile the six suite
@@ -7,9 +7,10 @@ simulates the six applications over a ``C x N`` grid, the harmonic-mean
 speedups re-simulate the C=8/N=5 baseline, and ``validate`` runs all of
 the above.  The engine gives those studies one shared, keyed memo cache
 (simulation results and kernel rates), so each distinct point is paid
-for exactly once per process, plus an optional ``concurrent.futures``
-process-pool fan-out for cold grids — with result ordering that is
-byte-identical to a serial run either way.
+for exactly once per process.  Every cold point runs in the calling
+process: a whole cold ``repro report --apps`` takes under a second on
+one core, so a process pool would have almost nothing to split and
+would still pay to start and feed its workers.
 
 Instrumentation rides on the PR-1 observability layer: the engine's
 :class:`~repro.obs.profile.PhaseProfiler` accumulates per-point wall
@@ -17,14 +18,6 @@ time and a :class:`~repro.obs.metrics.MetricsRegistry` (optional)
 counts cache hits/misses and observes per-point latency histograms —
 the raw material for the "profile a slow sweep" recipe in
 ``docs/performance.md``.
-
-Resilience (PR 4) rides on :mod:`repro.resilience`: the fan-out goes
-through a :class:`~repro.resilience.executor.ResilientExecutor` (per-
-task timeouts, bounded retries, serial fallback — all counted as
-``resilience.*`` metrics), named fault points let the chaos suite
-inject worker crashes/hangs/transient errors deterministically.  None
-of it changes results: a sweep that succeeds is bit-identical to a
-fault-free serial run.
 
 Every application point is evaluated by
 :func:`repro.analysis.model.predict_application`: the simulator's
@@ -49,12 +42,9 @@ from ..compiler.pipeline import compile_batch, compile_kernel
 from ..core.config import ProcessorConfig
 from ..core.params import TECH_45NM, TechnologyNode
 from ..kernels.suite import get_kernel
-from ..obs.log import get_logger, log_event
 from ..obs.metrics import MetricsRegistry
 from ..obs.profile import PhaseProfiler
 from ..obs.progress import ProgressBus, default_bus
-from ..resilience.executor import ResilientExecutor
-from ..resilience.faults import fault_point
 from ..sim.metrics import SimulationResult
 from .model import predict_application
 
@@ -72,16 +62,8 @@ _SimKey = Tuple[str, ProcessorConfig, TechnologyNode, float]
 _RateKey = Tuple[str, ProcessorConfig]
 
 
-def _simulate_point(args: _SimKey) -> SimulationResult:
-    """Process-pool worker: one cold point (module level so it pickles;
-    each worker process warms its own compile cache)."""
-    fault_point("sweep.point")
-    return predict_application(*args)
-
-
 class SweepEngine:
-    """Shared memo cache + fan-out for application points and
-    ``compile_kernel``.
+    """Shared memo cache for application points and ``compile_kernel``.
 
     Parameters
     ----------
@@ -91,16 +73,7 @@ class SweepEngine:
     metrics:
         Optional registry; when present the engine counts
         ``sweep.sim.{hits,misses}`` / ``sweep.rate.{hits,misses}`` and
-        observes a ``sweep.point_seconds`` histogram per cold point,
-        and the resilience machinery mirrors its ``resilience.*``
-        recovery counters here too.
-    task_timeout:
-        Per-task seconds before a pooled point is declared hung and
-        retried (``None`` disables; see
-        :class:`~repro.resilience.executor.ResilientExecutor`).
-    max_retries / max_pool_failures:
-        Retry budget per task and broken-pool budget before the fan-out
-        abandons pooling and finishes serially.
+        observes a ``sweep.point_seconds`` histogram per cold point.
     progress:
         The :class:`~repro.obs.progress.ProgressBus` per-point
         completion events go to (the shared :func:`default_bus` unless
@@ -112,19 +85,11 @@ class SweepEngine:
         self,
         profiler: Optional[PhaseProfiler] = None,
         metrics: Optional[MetricsRegistry] = None,
-        task_timeout: Optional[float] = None,
-        max_retries: int = 2,
-        max_pool_failures: int = 2,
         progress: Optional[ProgressBus] = None,
     ):
         self.profiler = profiler if profiler is not None else PhaseProfiler()
         self.metrics = metrics
-        self.task_timeout = task_timeout
-        self.max_retries = max_retries
-        self.max_pool_failures = max_pool_failures
         self._progress = progress
-        self._log = get_logger("sweep")
-        self.last_executor_stats: Optional[Dict[str, int]] = None
         #: Reentrant guard: the serving daemon (and any threaded
         #: embedder) may drive one shared engine from several threads;
         #: holding the lock across a cold point also means concurrent
@@ -291,20 +256,18 @@ class SweepEngine:
             )
             return rate
 
-    # --- grid fan-out ---------------------------------------------------
+    # --- grids ----------------------------------------------------------
 
     def compile_kernels(
         self,
         points: Sequence[Tuple[str, ProcessorConfig]],
-        workers: Optional[int] = None,
     ) -> List[float]:
         """Compile a (kernel, config) grid; whole-chip rates in order.
 
         The cold points go through :func:`repro.compiler.compile_batch`
-        in one call — deduplicated up front, optionally fanned out over
-        a process pool, and persisted to the on-disk schedule cache —
-        so regenerating Figure 13/14 or Table 5 compiles each unique
-        schedule at most once, ever.  Values are identical to repeated
+        in one call — deduplicated up front and persisted to the
+        on-disk schedule cache — so regenerating Figure 13/14 or Table 5
+        compiles each unique schedule at most once, ever.  Values are identical to repeated
         :meth:`kernel_rate` calls.
 
         One pass reads every point from the memo; each kernel name
@@ -334,12 +297,7 @@ class SweepEngine:
                 }
                 with self.profiler.phase("sweep.compile_batch"):
                     schedules = compile_batch(
-                        [(graphs[name], config) for name, config in missing],
-                        workers=workers,
-                        metrics=self.metrics,
-                        timeout=self.task_timeout,
-                        max_retries=self.max_retries,
-                        max_pool_failures=self.max_pool_failures,
+                        [(graphs[name], config) for name, config in missing]
                     )
                 for key, schedule in zip(missing, schedules):
                     cache[key] = schedule.ops_per_cycle()
@@ -363,23 +321,17 @@ class SweepEngine:
         points: Sequence[SweepPoint],
         node: TechnologyNode = TECH_45NM,
         clock_ghz: float = 1.0,
-        workers: Optional[int] = None,
         mode: str = "simulated",
     ) -> List[SimulationResult]:
         """Evaluate a grid of points; results in input order.
 
-        Cached points are served from the memo cache; the cold ones run
-        serially, or across a process pool when ``workers`` asks for
-        more than one.  Ordering and values are identical either way
-        (the recurrence is deterministic), and every result lands in
-        the cache for later single-point lookups.  If the platform
-        cannot spawn worker processes the engine degrades to the serial
-        path rather than failing the sweep.
+        Cached points are served from the memo cache; the cold ones are
+        evaluated in order, and every result lands in the cache for
+        later single-point lookups.
 
         Like :meth:`compile_kernels`, one pass reads every point from
         the memo and counts in bulk: one miss per distinct cold point
-        and one hit per point, whether the misses ran serially or in a
-        pool.
+        and one hit per point.
 
         ``mode`` is deprecated and has no effect: it must name one of
         :data:`repro.api.SWEEP_MODES`, and both evaluate every point
@@ -408,19 +360,9 @@ class SweepEngine:
             )
             started = time.perf_counter()
             if missing:
-                done = 0
-                if workers is not None and workers > 1:
-                    done = self._fan_out(
-                        [key[:2] for key in missing],
-                        node, clock_ghz, workers, started,
-                    )
-                for key in missing:
-                    # Serial fill for whatever the pool did not cover (all
-                    # of it when workers is None or pool startup failed).
-                    if key not in cache:
-                        self._simulate_cold(key)
-                        done += 1
-                        self._progress_event(done, len(missing), started)
+                for done, key in enumerate(missing, 1):
+                    self._simulate_cold(key)
+                    self._progress_event(done, len(missing), started)
                 results = [cache[key] for key in keys]
             self._publish(
                 "sweep_end",
@@ -432,81 +374,6 @@ class SweepEngine:
             )
             self._count("sim", hit=True, amount=len(keys))
             return results
-
-    def _fan_out(
-        self,
-        missing: Sequence[SweepPoint],
-        node: TechnologyNode,
-        clock_ghz: float,
-        workers: int,
-        sweep_started: Optional[float] = None,
-    ) -> int:
-        """Fill the cache for ``missing`` through the resilient pool;
-        returns how many points it completed (for progress counting).
-
-        The :class:`~repro.resilience.executor.ResilientExecutor`
-        absorbs hung/crashed workers and transient task failures with
-        retries, quarantine and serial escalation; if even that fails
-        the serial pass in :meth:`simulate_many` still computes every
-        point, so a failed fan-out only costs time, never results.
-
-        Progress events for pooled points are published here, in the
-        daemon/CLI process, as results are collected — worker processes
-        have their own (unsubscribed) bus, so parent-side publishing is
-        what keeps ``/v1/progress`` live across the fan-out.
-        """
-        fault_point("sweep.fan_out")
-        jobs = [
-            (application, config, node, clock_ghz)
-            for application, config in missing
-        ]
-        executor = ResilientExecutor(
-            min(workers, len(jobs)),
-            timeout=self.task_timeout,
-            max_retries=self.max_retries,
-            max_pool_failures=self.max_pool_failures,
-            metrics=self.metrics,
-        )
-        started = time.perf_counter()
-        if sweep_started is None:
-            sweep_started = started
-        try:
-            with self.profiler.phase("sweep.fan_out"):
-                results = executor.map(_simulate_point, jobs)
-        except (KeyboardInterrupt, SystemExit):
-            # Never absorb an interrupt into the "degraded" path: the
-            # user asked the sweep to stop, not to go serial.
-            raise
-        except Exception:
-            # Sandboxes without fork/spawn, unpicklable platforms...
-            if self.metrics is not None:
-                self.metrics.counter("sweep.fan_out.failures").inc()
-            log_event(
-                self._log, "sweep.fan_out_failed",
-                points=len(jobs), workers=workers,
-            )
-            return 0
-        finally:
-            self.last_executor_stats = executor.stats()
-        done = 0
-        for (application, config), result in zip(missing, results):
-            key = (application, config, node, clock_ghz)
-            self._sim_cache[key] = result
-            self._count("sim", hit=False)
-            self._observe_point(
-                (time.perf_counter() - started) / len(jobs)
-            )
-            done += 1
-            self._publish(
-                "point",
-                kind="sim",
-                application=application,
-                clusters=config.clusters,
-                alus=config.alus_per_cluster,
-                pooled=True,
-            )
-            self._progress_event(done, len(missing), sweep_started)
-        return done
 
 
 _DEFAULT_ENGINE = SweepEngine()

@@ -79,8 +79,9 @@ __all__ = [
 #: validated, with no effect).  v6 removed ``SimulateRequest.mode``,
 #: ``SimulateRequest.max_events``, ``JobStatus.mode`` and the singular
 #: ``/v1/sweep`` route; ``SweepRequest.mode`` stays, validated, until
-#: the benchmark stops sending it.
-API_VERSION = 6
+#: the benchmark stops sending it.  v7 removed ``SweepRequest.workers``
+#: (every sweep point runs in the serving process).
+API_VERSION = 7
 
 #: Sweep targets :func:`run_sweep` understands.
 SWEEP_TARGETS = ("fig13", "fig14", "table5", "fig15", "headline")
@@ -247,14 +248,12 @@ class SweepRequest(_Payload):
 
     ``target`` is one of :data:`SWEEP_TARGETS`; ``apps`` additionally
     runs the application simulations where the target supports them
-    (``headline``); ``workers`` fans cold grid points out over a process
-    pool; ``mode`` is deprecated and has no effect (one of
+    (``headline``); ``mode`` is deprecated and has no effect (one of
     :data:`SWEEP_MODES`; it goes once the benchmark stops sending it).
     """
 
     target: str = ""
     apps: bool = False
-    workers: Optional[int] = None
     mode: str = "simulated"
     #: Restrict a kernel study (fig13/fig14/table5) to one kernel — a
     #: suite name or a registered ``kernel:<hash>`` reference.  Empty
@@ -270,13 +269,6 @@ class SweepRequest(_Payload):
         _require(
             isinstance(self.apps, bool),
             "SweepRequest: apps must be a boolean",
-        )
-        _require(
-            self.workers is None
-            or (isinstance(self.workers, int)
-                and not isinstance(self.workers, bool)
-                and self.workers >= 1),
-            "SweepRequest: workers must be None or an integer >= 1",
         )
         _require(
             self.mode in SWEEP_MODES,
@@ -829,9 +821,7 @@ def _sweep_rows(request: SweepRequest) -> list:
     elif request.target == "fig15":
         from .analysis.perf import figure15_application_performance
 
-        for point in figure15_application_performance(
-            workers=request.workers
-        ):
+        for point in figure15_application_performance():
             rows.append(
                 {
                     "application": point.application,

@@ -19,7 +19,7 @@ persistent schedule cache) and ``--no-compile-cache`` (disable it).
 ``loadgen``) turn on structured logging to stderr; unlogged runs emit
 nothing and stay bit-identical to previous releases.  When logging is
 on, the run gets a correlation id exported as ``REPRO_REQUEST_ID`` so
-worker processes, tracer instants, and log lines all join on it.
+its tracer instants and log lines all join on it.
 
 ``costs``, ``compile``, ``simulate``, ``report`` and ``headline`` take
 ``--json``: machine-readable output as one versioned envelope
@@ -41,7 +41,7 @@ Examples
     python -m repro figures --only fig9 fig13
     python -m repro report --no-compile-cache
     python -m repro headline
-    python -m repro serve --port 8712 --workers 1
+    python -m repro serve --port 8712
 """
 
 from __future__ import annotations
@@ -119,8 +119,8 @@ def _apply_logging_arguments(args: argparse.Namespace) -> bool:
     """Configure structured logging when asked; silent otherwise.
 
     Enabling logging also exports a run-level correlation id
-    (``REPRO_REQUEST_ID``) unless one is already inherited, so sweep
-    worker processes and tracer instants join the run's log lines.
+    (``REPRO_REQUEST_ID``) unless one is already inherited, so every
+    log line and tracer instant of the run carries it.
     Returns whether it exported one, which :func:`main` removes again
     when the command returns.
     """
@@ -498,9 +498,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         if args.apps:
             targets.append("fig15")
         studies = {
-            target: run_sweep(
-                SweepRequest(target, workers=args.workers)
-            ).to_dict()
+            target: run_sweep(SweepRequest(target)).to_dict()
             for target in targets
         }
         elapsed = time.perf_counter() - started
@@ -516,9 +514,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         from .analysis.perf import figure15_application_performance
 
         print("Figure 15: application performance (speedup over C=8/N=5)")
-        for point in figure15_application_performance(
-            workers=args.workers
-        ):
+        for point in figure15_application_performance():
             config = point.config
             print(f"  {point.application:10s} C={config.clusters:3d} "
                   f"N={config.alus_per_cluster:2d}  "
@@ -605,7 +601,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ServerConfig(
             host=args.host,
             port=args.port,
-            workers=args.workers,
             max_queue=args.max_queue,
             batch_window_ms=args.batch_window_ms,
             max_batch=args.max_batch,
@@ -708,7 +703,6 @@ def cmd_job_submit(args: argparse.Namespace) -> int:
         response = client.submit_job(
             args.target,
             apps=args.apps,
-            workers=args.workers,
             kernel=args.kernel or "",
         )
         if response.status != 202:
@@ -1035,11 +1029,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rep.add_argument("--apps", action="store_true",
                      help="include the Figure 15 application sweep (slower)")
-    rep.add_argument("--workers", type=int, default=None,
-                     help="process-pool size for cold sweep points")
-    rep.add_argument("--task-timeout", type=float, default=None,
-                     help="seconds before a pooled sweep point is "
-                          "declared hung and retried")
     rep.add_argument("--json", action="store_true",
                      help="emit every study as one versioned JSON envelope")
     _add_cache_arguments(rep)
@@ -1060,9 +1049,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind address (default: 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8712,
                        help="bind port; 0 picks an ephemeral port")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="batch executor width; 1 (default) runs "
-                            "in-process and shares the warm caches")
     serve.add_argument("--max-queue", type=int, default=64,
                        help="pending-request bound before 429 responses")
     serve.add_argument("--batch-window-ms", type=float, default=5.0,
@@ -1150,8 +1136,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "table5, headline)")
     jsubmit.add_argument("--apps", action="store_true",
                          help="include application simulations")
-    jsubmit.add_argument("--workers", type=int, default=None,
-                         help="sweep executor width on the daemon")
     jsubmit.add_argument("--kernel", default="",
                          help="restrict a kernel study to one suite "
                               "name or kernel:<hash> reference")
@@ -1219,10 +1203,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     exported_request_id = _apply_logging_arguments(args)
     try:
         _apply_cache_arguments(args)
-        if getattr(args, "task_timeout", None) is not None:
-            from .analysis.sweep import default_engine
-
-            default_engine().task_timeout = args.task_timeout
         return args.func(args)
     finally:
         if exported_request_id:

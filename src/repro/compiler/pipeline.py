@@ -26,8 +26,12 @@ latency.  Compilation results are therefore cached at three levels:
   and the content memo missed.
 
 :func:`compile_batch` compiles whole (kernel, config) grids at once:
-each distinct schedule is searched once, and cold schedules can fan out
-over a process pool.
+each distinct schedule is searched once.
+
+A kernel the scheduler cannot fit raises :class:`CompilationError`,
+and the content memo's companion table remembers that answer for the
+rest of the process (never on disk), so a retry fails at once instead
+of repeating the whole II scan.
 """
 
 from __future__ import annotations
@@ -151,6 +155,10 @@ def compile_kernel(
     process-wide :func:`repro.compiler.cache.default_cache`); a disk hit
     skips the II search entirely and reconstructs the exact schedule the
     cold compile produced.
+
+    A :class:`CompilationError` is remembered per content key (see
+    :data:`_FAILURES`): compiling the same kernel for the same machine
+    view again raises the same message without searching.
     """
     key = _memo_key(kernel, config, alu_mix, unroll_factor)
     cached = _CACHE.get(key)
@@ -162,8 +170,17 @@ def compile_kernel(
     )
     shared = _SCHEDULES.get(content)
     if shared is None:
+        failure = _FAILURES.get(content)
+        if failure is not None:
+            raise CompilationError(failure)
         disk = cache if cache is not None else default_cache()
-        shared = _load_or_search(kernel, machine, unroll_factor, verify, disk)
+        try:
+            shared = _load_or_search(
+                kernel, machine, unroll_factor, verify, disk
+            )
+        except CompilationError as error:
+            _FAILURES[content] = str(error)
+            raise
         _SCHEDULES[content] = shared
     # The schedule is shared by every config with the same view; its
     # rates and efficiency read the config it is stamped with.
@@ -267,106 +284,25 @@ def _search(
 
 def compile_batch(
     jobs: Sequence[CompileJob],
-    workers: Optional[int] = None,
     verify: bool = True,
     alu_mix: Optional[Dict[str, float]] = None,
     cache: Optional[ScheduleCache] = None,
-    metrics=None,
-    timeout: Optional[float] = None,
-    max_retries: int = 2,
-    max_pool_failures: int = 2,
 ) -> List[KernelSchedule]:
     """Compile a grid of (kernel, config) jobs; results in input order.
 
     Each distinct schedule is compiled at most once: repeated jobs and
     jobs whose kernels see the same machine are memo hits, so a full
     Figure-13/14/15 + Table 5 regeneration searches each schedule
-    exactly once.  Pass ``workers`` to fan the cold schedules out over a
-    resilient process pool, one task per distinct schedule (each worker
-    shares the persistent cache directory, so its work is reused by
-    every later process too).  Hung or crashed workers and transient
-    task failures are retried and quarantined by the
-    :class:`~repro.resilience.executor.ResilientExecutor` (``timeout`` /
-    ``max_retries`` / ``max_pool_failures``; recovery actions land in
-    ``metrics`` as ``resilience.*`` counters), and anything the pool
-    still fails to produce is compiled serially below.  The returned
-    schedules are byte-identical to serial ``compile_kernel`` calls, and
-    every result lands in the in-memory memos.
+    exactly once.  The returned schedules are the ones serial
+    :func:`compile_kernel` calls return, and every result lands in the
+    in-memory memos.
     """
-    if workers is not None and workers > 1:
-        cold: Dict[Tuple, CompileJob] = {}
-        for kernel, config in jobs:
-            if _memo_key(kernel, config, alu_mix, None) in _CACHE:
-                continue
-            content = _resolve(kernel, config, alu_mix, None)[2]
-            if content not in _SCHEDULES:
-                cold.setdefault(content, (kernel, config))
-        if len(cold) > 1:
-            pooled = _compile_fan_out(
-                list(cold.values()),
-                workers,
-                alu_mix,
-                metrics=metrics,
-                timeout=timeout,
-                max_retries=max_retries,
-                max_pool_failures=max_pool_failures,
-            )
-            for content, schedule in zip(cold, pooled):
-                if schedule is not None:
-                    _SCHEDULES[content] = schedule
-
     return [
         compile_kernel(
             kernel, config, verify=verify, alu_mix=alu_mix, cache=cache
         )
         for kernel, config in jobs
     ]
-
-
-def _compile_fan_out(
-    jobs: Sequence[CompileJob],
-    workers: int,
-    alu_mix: Optional[Dict[str, float]],
-    metrics=None,
-    timeout: Optional[float] = None,
-    max_retries: int = 2,
-    max_pool_failures: int = 2,
-) -> List[Optional[KernelSchedule]]:
-    """Compile ``jobs`` on a resilient pool; ``None`` entries on failure.
-
-    Worker crashes, hangs and transient errors are absorbed by the
-    executor's retry/quarantine/serial-fallback ladder; platforms that
-    cannot run pools at all degrade to an all-``None`` result — the
-    serial pass in :func:`compile_batch` still compiles every job, so a
-    failed pool only costs time, never results.  ``KeyboardInterrupt``
-    and ``SystemExit`` are deliberately *not* absorbed: an interrupted
-    compile must stop, not limp on serially.
-    """
-    from ..resilience.executor import ResilientExecutor
-
-    payloads = [(kernel, config, alu_mix) for kernel, config in jobs]
-    executor = ResilientExecutor(
-        min(workers, len(payloads)),
-        timeout=timeout,
-        max_retries=max_retries,
-        max_pool_failures=max_pool_failures,
-        metrics=metrics,
-    )
-    try:
-        return list(executor.map(_compile_job, payloads))
-    except (KeyboardInterrupt, SystemExit):
-        raise
-    except Exception:
-        return [None] * len(payloads)
-
-
-def _compile_job(
-    args: Tuple[KernelGraph, ProcessorConfig, Optional[Dict[str, float]]],
-) -> KernelSchedule:
-    """Process-pool worker: one compile (module level so it pickles)."""
-    fault_point("compile.point")
-    kernel, config, alu_mix = args
-    return compile_kernel(kernel, config, alu_mix=alu_mix)
 
 
 def _search_ii(
@@ -526,6 +462,10 @@ _CACHE_KERNELS: Dict[int, KernelGraph] = {}
 #: Content level: ``(kernel_signature, machine_view, unroll)`` (see
 #: :func:`_resolve`) -> each distinct schedule, once.
 _SCHEDULES: Dict[Tuple, KernelSchedule] = {}
+#: Content level, failed searches: the same key -> the message of the
+#: :class:`CompilationError` the search raised.  Kept apart from
+#: :data:`_SCHEDULES` so :func:`memo_size` counts schedules only.
+_FAILURES: Dict[Tuple, str] = {}
 
 
 def _memo_key(
@@ -553,12 +493,13 @@ def _memo_store(
 
 
 def clear_cache() -> None:
-    """Drop all in-memory compilations (tests that mutate kernels use
-    this); the persistent store is untouched — use
+    """Drop all in-memory compilations and remembered failures (tests
+    that mutate kernels use this); the persistent store is untouched — use
     ``default_cache().clear()`` for that."""
     _CACHE.clear()
     _CACHE_KERNELS.clear()
     _SCHEDULES.clear()
+    _FAILURES.clear()
 
 
 def memo_size() -> int:

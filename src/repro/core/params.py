@@ -34,7 +34,7 @@ def hash_once(cls: type) -> type:
     first call.  It is not a field, so ``==``, ``repr``, ``fields()``,
     ``asdict`` and ``replace`` ignore it.  Every field of these classes
     is a number, and numbers hash alike in every process, so a copy
-    that arrives by pickle (a pool worker's point) carries a valid hash.
+    that arrives by pickle carries a valid hash.
     """
     values = operator.attrgetter(*[f.name for f in dataclasses.fields(cls)])
 

@@ -1,7 +1,7 @@
 """Structured JSON-lines logging with request correlation.
 
-Every serving-path component (HTTP daemon, micro-batcher, resilient
-executor, sweep engine) emits events through one stdlib-``logging``
+Every serving-path component (HTTP daemon, micro-batcher, job runner,
+sweep engine) emits events through one stdlib-``logging``
 hierarchy rooted at the ``repro`` logger.  Two formatters exist: a
 human one-liner and :class:`JsonLinesFormatter`, which emits one JSON
 object per line under a **versioned schema**
@@ -13,12 +13,13 @@ Correlation rides on a :mod:`contextvars`-scoped **request id**: the
 daemon mints one per HTTP request (or adopts the client's
 ``X-Request-Id``), binds it around the work, and every log line,
 tracer instant event, and progress-bus event emitted inside that scope
-carries it — one grep joins all three.  Ids cross process boundaries
-the same way fault plans do (the ``REPRO_FAULT_PLAN`` precedent):
-:func:`bind_request_id` can export ``REPRO_REQUEST_ID`` so pool
-workers inherit the id of the run that spawned them, and
-:func:`current_request_id` falls back to that variable when no
-context-local id is bound.
+carries it — one grep joins all three.  Binding never touches the
+process environment, which every thread shares: the daemon's
+dispatcher and job-runner threads bind ids at the same time.  The
+one run-level id lives in ``REPRO_REQUEST_ID``, which the CLI exports
+once before any thread starts (or a parent process sets), and
+:func:`current_request_id` falls back to it when no context-local id
+is bound.
 
 Nothing here runs unless configured: the ``repro`` logger gets a
 ``NullHandler`` and ``propagate=False`` at import, so a run without
@@ -56,8 +57,8 @@ __all__ = [
 #: Bumped whenever a line field is added, removed, or changes meaning.
 LOG_SCHEMA_VERSION = 1
 
-#: Environment variable carrying the bound request id to subprocesses
-#: (the ``REPRO_FAULT_PLAN`` propagation pattern).
+#: Environment variable carrying a run-level request id (the CLI
+#: exports it once per command; nothing else writes it).
 REQUEST_ID_ENV = "REPRO_REQUEST_ID"
 
 #: Root of the logging hierarchy every repro component logs under.
@@ -103,8 +104,8 @@ def sanitize_request_id(raw: str, max_length: int = 64) -> str:
 
 
 def current_request_id() -> Optional[str]:
-    """The bound request id: context-local first, then the environment
-    (worker processes inherit ``REPRO_REQUEST_ID`` from their parent)."""
+    """The bound request id: context-local first, then the run-level
+    ``REPRO_REQUEST_ID`` from the environment."""
     bound = _request_id.get()
     if bound is not None:
         return bound
@@ -112,34 +113,18 @@ def current_request_id() -> Optional[str]:
 
 
 @contextlib.contextmanager
-def bind_request_id(
-    request_id: Optional[str], propagate_env: bool = False
-) -> Iterator[Optional[str]]:
+def bind_request_id(request_id: Optional[str]) -> Iterator[Optional[str]]:
     """Bind ``request_id`` for the dynamic extent of the ``with`` block.
 
-    ``propagate_env`` additionally exports ``REPRO_REQUEST_ID`` so
-    worker *processes* spawned inside the block inherit the id (fork or
-    spawn — same mechanism as ``REPRO_FAULT_PLAN``).  Environment
-    mutation is process-global, so only single-request scopes (CLI
-    invocations, one-shot sweeps) should propagate; the daemon passes
-    ids per task instead.
+    The binding is a context variable, so it is local to the calling
+    thread (and task): two threads binding different ids at once never
+    see each other's.
     """
     token = _request_id.set(request_id)
-    previous = os.environ.get(REQUEST_ID_ENV)
-    if propagate_env:
-        if request_id is None:
-            os.environ.pop(REQUEST_ID_ENV, None)
-        else:
-            os.environ[REQUEST_ID_ENV] = request_id
     try:
         yield request_id
     finally:
         _request_id.reset(token)
-        if propagate_env:
-            if previous is None:
-                os.environ.pop(REQUEST_ID_ENV, None)
-            else:
-                os.environ[REQUEST_ID_ENV] = previous
 
 
 class JsonLinesFormatter(logging.Formatter):

@@ -1,35 +1,28 @@
-"""Fault injection and resilient execution for the sweep machinery.
+"""Fault injection for the serial execution paths.
 
-Two pieces, threaded through the sweep engine, the compile pipeline
-and the simulator (see ``docs/robustness.md``):
+:mod:`repro.resilience.faults` holds a deterministic, seed-driven
+:class:`FaultPlan`/:class:`FaultInjector` and the named fault points
+the compiler, the schedule cache and the timing model declare
+(``REPRO_FAULT_PLAN`` adopts a plan in a fresh process; see
+``docs/robustness.md``).
 
-* :mod:`repro.resilience.faults`     — deterministic, seed-driven
-  :class:`FaultPlan`/:class:`FaultInjector` with named fault points
-  (``REPRO_FAULT_PLAN`` env knob).
-* :mod:`repro.resilience.executor`   — :class:`ResilientExecutor`, the
-  process-pool fan-out with per-task timeouts, bounded retries,
-  dead-worker quarantine, and serial fallback.
-
-The invariant both pieces preserve: with any fault plan active, a run
-that ultimately succeeds produces results bit-identical to the
-fault-free serial path — degraded means slower, never different.
+The invariant the chaos suite checks: with any fault plan active, a
+request either fails with a typed error or answers exactly what a
+fault-free run answers — a damaged cache entry is a miss, never a
+wrong schedule.
 """
 
-from .executor import ResilientExecutor
 from .faults import (
     FAULT_KINDS,
     FAULT_SITES,
     FaultInjector,
     FaultPlan,
     FaultRule,
-    InjectedCrash,
     InjectedFault,
     active_plan,
     clear_plan,
     fault_point,
-    in_worker_process,
     install_plan,
-    mark_worker_process,
 )
 
 __all__ = [
@@ -38,13 +31,9 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultRule",
-    "InjectedCrash",
     "InjectedFault",
-    "ResilientExecutor",
     "active_plan",
     "clear_plan",
     "fault_point",
-    "in_worker_process",
     "install_plan",
-    "mark_worker_process",
 ]

@@ -1,12 +1,12 @@
 """Deterministic, seed-driven fault injection for the execution layer.
 
-The paper's headline sweeps now fan out over process pools and persist
-results in on-disk caches — exactly the machinery that fails in
-production: workers crash or hang, transient exceptions fire, cache
-entries rot on disk, allocations fail.  This module makes every one of
-those failures *injectable on demand* at named fault points, so the
-chaos suite can prove the recovery paths keep results bit-identical to
-a fault-free serial run.
+Every sweep point, compile and daemon batch runs in the calling
+process, and what fails there is what fails in production: transient
+exceptions fire, allocations fail, schedule-cache entries rot on disk,
+a step stalls.  This module makes each of those failures *injectable on
+demand* at named fault points, so the chaos suite can prove that a
+request either fails with a typed error or answers exactly what a
+fault-free run answers.
 
 Model
 -----
@@ -23,22 +23,19 @@ per-site invocation counters.  Instrumented code calls
 :func:`fault_point` at each site; with no plan installed that is a
 single global load and compare, so production runs pay nothing.
 
-Plans propagate to worker processes through the ``REPRO_FAULT_PLAN``
-environment variable (JSON, see :meth:`FaultPlan.to_json`), which
-:func:`install_plan` sets automatically.
+A fresh process adopts a plan from the ``REPRO_FAULT_PLAN``
+environment variable (JSON, see :meth:`FaultPlan.to_json`) the first
+time a fault point runs, so a CLI command or a daemon can be started
+under a plan; :func:`install_plan` activates one in the calling
+process only.
 
 Fault kinds
 -----------
 ``transient``
     raises :class:`InjectedFault` (a retryable error).
-``crash``
-    hard-kills the process via ``os._exit`` when it is a resilience
-    worker (see :func:`mark_worker_process`); in a non-worker process
-    it degrades to raising :class:`InjectedCrash` so a stray plan can
-    never kill a user's session.
 ``hang``
-    sleeps ``hang_seconds`` and then continues normally — the executor
-    side observes a task timeout; a serial run is merely slower.
+    sleeps ``hang_seconds`` and then continues normally: the run is
+    merely slower (a daemon request past its deadline answers 504).
 ``oom``
     raises :class:`MemoryError` (simulated allocation failure).
 ``corrupt``
@@ -53,7 +50,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 __all__ = [
@@ -62,34 +59,24 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultRule",
-    "InjectedCrash",
     "InjectedFault",
     "active_plan",
     "clear_plan",
     "fault_point",
-    "in_worker_process",
     "install_plan",
-    "mark_worker_process",
 ]
 
-#: Environment variable carrying the active plan (JSON) to subprocesses.
+#: Environment variable a fresh process adopts its plan (JSON) from.
 PLAN_ENV = "REPRO_FAULT_PLAN"
 
-#: Environment flag marking a process as a resilience pool worker (set
-#: by the executor's pool initializer; gates the ``crash`` kind).
-WORKER_ENV = "REPRO_RESILIENCE_WORKER"
-
 #: The supported fault kinds (see module docstring).
-FAULT_KINDS = ("transient", "crash", "hang", "oom", "corrupt")
+FAULT_KINDS = ("transient", "hang", "oom", "corrupt")
 
 #: Registry of the named fault points instrumented across the codebase.
 #: Purely descriptive — :func:`fault_point` accepts any site name — but
 #: rules are validated against it unless they use a glob, and
 #: ``docs/robustness.md`` renders this table.
 FAULT_SITES: Dict[str, str] = {
-    "sweep.fan_out": "SweepEngine._fan_out, before the pool is built",
-    "sweep.point": "sweep process-pool worker, one simulation task",
-    "compile.point": "compile process-pool worker, one compile task",
     "compile.kernel": "compile_kernel, before the II search",
     "cache.load": "ScheduleCache.load, before reading an entry (path)",
     "cache.store": "ScheduleCache.store, after writing an entry (path)",
@@ -100,11 +87,6 @@ FAULT_SITES: Dict[str, str] = {
 
 class InjectedFault(RuntimeError):
     """A transient failure injected by the active :class:`FaultPlan`."""
-
-
-class InjectedCrash(InjectedFault):
-    """A worker-crash fault fired outside a worker process (downgraded
-    from ``os._exit`` so it can never kill the user's session)."""
 
 
 @dataclass(frozen=True)
@@ -125,9 +107,6 @@ class FaultRule:
     probability: float = 0.0
     max_fires: Optional[int] = None
     hang_seconds: float = 0.05
-    #: Restrict the rule to resilience pool workers; the serial
-    #: recovery path then runs fault-free by construction.
-    workers_only: bool = False
 
     def __post_init__(self):
         if self.kind not in FAULT_KINDS:
@@ -156,7 +135,6 @@ class FaultRule:
             "probability": self.probability,
             "max_fires": self.max_fires,
             "hang_seconds": self.hang_seconds,
-            "workers_only": self.workers_only,
         }
 
     @classmethod
@@ -168,7 +146,6 @@ class FaultRule:
             probability=float(data.get("probability", 0.0)),
             max_fires=data.get("max_fires"),
             hang_seconds=float(data.get("hang_seconds", 0.05)),
-            workers_only=bool(data.get("workers_only", False)),
         )
 
 
@@ -243,8 +220,6 @@ class FaultInjector:
         if rule.max_fires is not None:
             if self._fires.get(rule_id, 0) >= rule.max_fires:
                 return
-        if rule.workers_only and not in_worker_process():
-            return
         self._fires[rule_id] = self._fires.get(rule_id, 0) + 1
         self.fired.append((site, index, rule.kind))
         self._execute(rule, site, index, path)
@@ -264,10 +239,6 @@ class FaultInjector:
         if rule.kind == "hang":
             time.sleep(rule.hang_seconds)
             return
-        if rule.kind == "crash":
-            if in_worker_process():
-                os._exit(73)
-            raise InjectedCrash(label)
         # corrupt: damage the file behind the fault point, if any; the
         # checksum-validating loader must shrug it off as a miss.
         if path is not None:
@@ -298,31 +269,22 @@ def _corrupt_file(path: os.PathLike) -> None:
 
 _INJECTOR: Optional[FaultInjector] = None
 _ENV_CHECKED = False
-_IN_WORKER = False
 
 
-def install_plan(
-    plan: FaultPlan, propagate_env: bool = True
-) -> FaultInjector:
-    """Activate ``plan`` process-wide; returns the live injector.
-
-    With ``propagate_env`` the plan is also exported as
-    ``REPRO_FAULT_PLAN`` so pool workers (fork *or* spawn) inherit it.
-    """
+def install_plan(plan: FaultPlan) -> FaultInjector:
+    """Activate ``plan`` in this process; returns the live injector."""
     global _INJECTOR, _ENV_CHECKED
     _INJECTOR = FaultInjector(plan)
     _ENV_CHECKED = True
-    if propagate_env:
-        os.environ[PLAN_ENV] = plan.to_json()
     return _INJECTOR
 
 
 def clear_plan() -> None:
-    """Deactivate fault injection and drop the env propagation."""
+    """Deactivate fault injection in this process (a plan in
+    ``REPRO_FAULT_PLAN`` is not adopted afterwards either)."""
     global _INJECTOR, _ENV_CHECKED
     _INJECTOR = None
     _ENV_CHECKED = True
-    os.environ.pop(PLAN_ENV, None)
 
 
 def active_plan() -> Optional[FaultPlan]:
@@ -361,17 +323,3 @@ def fault_point(site: str, path: Optional[os.PathLike] = None) -> None:
         _check_env()
     if _INJECTOR is not None:
         _INJECTOR.fire(site, path=path)
-
-
-def mark_worker_process() -> None:
-    """Mark this process as a resilience pool worker (enables the real
-    ``crash`` kind and ``workers_only`` rules).  Called by the
-    executor's pool initializer."""
-    global _IN_WORKER
-    _IN_WORKER = True
-    os.environ[WORKER_ENV] = "1"
-
-
-def in_worker_process() -> bool:
-    """True inside a resilience pool worker."""
-    return _IN_WORKER or bool(os.environ.get(WORKER_ENV))

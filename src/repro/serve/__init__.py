@@ -3,7 +3,7 @@
 ``python -m repro serve`` boots :class:`~repro.serve.daemon.ReproServer`
 — a stdlib-only asyncio JSON-over-HTTP daemon that answers
 :mod:`repro.api` requests from a warm process: micro-batched,
-deduplicated, executed through a persistent resilient worker pool, and
+deduplicated, executed in-process on one dispatcher thread, and
 cached by the shared sweep-engine memo and compile caches.  Large
 sweeps run as async jobs (:mod:`repro.serve.jobs`) behind multi-tenant
 admission control (:mod:`repro.serve.tenancy`).  See

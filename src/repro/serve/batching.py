@@ -4,9 +4,9 @@ The workload shape the daemon exists for — many small cost/compile/
 simulate queries sharing warm state — rewards two queueing tricks:
 
 * **micro-batching**: requests arriving within one short window are
-  drained together and executed as one batch on the worker executor,
-  so per-dispatch overhead (thread hop, pool submission) is paid per
-  *batch*, not per request;
+  drained together and executed as one batch on the dispatcher thread,
+  so per-dispatch overhead (the thread hop) is paid per *batch*, not
+  per request;
 * **deduplication**: identical queries (same :func:`repro.api.dedup_key`)
   that are queued or executing coalesce onto one computation — every
   waiter receives the same result object.  The API's runners are

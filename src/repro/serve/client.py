@@ -292,7 +292,6 @@ class ServeClient:
         self,
         target: str,
         apps: bool = False,
-        workers: Optional[int] = None,
         kernel: str = "",
         request_id: Optional[str] = None,
     ) -> ServeResponse:
@@ -303,7 +302,7 @@ class ServeClient:
         """
         return self.post(
             "sweep",
-            SweepRequest(target, apps, workers, kernel=kernel).to_dict(),
+            SweepRequest(target, apps, kernel=kernel).to_dict(),
             request_id,
         )
 
@@ -347,7 +346,6 @@ class ServeClient:
         self,
         target: str,
         apps: bool = False,
-        workers: Optional[int] = None,
         kernel: str = "",
         request_id: Optional[str] = None,
     ) -> ServeResponse:
@@ -357,7 +355,7 @@ class ServeClient:
         poll :meth:`job_status` or stream :meth:`job_events` with its
         ``job_id``.
         """
-        sweep = SweepRequest(target, apps, workers, kernel=kernel)
+        sweep = SweepRequest(target, apps, kernel=kernel)
         return self.request(
             "POST",
             "/v1/jobs",

@@ -4,7 +4,7 @@
 answers every :mod:`repro.api` request kind over a tiny JSON protocol:
 
 * ``GET  /healthz`` — liveness (plain JSON, no envelope)
-* ``GET  /v1/stats`` — cache/queue/dedup/executor counters
+* ``GET  /v1/stats`` — cache/queue/dedup counters
 * ``GET  /v1/metrics`` — the full metrics-registry snapshot
 * ``GET  /metrics`` — the same registry in Prometheus text format
 * ``GET  /v1/progress?request_id=...`` — SSE-style progress stream
@@ -39,8 +39,8 @@ warming per query, while the daemon pays them once and answers
 steady-state traffic from the shared
 :func:`~repro.analysis.sweep.default_engine` memo and compile caches.
 Requests are micro-batched and deduplicated by
-:class:`~repro.serve.batching.MicroBatcher` and executed through a
-persistent :class:`~repro.resilience.executor.ResilientExecutor`.
+:class:`~repro.serve.batching.MicroBatcher`, and each batch runs its
+requests one after another on the dispatcher thread, in this process.
 
 Operational behavior:
 
@@ -88,7 +88,6 @@ from ..obs.manifest import build_envelope
 from ..obs.metrics import MetricsRegistry, render_prometheus
 from ..obs.progress import default_bus
 from ..obs.tracer import NULL_TRACER, Tracer
-from ..resilience.executor import ResilientExecutor
 from .batching import MicroBatcher, QueueFull
 from .jobs import JobManager, JobStore, count_sweep_points
 from .tenancy import TenantRegistry
@@ -176,14 +175,10 @@ class ServerConfig:
 
     ``port=0`` binds an ephemeral port (the bound port is reported by
     :attr:`ReproServer.port` and printed on the ready line).
-    ``workers<=1`` executes batches serially on the dispatcher thread —
-    the cache-bound sweet spot — while larger values fan each batch out
-    over a persistent process pool.
     """
 
     host: str = "127.0.0.1"
     port: int = 8712
-    workers: int = 1
     max_queue: int = 64
     batch_window_ms: float = 5.0
     max_batch: int = 16
@@ -218,19 +213,17 @@ def _safe_execute(item: Tuple[Optional[str], Any]) -> Tuple[str, Any]:
     """Run one ``(request_id, request)`` pair, never raising for
     per-request failures.
 
-    Module-level and picklable so the persistent process pool can run
-    it; deterministic failures (bad names, internal bugs) come back as
+    Failures (bad names, internal bugs, injected faults) come back as
     ``("error", (code, message))`` outcomes instead of exceptions, so
-    the resilient executor never burns retries on them — its retry
-    machinery stays reserved for genuine pool crashes and hangs.
+    one failing request never takes its batch down with it.
 
-    The request id is bound around the execution (and exported to the
-    environment, the ``REPRO_FAULT_PLAN`` propagation pattern) so every
-    log line, tracer instant, and progress event the computation emits
-    — including from sweep fan-out worker processes — carries it.
+    The request id is bound around the execution (a context variable,
+    never the process environment, which the job runner's thread would
+    share) so every log line, tracer instant, and progress event the
+    computation emits carries it.
     """
     request_id, request = item
-    with bind_request_id(request_id, propagate_env=request_id is not None):
+    with bind_request_id(request_id):
         try:
             return ("ok", execute(request))
         except ApiError as exc:
@@ -242,23 +235,18 @@ def _safe_execute(item: Tuple[Optional[str], Any]) -> Tuple[str, Any]:
 
 
 class ReproServer:
-    """One serving instance: HTTP front end, batcher, warm executor.
+    """One serving instance: HTTP front end, batcher, warm caches.
 
     Lifecycle: :meth:`start` (binds and begins accepting),
-    :meth:`drain_and_stop` (stop accepting, finish queued work, release
-    the pool).  The test-suite drives it in-process; ``run_server``
-    wires it to signals for real deployments.
+    :meth:`drain_and_stop` (stop accepting, finish queued work).  The
+    test-suite drives it in-process; ``run_server`` wires it to signals
+    for real deployments.
     """
 
     def __init__(self, config: ServerConfig):
         self.config = config
         self.metrics = MetricsRegistry()
         self.tracer = Tracer() if config.trace_path else NULL_TRACER
-        self.executor = ResilientExecutor(
-            workers=config.workers,
-            metrics=self.metrics,
-            persistent=True,
-        )
         self.batcher = MicroBatcher(
             self._run_batch,
             max_queue=config.max_queue,
@@ -302,8 +290,8 @@ class ReproServer:
     def _run_batch(
         self, requests: Sequence[Any], request_ids: Sequence[List[str]]
     ) -> list:
-        """Dispatcher-thread batch body: fan the batch through the
-        persistent executor (serial in-process when ``workers<=1``).
+        """Dispatcher-thread batch body: each request in turn, through
+        :func:`_safe_execute`.
 
         One log line carries *every* member id — coalesced waiters
         included — so a request id always joins the batch that served
@@ -318,7 +306,7 @@ class ReproServer:
             (rids[0] if rids else None, request)
             for request, rids in zip(requests, request_ids)
         ]
-        return self.executor.map(_safe_execute, items)
+        return [_safe_execute(item) for item in items]
 
     # --- lifecycle ------------------------------------------------------
 
@@ -340,8 +328,8 @@ class ReproServer:
         return self._server.sockets[0].getsockname()[1]
 
     async def drain_and_stop(self, timeout: Optional[float] = 30.0) -> bool:
-        """Graceful shutdown: stop accepting, finish queued work,
-        release the worker pool, flush the trace.  Returns ``True`` when
+        """Graceful shutdown: stop accepting, finish queued work, flush
+        the trace.  Returns ``True`` when
         every queued request finished within ``timeout``."""
         self.draining = True
         # Jobs stop after their in-flight point; interrupted jobs stay
@@ -360,7 +348,6 @@ class ReproServer:
             except (ConnectionError, OSError):
                 pass
         await self.batcher.stop()
-        self.executor.close()
         if self.config.trace_path and self.tracer.enabled:
             with open(self.config.trace_path, "w") as handle:
                 handle.write(self.tracer.to_chrome_json())
@@ -373,7 +360,7 @@ class ReproServer:
 
     def stats(self) -> Dict[str, Any]:
         """Everything ``/v1/stats`` reports: queue/dedup counters, the
-        sweep-engine memo, compile caches, and executor recoveries."""
+        sweep-engine memo and compile caches."""
         from ..analysis.sweep import default_engine
         from ..compiler.cache import default_cache
         from ..compiler.pipeline import memo_size
@@ -382,7 +369,6 @@ class ReproServer:
         return {
             "draining": self.draining,
             "batcher": self.batcher.stats(),
-            "executor": self.executor.stats(),
             "engine": default_engine().stats(),
             "compile_cache": {**cache.stats(), "hit_rate": cache.hit_rate},
             "compile_memo_entries": memo_size(),
@@ -1177,8 +1163,7 @@ def run_server(config: ServerConfig) -> int:
             signal.signal(signal.SIGTERM, _request_stop)
         print(
             f"repro serve: listening on http://{config.host}:{server.port} "
-            f"(workers={config.workers}, queue={config.max_queue}, "
-            f"window={config.batch_window_ms}ms)",
+            f"(queue={config.max_queue}, window={config.batch_window_ms}ms)",
             flush=True,
         )
         await stop

@@ -546,7 +546,7 @@ class JobManager:
 
     def _finish_assembly(self, record: JobRecord) -> bool:
         """Assemble the final rows (all memo hits for simulated jobs)."""
-        with bind_request_id(record.job_id, propagate_env=True):
+        with bind_request_id(record.job_id):
             try:
                 result = self._run_assemble(record.sweep)
             except ApiError as exc:
@@ -593,7 +593,7 @@ class JobManager:
         """One point into the engine memo."""
         runner = self._point_runner or compute_point
         try:
-            with bind_request_id(record.job_id, propagate_env=True):
+            with bind_request_id(record.job_id):
                 runner(point)
             return True, ""
         except ApiError as exc:

@@ -40,7 +40,7 @@ class TestRoundTrips:
         CompileRequest("fft", 8, 5),
         SimulateRequest("fft1k", 8, 5, 1.5),
         SimulateRequest("qrd", 16, 10),
-        SweepRequest("table5", apps=False, workers=2),
+        SweepRequest("table5", apps=False),
         SweepRequest("fig13", mode="analytical"),
     )
 
@@ -181,8 +181,9 @@ class TestRunners:
         # SweepRequest.kernel.  5: the async job surface (/v1/jobs),
         # the canonical /v1/sweeps route, and error-envelope pointers.
         # 6: SimulateRequest.mode and .max_events, JobStatus.mode and
-        # the singular /v1/sweep route are gone.
-        assert API_VERSION == 6
+        # the singular /v1/sweep route are gone.  7: SweepRequest.workers
+        # is gone (every sweep point runs in the calling process).
+        assert API_VERSION == 7
 
 
 class TestV6Contract:
@@ -202,6 +203,16 @@ class TestV6Contract:
 
         with pytest.raises(ApiError, match="unknown field.*mode"):
             JobStatus.from_dict({"job_id": "job-1", "mode": "simulated"})
+
+
+class TestV7Contract:
+    """The field v7 removed is an unknown field, named in the error."""
+
+    def test_sweep_workers_is_rejected(self):
+        with pytest.raises(ApiError, match="unknown field.*workers"):
+            SweepRequest.from_dict({"target": "table5", "workers": 2})
+        with pytest.raises(TypeError):
+            SweepRequest("table5", workers=2)  # type: ignore[call-arg]
 
 
 class TestExecutionModes:

@@ -263,13 +263,13 @@ class TestParser:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["serve", "--port", "0", "--workers", "2",
+            ["serve", "--port", "0",
              "--batch-window-ms", "1.5", "--max-queue", "8",
              "--timeout", "10", "--trace-out", "t.json"]
         )
         assert args.func.__name__ == "cmd_serve"
         assert args.port == 0
-        assert args.workers == 2
+        assert not hasattr(args, "workers")
         assert args.batch_window_ms == 1.5
         assert args.max_queue == 8
         assert args.timeout == 10.0
@@ -290,10 +290,25 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["report", "--workers", "2"],
+        ["report", "--task-timeout", "1"],
+        ["serve", "--workers", "2"],
+        ["job", "submit", "table5", "--workers", "2"],
+    ], ids=["report-workers", "report-task-timeout", "serve-workers",
+            "job-submit-workers"])
+    def test_no_pool_flags(self, argv, capsys):
+        """Every sweep point, compile and daemon batch runs in the
+        calling process; no flag sizes a pool or times its tasks."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, options", [
         ("figures", {"--only", "--cache-dir", "--no-compile-cache"}),
-        ("report", {"--apps", "--workers", "--task-timeout", "--json",
-                    "--cache-dir", "--no-compile-cache"}),
+        ("report", {"--apps", "--json", "--cache-dir",
+                    "--no-compile-cache"}),
     ])
     def test_sweep_commands_take_only_their_options(self, command, options):
         """``figures`` and ``report`` persist nothing but compile-cache

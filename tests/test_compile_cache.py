@@ -299,19 +299,6 @@ class TestCompileBatch:
         for (kernel, config), schedule in zip(jobs, batch):
             assert schedule is compile_kernel(kernel, config)
 
-    def test_workers_fan_out_is_transparent(self, cache_dir):
-        """Pool or no pool (the sandbox may forbid fork), results match."""
-        jobs = [
-            (get_kernel(name), ProcessorConfig(8, n))
-            for name in ("fft", "noise")
-            for n in (2, 5, 10)
-        ]
-        serial = [_fields(s) for s in compile_batch(jobs)]
-        clear_cache()
-        default_cache().clear()
-        pooled = [_fields(s) for s in compile_batch(jobs, workers=2)]
-        assert pooled == serial
-
 
 class TestDeterminism:
     def test_repeated_compiles_are_identical(self, cache_dir):

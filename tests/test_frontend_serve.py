@@ -168,6 +168,47 @@ class TestUnschedulableKernel:
             with pytest.raises(ApiError, match="MaxLive .* exceeds"):
                 execute(request)
 
+    def test_a_failed_compile_is_remembered(self, registry, monkeypatch):
+        """A second compile of the same kernel content for the same
+        machine view raises the same message without an II search; the
+        failure takes no schedule slot, reaches no disk, and
+        ``clear_cache()`` forgets it."""
+        from repro.api import ApiError, CompileRequest
+        from repro.compiler import pipeline
+        from repro.compiler.cache import default_cache
+        from repro.core.config import ProcessorConfig
+        from repro.frontend import graph_from_document
+
+        ref = registry.register(wide_fold_document()).ref
+        pipeline.clear_cache()
+        writes = default_cache().stats()["writes"]
+        with pytest.raises(ApiError) as first:
+            execute(CompileRequest(ref, 8, 5))
+        searches = []
+        search_ii = pipeline._search_ii
+
+        def counted(*args, **kwargs):
+            searches.append(args)
+            return search_ii(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "_search_ii", counted)
+        with pytest.raises(ApiError) as again:
+            execute(CompileRequest(ref, 8, 5))
+        assert str(again.value) == str(first.value)
+        # Keyed on content: another graph of the same document fails
+        # from memory too.
+        twin = graph_from_document(wide_fold_document())
+        with pytest.raises(pipeline.CompilationError) as direct:
+            pipeline.compile_kernel(twin, ProcessorConfig(8, 5))
+        assert str(direct.value) in str(first.value)
+        assert searches == []
+        assert pipeline.memo_size() == 0
+        assert default_cache().stats()["writes"] == writes
+        pipeline.clear_cache()
+        with pytest.raises(pipeline.CompilationError):
+            pipeline.compile_kernel(twin, ProcessorConfig(8, 5))
+        assert searches
+
     def test_daemon_answers_bad_request(self, registry):
         ref = registry.register(wide_fold_document()).ref
         with running_server() as server:

@@ -74,16 +74,62 @@ class TestRequestIds:
             assert current_request_id() == "outer"
         assert current_request_id() is None
 
-    def test_bind_propagate_env_sets_and_restores(self):
-        with bind_request_id("rid-env", propagate_env=True):
-            assert os.environ[REQUEST_ID_ENV] == "rid-env"
-        assert REQUEST_ID_ENV not in os.environ
+    def test_daemon_threads_binding_at_once_leave_the_environment_alone(
+        self, monkeypatch
+    ):
+        """The daemon's dispatcher thread and its job-runner thread bind
+        ids at the same time.  Interleaved as dispatcher binds, runner
+        binds, dispatcher leaves, runner leaves: each sees only its own
+        id, and the environment ends as it began, so no later unbound
+        line carries a stale id."""
+        import threading
 
-    def test_bind_propagate_env_restores_previous(self, monkeypatch):
-        monkeypatch.setenv(REQUEST_ID_ENV, "parent-rid")
-        with bind_request_id("child-rid", propagate_env=True):
-            assert os.environ[REQUEST_ID_ENV] == "child-rid"
-        assert os.environ[REQUEST_ID_ENV] == "parent-rid"
+        from repro.api import SweepRequest
+        from repro.serve import daemon
+        from repro.serve.jobs import JobManager, JobRecord, JobStore
+        from repro.serve.tenancy import TenantRegistry
+
+        dispatcher_bound = threading.Event()
+        runner_bound = threading.Event()
+        dispatcher_left = threading.Event()
+        seen = {}
+
+        def execute(request):
+            dispatcher_bound.set()
+            runner_bound.wait(10)
+            seen["dispatcher"] = current_request_id()
+            seen["dispatcher_env"] = os.environ.get(REQUEST_ID_ENV)
+            return request
+
+        def point_runner(point):
+            runner_bound.set()
+            dispatcher_left.wait(10)
+            seen["runner"] = current_request_id()
+            seen["runner_env"] = os.environ.get(REQUEST_ID_ENV)
+
+        def dispatch():
+            daemon._safe_execute(("req-1", "request"))
+            dispatcher_left.set()
+
+        def run_job():
+            dispatcher_bound.wait(10)
+            manager._run_point(record, "point")
+
+        monkeypatch.setattr(daemon, "execute", execute)
+        manager = JobManager(
+            JobStore(None), TenantRegistry(), point_runner=point_runner
+        )
+        record = JobRecord("job-1", "public", SweepRequest("table5"))
+        threads = [threading.Thread(target=dispatch),
+                   threading.Thread(target=run_job)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+        assert seen == {"dispatcher": "req-1", "dispatcher_env": None,
+                        "runner": "job-1", "runner_env": None}
+        assert REQUEST_ID_ENV not in os.environ
+        assert current_request_id() is None
 
     def test_env_fallback_for_worker_processes(self, monkeypatch):
         monkeypatch.setenv(REQUEST_ID_ENV, "inherited-rid")

@@ -20,15 +20,10 @@ from repro import api
 from repro.analysis.perf import TABLE5_C_VALUES, TABLE5_N_VALUES
 from repro.analysis.sweep import clear_sweep_cache
 from repro.compiler import pipeline
-from repro.compiler.cache import (
-    ScheduleCache,
-    configure_default_cache,
-    schedule_key,
-)
+from repro.compiler.cache import ScheduleCache, schedule_key
 from repro.compiler.machine import IMAGINE_ALU_MIX
 from repro.compiler.pipeline import (
     clear_cache,
-    compile_batch,
     compile_kernel,
     memo_size,
 )
@@ -207,34 +202,3 @@ class TestMemoKey:
         assert len(keys) == len(set(keys)) == memo_size() == disk.writes
         stored = {path.stem for path in tmp_path.rglob("*.json")}
         assert stored == set(keys)
-
-    def test_pool_fills_the_memo_serial_compiles_read(
-        self, tmp_path, fresh_memo, counted, monkeypatch
-    ):
-        # This process reads no disk: a schedule the pool found but the
-        # memo filed under another key could only be searched again.
-        off = ScheduleCache(None)
-        configure_default_cache(cache_dir=tmp_path)  # the workers' store
-        fan_out = pipeline._compile_fan_out
-        pooled = []
-
-        def recording_fan_out(*args, **kwargs):
-            results = fan_out(*args, **kwargs)
-            pooled.extend(results)
-            return results
-
-        monkeypatch.setattr(pipeline, "_compile_fan_out", recording_fan_out)
-        jobs = self._jobs()
-        try:
-            batch = compile_batch(jobs, workers=2, cache=off)
-            if not pooled or None in pooled:
-                pytest.skip("no process pool on this platform")
-            serial = [
-                compile_kernel(kernel, config, cache=off)
-                for kernel, config in jobs
-            ]
-        finally:
-            configure_default_cache()
-        assert counted["searches"] == 0
-        assert memo_size() == len(pooled)
-        assert serial == batch

@@ -125,7 +125,7 @@ class TestEndpointEquivalence:
         response = client.costs(8, 5)
         validate_envelope(response.payload)
         assert response.payload["kind"] == "costs"
-        assert response.payload["api_version"] == 6
+        assert response.payload["api_version"] == 7
         assert "duration_ms" in response.payload["meta"]
 
 
@@ -190,6 +190,18 @@ class TestHttpSemantics:
             f"SimulateRequest: unknown field(s) {field}"
         )
 
+    def test_sweep_workers_400(self, client):
+        """A v6 sweep body that still sends ``workers`` is a bad request
+        naming that field."""
+        response = client.post(
+            "sweeps", {"target": "table5", "workers": 2}
+        )
+        assert response.status == 400
+        assert response.error["code"] == "bad_request"
+        assert response.error["message"] == (
+            "SweepRequest: unknown field(s) workers"
+        )
+
     def test_unknown_paths_share_one_metric_label(self, client, warm_server):
         """50 distinct unknown paths add at most the one ``not_found``
         label to the per-route request metrics."""
@@ -248,9 +260,9 @@ class TestHttpSemantics:
         stats = response.data
         assert stats["batcher"]["submitted"] >= 1
         assert "hit_rate" in stats["compile_cache"]
-        assert "tasks_ok" in stats["executor"]
         assert "sim_hits" in stats["engine"]
         assert "cluster" not in stats
+        assert "executor" not in stats
 
     @pytest.mark.parametrize("method,path", [
         ("GET", "/v1/cluster/stats"),
@@ -534,7 +546,7 @@ class TestProgressEndpoint:
 
 class TestCorrelationAcrossSurfaces:
     def test_sweep_fanout_joins_logs_trace_and_progress(self, tmp_path):
-        """One request id, three surfaces: a fan-out sweep's id must be
+        """One request id, three surfaces: a cold sweep's id must be
         findable in the JSON logs (incl. its batch), the Chrome trace
         instants, and the ``/v1/progress`` stream."""
         from repro.analysis.sweep import clear_sweep_cache
@@ -570,7 +582,7 @@ class TestCorrelationAcrossSurfaces:
                 with ServeClient(
                     "127.0.0.1", server.port, timeout=300.0
                 ) as c:
-                    response = c.sweep("fig15", workers=2, request_id=rid)
+                    response = c.sweep("fig15", request_id=rid)
                 assert response.status == 200
                 thread.join(60)
                 trace = json.loads(server.tracer.to_chrome_json())
@@ -603,13 +615,13 @@ class TestCorrelationAcrossSurfaces:
         ]
         assert instants
         # Surface 3: the progress stream saw the sweep end-to-end,
-        # including pool-collected points from the executor fan-out.
+        # every cold point included.
         assert events and all(
             e.get("request_id") == rid for e in events
         )
         assert events[-1]["event"] == "request_end"
         assert any(
-            e["event"] == "point" and e.get("pooled") for e in events
+            e["event"] == "point" and e["kind"] == "sim" for e in events
         )
         assert any(e["event"] == "sweep_progress" for e in events)
 

@@ -142,16 +142,6 @@ class TestRoundTrips:
         )
         assert len(data) < len(eager)
 
-    def test_pooled_points_equal_fresh_results(self):
-        points = [("qrd", C8N5), ("fft1k", C8N5)]
-        engine = SweepEngine()
-        pooled = engine.simulate_many(points, workers=2)
-        assert engine.profiler.calls("sweep.simulate") == 0  # all pooled
-        assert pooled == [
-            predict_application(application, config)
-            for application, config in points
-        ]
-
 
 class TestLaziness:
     def test_warm_simulation_builds_no_records_until_read(

@@ -101,11 +101,6 @@ class TestSimulateMany:
         assert len(results) == len(points)
         assert engine.stats()["sim_misses"] == len(self.grid())
 
-    def test_parallel_matches_serial(self):
-        serial = SweepEngine().simulate_many(self.grid())
-        parallel = SweepEngine().simulate_many(self.grid(), workers=2)
-        assert parallel == serial
-
 
 class TestPerfIntegration:
     def test_figure15_matches_direct_simulation(self):
@@ -391,34 +386,6 @@ class TestOnePass:
         assert sim_hits == len(self.SIM_POINTS)
         assert after["rate_misses"] == before["rate_misses"]
         assert after["sim_misses"] == before["sim_misses"]
-
-    def test_pool_fan_out_keeps_its_events_and_counts(self):
-        engine, serial, subscription = self.engines(
-            self.SIM_WARM, "simulate_application"
-        )
-        before = engine.stats()
-        results = engine.simulate_many(self.SIM_POINTS, workers=2)
-        assert results == serial.simulate_many(self.SIM_POINTS)
-        after = engine.stats()
-        cold = len(self.SIM_COLD)
-        assert after["sim_misses"] - before["sim_misses"] == cold
-        # As on the serial path: one hit per point, none extra for the
-        # points the pool computed.
-        assert after["sim_hits"] - before["sim_hits"] == len(self.SIM_POINTS)
-        assert after == serial.stats()
-        events = _stable_events(subscription)
-        pooled = [e for e in events if e["event"] == "point"]
-        assert [(e["application"], e["clusters"], e.get("pooled"))
-                for e in pooled] == [
-            (app, config.clusters, True) for app, config in self.SIM_COLD
-        ]
-        assert [e["completed"] for e in events
-                if e["event"] == "sweep_progress"] == [1, 2]
-        # The sweep ends before the final pass reads every point back.
-        assert events[-1]["event"] == "sweep_end"
-        assert events[-1]["cache_hit_rate"] == _hit_rate(
-            dict(after, sim_hits=after["sim_hits"] - len(self.SIM_POINTS))
-        )
 
     def test_failed_cold_point_raises_and_is_counted(self):
         """A point that cannot be evaluated propagates, as it did from
