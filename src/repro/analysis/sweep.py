@@ -17,7 +17,9 @@ Instrumentation rides on the PR-1 observability layer: the engine's
 time and a :class:`~repro.obs.metrics.MetricsRegistry` (optional)
 counts cache hits/misses and observes per-point latency histograms —
 the raw material for the "profile a slow sweep" recipe in
-``docs/performance.md``.
+``docs/performance.md``.  A sweep is one synchronous call (``POST
+/v1/sweeps`` in the daemon): its caller holds the whole answer when it
+returns.
 
 Every application point is evaluated by
 :func:`repro.analysis.model.predict_application`: the simulator's
@@ -44,7 +46,6 @@ from ..core.params import TECH_45NM, TechnologyNode
 from ..kernels.suite import get_kernel
 from ..obs.metrics import MetricsRegistry
 from ..obs.profile import PhaseProfiler
-from ..obs.progress import ProgressBus, default_bus
 from ..sim.metrics import SimulationResult
 from .model import predict_application
 
@@ -74,22 +75,15 @@ class SweepEngine:
         Optional registry; when present the engine counts
         ``sweep.sim.{hits,misses}`` / ``sweep.rate.{hits,misses}`` and
         observes a ``sweep.point_seconds`` histogram per cold point.
-    progress:
-        The :class:`~repro.obs.progress.ProgressBus` per-point
-        completion events go to (the shared :func:`default_bus` unless
-        a private one is injected, e.g. by tests).  Publishing is free
-        when nothing subscribes, so batch runs are unaffected.
     """
 
     def __init__(
         self,
         profiler: Optional[PhaseProfiler] = None,
         metrics: Optional[MetricsRegistry] = None,
-        progress: Optional[ProgressBus] = None,
     ):
         self.profiler = profiler if profiler is not None else PhaseProfiler()
         self.metrics = metrics
-        self._progress = progress
         #: Reentrant guard: the serving daemon (and any threaded
         #: embedder) may drive one shared engine from several threads;
         #: holding the lock across a cold point also means concurrent
@@ -144,45 +138,6 @@ class SweepEngine:
         if self.metrics is not None:
             self.metrics.histogram("sweep.point_seconds").observe(seconds)
 
-    # --- progress events ------------------------------------------------
-
-    @property
-    def progress(self) -> ProgressBus:
-        """The bus point events go to (resolved lazily so engines built
-        at import time still honor a later bus reset in tests)."""
-        return self._progress if self._progress is not None else default_bus()
-
-    def _publish(self, event: str, **fields) -> None:
-        """Publish one progress event; a no-op without subscribers."""
-        bus = self.progress
-        if bus.subscriber_count() == 0:
-            return
-        bus.publish(event, **fields)
-
-    def _hit_rate(self) -> float:
-        looked_up = self.sim_hits + self.sim_misses
-        return round(self.sim_hits / looked_up, 4) if looked_up else 0.0
-
-    def _progress_event(
-        self, completed: int, total: int, started: float
-    ) -> None:
-        """One ``sweep_progress`` event: live counts, hit rate, ETA."""
-        bus = self.progress
-        if bus.subscriber_count() == 0:
-            return
-        elapsed = time.perf_counter() - started
-        eta = (
-            elapsed / completed * (total - completed) if completed else None
-        )
-        bus.publish(
-            "sweep_progress",
-            completed=completed,
-            total=total,
-            elapsed_s=round(elapsed, 3),
-            eta_s=round(eta, 3) if eta is not None else None,
-            cache_hit_rate=self._hit_rate(),
-        )
-
     # --- memoized primitives -------------------------------------------
 
     def simulate_application(
@@ -206,24 +161,14 @@ class SweepEngine:
             return self._simulate_cold(key)
 
     def _simulate_cold(self, key: _SimKey) -> SimulationResult:
-        """One memo miss: count it, evaluate it, keep it, and publish
-        its ``point`` event (the caller holds the lock)."""
+        """One memo miss: count it, evaluate it and keep it (the caller
+        holds the lock)."""
         self._count("sim", hit=False)
         with self.profiler.phase("sweep.simulate"):
             started = time.perf_counter()
             result = predict_application(*key)
-            elapsed = time.perf_counter() - started
-            self._observe_point(elapsed)
+            self._observe_point(time.perf_counter() - started)
         self._sim_cache[key] = result
-        application, config = key[:2]
-        self._publish(
-            "point",
-            kind="sim",
-            application=application,
-            clusters=config.clusters,
-            alus=config.alus_per_cluster,
-            seconds=round(elapsed, 6),
-        )
         return result
 
     def kernel_rate(self, kernel: str, config: ProcessorConfig) -> float:
@@ -240,20 +185,10 @@ class SweepEngine:
                 return cached
             self._count("rate", hit=False)
             with self.profiler.phase("sweep.kernel_rate"):
-                started = time.perf_counter()
                 rate = compile_kernel(
                     get_kernel(kernel), config
                 ).ops_per_cycle()
-                elapsed = time.perf_counter() - started
             self._rate_cache[key] = rate
-            self._publish(
-                "point",
-                kind="rate",
-                kernel=kernel,
-                clusters=config.clusters,
-                alus=config.alus_per_cluster,
-                seconds=round(elapsed, 6),
-            )
             return rate
 
     # --- grids ----------------------------------------------------------
@@ -283,13 +218,6 @@ class SweepEngine:
             missing = list(dict.fromkeys(
                 [key for key, rate in zip(keys, rates) if rate is None]
             ))
-            self._publish(
-                "sweep_start",
-                kind="compile",
-                total=len(keys),
-                cached=len(keys) - len(missing),
-            )
-            started = time.perf_counter()
             if missing:
                 graphs = {
                     kernel: get_kernel(kernel)
@@ -302,17 +230,7 @@ class SweepEngine:
                 for key, schedule in zip(missing, schedules):
                     cache[key] = schedule.ops_per_cycle()
                 self._count("rate", hit=False, amount=len(missing))
-                if self.progress.subscriber_count():
-                    for done in range(1, len(missing) + 1):
-                        self._progress_event(done, len(missing), started)
                 rates = [cache[key] for key in keys]
-            self._publish(
-                "sweep_end",
-                kind="compile",
-                total=len(keys),
-                computed=len(missing),
-                seconds=round(time.perf_counter() - started, 3),
-            )
             self._count("rate", hit=True, amount=len(keys))
             return rates
 
@@ -352,26 +270,10 @@ class SweepEngine:
             missing = list(dict.fromkeys(
                 [key for key, result in zip(keys, results) if result is None]
             ))
-            self._publish(
-                "sweep_start",
-                kind="simulate",
-                total=len(keys),
-                cached=len(keys) - len(missing),
-            )
-            started = time.perf_counter()
             if missing:
-                for done, key in enumerate(missing, 1):
+                for key in missing:
                     self._simulate_cold(key)
-                    self._progress_event(done, len(missing), started)
                 results = [cache[key] for key in keys]
-            self._publish(
-                "sweep_end",
-                kind="simulate",
-                total=len(keys),
-                computed=len(missing),
-                seconds=round(time.perf_counter() - started, 3),
-                cache_hit_rate=self._hit_rate(),
-            )
             self._count("sim", hit=True, amount=len(keys))
             return results
 

@@ -38,16 +38,12 @@ from typing import Any, Dict, Optional, Tuple, Type, Union
 
 __all__ = [
     "API_VERSION",
-    "JOB_STATES",
     "SWEEP_MODES",
     "ApiError",
     "CompileRequest",
     "CompileResult",
     "CostQuery",
     "CostResult",
-    "JobRequest",
-    "JobResult",
-    "JobStatus",
     "KernelRef",
     "REQUEST_KINDS",
     "RegisterKernelRequest",
@@ -80,8 +76,11 @@ __all__ = [
 #: ``SimulateRequest.max_events``, ``JobStatus.mode`` and the singular
 #: ``/v1/sweep`` route; ``SweepRequest.mode`` stays, validated, until
 #: the benchmark stops sending it.  v7 removed ``SweepRequest.workers``
-#: (every sweep point runs in the serving process).
-API_VERSION = 7
+#: (every sweep point runs in the serving process).  v8 removed the
+#: async job surface (JobRequest/JobStatus/JobResult, JOB_STATES, the
+#: ``/v1/jobs`` routes) and ``/v1/progress``: ``/v1/sweeps`` is the one
+#: sweep path.
+API_VERSION = 8
 
 #: Sweep targets :func:`run_sweep` understands.
 SWEEP_TARGETS = ("fig13", "fig14", "table5", "fig15", "headline")
@@ -450,96 +449,7 @@ class KernelRef(_Payload):
     output_streams: Tuple[str, ...] = ()
 
 
-# --- async jobs ---------------------------------------------------------
-
-
-#: The job state machine, in lifecycle order.  ``queued -> running``
-#: then exactly one of the three terminal states.  A daemon restart
-#: moves ``running`` back to ``queued``, and the job recomputes its
-#: points (deterministically, so its result is unchanged).
-JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
-
-
-@dataclass(frozen=True)
-class JobRequest(_Payload):
-    """An async sweep submission (``POST /v1/jobs``).
-
-    Wraps a full :class:`SweepRequest` payload rather than flattening
-    its fields so the job surface never chases sweep-shape changes:
-    whatever ``/v1/sweeps`` accepts synchronously, ``/v1/jobs`` accepts
-    asynchronously.
-    """
-
-    #: A :class:`SweepRequest` payload, verbatim.
-    sweep: Dict[str, Any] = field(default_factory=dict)
-
-    def validate(self) -> None:
-        _require(
-            isinstance(self.sweep, dict) and bool(self.sweep),
-            "JobRequest: sweep must be a non-empty JSON object "
-            "(a SweepRequest payload)",
-        )
-        self.sweep_request().validate()
-
-    def sweep_request(self) -> "SweepRequest":
-        """The wrapped sweep, parsed strictly."""
-        return SweepRequest.from_dict(self.sweep)  # type: ignore[return-value]
-
-
-@dataclass(frozen=True)
-class JobStatus(_Payload):
-    """One job's position in the state machine (``GET /v1/jobs/{id}``).
-
-    Deterministic job facts only — queue-wait and run-time live in the
-    envelope ``meta`` (volatile wall-clock stays out of ``data``).
-    """
-
-    job_id: str = ""
-    state: str = "queued"
-    tenant: str = ""
-    target: str = ""
-    kernel: str = ""
-    points_total: int = 0
-    points_done: int = 0
-    error: str = ""
-
-    def validate(self) -> None:
-        _require(bool(self.job_id), "JobStatus: job_id is required")
-        _require(
-            self.state in JOB_STATES,
-            f"JobStatus: unknown state {self.state!r}; "
-            f"allowed states: {', '.join(JOB_STATES)}",
-        )
-
-    @property
-    def terminal(self) -> bool:
-        """True once the job can never change state again."""
-        return self.state in ("done", "failed", "cancelled")
-
-
-@dataclass(frozen=True)
-class JobResult(_Payload):
-    """A finished job's payload (``GET /v1/jobs/{id}/result``).
-
-    ``result`` is the :class:`SweepResult` dictionary exactly as the
-    synchronous ``/v1/sweeps`` route would have returned it — the
-    byte-identity contract the job tests pin.
-    """
-
-    job_id: str = ""
-    state: str = "done"
-    #: The :class:`SweepResult` payload (empty until ``state == done``).
-    result: Dict[str, Any] = field(default_factory=dict)
-
-    def sweep_result(self) -> "SweepResult":
-        """The wrapped sweep result, parsed strictly."""
-        return SweepResult.from_dict(self.result)  # type: ignore[return-value]
-
-
 #: Request-kind names, as the serving endpoints and envelopes spell them.
-#: Jobs are deliberately absent: job submissions bypass the
-#: micro-batcher (admission control runs ahead of 429/503 backpressure)
-#: and are handled by :mod:`repro.serve.jobs`.
 REQUEST_KINDS: Dict[str, Type[_Payload]] = {
     "costs": CostQuery,
     "compile": CompileRequest,

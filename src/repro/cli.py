@@ -590,13 +590,7 @@ def cmd_headline(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from .serve.daemon import ServerConfig, run_server
-    from .serve.jobs import default_job_dir
 
-    # Real daemons persist jobs by default, so they survive a restart;
-    # in-process test servers stay memory-only unless they opt in.
-    job_dir = args.job_dir
-    if job_dir is None:
-        job_dir = str(default_job_dir())
     return run_server(
         ServerConfig(
             host=args.host,
@@ -606,8 +600,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             max_batch=args.max_batch,
             request_timeout_s=args.timeout,
             trace_path=args.trace_out,
-            tenants_path=args.tenants,
-            job_dir=job_dir,
         )
     )
 
@@ -630,8 +622,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         rate=args.rate,
         mix=args.mix,
         request_timeout_s=args.timeout,
-        jobs=args.jobs,
-        api_key=args.api_key,
     )
     try:
         report = run_loadgen(config)
@@ -657,195 +647,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     else:
         print(render_report(report))
     return 0 if report["overall"]["ok"] > 0 else 1
-
-
-def _job_client(args: argparse.Namespace):
-    from .serve.client import ServeClient
-
-    return ServeClient(
-        args.host, args.port,
-        timeout=getattr(args, "timeout", 120.0),
-        api_key=args.api_key,
-    )
-
-
-def _print_job_status(status: dict, meta: Optional[dict] = None) -> None:
-    print(f"job {status.get('job_id')}: {status.get('state')}")
-    print(f"  target:   {status.get('target')}"
-          + (f" (kernel={status['kernel']})" if status.get("kernel") else ""))
-    print(f"  tenant:   {status.get('tenant')}")
-    print(f"  points:   {status.get('points_done')}/"
-          f"{status.get('points_total')}")
-    if status.get("error"):
-        print(f"  error:    {status['error']}")
-    if meta:
-        wait = meta.get("queue_wait_ms")
-        run = meta.get("run_ms")
-        if wait is not None:
-            print(f"  queued:   {wait} ms")
-        if run is not None:
-            print(f"  running:  {run} ms")
-
-
-def _job_failure(response) -> int:
-    error = response.error or {}
-    code = error.get("code", f"http_{response.status}")
-    message = error.get("message", "request failed")
-    print(f"error [{code}]: {message}", file=sys.stderr)
-    return 2
-
-
-def cmd_job_submit(args: argparse.Namespace) -> int:
-    from .serve.client import ServeConnectionError
-
-    client = _job_client(args)
-    try:
-        response = client.submit_job(
-            args.target,
-            apps=args.apps,
-            kernel=args.kernel or "",
-        )
-        if response.status != 202:
-            return _job_failure(response)
-        status = response.data or {}
-        job_id = status.get("job_id", "")
-        if args.wait:
-            response = client.wait_job(job_id, timeout_s=args.timeout)
-            status = response.data or {}
-        if args.json:
-            print(json.dumps(response.payload, indent=2))
-            return 0 if status.get("state") in ("queued", "done") else 1
-        _print_job_status(status, (response.payload or {}).get("meta"))
-        if not args.wait:
-            print(f"  poll:     repro job status {job_id}")
-            print(f"  watch:    repro job watch {job_id}")
-        return 0 if status.get("state") in ("queued", "done") else 1
-    except ServeConnectionError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    finally:
-        client.close()
-
-
-def cmd_job_status(args: argparse.Namespace) -> int:
-    from .serve.client import ServeConnectionError
-
-    client = _job_client(args)
-    try:
-        response = client.job_status(args.job_id)
-        if response.status != 200:
-            return _job_failure(response)
-        if args.json:
-            print(json.dumps(response.payload, indent=2))
-        else:
-            _print_job_status(response.data or {},
-                              (response.payload or {}).get("meta"))
-        return 0
-    except ServeConnectionError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    finally:
-        client.close()
-
-
-def cmd_job_result(args: argparse.Namespace) -> int:
-    from .serve.client import ServeConnectionError
-
-    client = _job_client(args)
-    try:
-        response = client.job_result(args.job_id)
-        if response.status != 200:
-            return _job_failure(response)
-        print(json.dumps(response.payload, indent=2))
-        return 0
-    except ServeConnectionError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    finally:
-        client.close()
-
-
-def cmd_job_watch(args: argparse.Namespace) -> int:
-    from .serve.client import ServeConnectionError
-
-    client = _job_client(args)
-    final_state = None
-    try:
-        for event in client.job_events(args.job_id, max_s=args.timeout):
-            kind = event.get("event")
-            if kind == "error":
-                print(f"error [{event.get('code')}]: stream rejected",
-                      file=sys.stderr)
-                return 2
-            if kind == "job_point":
-                print(f"  point {event.get('points_done')}/"
-                      f"{event.get('points_total')}")
-            elif kind == "job_state":
-                print(f"  state -> {event.get('state')}")
-            elif kind == "job_end":
-                final_state = event.get("state")
-                print(f"job {args.job_id}: {final_state}")
-                break
-        if final_state is None:
-            print("stream ended before job_end (daemon restart or "
-                  "deadline); poll `repro job status`", file=sys.stderr)
-            return 1
-        return 0 if final_state == "done" else 1
-    except ServeConnectionError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    finally:
-        client.close()
-
-
-def cmd_job_cancel(args: argparse.Namespace) -> int:
-    from .serve.client import ServeConnectionError
-
-    client = _job_client(args)
-    try:
-        response = client.cancel_job(args.job_id)
-        if response.status != 200:
-            return _job_failure(response)
-        status = response.data or {}
-        print(f"job {args.job_id}: {status.get('state')}")
-        return 0
-    except ServeConnectionError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    finally:
-        client.close()
-
-
-def cmd_job_list(args: argparse.Namespace) -> int:
-    from .serve.client import ServeConnectionError
-
-    client = _job_client(args)
-    try:
-        response = client.list_jobs()
-        if response.status != 200:
-            return _job_failure(response)
-        if args.json:
-            print(json.dumps(response.payload, indent=2))
-            return 0
-        jobs = (response.data or {}).get("jobs", [])
-        if not jobs:
-            print("no jobs")
-            return 0
-        print(f"{'job id':<18} {'state':<10} {'target':<10} "
-              f"{'points':>9} tenant")
-        for status in jobs:
-            print(f"{status.get('job_id', ''):<18} "
-                  f"{status.get('state', ''):<10} "
-                  f"{status.get('target', ''):<10} "
-                  f"{status.get('points_done', 0):>4}/"
-                  f"{status.get('points_total', 0):<4} "
-                  f"{status.get('tenant', '')}")
-        return 0
-    except ServeConnectionError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    finally:
-        client.close()
 
 
 def cmd_kernel_register(args: argparse.Namespace) -> int:
@@ -1060,14 +861,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--trace-out", metavar="PATH", default=None,
                        help="write a Chrome trace of the serving window "
                             "on shutdown")
-    serve.add_argument("--tenants", metavar="FILE", default=None,
-                       help="tenant registry JSON (API keys, weights, "
-                            "rate limits, quotas); omit for open mode")
-    serve.add_argument("--job-dir", metavar="DIR", default=None,
-                       help="persistent job store directory (default: "
-                            "$REPRO_JOB_DIR, else "
-                            "$XDG_CACHE_HOME/repro-stream/jobs or "
-                            "~/.cache/repro-stream/jobs)")
     _add_cache_arguments(serve)
     _add_logging_arguments(serve, suppress=True)
     serve.set_defaults(func=cmd_serve)
@@ -1102,82 +895,8 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--out", metavar="PATH", default=None,
                          help="append the envelope as one compact JSON "
                               "line (perf-trajectory file)")
-    loadgen.add_argument("--jobs", action="store_true",
-                         help="drive the async job surface (submit + "
-                              "poll analytical jobs) instead of the "
-                              "synchronous mix; the report gains "
-                              "server-side queue-wait percentiles")
-    loadgen.add_argument("--api-key", default=None,
-                         help="X-Api-Key for multi-tenant daemons")
     _add_logging_arguments(loadgen, suppress=True)
     loadgen.set_defaults(func=cmd_loadgen)
-
-    job = sub.add_parser(
-        "job",
-        help="submit and track async sweep jobs on a daemon",
-    )
-    jsub = job.add_subparsers(dest="job_command", required=True)
-
-    def _add_job_client_args(parser: argparse.ArgumentParser) -> None:
-        parser.add_argument("--host", default="127.0.0.1",
-                            help="daemon address (default: 127.0.0.1)")
-        parser.add_argument("--port", type=int, default=8712,
-                            help="daemon port (default: 8712)")
-        parser.add_argument("--api-key", default=None,
-                            help="X-Api-Key for multi-tenant daemons")
-        parser.add_argument("--timeout", type=float, default=600.0,
-                            help="client wait/stream budget in seconds")
-
-    jsubmit = jsub.add_parser(
-        "submit", help="POST a sweep as an async job (202 + job id)"
-    )
-    jsubmit.add_argument("target",
-                         help="figure/table study (fig13, fig14, fig15, "
-                              "table5, headline)")
-    jsubmit.add_argument("--apps", action="store_true",
-                         help="include application simulations")
-    jsubmit.add_argument("--kernel", default="",
-                         help="restrict a kernel study to one suite "
-                              "name or kernel:<hash> reference")
-    jsubmit.add_argument("--wait", action="store_true",
-                         help="block until the job reaches a terminal "
-                              "state")
-    jsubmit.add_argument("--json", action="store_true",
-                         help="emit the job envelope as JSON")
-    _add_job_client_args(jsubmit)
-    jsubmit.set_defaults(func=cmd_job_submit)
-
-    jstatus = jsub.add_parser("status", help="poll one job's state")
-    jstatus.add_argument("job_id", help="job id from `repro job submit`")
-    jstatus.add_argument("--json", action="store_true",
-                         help="emit the job envelope as JSON")
-    _add_job_client_args(jstatus)
-    jstatus.set_defaults(func=cmd_job_status)
-
-    jresult = jsub.add_parser(
-        "result", help="fetch a done job's sweep result (JSON envelope)"
-    )
-    jresult.add_argument("job_id", help="job id from `repro job submit`")
-    _add_job_client_args(jresult)
-    jresult.set_defaults(func=cmd_job_result)
-
-    jwatch = jsub.add_parser(
-        "watch", help="stream a job's per-point events until it ends"
-    )
-    jwatch.add_argument("job_id", help="job id from `repro job submit`")
-    _add_job_client_args(jwatch)
-    jwatch.set_defaults(func=cmd_job_watch)
-
-    jcancel = jsub.add_parser("cancel", help="cancel a queued/running job")
-    jcancel.add_argument("job_id", help="job id from `repro job submit`")
-    _add_job_client_args(jcancel)
-    jcancel.set_defaults(func=cmd_job_cancel)
-
-    jlist = jsub.add_parser("list", help="list this tenant's jobs")
-    jlist.add_argument("--json", action="store_true",
-                       help="emit the jobs envelope as JSON")
-    _add_job_client_args(jlist)
-    jlist.set_defaults(func=cmd_job_list)
 
     val = sub.add_parser(
         "validate", help="check every paper anchor (exit 1 on failure)"

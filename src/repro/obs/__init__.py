@@ -1,14 +1,12 @@
 """Observability for the stream-processor simulator.
 
-Seven pieces, composable and all optional:
+Six pieces, composable and all optional:
 
 * :mod:`repro.obs.tracer`   — span tracing with Chrome-trace export.
 * :mod:`repro.obs.metrics`  — counters/gauges/bucketed histograms with
   p50/p90/p99 quantile estimation and Prometheus text exposition.
 * :mod:`repro.obs.log`      — structured JSON-lines logging with
   contextvars-scoped request-id correlation.
-* :mod:`repro.obs.progress` — bounded in-process event bus streaming
-  sweep progress to subscribers.
 * :mod:`repro.obs.profile`  — wall-clock phase timing of the host.
 * :mod:`repro.obs.manifest` — versioned machine-readable run reports.
 * :mod:`repro.obs.loadgen`  — load generator + SLO report for the
@@ -57,7 +55,6 @@ from .metrics import (
     render_prometheus,
 )
 from .profile import PhaseProfiler
-from .progress import ProgressBus, Subscription, default_bus
 from .tracer import NULL_TRACER, NullTracer, PrefixedTracer, Span, Tracer
 
 __all__ = [
@@ -79,11 +76,9 @@ __all__ = [
     "NullTracer",
     "PhaseProfiler",
     "PrefixedTracer",
-    "ProgressBus",
     "QUANTILE_RELATIVE_ERROR_BOUND",
     "REQUEST_ID_ENV",
     "Span",
-    "Subscription",
     "Tracer",
     "accounting_warning",
     "bind_request_id",
@@ -91,7 +86,6 @@ __all__ = [
     "build_manifest",
     "configure_logging",
     "current_request_id",
-    "default_bus",
     "get_logger",
     "log_event",
     "new_request_id",

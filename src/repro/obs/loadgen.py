@@ -53,6 +53,8 @@ __all__ = [
 #: server-reported queue-wait percentiles (``jobs`` report section).
 #: v4: removed ``cluster_workers`` and its ``/v1/cluster/stats`` probe;
 #: a run sends the daemon nothing beyond ``/healthz`` and its mix.
+#: The ``jobs`` mode v3 added went with the daemon's job routes; a
+#: closed- or open-loop report is unchanged, so the version stays.
 SLO_VERSION = 4
 
 #: Default request mix (weights in the round-robin schedule).
@@ -71,13 +73,6 @@ _SIMULATE_POINTS: Sequence[Tuple[str, int, int]] = (
     ("fft1k", 8, 5), ("depth", 8, 5),
 )
 _SWEEP_POINTS: Sequence[str] = ("table5",)
-#: Async-job cycle: sweeps restricted to one kernel are a few compiled
-#: points each (memo hits once warm), so a short loadgen window
-#: exercises the whole submit → queue → run → result lifecycle many
-#: times.
-_JOB_POINTS: Sequence[Tuple[str, str]] = (
-    ("fig13", "fft"), ("fig14", "dct"), ("table5", "convolve"),
-)
 
 
 def parse_mix(spec: str) -> Dict[str, int]:
@@ -121,12 +116,6 @@ class LoadgenConfig:
     rate: float = 50.0
     mix: str = DEFAULT_MIX
     request_timeout_s: float = 120.0
-    #: Drive the async job surface (``POST /v1/jobs`` + poll) instead of
-    #: the synchronous mix; the report then carries the daemon-reported
-    #: queue-wait percentiles alongside end-to-end job latency.
-    jobs: bool = False
-    #: API key sent as ``X-Api-Key`` (multi-tenant daemons).
-    api_key: Optional[str] = None
 
 
 class _EndpointStats:
@@ -209,115 +198,6 @@ def _issue(client: Any, kind: str, index: int) -> Any:
     raise ValueError(f"unknown request kind {kind!r}")
 
 
-def _run_jobs_loadgen(config: LoadgenConfig) -> Dict[str, Any]:
-    """Closed-loop driver for the async job surface.
-
-    Each worker submits a one-kernel sweep job, polls it to a terminal
-    state, and records the end-to-end submit→done latency.  The
-    daemon's own ``queue_wait_ms`` (envelope ``meta``) is collected
-    separately so the report distinguishes admission delay from
-    execution time — client-side polling cadence cannot measure that.
-    """
-    from ..serve.client import ServeClient
-
-    stat = _EndpointStats("jobs")
-    queue_wait = Histogram("loadgen.jobs_queue_wait_seconds")
-    wait_lock = threading.Lock()
-    op_counter = itertools.count()
-    deadline_holder = [0.0]
-
-    def _worker() -> None:
-        client = ServeClient(config.host, config.port,
-                             timeout=config.request_timeout_s,
-                             backpressure_retries=0,
-                             api_key=config.api_key)
-        try:
-            while time.perf_counter() < deadline_holder[0]:
-                index = next(op_counter)
-                target, kernel = _JOB_POINTS[index % len(_JOB_POINTS)]
-                started = time.perf_counter()
-                try:
-                    submitted = client.submit_job(target, kernel=kernel)
-                    if submitted.status != 202:
-                        stat.record(
-                            time.perf_counter() - started, submitted.status
-                        )
-                        continue
-                    job_id = (submitted.data or {}).get("job_id", "")
-                    final = client.wait_job(
-                        job_id,
-                        timeout_s=config.request_timeout_s,
-                        poll_s=0.02,
-                    )
-                except (ConnectionError, OSError):
-                    client.close()
-                    stat.errors += 1
-                    continue
-                state = (final.data or {}).get("state")
-                stat.record(
-                    time.perf_counter() - started,
-                    200 if state == "done" else 500,
-                )
-                meta = final.payload.get("meta") or {}
-                wait_ms = meta.get("queue_wait_ms")
-                if isinstance(wait_ms, (int, float)):
-                    with wait_lock:
-                        queue_wait.observe(wait_ms / 1000.0)
-        finally:
-            client.close()
-
-    started_wall = time.perf_counter()
-    deadline_holder[0] = started_wall + config.duration_s
-    workers: List[threading.Thread] = []
-    for _ in range(max(1, config.concurrency)):
-        thread = threading.Thread(target=_worker, daemon=True)
-        thread.start()
-        workers.append(thread)
-    for thread in workers:
-        thread.join(config.duration_s + 2.0 * config.request_timeout_s)
-    elapsed = time.perf_counter() - started_wall
-
-    hist = stat.histogram
-    total = hist.count + stat.errors + stat.backpressure
-    jobs_section: Dict[str, Any] = {"queue_wait_samples": queue_wait.count}
-    if queue_wait.count:
-        jobs_section.update(
-            {
-                "queue_wait_p50_ms": round(queue_wait.p50 * 1000.0, 3),
-                "queue_wait_p99_ms": round(queue_wait.p99 * 1000.0, 3),
-                "queue_wait_max_ms": round(
-                    (queue_wait.max or 0.0) * 1000.0, 3
-                ),
-            }
-        )
-    return {
-        "slo_version": SLO_VERSION,
-        "mode": "jobs",
-        "duration_s": round(elapsed, 3),
-        "concurrency": max(1, config.concurrency),
-        "mix": {"jobs": 1},
-        "endpoints": {"jobs": stat.report()},
-        "jobs": jobs_section,
-        "overall": {
-            "requests": total,
-            "ok": hist.count,
-            "errors": stat.errors,
-            "backpressure": stat.backpressure,
-            "error_rate": round(stat.errors / total, 6) if total else 0.0,
-            "backpressure_rate": round(stat.backpressure / total, 6)
-            if total else 0.0,
-            "throughput_rps": round(hist.count / elapsed, 3)
-            if elapsed > 0 else 0.0,
-            "p50_ms": round(hist.p50 * 1000.0, 3) if hist.count else None,
-            "p99_ms": round(hist.p99 * 1000.0, 3) if hist.count else None,
-        },
-        # The job loop is closed by construction (submit-then-poll), so
-        # achieved completion rate is the saturation estimate.
-        "saturation_rps": round(hist.count / elapsed, 3)
-        if elapsed > 0 else None,
-    }
-
-
 def run_loadgen(config: LoadgenConfig) -> Dict[str, Any]:
     """Drive the daemon for ``config.duration_s``; returns the SLO
     report (the ``data`` of the loadgen envelope).
@@ -340,15 +220,11 @@ def run_loadgen(config: LoadgenConfig) -> Dict[str, Any]:
     # 429/503 *are* the measurement here, not an inconvenience.
     probe = ServeClient(config.host, config.port,
                         timeout=config.request_timeout_s,
-                        backpressure_retries=0,
-                        api_key=config.api_key)
+                        backpressure_retries=0)
     try:
         probe.health()
     finally:
         probe.close()
-
-    if config.jobs:
-        return _run_jobs_loadgen(config)
 
     def _execute(client: Any, op_index: int) -> None:
         kind = schedule[op_index % len(schedule)]
@@ -366,8 +242,7 @@ def run_loadgen(config: LoadgenConfig) -> Dict[str, Any]:
     def _closed_worker() -> None:
         client = ServeClient(config.host, config.port,
                              timeout=config.request_timeout_s,
-                             backpressure_retries=0,
-                             api_key=config.api_key)
+                             backpressure_retries=0)
         try:
             while time.perf_counter() < deadline_holder[0] and \
                     not stop.is_set():
@@ -378,8 +253,7 @@ def run_loadgen(config: LoadgenConfig) -> Dict[str, Any]:
     def _open_worker(tickets: "queue.Queue") -> None:
         client = ServeClient(config.host, config.port,
                              timeout=config.request_timeout_s,
-                             backpressure_retries=0,
-                             api_key=config.api_key)
+                             backpressure_retries=0)
         try:
             while True:
                 ticket = tickets.get()
@@ -511,10 +385,6 @@ def slo_line(report: Dict[str, Any]) -> str:
     ]
     if saturation is not None:
         parts.append(f"saturation={saturation}rps")
-    jobs = report.get("jobs")
-    if jobs and jobs.get("queue_wait_p50_ms") is not None:
-        parts.append(f"queue_wait_p50={jobs['queue_wait_p50_ms']}ms")
-        parts.append(f"queue_wait_p99={jobs['queue_wait_p99_ms']}ms")
     return "SLO: " + " ".join(parts)
 
 

@@ -221,8 +221,9 @@ ENVELOPE_SCHEMA: Dict[str, Any] = {
         "data": dict,
         # ``error`` may additionally carry ``pointer`` — an RFC 6901
         # JSON Pointer into the request body naming the offending field
-        # (API v5; unknown keys pass validation, so the typed check
-        # stays on the two required fields).
+        # (API v5; no daemon route sets one since v8).  Unknown keys
+        # pass validation, so the typed check stays on the two
+        # required fields.
         "error": {"code": str, "message": str},
         "meta": dict,
     },

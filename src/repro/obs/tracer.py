@@ -86,7 +86,7 @@ class Tracer:
 
         When a request id is bound (:func:`repro.obs.log.bind_request_id`)
         it is attached to the marker's detail automatically, so Chrome
-        trace instants join logs and progress events on the same key.
+        trace instants join logs on the same key.
         """
         if "request_id" not in detail:
             request_id = current_request_id()

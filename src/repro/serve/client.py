@@ -21,12 +21,11 @@ from __future__ import annotations
 import json
 import time
 from http.client import HTTPConnection
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from ..api import (
     CompileRequest,
     CostQuery,
-    JobRequest,
     RegisterKernelRequest,
     SimulateRequest,
     SweepRequest,
@@ -65,8 +64,8 @@ class ServeResponse:
 
     @property
     def ok(self) -> bool:
-        """True for a 200/202 with an ``ok`` envelope."""
-        return self.status in (200, 202) and bool(
+        """True for a 200 with an ``ok`` envelope."""
+        return self.status == 200 and bool(
             self.payload.get("ok", True)
         )
 
@@ -113,15 +112,12 @@ class ServeClient:
         timeout: float = 120.0,
         backpressure_retries: int = 4,
         max_retry_after_s: float = 5.0,
-        api_key: Optional[str] = None,
     ):
         self.host = host
         self.port = port
         self.timeout = timeout
         self.backpressure_retries = backpressure_retries
         self.max_retry_after_s = max_retry_after_s
-        #: Sent as ``X-Api-Key`` on every request (multi-tenant mode).
-        self.api_key = api_key
         #: How many backpressure sleeps this client has taken (tests
         #: and load reports read this).
         self.backpressure_waits = 0
@@ -198,8 +194,6 @@ class ServeClient:
             headers["Content-Type"] = "application/json"
         if request_id is not None:
             headers["X-Request-Id"] = request_id
-        if self.api_key is not None:
-            headers["X-Api-Key"] = self.api_key
         for attempt in (0, 1):
             conn = self._connection()
             try:
@@ -339,122 +333,3 @@ class ServeClient:
     def health(self) -> ServeResponse:
         """Liveness probe (``/healthz``)."""
         return self.request("GET", "/healthz")
-
-    # --- async jobs -----------------------------------------------------
-
-    def submit_job(
-        self,
-        target: str,
-        apps: bool = False,
-        kernel: str = "",
-        request_id: Optional[str] = None,
-    ) -> ServeResponse:
-        """Submit ``target`` as an async job (``POST /v1/jobs``, 202).
-
-        The ``data`` payload is the job's initial :class:`JobStatus`;
-        poll :meth:`job_status` or stream :meth:`job_events` with its
-        ``job_id``.
-        """
-        sweep = SweepRequest(target, apps, kernel=kernel)
-        return self.request(
-            "POST",
-            "/v1/jobs",
-            JobRequest(sweep=sweep.to_dict()).to_dict(),
-            request_id,
-        )
-
-    def job_status(self, job_id: str) -> ServeResponse:
-        """Poll one job's state (``GET /v1/jobs/{id}``)."""
-        return self.request("GET", f"/v1/jobs/{job_id}")
-
-    def job_result(self, job_id: str) -> ServeResponse:
-        """Fetch a done job's rows (``GET /v1/jobs/{id}/result``)."""
-        return self.request("GET", f"/v1/jobs/{job_id}/result")
-
-    def list_jobs(self) -> ServeResponse:
-        """List this tenant's jobs (``GET /v1/jobs``)."""
-        return self.request("GET", "/v1/jobs")
-
-    def cancel_job(self, job_id: str) -> ServeResponse:
-        """Request cancellation (``POST /v1/jobs/{id}/cancel``)."""
-        return self.request("POST", f"/v1/jobs/{job_id}/cancel", {})
-
-    def wait_job(
-        self,
-        job_id: str,
-        timeout_s: float = 600.0,
-        poll_s: float = 0.2,
-    ) -> ServeResponse:
-        """Poll until the job reaches a terminal state (or timeout);
-        returns the last status response either way."""
-        deadline = time.monotonic() + timeout_s
-        while True:
-            response = self.job_status(job_id)
-            state = (response.data or {}).get("state")
-            if (
-                not response.ok
-                or state in ("done", "failed", "cancelled")
-                or time.monotonic() >= deadline
-            ):
-                return response
-            time.sleep(poll_s)
-
-    def job_events(
-        self,
-        job_id: str,
-        max_s: float = 600.0,
-    ) -> Iterator[Dict[str, Any]]:
-        """Yield one job's lifecycle/point events as they land
-        (``GET /v1/jobs/{id}/events``); ends at ``job_end``."""
-        return self._stream(f"/v1/jobs/{job_id}/events?max_s={max_s}", max_s)
-
-    # --- progress streaming ---------------------------------------------
-
-    def progress(
-        self,
-        request_id: Optional[str] = None,
-        max_s: float = 600.0,
-    ) -> Iterator[Dict[str, Any]]:
-        """Yield progress events from ``GET /v1/progress`` as they land.
-
-        Filtered to ``request_id`` when given; ends at server deadline,
-        on the watched request's ``request_end`` event, or when the
-        generator is closed.
-        """
-        query = f"max_s={max_s}"
-        if request_id is not None:
-            query = f"request_id={request_id}&{query}"
-        return self._stream(f"/v1/progress?{query}", max_s)
-
-    def _stream(self, path: str, max_s: float) -> Iterator[Dict[str, Any]]:
-        """Consume one SSE-style endpoint as decoded ``data:`` events.
-
-        Runs on a dedicated connection (the stream is close-delimited,
-        so it cannot share the keep-alive one); the API key rides along
-        so tenant-scoped streams authenticate.
-        """
-        headers: Dict[str, str] = {}
-        if self.api_key is not None:
-            headers["X-Api-Key"] = self.api_key
-        conn = HTTPConnection(self.host, self.port, timeout=max_s + 30.0)
-        try:
-            conn.request("GET", path, headers=headers)
-            response = conn.getresponse()
-            while True:
-                line = response.readline()
-                if not line:
-                    return
-                line = line.strip()
-                if not line or line.startswith(b":"):
-                    continue  # heartbeat / separator
-                if line.startswith(b"data: "):
-                    yield json.loads(line[len(b"data: "):].decode("utf-8"))
-        except ServeConnectionError:
-            raise
-        except ConnectionRefusedError as exc:
-            raise ServeConnectionError(
-                f"cannot reach repro daemon at {self.host}:{self.port} "
-                f"(connection refused — is `repro serve` running?)"
-            ) from exc
-        finally:
-            conn.close()

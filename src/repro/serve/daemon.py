@@ -7,7 +7,6 @@ answers every :mod:`repro.api` request kind over a tiny JSON protocol:
 * ``GET  /v1/stats`` — cache/queue/dedup counters
 * ``GET  /v1/metrics`` — the full metrics-registry snapshot
 * ``GET  /metrics`` — the same registry in Prometheus text format
-* ``GET  /v1/progress?request_id=...`` — SSE-style progress stream
 * ``POST /v1/costs`` — :class:`repro.api.CostQuery`
 * ``POST /v1/compile`` — :class:`repro.api.CompileRequest`
 * ``POST /v1/simulate`` — :class:`repro.api.SimulateRequest`
@@ -23,9 +22,9 @@ Every request gets a **correlation id**: the sanitized ``X-Request-Id``
 header if the client sent one, else a freshly minted id.  The id comes
 back in the ``X-Request-Id`` response header and the envelope's
 ``meta.request_id``, is bound (:func:`repro.obs.log.bind_request_id`)
-around execution so structured log lines, tracer instant events, and
-progress-bus events all carry it, and rides through micro-batch
-coalescing — one batch logs the ids of *all* its member requests.
+around execution so structured log lines and tracer instant events
+carry it, and rides through micro-batch coalescing — one batch logs
+the ids of *all* its member requests.
 
 Request bodies are the request dataclass's ``to_dict()`` JSON; responses
 are versioned envelopes (:func:`repro.obs.manifest.build_envelope`)
@@ -63,19 +62,10 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
-from urllib.parse import parse_qs, urlsplit
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..api import (
-    ApiError,
-    JobRequest,
-    dedup_key,
-    execute,
-    request_from_dict,
-)
+from ..api import ApiError, dedup_key, execute, request_from_dict
 from ..obs.log import (
     bind_request_id,
     current_request_id,
@@ -86,24 +76,17 @@ from ..obs.log import (
 )
 from ..obs.manifest import build_envelope
 from ..obs.metrics import MetricsRegistry, render_prometheus
-from ..obs.progress import default_bus
 from ..obs.tracer import NULL_TRACER, Tracer
 from .batching import MicroBatcher, QueueFull
-from .jobs import JobManager, JobStore, count_sweep_points
-from .tenancy import TenantRegistry
 
 __all__ = ["ERROR_CODES", "ReproServer", "ServerConfig", "run_server"]
 
 #: HTTP reason phrases for the statuses the daemon emits.
 _REASONS = {
     200: "OK",
-    202: "Accepted",
     400: "Bad Request",
-    401: "Unauthorized",
-    403: "Forbidden",
     404: "Not Found",
     405: "Method Not Allowed",
-    409: "Conflict",
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
@@ -113,21 +96,15 @@ _REASONS = {
 
 #: The stable error-code registry (the frontend's ``E_*`` pattern,
 #: serving flavor).  Every error response is the typed envelope
-#: ``{code, message, pointer?}``: ``code`` is drawn from this table
-#: and never renamed within an API version, ``message`` is
-#: human-readable and free to change, and ``pointer`` (RFC 6901,
-#: optional) locates the offending field of the request body.
+#: ``{code, message}``: ``code`` is drawn from this table and never
+#: renamed within an API version, and ``message`` is human-readable
+#: and free to change.
 ERROR_CODES = {
     "bad_request": "malformed JSON, unknown field, or unknown name",
-    "unauthorized": "a valid X-Api-Key is required on this route",
-    "forbidden": "the API key does not grant access to this resource",
-    "not_found": "no such route, kernel, or job",
+    "not_found": "no such route or kernel",
     "method_not_allowed": "the route exists but not for this verb",
-    "conflict": "the operation is invalid in the resource's state",
     "payload_too_large": "request body exceeds the configured limit",
     "queue_full": "admission queue at capacity; honor Retry-After",
-    "rate_limited": "tenant token bucket empty; honor Retry-After",
-    "quota_exceeded": "tenant point quota cannot cover this job",
     "internal": "unexpected server-side failure",
     "draining": "server is shutting down; retry against a peer",
     "timeout": "request exceeded the server-side deadline",
@@ -139,9 +116,9 @@ _ERROR_STATUS = {"bad_request": 400, "internal": 500}
 #: Every counted route, by request path: the label of its
 #: ``serve.requests.*`` and ``serve.request_seconds.*`` metrics, and the
 #: API request kind it serves (``/v1/sweeps`` serves the singular
-#: ``sweep`` payload kind) or None.  A route that ends in an id or a ref
-#: is keyed by its collection prefix (``/v1/jobs/``), so a label never
-#: carries an id, a ref or a query string.
+#: ``sweep`` payload kind) or None.  A route that ends in a ref is keyed
+#: by its collection prefix (``/v1/kernels/``), so a label never carries
+#: a ref or a query string.
 _ROUTES: Dict[str, Tuple[str, Optional[str]]] = {
     "/healthz": ("healthz", None),
     "/metrics": ("metrics", None),
@@ -153,20 +130,17 @@ _ROUTES: Dict[str, Tuple[str, Optional[str]]] = {
     "/v1/sweeps": ("sweeps", "sweep"),
     "/v1/kernels": ("kernels", "kernels"),
     "/v1/kernels/": ("kernel", None),
-    "/v1/jobs": ("jobs", None),
-    "/v1/jobs/": ("job", None),
 }
 
 #: The label and kind of a path no route matches.
 _NOT_FOUND: Tuple[str, Optional[str]] = ("not_found", None)
 
 
-def _route_of(path: str) -> Tuple[str, Optional[str]]:
-    """``path``'s metric label and API request kind (see
-    :data:`_ROUTES`)."""
-    return _ROUTES.get(path) or _ROUTES.get(
+def _label_of(path: str) -> str:
+    """``path``'s metric label (see :data:`_ROUTES`)."""
+    return (_ROUTES.get(path) or _ROUTES.get(
         path[:path.find("/", 4) + 1], _NOT_FOUND
-    )
+    ))[0]
 
 
 @dataclass(frozen=True)
@@ -186,15 +160,6 @@ class ServerConfig:
     max_body_bytes: int = 1 << 20
     #: Write a Chrome trace of the serving window here on drain.
     trace_path: Optional[str] = None
-    #: Multi-tenancy: a ``{"tenants": [...]}`` JSON file of API keys,
-    #: weights, rate limits, and point quotas.  ``None`` runs open
-    #: (every caller is the unlimited anonymous ``public`` tenant).
-    tenants_path: Optional[str] = None
-    #: Persist job records here so jobs survive daemon restarts.
-    #: ``None`` keeps the job table in memory only (the CLI defaults
-    #: this to :func:`repro.serve.jobs.default_job_dir`; in-process
-    #: test servers stay memory-only).
-    job_dir: Optional[str] = None
 
 
 class _Unframeable(Exception):
@@ -218,9 +183,9 @@ def _safe_execute(item: Tuple[Optional[str], Any]) -> Tuple[str, Any]:
     one failing request never takes its batch down with it.
 
     The request id is bound around the execution (a context variable,
-    never the process environment, which the job runner's thread would
-    share) so every log line, tracer instant, and progress event the
-    computation emits carries it.
+    never the process environment, which the event-loop thread shares)
+    so every log line and tracer instant the computation emits carries
+    it.
     """
     request_id, request = item
     with bind_request_id(request_id):
@@ -259,31 +224,6 @@ class ReproServer:
         self._connections: set = set()
         self._started_monotonic = 0.0
         self._log = get_logger("serve")
-        self._bus = default_bus()
-        # Recently finished request ids, so a /v1/progress subscriber
-        # that connects after its request completed gets an immediate
-        # request_end instead of hanging until its deadline.  Entries
-        # are (request_id, tenant, status): replay is namespaced by
-        # tenant so one tenant cannot read another's progress events.
-        self._finished: Deque[Tuple[str, str, int]] = deque(maxlen=256)
-        #: In-flight request id -> owning tenant (live-stream isolation).
-        self._active: Dict[str, str] = {}
-        # Multi-tenant admission + the async job layer.  Admission
-        # (auth -> rate limit -> quota -> fair-share enqueue) runs
-        # inline at POST /v1/jobs, ahead of the batcher's 429/503.
-        self.tenants = (
-            TenantRegistry.load(Path(config.tenants_path))
-            if config.tenants_path
-            else TenantRegistry()
-        )
-        self.jobs = JobManager(
-            store=JobStore(
-                Path(config.job_dir) if config.job_dir else None
-            ),
-            registry=self.tenants,
-            metrics=self.metrics,
-            bus=self._bus,
-        )
 
     # --- execution ------------------------------------------------------
 
@@ -317,9 +257,6 @@ class ReproServer:
         self._server = await asyncio.start_server(
             self._handle_client, self.config.host, self.config.port
         )
-        # Persisted jobs from a previous process re-queue here and
-        # recompute their points.
-        self.jobs.start()
 
     @property
     def port(self) -> int:
@@ -332,10 +269,6 @@ class ReproServer:
         the trace.  Returns ``True`` when
         every queued request finished within ``timeout``."""
         self.draining = True
-        # Jobs stop after their in-flight point; interrupted jobs stay
-        # queued/running on disk and resume on the next boot — drain
-        # must not wait out a multi-minute sweep.
-        self.jobs.stop()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -372,8 +305,6 @@ class ReproServer:
             "engine": default_engine().stats(),
             "compile_cache": {**cache.stats(), "hit_rate": cache.hit_rate},
             "compile_memo_entries": memo_size(),
-            "jobs": self.jobs.stats(),
-            "tenants": self.tenants.stats(),
         }
 
     # --- HTTP plumbing --------------------------------------------------
@@ -406,37 +337,10 @@ class ReproServer:
                     if request_id
                     else new_request_id()
                 )
-                api_key = headers.get("x-api-key", "").strip() or None
-                tenant = self.tenants.resolve(api_key)
-                base_path = path.split("?", 1)[0]
-                if base_path == "/v1/progress":
-                    # Streaming endpoint: writes its own response and
-                    # always closes the connection afterwards.
-                    await self._handle_progress(
-                        writer, method, path, tenant.name
-                    )
-                    break
-                if (
-                    base_path.startswith("/v1/jobs/")
-                    and base_path.endswith("/events")
-                ):
-                    await self._handle_job_events(
-                        writer, method, path, api_key
-                    )
-                    break
                 started = time.perf_counter()
-                self._active[request_id] = tenant.name
-                try:
-                    with bind_request_id(request_id):
-                        status, payload = await self._route(
-                            method, path, body, api_key
-                        )
-                finally:
-                    self._active.pop(request_id, None)
-                self._observe(
-                    method, path, status, started, request_id,
-                    tenant=tenant.name,
-                )
+                with bind_request_id(request_id):
+                    status, payload = await self._route(method, path, body)
+                self._observe(method, path, status, started, request_id)
                 keep_alive = (
                     headers.get("connection", "").lower() != "close"
                 )
@@ -458,12 +362,15 @@ class ReproServer:
 
     async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
+    ) -> Optional[Tuple[str, str, Dict[str, str], Optional[bytes]]]:
         """Parse one HTTP/1.1 request; ``None`` on a closed connection.
 
-        Raises :class:`_Unframeable` for a request whose end cannot be
-        found.  ``StreamReader.readline`` reports a line over the
-        stream limit as ``ValueError``.
+        The body is ``None`` when ``Content-Length`` exceeds
+        ``max_body_bytes`` (the bytes are read and dropped, so the
+        connection stays usable): no body a client can send stands for
+        "too large".  Raises :class:`_Unframeable` for a request whose
+        end cannot be found.  ``StreamReader.readline`` reports a line
+        over the stream limit as ``ValueError``.
         """
         try:
             line = await reader.readline()
@@ -504,7 +411,7 @@ class ReproServer:
                 if not chunk:
                     break
                 remaining -= len(chunk)
-            return (method, path, headers, b"__too_large__")
+            return (method, path, headers, None)
         body = await reader.readexactly(length) if length else b""
         return (method, path, headers, body)
 
@@ -515,9 +422,8 @@ class ReproServer:
         status: int,
         started: float,
         request_id: Optional[str] = None,
-        tenant: str = "public",
     ) -> None:
-        label, kind = _route_of(path)
+        label = _label_of(path)
         self.metrics.counter(f"serve.requests.{label}").inc()
         self.metrics.counter(f"serve.responses.{status}").inc()
         elapsed = time.perf_counter() - started
@@ -548,12 +454,6 @@ class ReproServer:
             method=method, path=path, status=status,
             duration_ms=round(elapsed * 1000.0, 3),
         )
-        if kind is not None and request_id is not None:
-            self._finished.append((request_id, tenant, status))
-            self._bus.publish(
-                "request_end",
-                request_id=request_id, kind=kind, status=status,
-            )
 
     # --- routing --------------------------------------------------------
 
@@ -561,16 +461,16 @@ class ReproServer:
         self,
         method: str,
         path: str,
-        body: bytes,
-        api_key: Optional[str] = None,
+        body: Optional[bytes],
     ) -> Tuple[int, Union[Dict[str, Any], str]]:
         """Dispatch one parsed request to its handler; never raises.
 
+        ``body`` is ``None`` for a body over ``max_body_bytes``.
         Payloads are JSON dictionaries except ``GET /metrics``, which
         returns pre-rendered Prometheus text.
         """
         try:
-            if body == b"__too_large__":
+            if body is None:
                 return self._error(
                     path, 413, "payload_too_large",
                     f"body exceeds {self.config.max_body_bytes} bytes",
@@ -626,16 +526,6 @@ class ReproServer:
                 return self._handle_kernel_lookup(
                     path, path[len("/v1/kernels/"):]
                 )
-            if path == "/v1/jobs":
-                if method == "GET":
-                    return self._handle_job_list(api_key)
-                if method != "POST":
-                    return self._error(
-                        path, 405, "method_not_allowed", "use POST or GET"
-                    )
-                return self._handle_job_submit(body, api_key)
-            if path.startswith("/v1/jobs/"):
-                return self._handle_job_route(method, path, api_key)
             kind = _ROUTES.get(path, _NOT_FOUND)[1]
             if kind is not None:
                 if method != "POST":
@@ -674,166 +564,12 @@ class ReproServer:
         status: int,
         code: str,
         message: str,
-        pointer: str = "",
     ) -> Tuple[int, Dict[str, Any]]:
         assert code in ERROR_CODES, f"unregistered error code {code!r}"
         kind = path.rsplit("/", 1)[-1] or "request"
-        error: Dict[str, Any] = {"code": code, "message": message}
-        if pointer:
-            error["pointer"] = pointer
-        return (status, build_envelope(kind, error=error))
-
-    # --- async jobs ------------------------------------------------------
-
-    def _job_auth(
-        self, path: str, api_key: Optional[str]
-    ) -> Tuple[Optional[Any], Optional[Tuple[int, Dict[str, Any]]]]:
-        """Strict auth for job routes: ``(tenant, None)`` or
-        ``(None, error_response)``."""
-        tenant, code = self.tenants.identify(api_key)
-        if tenant is None:
-            status = 401 if code == "unauthorized" else 403
-            self.metrics.counter(f"serve.jobs.rejected.{code}").inc()
-            return None, self._error(
-                path, status, code, ERROR_CODES[code]
-            )
-        return tenant, None
-
-    def _handle_job_submit(
-        self, body: bytes, api_key: Optional[str]
-    ) -> Tuple[int, Dict[str, Any]]:
-        """``POST /v1/jobs``: auth -> rate limit -> quota -> fair-share
-        enqueue.  Answers 202 immediately; rejections carry the typed
-        error envelope and never touch the batcher queue."""
-        path = "/v1/jobs"
-        if self.draining:
-            return self._error(
-                path, 503, "draining", "server is draining; retry elsewhere"
-            )
-        tenant, denied = self._job_auth(path, api_key)
-        if denied is not None:
-            return denied
-        try:
-            data = json.loads(body.decode("utf-8")) if body else {}
-        except ValueError as exc:
-            return self._error(
-                path, 400, "bad_request", f"invalid JSON body ({exc})"
-            )
-        try:
-            request = JobRequest.from_dict(data)
-            request.validate()
-            sweep = request.sweep_request()
-            from ..api import validate_request
-
-            validate_request(sweep)
-            points = count_sweep_points(sweep)
-        except ApiError as exc:
-            return self._error(
-                path, 400, "bad_request", str(exc), pointer="/sweep"
-            )
-        decision = self.tenants.admit(tenant, points)
-        if not decision.ok:
-            status = 429 if decision.code == "rate_limited" else 403
-            self.metrics.counter(
-                f"serve.jobs.rejected.{decision.code}"
-            ).inc()
-            return self._error(
-                path, status, decision.code, decision.message,
-                pointer=decision.pointer,
-            )
-        record = self.jobs.submit(tenant, request, points)
-        return (
-            202,
-            build_envelope(
-                "job", data=record.status().to_dict(),
-                meta={"points": points},
-            ),
-        )
-
-    def _handle_job_route(
-        self, method: str, path: str, api_key: Optional[str]
-    ) -> Tuple[int, Dict[str, Any]]:
-        """``/v1/jobs/{id}``, ``/v1/jobs/{id}/result``,
-        ``/v1/jobs/{id}/cancel`` (events stream separately)."""
-        rest = path[len("/v1/jobs/"):]
-        job_id, _, action = rest.partition("/")
-        if action not in ("", "result", "cancel"):
-            return self._error(
-                path, 404, "not_found", f"no route for {path}"
-            )
-        tenant, denied = self._job_auth(path, api_key)
-        if denied is not None:
-            return denied
-        record = self.jobs.get(job_id)
-        if record is None or (
-            not self.tenants.open and record.tenant != tenant.name
-        ):
-            # A foreign tenant's job answers not_found, not forbidden:
-            # job ids are capabilities and existence is information.
-            return self._error(
-                path, 404, "not_found", f"no such job {job_id!r}"
-            )
-        if action == "cancel":
-            if method != "POST":
-                return self._error(
-                    path, 405, "method_not_allowed", "use POST"
-                )
-            ok, code = self.jobs.cancel(job_id)
-            if not ok and code == "conflict":
-                return self._error(
-                    path, 409, "conflict",
-                    f"job {job_id} already {record.state}",
-                )
-            return (
-                200,
-                build_envelope(
-                    "job", data=self.jobs.get(job_id).status().to_dict()
-                ),
-            )
-        if method != "GET":
-            return self._error(path, 405, "method_not_allowed", "use GET")
-        if action == "result":
-            from ..api import JobResult
-
-            if record.state != "done":
-                return self._error(
-                    path, 409, "conflict",
-                    f"job {job_id} is {record.state}, not done",
-                )
-            result = JobResult(
-                job_id=record.job_id,
-                state=record.state,
-                result=record.result or {},
-            )
-            return (
-                200,
-                build_envelope(
-                    "job_result", data=result.to_dict(), meta=record.meta()
-                ),
-            )
-        return (
-            200,
-            build_envelope(
-                "job", data=record.status().to_dict(), meta=record.meta()
-            ),
-        )
-
-    def _handle_job_list(
-        self, api_key: Optional[str]
-    ) -> Tuple[int, Dict[str, Any]]:
-        """``GET /v1/jobs``: the calling tenant's jobs, oldest first."""
-        tenant, denied = self._job_auth("/v1/jobs", api_key)
-        if denied is not None:
-            return denied
-        scope = None if self.tenants.open else tenant.name
-        records = self.jobs.list(scope)
-        return (
-            200,
-            build_envelope(
-                "jobs",
-                data={"jobs": [r.status().to_dict() for r in records]},
-            ),
-        )
+        return (status, build_envelope(
+            kind, error={"code": code, "message": message}
+        ))
 
     async def _handle_api(
         self, kind: str, body: bytes
@@ -924,207 +660,6 @@ class ReproServer:
             ("\r\n".join(headers) + "\r\n\r\n").encode("latin-1") + body
         )
         await writer.drain()
-
-    # --- progress streaming ---------------------------------------------
-
-    async def _handle_progress(
-        self,
-        writer: asyncio.StreamWriter,
-        method: str,
-        path: str,
-        tenant: str = "public",
-    ) -> None:
-        """Stream progress-bus events as SSE-style ``data:`` lines.
-
-        ``GET /v1/progress?request_id=<id>&max_s=<seconds>`` subscribes
-        to the in-process bus (filtered to one request when an id is
-        given) and writes one ``data: {json}`` line per event over a
-        close-delimited chunk stream.  The stream ends when the watched
-        request publishes ``request_end``, when ``max_s`` expires, or
-        when the client disconnects — a stuck consumer can only ever
-        drop its own events (the bus queue is bounded), never stall a
-        sweep.
-        """
-        query = parse_qs(urlsplit(path).query)
-        request_id = (query.get("request_id") or [None])[0]
-        if request_id:
-            request_id = sanitize_request_id(request_id)
-        try:
-            max_s = float((query.get("max_s") or ["600"])[0])
-        except ValueError:
-            max_s = 600.0
-        if method != "GET":
-            await self._write_response(
-                writer,
-                405,
-                self._error(path, 405, "method_not_allowed", "use GET")[1],
-                keep_alive=False,
-            )
-            return
-        await self._start_event_stream(writer)
-        # A request in flight for (or finished by) another tenant is
-        # invisible here: the watched id's events belong to its owner.
-        if request_id is not None:
-            owner = self._active.get(request_id)
-            if owner is not None and owner != tenant:
-                await self._send_event(
-                    writer,
-                    {
-                        "event": "error",
-                        "code": "forbidden",
-                        "request_id": request_id,
-                    },
-                )
-                return
-        subscription = self._bus.subscribe(request_id)
-        self.metrics.counter("serve.progress.streams").inc()
-        try:
-            # A request that finished before this subscriber attached
-            # would never publish again; answer from the finished ring
-            # — tenant-namespaced, so replay never leaks across keys.
-            if request_id is not None:
-                for done_id, owner, status in self._finished:
-                    if done_id == request_id and owner == tenant:
-                        await self._send_event(
-                            writer,
-                            {
-                                "event": "request_end",
-                                "request_id": request_id,
-                                "status": status,
-                                "replay": True,
-                            },
-                        )
-                        return
-            await self._pump_events(
-                writer, subscription, max_s,
-                end_event="request_end" if request_id is not None else None,
-            )
-        except (ConnectionError, OSError):
-            pass  # client went away; unsubscribe below
-        finally:
-            subscription.close()
-
-    async def _start_event_stream(
-        self, writer: asyncio.StreamWriter
-    ) -> None:
-        writer.write(
-            (
-                "HTTP/1.1 200 OK\r\n"
-                "Content-Type: text/event-stream\r\n"
-                "Cache-Control: no-cache\r\n"
-                "Connection: close\r\n\r\n"
-            ).encode("latin-1")
-        )
-        await writer.drain()
-
-    async def _pump_events(
-        self,
-        writer: asyncio.StreamWriter,
-        subscription,
-        max_s: float,
-        end_event: Optional[str] = None,
-    ) -> None:
-        """Forward bus events until ``end_event``, ``max_s``, or
-        disconnect; shared by ``/v1/progress`` and job event streams."""
-        loop = asyncio.get_running_loop()
-        deadline = time.perf_counter() + max_s
-        idle_polls = 0
-        while time.perf_counter() < deadline:
-            event = await loop.run_in_executor(
-                None, subscription.get, 0.5
-            )
-            if event is None:
-                idle_polls += 1
-                if idle_polls >= 10:
-                    # Comment line per SSE: keeps half-open
-                    # connections detectable without fabricating
-                    # events.
-                    writer.write(b": keep-alive\n\n")
-                    await writer.drain()
-                    idle_polls = 0
-                continue
-            idle_polls = 0
-            await self._send_event(writer, event)
-            if end_event is not None and event.get("event") == end_event:
-                return
-
-    async def _handle_job_events(
-        self,
-        writer: asyncio.StreamWriter,
-        method: str,
-        path: str,
-        api_key: Optional[str],
-    ) -> None:
-        """``GET /v1/jobs/{id}/events``: the job's lifecycle and
-        per-point completion events as an SSE stream, ending at
-        ``job_end`` (terminal jobs replay it immediately)."""
-        base = urlsplit(path)
-        query = parse_qs(base.query)
-        try:
-            max_s = float((query.get("max_s") or ["600"])[0])
-        except ValueError:
-            max_s = 600.0
-        job_id = base.path[len("/v1/jobs/"):-len("/events")]
-        if method != "GET":
-            await self._write_response(
-                writer,
-                405,
-                self._error(path, 405, "method_not_allowed", "use GET")[1],
-                keep_alive=False,
-            )
-            return
-        tenant, denied = self._job_auth(base.path, api_key)
-        if tenant is None:
-            status, payload = denied
-            await self._write_response(
-                writer, status, payload, keep_alive=False
-            )
-            return
-        record = self.jobs.get(job_id)
-        if record is None or (
-            not self.tenants.open and record.tenant != tenant.name
-        ):
-            status, payload = self._error(
-                base.path, 404, "not_found", f"no such job {job_id!r}"
-            )
-            await self._write_response(
-                writer, status, payload, keep_alive=False
-            )
-            return
-        # Subscribe *before* the terminal check: a job finishing in
-        # between publishes into the subscription, not past it.
-        subscription = self._bus.subscribe(job_id)
-        self.metrics.counter("serve.progress.streams").inc()
-        try:
-            await self._start_event_stream(writer)
-            if record.state in ("done", "failed", "cancelled"):
-                await self._send_event(
-                    writer,
-                    {
-                        "event": "job_end",
-                        "request_id": job_id,
-                        "job_id": job_id,
-                        "state": record.state,
-                        "replay": True,
-                    },
-                )
-                return
-            await self._pump_events(
-                writer, subscription, max_s, end_event="job_end"
-            )
-        except (ConnectionError, OSError):
-            pass  # client went away; unsubscribe below
-        finally:
-            subscription.close()
-
-    async def _send_event(
-        self, writer: asyncio.StreamWriter, event: Dict[str, Any]
-    ) -> None:
-        line = json.dumps(event, sort_keys=True, separators=(",", ":"))
-        writer.write(f"data: {line}\n\n".encode("utf-8"))
-        await writer.drain()
-        self.metrics.counter("serve.progress.events").inc()
-
 
 def run_server(config: ServerConfig) -> int:
     """Run the daemon until SIGTERM/SIGINT, then drain; returns the

@@ -1,7 +1,7 @@
 """Session set-up for the tier-1 suite: nothing is written into ``$HOME``.
 
-The compile cache, the kernel registry and the job store all default
-to ``$XDG_CACHE_HOME/repro-stream/...`` (``~/.cache`` when unset).
+The compile cache and the kernel registry both default to
+``$XDG_CACHE_HOME/repro-stream/...`` (``~/.cache`` when unset).
 :func:`pytest_configure` runs before any test module is collected, so
 before any default store is built: it points ``XDG_CACHE_HOME`` at a
 temporary directory for the session and drops inherited per-store
@@ -19,7 +19,6 @@ import tempfile
 STORE_OVERRIDES = (
     "REPRO_COMPILE_CACHE_DIR",
     "REPRO_KERNEL_REGISTRY_DIR",
-    "REPRO_JOB_DIR",
 )
 
 _session_cache_home = None

@@ -183,7 +183,8 @@ class TestRunners:
         # 6: SimulateRequest.mode and .max_events, JobStatus.mode and
         # the singular /v1/sweep route are gone.  7: SweepRequest.workers
         # is gone (every sweep point runs in the calling process).
-        assert API_VERSION == 7
+        # 8: the async job surface and /v1/progress are gone.
+        assert API_VERSION == 8
 
 
 class TestV6Contract:
@@ -198,11 +199,6 @@ class TestV6Contract:
         with pytest.raises(ApiError, match=f"unknown field.*{field}"):
             SimulateRequest.from_dict(body)
 
-    def test_job_status_has_no_mode(self):
-        from repro.api import JobStatus
-
-        with pytest.raises(ApiError, match="unknown field.*mode"):
-            JobStatus.from_dict({"job_id": "job-1", "mode": "simulated"})
 
 
 class TestV7Contract:
@@ -213,6 +209,20 @@ class TestV7Contract:
             SweepRequest.from_dict({"target": "table5", "workers": 2})
         with pytest.raises(TypeError):
             SweepRequest("table5", workers=2)  # type: ignore[call-arg]
+
+
+class TestV8Contract:
+    """v8 removed the async job surface: no job type is exported."""
+
+    def test_job_types_are_gone(self):
+        import repro.api as api
+
+        for name in ("JOB_STATES", "JobRequest", "JobResult", "JobStatus"):
+            assert not hasattr(api, name)
+            assert name not in api.__all__
+        assert set(api.REQUEST_KINDS) == {
+            "costs", "compile", "simulate", "sweep", "kernels",
+        }
 
 
 class TestExecutionModes:

@@ -294,9 +294,7 @@ class TestParser:
         ["report", "--workers", "2"],
         ["report", "--task-timeout", "1"],
         ["serve", "--workers", "2"],
-        ["job", "submit", "table5", "--workers", "2"],
-    ], ids=["report-workers", "report-task-timeout", "serve-workers",
-            "job-submit-workers"])
+    ], ids=["report-workers", "report-task-timeout", "serve-workers"])
     def test_no_pool_flags(self, argv, capsys):
         """Every sweep point, compile and daemon batch runs in the
         calling process; no flag sizes a pool or times its tasks."""
@@ -304,6 +302,23 @@ class TestParser:
             main(argv)
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["job", "status", "x"], "invalid choice: 'job'"),
+        (["job", "submit", "table5"], "invalid choice: 'job'"),
+        (["serve", "--tenants", "f"], "unrecognized arguments"),
+        (["serve", "--job-dir", "d"], "unrecognized arguments"),
+        (["loadgen", "--jobs"], "unrecognized arguments"),
+        (["loadgen", "--api-key", "k"], "unrecognized arguments"),
+    ], ids=["job-status", "job-submit", "serve-tenants", "serve-job-dir",
+            "loadgen-jobs", "loadgen-api-key"])
+    def test_no_job_surface(self, argv, message, capsys):
+        """``/v1/sweeps`` is the one sweep path: no command submits or
+        tracks a job, and no flag configures tenants or a job store."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, options", [
         ("figures", {"--only", "--cache-dir", "--no-compile-cache"}),
@@ -348,67 +363,145 @@ class TestDiskFootprint:
         assert stores == {(".cache", "repro-stream", "schedules")}
         assert len(written) == 94
 
+    def test_serve_session_writes_only_schedules(self, tmp_path):
+        """A ``repro serve`` session that answers cold sweeps and drains
+        leaves compile-cache schedules under ``$XDG_CACHE_HOME`` and
+        nothing else: no job store, no other file."""
+        import signal
 
-def _repro_switches():
-    """Every ``REPRO_*`` environment variable the package reads."""
-    names = set()
-    for path in SRC.rglob("*.py"):
-        names.update(re.findall(r"\bREPRO_[A-Z0-9_]+\b", path.read_text()))
-    return sorted(names)
+        from repro.serve import ServeClient
 
-
-class TestServeJobDir:
-    """``repro serve`` persists jobs by default: ``--job-dir``, else
-    ``$REPRO_JOB_DIR``, else ``$XDG_CACHE_HOME/repro-stream/jobs``,
-    else ``~/.cache/repro-stream/jobs``."""
-
-    @pytest.fixture()
-    def served(self, monkeypatch, tmp_path):
-        """Run ``main`` with ``run_server`` captured; returns the
-        :class:`ServerConfig` it would have served."""
-        import repro.serve.daemon as daemon_module
-
-        configs = []
-        monkeypatch.setattr(
-            daemon_module, "run_server",
-            lambda config: configs.append(config) or 0,
+        env = {
+            name: value for name, value in os.environ.items()
+            if not name.startswith("REPRO_")
+        }
+        env.update(HOME=str(tmp_path / "home"),
+                   XDG_CACHE_HOME=str(tmp_path / "xdg"),
+                   PYTHONPATH=str(SRC.parent))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True,
         )
-        for name in _repro_switches():
-            monkeypatch.delenv(name, raising=False)
-        monkeypatch.setenv("HOME", str(tmp_path / "home"))
-        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+        try:
+            ready = proc.stdout.readline()
+            port = int(re.search(r"http://[\d.]+:(\d+)", ready).group(1))
+            with ServeClient("127.0.0.1", port) as client:
+                assert client.sweep("fig13", kernel="fft").status == 200
+                assert client.sweep("fig15").status == 200
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, out
+        written = [
+            path.relative_to(tmp_path)
+            for path in tmp_path.rglob("*") if path.is_file()
+        ]
+        assert written
+        assert {path.parts[:3] for path in written} == {
+            ("xdg", "repro-stream", "schedules")
+        }
+        assert not (tmp_path / "xdg" / "repro-stream" / "jobs").exists()
 
-        def serve(*flags):
-            assert main(["serve", *flags]) == 0
-            return configs.pop()
 
-        return serve
+#: A small user kernel for the cross-surface checks.
+SAXPY = {
+    "schema_version": 1,
+    "name": "saxpy",
+    "nodes": [
+        {"op": "sb_read", "stream": "x"},
+        {"op": "sb_read", "stream": "y"},
+        {"op": "const", "value": 2.0},
+        {"op": "fmul", "args": [0, 2]},
+        {"op": "fadd", "args": [3, 1]},
+        {"op": "sb_write", "args": [4], "stream": "out"},
+    ],
+    "recurrences": [],
+}
 
-    def test_home_fallback(self, served, tmp_path):
-        assert served().job_dir == str(
-            tmp_path / "home" / ".cache" / "repro-stream" / "jobs"
-        )
 
-    def test_xdg_cache_home(self, served, tmp_path, monkeypatch):
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-        assert served().job_dir == str(
-            tmp_path / "xdg" / "repro-stream" / "jobs"
-        )
+@pytest.fixture(scope="module")
+def report_studies():
+    """The ``studies`` of one ``repro report --apps --json`` run."""
+    import contextlib
+    import io
 
-    def test_env_then_flag_override(self, served, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_JOB_DIR", str(tmp_path / "env"))
-        assert served().job_dir == str(tmp_path / "env")
-        flag = str(tmp_path / "flag")
-        assert served("--job-dir", flag).job_dir == flag
+    from repro.obs import validate_envelope
 
-    def test_no_other_switch_turns_jobs_off(self, served, tmp_path,
-                                            monkeypatch):
-        """Every other store can be switched off; the job store keeps
-        its default."""
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-        for name in _repro_switches():
-            if name != "REPRO_JOB_DIR":
-                monkeypatch.setenv(name, "off")
-        assert served().job_dir == str(
-            tmp_path / "xdg" / "repro-stream" / "jobs"
-        )
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["report", "--apps", "--json"]) == 0
+    envelope = json.loads(out.getvalue())
+    validate_envelope(envelope)
+    return envelope["data"]["studies"]
+
+
+class TestOneAnswerOnEverySurface:
+    """For every request kind, the CLI's ``--json`` ``data``, an
+    in-process ``execute()`` and the daemon's answer are the same bytes
+    (``simulate`` is checked in :class:`TestSimulate`)."""
+
+    @staticmethod
+    def same(cli, api, served):
+        assert served.status == 200, served.payload
+        assert _canonical(cli) == _canonical(api.to_dict())
+        assert _canonical(served.data) == api.to_json()
+
+    @pytest.mark.parametrize("clusters, alus", [(8, 5), (128, 10), (1, 1)])
+    def test_costs(self, capsys, daemon, clusters, alus):
+        from repro.api import CostQuery, execute
+
+        assert main(["costs", "-c", str(clusters), "-n", str(alus),
+                     "--json"]) == 0
+        self.same(_envelope(capsys)["data"],
+                  execute(CostQuery(clusters, alus)),
+                  daemon.costs(clusters, alus))
+
+    @pytest.mark.parametrize("kernel", ["fft", "blocksad", "update"])
+    def test_compile_suite_kernel(self, capsys, daemon, kernel):
+        from repro.api import CompileRequest, execute
+
+        assert main(["compile", kernel, "-c", "16", "-n", "3",
+                     "--json"]) == 0
+        self.same(_envelope(capsys)["data"],
+                  execute(CompileRequest(kernel, 16, 3)),
+                  daemon.compile(kernel, 16, 3))
+
+    def test_compile_kernel_file(self, capsys, daemon, tmp_path):
+        from repro.api import CompileRequest, execute
+
+        path = tmp_path / "saxpy.json"
+        path.write_text(json.dumps(SAXPY))
+        assert main(["compile", "--kernel-file", str(path), "-c", "8",
+                     "-n", "5", "--json"]) == 0
+        cli = _envelope(capsys)["data"]
+        ref = daemon.register_kernel(SAXPY).data["ref"]
+        assert cli["kernel"] == ref
+        self.same(cli, execute(CompileRequest(ref, 8, 5)),
+                  daemon.compile(ref, 8, 5))
+
+    def test_kernel_register(self, capsys, daemon, tmp_path):
+        from repro.api import RegisterKernelRequest, execute
+
+        path = tmp_path / "saxpy.json"
+        path.write_text(json.dumps(SAXPY))
+        assert main(["kernel", "register", str(path), "--json"]) == 0
+        self.same(_envelope(capsys)["data"],
+                  execute(RegisterKernelRequest(SAXPY)),
+                  daemon.register_kernel(SAXPY))
+
+    @pytest.mark.parametrize("target", ["fig13", "fig14", "table5", "fig15"])
+    def test_report_study(self, report_studies, daemon, target):
+        from repro.api import SweepRequest, execute
+
+        assert sorted(report_studies) == [
+            "fig13", "fig14", "fig15", "table5",
+        ]
+        self.same(report_studies[target],
+                  execute(SweepRequest(target)),
+                  daemon.sweep(target))
+
+

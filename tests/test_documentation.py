@@ -95,3 +95,138 @@ class TestReadme:
                          "Table 5", "Figure 12", "Figure 13",
                          "Figure 14", "Figure 15"):
             assert artifact in text, artifact
+
+
+#: The documents whose commands and routes must exist.
+USER_DOCS = ("README.md",) + tuple(
+    f"docs/{path.name}" for path in sorted((REPO / "docs").glob("*.md"))
+)
+
+#: The first words of ``docs/api.md``'s version-history paragraph,
+#: which names what each API version removed.
+API_HISTORY_START = "The surface version is"
+
+#: ``repro <subcommand>`` in code, with the rest of its line; a
+#: subcommand may be a ``/``-separated list (``repro compile/simulate``).
+_COMMAND = re.compile(r"\brepro ([a-z][a-z-]*(?:/[a-z][a-z-]*)*)(?=\s|$)(.*)")
+
+#: Shell syntax that ends a command's arguments.
+_SHELL_END = ("|", ">", "2>", "&", "&&", ";", "#", "\\")
+
+
+def _current_text(name):
+    """The document without its history: sections headed "... migration
+    notes" (down to the next heading of the same or a higher level),
+    and in ``docs/api.md`` the version-history paragraph."""
+    text = (REPO / name).read_text()
+    if name == "docs/api.md":
+        start = text.index(API_HISTORY_START)
+        text = text[:start] + text[text.index("\n\n", start):]
+    kept, skip_level, fenced = [], None, False
+    for line in text.splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        heading = re.match(r"(#+) ", line) if not fenced else None
+        if heading:
+            level = len(heading.group(1))
+            if skip_level is not None and level <= skip_level:
+                skip_level = None
+            if skip_level is None and "migration notes" in line.lower():
+                skip_level = level
+        if skip_level is None:
+            kept.append(line)
+    return "\n".join(kept)
+
+
+def _code(text):
+    """Each line of every fenced block (continuation lines joined) and
+    every inline code span."""
+    pieces, fenced, block = [], False, []
+    for line in text.splitlines():
+        if line.startswith("```"):
+            if fenced:
+                pieces += " ".join(block).replace("\\ ", " ").split("\n")
+                block = []
+            fenced = not fenced
+        elif fenced:
+            block.append(line + ("\n" if not line.endswith("\\") else ""))
+        else:
+            pieces += re.findall(r"`([^`\n]+)`", line)
+    return pieces
+
+
+def _commands(name):
+    """Every ``(subcommands, words)`` a document shows as a command."""
+    found = []
+    for piece in _code(_current_text(name)):
+        for match in _COMMAND.finditer(piece):
+            words = []
+            for word in match.group(2).split():
+                if word in _SHELL_END or word.startswith(("#", "2>")):
+                    break
+                words.append(word)
+            found.append((match.group(1).split("/"), words))
+    return found
+
+
+def _subparsers(parser):
+    import argparse
+
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+class TestDocumentedSurface:
+    """The docs name only commands, flags and routes that exist, so a
+    removed one cannot linger in them (history and migration notes
+    aside)."""
+
+    @pytest.mark.parametrize("name", USER_DOCS)
+    def test_commands_parse(self, name):
+        from repro.cli import build_parser
+
+        top = build_parser()
+        for subcommands, words in _commands(name):
+            for subcommand in subcommands:
+                assert subcommand in _subparsers(top), (name, subcommand)
+                parser = _subparsers(top)[subcommand]
+                rest = list(words)
+                nested = _subparsers(parser)
+                if nested and rest and not rest[0].startswith(("-", "<")):
+                    assert rest[0] in nested, (name, subcommand, rest[0])
+                    parser = nested[rest.pop(0)]
+                for word in rest:
+                    if not word.startswith("-") or word == "-":
+                        continue
+                    for flag in word.split("/"):
+                        flag = flag.split("=", 1)[0]
+                        assert flag in parser._option_string_actions or (
+                            flag in top._option_string_actions
+                        ), (name, subcommand, flag)
+
+    def test_every_document_shows_a_command(self):
+        assert all(_commands(name) for name in ("README.md",
+                                                "docs/serving.md"))
+
+    @pytest.mark.parametrize("name", USER_DOCS)
+    def test_routes_exist(self, name):
+        from repro.serve.daemon import _ROUTES
+
+        routes = re.findall(r"/v1/[\w{}.*-]+(?:/[\w{}.*-]+)*",
+                            _current_text(name))
+        for route in routes:
+            route = route.rstrip(".")
+            prefix = route[:route.find("/", 4) + 1]
+            assert route in _ROUTES or prefix in _ROUTES, (name, route)
+
+    def test_history_is_skipped_not_lost(self):
+        """The skipped text exists: the api.md history paragraph and
+        serving.md's migration notes still record every removal."""
+        api = (REPO / "docs/api.md").read_text()
+        assert API_HISTORY_START in api
+        serving = (REPO / "docs/serving.md").read_text()
+        assert "### API v8 migration notes" in serving
+        assert "/v1/jobs" not in _current_text("docs/serving.md")
+        assert "/v1/jobs" in serving

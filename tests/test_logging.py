@@ -77,57 +77,71 @@ class TestRequestIds:
     def test_daemon_threads_binding_at_once_leave_the_environment_alone(
         self, monkeypatch
     ):
-        """The daemon's dispatcher thread and its job-runner thread bind
-        ids at the same time.  Interleaved as dispatcher binds, runner
-        binds, dispatcher leaves, runner leaves: each sees only its own
-        id, and the environment ends as it began, so no later unbound
-        line carries a stale id."""
+        """The daemon's dispatcher thread binds the id of the request it
+        executes while its event-loop thread binds the id of the next
+        request it parses.  Interleaved as dispatcher binds, event loop
+        binds, dispatcher leaves, event loop leaves: each sees only its
+        own id, and the environment ends as it began, so no later
+        unbound line carries a stale id."""
+        import asyncio
         import threading
 
-        from repro.api import SweepRequest
-        from repro.serve import daemon
-        from repro.serve.jobs import JobManager, JobRecord, JobStore
-        from repro.serve.tenancy import TenantRegistry
+        from repro.serve import ReproServer, ServeClient, ServerConfig, daemon
 
         dispatcher_bound = threading.Event()
-        runner_bound = threading.Event()
-        dispatcher_left = threading.Event()
+        loop_bound = threading.Event()
         seen = {}
+        execute = daemon.execute
+        request_from_dict = daemon.request_from_dict
 
-        def execute(request):
-            dispatcher_bound.set()
-            runner_bound.wait(10)
-            seen["dispatcher"] = current_request_id()
-            seen["dispatcher_env"] = os.environ.get(REQUEST_ID_ENV)
-            return request
+        def dispatching(request):
+            if current_request_id() == "req-1":
+                dispatcher_bound.set()
+                loop_bound.wait(10)
+                seen["dispatcher"] = current_request_id()
+                seen["dispatcher_env"] = os.environ.get(REQUEST_ID_ENV)
+            return execute(request)
 
-        def point_runner(point):
-            runner_bound.set()
-            dispatcher_left.wait(10)
-            seen["runner"] = current_request_id()
-            seen["runner_env"] = os.environ.get(REQUEST_ID_ENV)
+        def parsing(kind, data):
+            if current_request_id() == "req-2":
+                seen["loop"] = current_request_id()
+                seen["loop_env"] = os.environ.get(REQUEST_ID_ENV)
+                loop_bound.set()
+            return request_from_dict(kind, data)
 
-        def dispatch():
-            daemon._safe_execute(("req-1", "request"))
-            dispatcher_left.set()
+        monkeypatch.setattr(daemon, "execute", dispatching)
+        monkeypatch.setattr(daemon, "request_from_dict", parsing)
+        loop = asyncio.new_event_loop()
+        loop_thread = threading.Thread(target=loop.run_forever, daemon=True)
+        loop_thread.start()
+        server = ReproServer(ServerConfig(port=0, batch_window_ms=1.0))
+        asyncio.run_coroutine_threadsafe(server.start(), loop).result(10)
+        statuses = {}
 
-        def run_job():
-            dispatcher_bound.wait(10)
-            manager._run_point(record, "point")
+        def post(request_id, alus):
+            with ServeClient("127.0.0.1", server.port) as client:
+                statuses[request_id] = client.costs(
+                    8, alus, request_id=request_id
+                ).status
 
-        monkeypatch.setattr(daemon, "execute", execute)
-        manager = JobManager(
-            JobStore(None), TenantRegistry(), point_runner=point_runner
-        )
-        record = JobRecord("job-1", "public", SweepRequest("table5"))
-        threads = [threading.Thread(target=dispatch),
-                   threading.Thread(target=run_job)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(10)
+        try:
+            first = threading.Thread(target=post, args=("req-1", 5))
+            first.start()
+            assert dispatcher_bound.wait(10)
+            second = threading.Thread(target=post, args=("req-2", 3))
+            second.start()
+            for thread in (first, second):
+                thread.join(10)
+        finally:
+            asyncio.run_coroutine_threadsafe(
+                server.drain_and_stop(10), loop
+            ).result(30)
+            loop.call_soon_threadsafe(loop.stop)
+            loop_thread.join(5)
+            loop.close()
+        assert statuses == {"req-1": 200, "req-2": 200}
         assert seen == {"dispatcher": "req-1", "dispatcher_env": None,
-                        "runner": "job-1", "runner_env": None}
+                        "loop": "req-2", "loop_env": None}
         assert REQUEST_ID_ENV not in os.environ
         assert current_request_id() is None
 

@@ -313,7 +313,7 @@ class TestEnvelope:
         assert envelope["ok"] is True
         assert envelope["kind"] == "costs"
         assert envelope["envelope_version"] == 1
-        assert envelope["api_version"] == 7
+        assert envelope["api_version"] == 8
         assert envelope["tool"]["name"] == "repro"
 
     def test_error_envelope(self):

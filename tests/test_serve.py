@@ -125,7 +125,7 @@ class TestEndpointEquivalence:
         response = client.costs(8, 5)
         validate_envelope(response.payload)
         assert response.payload["kind"] == "costs"
-        assert response.payload["api_version"] == 7
+        assert response.payload["api_version"] == 8
         assert "duration_ms" in response.payload["meta"]
 
 
@@ -218,9 +218,9 @@ class TestHttpSemantics:
         for i in range(10):
             assert client.request("GET", f"/v1/stats?probe={i}").status == 404
             assert client.get_kernel(f"{i:064x}").status == 404
-            assert client.job_status(f"job-{i}").status == 404
+            assert client.request("GET", f"/v1/jobs/job-{i}").status == 404
         assert _request_labels(warm_server) - before <= {
-            "not_found", "kernel", "job",
+            "not_found", "kernel",
         }
 
     @pytest.mark.parametrize("head", [
@@ -279,6 +279,31 @@ class TestHttpSemantics:
         assert response.status == 404
         assert response.error["code"] == "not_found"
         assert counter.value == before + 1
+
+    def test_oversized_body_413_and_the_connection_serves_on(
+        self, warm_server
+    ):
+        """A body over ``max_body_bytes`` is read and dropped, answered
+        413, and the keep-alive connection serves the next request."""
+        limit = warm_server.config.max_body_bytes
+        with ServeClient("127.0.0.1", warm_server.port) as c:
+            response = c.request("POST", "/v1/costs", {"pad": "x" * limit})
+            assert response.status == 413
+            assert response.error["code"] == "payload_too_large"
+            assert c.costs(8, 5).status == 200
+
+    def test_small_body_is_never_too_large(self, client):
+        """Whatever its bytes, a body under the limit is parsed: these
+        13 bytes once stood in for an oversized body (a 413); they are
+        not JSON, so they are a 400."""
+        conn = client._connection()
+        conn.request("POST", "/v1/costs", body=b"__too_large__",
+                     headers={"Content-Type": "application/json"})
+        raw = conn.getresponse()
+        error = json.loads(raw.read())["error"]
+        assert raw.status == 400
+        assert error["code"] == "bad_request"
+        assert error["message"].startswith("invalid JSON body")
 
     def test_metrics_endpoint(self, client):
         response = client.metrics()
@@ -457,98 +482,54 @@ class TestPrometheusEndpoint:
         assert "# TYPE repro_serve_requests_costs counter" in text
 
 
-class TestProgressEndpoint:
-    def _wait_for_subscriber(self, server, timeout=5.0):
-        deadline = time.perf_counter() + timeout
-        while time.perf_counter() < deadline:
-            if server._bus.subscriber_count() >= 1:
-                return
-            time.sleep(0.01)
-        raise AssertionError("progress subscriber never attached")
+class TestV8Routes:
+    @pytest.mark.parametrize("method,path", [
+        ("POST", "/v1/jobs"),
+        ("GET", "/v1/jobs/x"),
+        ("GET", "/v1/jobs/x/events"),
+        ("GET", "/v1/progress"),
+    ])
+    def test_job_and_progress_routes_are_gone(
+        self, client, warm_server, method, path
+    ):
+        """API v8 removed the async job surface and the progress
+        stream: each of their paths is a plain 404 under the one
+        ``not_found`` label, answered on a keep-alive connection."""
+        counter = warm_server.metrics.counter("serve.requests.not_found")
+        before = counter.value
+        body = {"sweep": {"target": "table5"}} if method == "POST" else None
+        response = client.request(method, path, body)
+        assert response.status == 404
+        assert response.error["code"] == "not_found"
+        assert response.headers["connection"] == "keep-alive"
+        assert counter.value == before + 1
 
-    def test_stream_ordering_and_termination(self):
-        rid = "progress-rid-7"
-        with running_server() as server:
-            events = []
+    def test_singular_sweep_route_is_gone(self, client):
+        """API v6 removed ``/v1/sweep``: a plain 404."""
+        body = SweepRequest("fig13", kernel="fft").to_dict()
+        old = client.request("POST", "/v1/sweep", body)
+        assert old.status == 404
+        assert old.error["code"] == "not_found"
+        assert "deprecation" not in old.headers
+        assert "link" not in old.headers
 
-            def watch():
-                with ServeClient("127.0.0.1", server.port) as watcher:
-                    for event in watcher.progress(
-                        request_id=rid, max_s=30.0
-                    ):
-                        events.append(event)
-
-            thread = threading.Thread(target=watch)
-            thread.start()
-            self._wait_for_subscriber(server)
-            with ServeClient("127.0.0.1", server.port) as c:
-                assert c.sweep(
-                    "table5", request_id=rid
-                ).status == 200
-            thread.join(30)
-            assert not thread.is_alive()
-        assert events, "no progress events streamed"
-        assert all(e.get("request_id") == rid for e in events)
-        assert events[-1]["event"] == "request_end"
-        assert events[-1]["status"] == 200
-        seqs = [e["seq"] for e in events if "seq" in e]
-        assert seqs == sorted(seqs)
-        assert events[0]["event"] == "sweep_start"
-        assert any(e["event"] == "sweep_end" for e in events)
-
-    def test_replay_for_already_finished_request(self):
-        rid = "finished-rid-1"
-        with running_server() as server:
-            with ServeClient("127.0.0.1", server.port) as c:
-                assert c.costs(6, 4, request_id=rid).status == 200
-                events = list(c.progress(request_id=rid, max_s=10.0))
-        assert len(events) == 1
-        assert events[0]["event"] == "request_end"
-        assert events[0]["request_id"] == rid
-        assert events[0]["replay"] is True
-
-    def test_post_is_rejected(self):
-        with running_server() as server:
-            with ServeClient("127.0.0.1", server.port) as c:
-                response = c.request("POST", "/v1/progress?max_s=1")
-            assert response.status == 405
-
-    def test_disconnect_releases_subscription(self):
-        with running_server() as server:
-            with ServeClient("127.0.0.1", server.port) as c:
-                stream = c.progress(max_s=10.0)
-                got = []
-                # The generator is lazy: the first next() opens the
-                # connection, then blocks until an event arrives.
-                thread = threading.Thread(
-                    target=lambda: got.append(next(stream))
-                )
-                thread.start()
-                self._wait_for_subscriber(server)
-                with ServeClient("127.0.0.1", server.port) as other:
-                    assert other.costs(5, 3).status == 200
-                thread.join(10)
-                assert not thread.is_alive()
-                assert got and got[0]["event"] == "request_end"
-                stream.close()  # client walks away mid-stream
-                # The next published event hits the dead socket; the
-                # handler must unsubscribe and the daemon keep serving.
-                with ServeClient("127.0.0.1", server.port) as other:
-                    assert other.costs(5, 4).status == 200
-                    assert other.costs(5, 5).status == 200
-                deadline = time.perf_counter() + 10.0
-                while time.perf_counter() < deadline:
-                    if server._bus.subscriber_count() == 0:
-                        break
-                    time.sleep(0.05)
-                assert server._bus.subscriber_count() == 0
+    def test_sweeps_mode_is_a_validated_no_op(self, client):
+        """``SweepRequest.mode`` outlives v8 while the benchmark sends
+        it: the answer is byte-identical to the same body without it."""
+        body = {"target": "fig13", "kernel": "fft"}
+        plain = client.request("POST", "/v1/sweeps", body)
+        alias = client.request(
+            "POST", "/v1/sweeps", dict(body, mode="analytical")
+        )
+        assert plain.status == alias.status == 200
+        assert _canonical(alias.data) == _canonical(plain.data)
 
 
 class TestCorrelationAcrossSurfaces:
-    def test_sweep_fanout_joins_logs_trace_and_progress(self, tmp_path):
-        """One request id, three surfaces: a cold sweep's id must be
-        findable in the JSON logs (incl. its batch), the Chrome trace
-        instants, and the ``/v1/progress`` stream."""
+    def test_sweep_joins_logs_and_trace(self, tmp_path):
+        """One request id, two surfaces: a cold sweep's id must be
+        findable in the JSON logs (incl. its batch) and the Chrome trace
+        instants."""
         from repro.analysis.sweep import clear_sweep_cache
         from repro.obs.log import ROOT_LOGGER, configure, validate_log_line
 
@@ -557,34 +538,17 @@ class TestCorrelationAcrossSurfaces:
         previous_level = root.level
         configure(json_lines=True, level="INFO", stream=stream)
         rid = "corr-rid-01"
-        events = []
         try:
             clear_sweep_cache()
             with running_server(
                 trace_path=str(tmp_path / "trace.json")
             ) as server:
-
-                def watch():
-                    with ServeClient("127.0.0.1", server.port) as w:
-                        for event in w.progress(
-                            request_id=rid, max_s=120.0
-                        ):
-                            events.append(event)
-
-                thread = threading.Thread(target=watch)
-                thread.start()
-                deadline = time.perf_counter() + 5.0
-                while (
-                    server._bus.subscriber_count() < 1
-                    and time.perf_counter() < deadline
-                ):
-                    time.sleep(0.01)
                 with ServeClient(
                     "127.0.0.1", server.port, timeout=300.0
                 ) as c:
                     response = c.sweep("fig15", request_id=rid)
                 assert response.status == 200
-                thread.join(60)
+                assert response.request_id == rid
                 trace = json.loads(server.tracer.to_chrome_json())
         finally:
             for handler in list(root.handlers):
@@ -614,16 +578,6 @@ class TestCorrelationAcrossSurfaces:
             and e.get("args", {}).get("request_id") == rid
         ]
         assert instants
-        # Surface 3: the progress stream saw the sweep end-to-end,
-        # every cold point included.
-        assert events and all(
-            e.get("request_id") == rid for e in events
-        )
-        assert events[-1]["event"] == "request_end"
-        assert any(
-            e["event"] == "point" and e["kind"] == "sim" for e in events
-        )
-        assert any(e["event"] == "sweep_progress" for e in events)
 
 
 class TestOperationalFailures:

@@ -17,7 +17,6 @@ from repro.core.config import ProcessorConfig
 from repro.kernels.suite import get_kernel
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import PhaseProfiler
-from repro.obs.progress import ProgressBus
 from repro.sim.processor import simulate
 
 SMALL_APPS = ("fft1k", "depth")
@@ -241,29 +240,9 @@ class TestInstrumentation:
         engine.simulate_application("fft1k", ProcessorConfig(8, 5))
 
 
-#: Event fields that carry wall-clock time or bus bookkeeping (a
-#: request id an earlier test left bound to this thread).
-_UNSTABLE = {"seq", "ts", "elapsed_s", "eta_s", "seconds", "request_id"}
-
 C8N5, C16N5, C8N10 = (
     ProcessorConfig(8, 5), ProcessorConfig(16, 5), ProcessorConfig(8, 10)
 )
-
-
-def _stable_events(subscription):
-    events = []
-    while True:
-        event = subscription.get(timeout=0)
-        if event is None:
-            return events
-        events.append(
-            {k: v for k, v in event.items() if k not in _UNSTABLE}
-        )
-
-
-def _hit_rate(stats):
-    looked_up = stats["sim_hits"] + stats["sim_misses"]
-    return round(stats["sim_hits"] / looked_up, 4) if looked_up else 0.0
 
 
 def _counters(metrics):
@@ -276,48 +255,26 @@ def _counters(metrics):
     }
 
 
-def _progress(done, total, stats):
-    return {"event": "sweep_progress", "completed": done, "total": total,
-            "cache_hit_rate": _hit_rate(stats)}
-
-
 def reference_compile_kernels(engine, points, cold):
     """A grid compiled point by point: each cold point through
-    ``kernel_rate``, then every point read back through it.  Returns the
-    rates and the events ``compile_kernels`` publishes for the grid."""
-    events = [{"event": "sweep_start", "kind": "compile",
-               "total": len(points), "cached": len(points) - len(cold)}]
+    ``kernel_rate``, then every point read back through it."""
     for kernel, config in cold:
         engine.kernel_rate(kernel, config)
-    events += [_progress(done, len(cold), engine.stats())
-               for done in range(1, len(cold) + 1)]
-    events.append({"event": "sweep_end", "kind": "compile",
-                   "total": len(points), "computed": len(cold)})
-    return [engine.kernel_rate(*point) for point in points], events
+    return [engine.kernel_rate(*point) for point in points]
 
 
 def reference_simulate_many(engine, points, cold):
     """A grid simulated point by point: each cold point through
     ``simulate_application``, then every point read back through it."""
-    events = [{"event": "sweep_start", "kind": "simulate",
-               "total": len(points), "cached": len(points) - len(cold)}]
-    for done, (application, config) in enumerate(cold, start=1):
+    for application, config in cold:
         engine.simulate_application(application, config)
-        events.append({"event": "point", "kind": "sim",
-                       "application": application,
-                       "clusters": config.clusters,
-                       "alus": config.alus_per_cluster})
-        events.append(_progress(done, len(cold), engine.stats()))
-    events.append({"event": "sweep_end", "kind": "simulate",
-                   "total": len(points), "computed": len(cold),
-                   "cache_hit_rate": _hit_rate(engine.stats())})
-    return [engine.simulate_application(*point) for point in points], events
+    return [engine.simulate_application(*point) for point in points]
 
 
 class TestOnePass:
     """``compile_kernels`` and ``simulate_many`` read each point from the
-    memo once, and return, count and publish what a point-by-point loop
-    over the same grid does."""
+    memo once, and return and count what a point-by-point loop over the
+    same grid does."""
 
     RATE_WARM = [("convolve", C8N5), ("fft", C16N5)]
     RATE_POINTS = [
@@ -335,42 +292,35 @@ class TestOnePass:
     SIM_COLD = [("depth", C8N5), ("fft1k", C16N5)]
 
     def engines(self, warm, lookup):
-        """Two engines in the same state; the first one's private bus
-        has a subscriber."""
-        bus = ProgressBus()
-        engine = SweepEngine(metrics=MetricsRegistry(), progress=bus)
-        reference = SweepEngine(metrics=MetricsRegistry(),
-                                progress=ProgressBus())
+        """Two engines in the same state."""
+        engine = SweepEngine(metrics=MetricsRegistry())
+        reference = SweepEngine(metrics=MetricsRegistry())
         for each in (engine, reference):
             for point in warm:
                 getattr(each, lookup)(*point)
-        return engine, reference, bus.subscribe()
+        return engine, reference
 
     def test_compile_kernels_matches_a_per_point_loop(self):
-        engine, reference, subscription = self.engines(
-            self.RATE_WARM, "kernel_rate"
-        )
+        engine, reference = self.engines(self.RATE_WARM, "kernel_rate")
         rates = engine.compile_kernels(self.RATE_POINTS)
-        expected, events = reference_compile_kernels(
+        expected = reference_compile_kernels(
             reference, self.RATE_POINTS, self.RATE_COLD
         )
         assert rates == expected
         assert engine.stats() == reference.stats()
         assert _counters(engine.metrics) == _counters(reference.metrics)
-        assert _stable_events(subscription) == events
 
     def test_simulate_many_matches_a_per_point_loop(self):
-        engine, reference, subscription = self.engines(
+        engine, reference = self.engines(
             self.SIM_WARM, "simulate_application"
         )
         results = engine.simulate_many(self.SIM_POINTS)
-        expected, events = reference_simulate_many(
+        expected = reference_simulate_many(
             reference, self.SIM_POINTS, self.SIM_COLD
         )
         assert results == expected
         assert engine.stats() == reference.stats()
         assert _counters(engine.metrics) == _counters(reference.metrics)
-        assert _stable_events(subscription) == events
 
     def test_a_warm_grid_counts_one_hit_per_point(self):
         engine = SweepEngine()
