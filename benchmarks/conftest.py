@@ -16,6 +16,8 @@ import pathlib
 
 import pytest
 
+from repro.analysis.report import STUDIES
+
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 TIMINGS_DIR = pathlib.Path(__file__).parent / "timings"
 
@@ -66,3 +68,13 @@ def run_once(benchmark, func, *args, **kwargs):
     return benchmark.pedantic(
         func, args=args, kwargs=kwargs, rounds=1, iterations=1
     )
+
+
+def regenerate(benchmark, archive, name):
+    """Regenerate the study ``name`` of
+    :data:`repro.analysis.report.STUDIES` once, archive its text (the
+    text ``repro report`` prints) and return its data."""
+    study = STUDIES[name]
+    data = run_once(benchmark, study.compute)
+    archive(study.render(study.title, data))
+    return data

@@ -1,18 +1,12 @@
 """Benchmark regenerating the application study (paper Figure 15)."""
 
-from conftest import run_once
+from conftest import regenerate
 
-from repro.analysis.perf import figure15_application_performance
-from repro.analysis.report import render_application_figure
 from repro.core.efficiency import harmonic_mean
 
 
 def test_fig15_application_performance(benchmark, archive):
-    points = run_once(benchmark, figure15_application_performance)
-    archive(render_application_figure(
-        "Figure 15: Application performance "
-        "(speedup over C=8/N=5; sustained GOPS at 1 GHz)", points,
-    ))
+    points = regenerate(benchmark, archive, "fig15")
 
     at_1280 = {
         p.application: p

@@ -1,78 +1,44 @@
 """Benchmarks regenerating the cost figures (paper Figures 6-12) and the
 section 3 unified-register-file baseline."""
 
-from conftest import run_once
+from conftest import regenerate, run_once
 
-from repro.analysis.costplots import (
-    figure6_area_intracluster,
-    figure7_energy_intracluster,
-    figure8_delay_intracluster,
-    figure9_area_intercluster,
-    figure10_energy_intercluster,
-    figure11_delay_intercluster,
-    figure12_area_combined,
-)
-from repro.analysis.report import (
-    format_table,
-    render_delay_figure,
-    render_stack_figure,
-)
+from repro.analysis.costplots import figure12_area_combined
+from repro.analysis.report import format_table
 from repro.core.baseline import compare_unified_vs_stream, unified_cycle_time_fo4
 
 
 def test_fig6_intracluster_area(benchmark, archive):
-    points = run_once(benchmark, figure6_area_intracluster)
-    archive(render_stack_figure(
-        "Figure 6: Area per ALU, intracluster scaling "
-        "(C=8, normalized to N=5)", points, "N",
-    ))
+    points = regenerate(benchmark, archive, "fig6")
     best = min(points, key=lambda p: p.total)
     assert best.config.alus_per_cluster == 5
 
 
 def test_fig7_intracluster_energy(benchmark, archive):
-    points = run_once(benchmark, figure7_energy_intracluster)
-    archive(render_stack_figure(
-        "Figure 7: Energy per ALU op, intracluster scaling "
-        "(C=8, normalized to N=5)", points, "N",
-    ))
+    points = regenerate(benchmark, archive, "fig7")
     at16 = next(p for p in points if p.config.alus_per_cluster == 16)
     assert 1.1 < at16.total < 1.35  # paper: 1.23x
 
 
 def test_fig8_intracluster_delay(benchmark, archive):
-    points = run_once(benchmark, figure8_delay_intracluster)
-    archive(render_delay_figure(
-        "Figure 8: Delay of intracluster scaling (C=8)", points, "N",
-    ))
+    points = regenerate(benchmark, archive, "fig8")
     assert points[-1].intercluster_fo4 > points[0].intercluster_fo4
 
 
 def test_fig9_intercluster_area(benchmark, archive):
-    points = run_once(benchmark, figure9_area_intercluster)
-    archive(render_stack_figure(
-        "Figure 9: Area per ALU, intercluster scaling "
-        "(N=5, normalized to C=8)", points, "C",
-    ))
+    points = regenerate(benchmark, archive, "fig9")
     at128 = next(p for p in points if p.config.clusters == 128)
     assert 0.99 <= at128.total <= 1.06  # paper: +2%
 
 
 def test_fig10_intercluster_energy(benchmark, archive):
-    points = run_once(benchmark, figure10_energy_intercluster)
-    archive(render_stack_figure(
-        "Figure 10: Energy per ALU op, intercluster scaling "
-        "(N=5, normalized to C=8)", points, "C",
-    ))
+    points = regenerate(benchmark, archive, "fig10")
     at128 = next(p for p in points if p.config.clusters == 128)
     assert 1.03 <= at128.total <= 1.13  # paper: +7%
 
 
 def test_fig11_intercluster_delay(benchmark, archive):
-    points = run_once(benchmark, figure11_delay_intercluster)
-    archive(render_delay_figure(
-        "Figure 11: Delay of intercluster scaling (N=5)", points, "C",
-    ))
+    points = regenerate(benchmark, archive, "fig11")
     intra = [p.intracluster_fo4 for p in points]
     assert max(intra) - min(intra) < 1e-9  # flat, as in the figure
 

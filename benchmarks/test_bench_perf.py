@@ -1,26 +1,15 @@
 """Benchmarks regenerating the kernel performance studies
 (paper Figures 13-14 and Table 5)."""
 
-from conftest import run_once
+from conftest import regenerate
 
-from repro.analysis.perf import (
-    TABLE5_C_VALUES,
-    TABLE5_N_VALUES,
-    figure13_kernel_speedups,
-    figure14_kernel_speedups,
-    table5_performance_per_area,
-)
-from repro.analysis.report import render_grid, render_speedup_figure
+from repro.analysis.perf import TABLE5_C_VALUES
 from repro.compiler.pipeline import clear_cache
 
 
 def test_fig13_intracluster_kernel_speedup(benchmark, archive):
     clear_cache()
-    series = run_once(benchmark, figure13_kernel_speedups)
-    archive(render_speedup_figure(
-        "Figure 13: Intracluster kernel speedup "
-        "(C=8, over C=8/N=5)", series, "N",
-    ))
+    series = regenerate(benchmark, archive, "fig13")
     hm = dict(
         (cfg.alus_per_cluster, v)
         for cfg, v in series[-1].points
@@ -31,23 +20,14 @@ def test_fig13_intracluster_kernel_speedup(benchmark, archive):
 
 def test_fig14_intercluster_kernel_speedup(benchmark, archive):
     clear_cache()
-    series = run_once(benchmark, figure14_kernel_speedups)
-    archive(render_speedup_figure(
-        "Figure 14: Intercluster kernel speedup "
-        "(N=5, over C=8/N=5)", series, "C",
-    ))
+    series = regenerate(benchmark, archive, "fig14")
     hm = dict((cfg.clusters, v) for cfg, v in series[-1].points)
     assert hm[128] >= 14.0  # near-linear to 128 clusters
 
 
 def test_table5_performance_per_area(benchmark, archive):
     clear_cache()
-    grid = run_once(benchmark, table5_performance_per_area)
-    archive(render_grid(
-        "Table 5: Kernel performance per unit area "
-        "(harmonic mean of 6 kernels; N-ALU-equivalent units)",
-        grid, TABLE5_C_VALUES, TABLE5_N_VALUES,
-    ))
+    grid = regenerate(benchmark, archive, "table5")
     # The paper's qualitative claims: N>5 configurations are less
     # efficient, intercluster scaling barely moves the metric, and the
     # 640-ALU machine stays within ~10% of the best configuration.

@@ -2,42 +2,24 @@
 """Regenerate the paper's complete evaluation in one run.
 
 Prints every table and figure of the paper (Tables 1-5, Figures 6-15)
-plus the two headline claims, in the text form the benchmark harness
-archives.  This is the "reproduce the paper" button.
+and checks every quantitative claim against its anchor, in the text
+form the benchmark harness archives: Figures 6-11, 13-15 and Table 5
+come from the same study table ``repro report`` prints.  This is the
+"reproduce the paper" button.
 
-Run:  python examples/paper_evaluation.py           (full, ~10 s)
-      python examples/paper_evaluation.py --fast    (skips Figure 15)
+Run:  python examples/paper_evaluation.py    (under a second)
 """
 
-import sys
-
 from repro.analysis import (
-    figure6_area_intracluster,
-    figure7_energy_intracluster,
-    figure8_delay_intracluster,
-    figure9_area_intercluster,
-    figure10_energy_intercluster,
-    figure11_delay_intercluster,
+    STUDIES,
     figure12_area_combined,
-    figure13_kernel_speedups,
-    figure14_kernel_speedups,
-    figure15_application_performance,
-    headline_640,
-    headline_1280,
+    render_validation,
     table1_parameters,
     table2_kernel_characteristics,
     table4_suite,
-    table5_performance_per_area,
+    validate_all,
 )
-from repro.analysis.perf import TABLE5_C_VALUES, TABLE5_N_VALUES
-from repro.analysis.report import (
-    format_table,
-    render_application_figure,
-    render_delay_figure,
-    render_grid,
-    render_speedup_figure,
-    render_stack_figure,
-)
+from repro.analysis.report import format_table
 
 
 def banner(text: str) -> None:
@@ -48,8 +30,6 @@ def banner(text: str) -> None:
 
 
 def main() -> None:
-    fast = "--fast" in sys.argv
-
     banner("Table 1: Summary of Parameters")
     print(format_table(("Param", "Value", "Description"),
                        table1_parameters()))
@@ -70,66 +50,18 @@ def main() -> None:
          for r in table4_suite()],
     ))
 
-    banner("Figures 6-8: intracluster scaling (C=8)")
-    print(render_stack_figure("Figure 6: area per ALU",
-                              figure6_area_intracluster(), "N"))
-    print()
-    print(render_stack_figure("Figure 7: energy per ALU op",
-                              figure7_energy_intracluster(), "N"))
-    print()
-    print(render_delay_figure("Figure 8: switch delays",
-                              figure8_delay_intracluster(), "N"))
-
-    banner("Figures 9-11: intercluster scaling (N=5)")
-    print(render_stack_figure("Figure 9: area per ALU",
-                              figure9_area_intercluster(), "C"))
-    print()
-    print(render_stack_figure("Figure 10: energy per ALU op",
-                              figure10_energy_intercluster(), "C"))
-    print()
-    print(render_delay_figure("Figure 11: switch delays",
-                              figure11_delay_intercluster(), "C"))
+    banner("Figures 6-11, 13-15 and Table 5")
+    for study in STUDIES.values():
+        print(study.text())
+        print()
 
     banner("Figure 12: combined scaling (area/ALU vs total ALUs)")
     for n, series in sorted(figure12_area_combined().items()):
         line = "  ".join(f"{alus}:{area:.2f}" for alus, area in series)
         print(f"N={n:2d}:  {line}")
 
-    banner("Figures 13-14: kernel speedups")
-    print(render_speedup_figure("Figure 13 (intracluster, C=8)",
-                                figure13_kernel_speedups(), "N"))
-    print()
-    print(render_speedup_figure("Figure 14 (intercluster, N=5)",
-                                figure14_kernel_speedups(), "C"))
-
-    banner("Table 5: kernel performance per unit area")
-    print(render_grid("(harmonic mean of 6 kernels)",
-                      table5_performance_per_area(),
-                      TABLE5_C_VALUES, TABLE5_N_VALUES))
-
-    if not fast:
-        banner("Figure 15: application performance")
-        print(render_application_figure(
-            "(speedup over C=8/N=5, sustained GOPS)",
-            figure15_application_performance(),
-        ))
-
-    banner("Headline claims")
-    h1 = headline_640(include_apps=not fast)
-    print(f"640-ALU (C=128 N=5):  area/ALU {h1.area_per_alu_overhead:.3f}x"
-          f" (paper 1.02), energy/op {h1.energy_per_op_overhead:.3f}x"
-          f" (paper 1.07),")
-    print(f"   kernel speedup {h1.kernel_speedup:.1f}x (paper 15.3),"
-          + ("" if fast else
-             f" app speedup {h1.application_speedup:.1f}x (paper 8.0),")
-          + f" {h1.kernel_gops:.0f} GOPS sustained (paper >300)")
-    h2 = headline_1280(include_apps=not fast)
-    print(f"1280-ALU (C=128 N=10): kernel speedup {h2.kernel_speedup:.1f}x"
-          f" (paper 27.9),"
-          + ("" if fast else
-             f" app speedup {h2.application_speedup:.1f}x (paper ~10),")
-          + f" {h2.peak_gops:.0f} GOPS peak at {h2.power_watts:.1f} W"
-          f" (paper: >1 TFLOP, <10 W)")
+    banner("Paper claims")
+    print(render_validation(validate_all()))
 
 
 if __name__ == "__main__":

@@ -35,6 +35,8 @@ from .sweep import (
     default_engine,
 )
 from .report import (
+    STUDIES,
+    Study,
     format_table,
     render_application_figure,
     render_delay_figure,
@@ -56,6 +58,8 @@ __all__ = [
     "HeadlineReport",
     "KernelSpeedupSeries",
     "AnchorResult",
+    "STUDIES",
+    "Study",
     "SweepEngine",
     "anchors",
     "clear_sweep_cache",

@@ -2,18 +2,14 @@
 
 ``export_all(directory)`` writes one CSV per paper artifact so the data
 can be plotted with any external tool; the CLI exposes it as
-``python -m repro export --out <dir>``.  :func:`export_run_manifest`
-writes one simulation run as a schema-validated JSON manifest (see
-:mod:`repro.obs.manifest`).
+``python -m repro export --out <dir>``.
 """
 
 from __future__ import annotations
 
 import csv
 import pathlib
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
-
-from ..obs.manifest import build_manifest, write_manifest
+from typing import Iterable, List, Sequence
 
 from .costplots import (
     figure6_area_intracluster,
@@ -60,20 +56,6 @@ def _speedup_rows(series, x_attr: str):
     for s in series:
         for config, speedup in s.points:
             yield (s.kernel, getattr(config, x_attr), speedup)
-
-
-def export_run_manifest(
-    result,
-    path: str,
-    application: Optional[str] = None,
-    timings: Optional[Mapping[str, float]] = None,
-) -> pathlib.Path:
-    """Write one run's versioned manifest JSON; returns the path."""
-    manifest = build_manifest(
-        result, application=application, timings=timings
-    )
-    write_manifest(manifest, path)
-    return pathlib.Path(path)
 
 
 def export_all(

@@ -1,17 +1,38 @@
-"""ASCII rendering of regenerated tables and figures.
+"""ASCII rendering of regenerated tables and figures, and the study table.
 
 The benchmark harness prints these so that ``pytest benchmarks/``
 reproduces, in text form, the same rows and series every paper table and
-figure reports.
+figure reports.  :data:`STUDIES` names each study once — its title, how
+to compute it and how to draw it — so ``repro report``, the benchmark
+harness and ``examples/paper_evaluation.py`` print the same text.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from ..core.scaling import NormalizedPoint
-from .costplots import DelayPoint
-from .perf import ApplicationPoint, KernelSpeedupSeries
+from .costplots import (
+    DelayPoint,
+    figure6_area_intracluster,
+    figure7_energy_intracluster,
+    figure8_delay_intracluster,
+    figure9_area_intercluster,
+    figure10_energy_intercluster,
+    figure11_delay_intercluster,
+)
+from .perf import (
+    TABLE5_C_VALUES,
+    TABLE5_N_VALUES,
+    ApplicationPoint,
+    KernelSpeedupSeries,
+    figure13_kernel_speedups,
+    figure14_kernel_speedups,
+    figure15_application_performance,
+    table5_performance_per_area,
+)
 
 
 def format_table(
@@ -135,3 +156,63 @@ def render_grid(
     for n in n_values:
         rows.append([str(n)] + [grid[(c, n)] for c in c_values])
     return f"{title}\n{format_table(headers, rows)}"
+
+
+@dataclass(frozen=True)
+class Study:
+    """One paper study: its name, its title as archived under
+    ``benchmarks/output/``, how to compute its data and how to draw it
+    (``render(title, data)``)."""
+
+    name: str
+    title: str
+    compute: Callable[[], Any]
+    render: Callable[[str, Any], str]
+
+    def text(self) -> str:
+        """The study computed and drawn under its title."""
+        return self.render(self.title, self.compute())
+
+
+#: The paper's figure and table studies in paper order, by name.
+STUDIES: Dict[str, Study] = {study.name: study for study in (
+    Study("fig6", "Figure 6: Area per ALU, intracluster scaling "
+                  "(C=8, normalized to N=5)",
+          figure6_area_intracluster,
+          partial(render_stack_figure, x_label="N")),
+    Study("fig7", "Figure 7: Energy per ALU op, intracluster scaling "
+                  "(C=8, normalized to N=5)",
+          figure7_energy_intracluster,
+          partial(render_stack_figure, x_label="N")),
+    Study("fig8", "Figure 8: Delay of intracluster scaling (C=8)",
+          figure8_delay_intracluster,
+          partial(render_delay_figure, x_label="N")),
+    Study("fig9", "Figure 9: Area per ALU, intercluster scaling "
+                  "(N=5, normalized to C=8)",
+          figure9_area_intercluster,
+          partial(render_stack_figure, x_label="C")),
+    Study("fig10", "Figure 10: Energy per ALU op, intercluster scaling "
+                   "(N=5, normalized to C=8)",
+          figure10_energy_intercluster,
+          partial(render_stack_figure, x_label="C")),
+    Study("fig11", "Figure 11: Delay of intercluster scaling (N=5)",
+          figure11_delay_intercluster,
+          partial(render_delay_figure, x_label="C")),
+    Study("fig13", "Figure 13: Intracluster kernel speedup "
+                   "(C=8, over C=8/N=5)",
+          figure13_kernel_speedups,
+          partial(render_speedup_figure, x_label="N")),
+    Study("fig14", "Figure 14: Intercluster kernel speedup "
+                   "(N=5, over C=8/N=5)",
+          figure14_kernel_speedups,
+          partial(render_speedup_figure, x_label="C")),
+    Study("table5", "Table 5: Kernel performance per unit area "
+                    "(harmonic mean of 6 kernels; N-ALU-equivalent units)",
+          table5_performance_per_area,
+          partial(render_grid, c_values=TABLE5_C_VALUES,
+                  n_values=TABLE5_N_VALUES)),
+    Study("fig15", "Figure 15: Application performance "
+                   "(speedup over C=8/N=5; sustained GOPS at 1 GHz)",
+          figure15_application_performance,
+          render_application_figure),
+)}

@@ -8,18 +8,16 @@ speedups re-simulate the C=8/N=5 baseline, and ``validate`` runs all of
 the above.  The engine gives those studies one shared, keyed memo cache
 (simulation results and kernel rates), so each distinct point is paid
 for exactly once per process.  Every cold point runs in the calling
-process: a whole cold ``repro report --apps`` takes under a second on
-one core, so a process pool would have almost nothing to split and
-would still pay to start and feed its workers.
+process: a whole cold ``repro report`` takes under a second on one
+core, so a process pool would have almost nothing to split and would
+still pay to start and feed its workers.
 
-Instrumentation rides on the PR-1 observability layer: the engine's
-:class:`~repro.obs.profile.PhaseProfiler` accumulates per-point wall
-time and a :class:`~repro.obs.metrics.MetricsRegistry` (optional)
-counts cache hits/misses and observes per-point latency histograms —
-the raw material for the "profile a slow sweep" recipe in
-``docs/performance.md``.  A sweep is one synchronous call (``POST
-/v1/sweeps`` in the daemon): its caller holds the whole answer when it
-returns.
+Instrumentation rides on the observability layer: an optional
+:class:`~repro.obs.metrics.MetricsRegistry` counts cache hits/misses
+and observes per-point latency histograms — the raw material for the
+"profile a slow sweep" recipe in ``docs/performance.md``.  A sweep is
+one synchronous call (``POST /v1/sweeps`` in the daemon): its caller
+holds the whole answer when it returns.
 
 Every application point is evaluated by
 :func:`repro.analysis.model.predict_application`: the simulator's
@@ -45,7 +43,6 @@ from ..core.config import ProcessorConfig
 from ..core.params import TECH_45NM, TechnologyNode
 from ..kernels.suite import get_kernel
 from ..obs.metrics import MetricsRegistry
-from ..obs.profile import PhaseProfiler
 from ..sim.metrics import SimulationResult
 from .model import predict_application
 
@@ -68,21 +65,13 @@ class SweepEngine:
 
     Parameters
     ----------
-    profiler:
-        Receives ``sweep.simulate`` / ``sweep.kernel_rate`` wall-time
-        phases (one fresh profiler per engine by default).
     metrics:
         Optional registry; when present the engine counts
         ``sweep.sim.{hits,misses}`` / ``sweep.rate.{hits,misses}`` and
         observes a ``sweep.point_seconds`` histogram per cold point.
     """
 
-    def __init__(
-        self,
-        profiler: Optional[PhaseProfiler] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ):
-        self.profiler = profiler if profiler is not None else PhaseProfiler()
+    def __init__(self, metrics: Optional[MetricsRegistry] = None):
         self.metrics = metrics
         #: Reentrant guard: the serving daemon (and any threaded
         #: embedder) may drive one shared engine from several threads;
@@ -164,10 +153,9 @@ class SweepEngine:
         """One memo miss: count it, evaluate it and keep it (the caller
         holds the lock)."""
         self._count("sim", hit=False)
-        with self.profiler.phase("sweep.simulate"):
-            started = time.perf_counter()
-            result = predict_application(*key)
-            self._observe_point(time.perf_counter() - started)
+        started = time.perf_counter()
+        result = predict_application(*key)
+        self._observe_point(time.perf_counter() - started)
         self._sim_cache[key] = result
         return result
 
@@ -184,10 +172,7 @@ class SweepEngine:
                 self._count("rate", hit=True)
                 return cached
             self._count("rate", hit=False)
-            with self.profiler.phase("sweep.kernel_rate"):
-                rate = compile_kernel(
-                    get_kernel(kernel), config
-                ).ops_per_cycle()
+            rate = compile_kernel(get_kernel(kernel), config).ops_per_cycle()
             self._rate_cache[key] = rate
             return rate
 
@@ -223,10 +208,9 @@ class SweepEngine:
                     kernel: get_kernel(kernel)
                     for kernel in dict.fromkeys([k for k, _ in missing])
                 }
-                with self.profiler.phase("sweep.compile_batch"):
-                    schedules = compile_batch(
-                        [(graphs[name], config) for name, config in missing]
-                    )
+                schedules = compile_batch(
+                    [(graphs[name], config) for name, config in missing]
+                )
                 for key, schedule in zip(missing, schedules):
                     cache[key] = schedule.ops_per_cycle()
                 self._count("rate", hit=False, amount=len(missing))

@@ -4,20 +4,13 @@ Turns a :class:`~repro.sim.metrics.SimulationResult` into a proportional
 ASCII chart — the quickest way to *see* whether loads are hiding behind
 kernels, where the memory pipe serializes, and what a short-stream tail
 looks like.  Used by ``python -m repro simulate --gantt``.
-
-:func:`render_trace` does the same for a full
-:class:`~repro.obs.tracer.Tracer` capture: one section per simulated
-resource (host channel, memory pipe, clusters, microcontroller, ...),
-each span on its own proportional row.  Used by ``python -m repro
-trace``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
-from ..obs.tracer import Tracer
-from ..sim.metrics import OpRecord, SimulationResult
+from ..sim.metrics import SimulationResult
 
 #: Lane assignment by operation kind.
 _LANES = ("LoadOp", "KernelCall", "StoreOp")
@@ -59,46 +52,6 @@ def render_gantt(
         f"(memory busy {result.memory_utilization:.0%}, "
         f"clusters busy {result.cluster_utilization:.0%})"
     )
-    return "\n".join(lines)
-
-
-def render_trace(
-    tracer: Tracer,
-    width: int = 72,
-    max_rows_per_resource: int = 40,
-) -> str:
-    """Render a tracer capture as a per-resource plain-text timeline.
-
-    Each resource gets a section; each recorded span one proportional
-    row.  Long captures are windowed to the first
-    ``max_rows_per_resource`` spans of each resource.
-    """
-    if width < 20:
-        raise ValueError("width too small to render")
-    spans = tracer.spans
-    if not spans:
-        return "(empty trace)"
-    total = max(span.finish for span in spans)
-    scale = width / max(total, 1)
-    lines = [
-        f"trace: {len(spans)} spans over {total} cycles on "
-        f"{len(tracer.resources)} resources "
-        f"(1 column ~ {max(1, int(1 / scale))} cycles)"
-    ]
-    for resource in tracer.resources:
-        rows = [s for s in spans if s.resource == resource]
-        if not rows:
-            continue
-        shown = rows[:max_rows_per_resource]
-        lines.append(f"-- {resource} ({len(rows)} spans)")
-        for span in shown:
-            start = int(span.start * scale)
-            length = max(1, int(span.cycles * scale))
-            bar = " " * start + "#" * min(length, width - start)
-            label = span.label[:28].ljust(28)
-            lines.append(f"{label}|{bar.ljust(width)}|")
-        if len(rows) > len(shown):
-            lines.append(f"  ... {len(rows) - len(shown)} more")
     return "\n".join(lines)
 
 

@@ -4,16 +4,18 @@ Commands
 --------
 ``costs``      evaluate the VLSI cost model at one (C, N) point
 ``compile``    compile a suite kernel and report its schedule
+``kernel``     register and inspect user kernel documents
 ``simulate``   run one of the six applications on a configuration
-``trace``      simulate with full event tracing (Perfetto-loadable)
-``figures``    regenerate the paper's tables and figures (text form)
-``report``     the performance studies plus a compile/cache summary
-``headline``   check the paper's headline claims
+``schedules``  per-kernel compilation report (II, bounds, registers)
+``report``     the paper's figures and tables, plus a compile summary
 ``serve``      long-running JSON-over-HTTP daemon (see docs/serving.md)
 ``loadgen``    drive a live daemon and report latency/throughput SLOs
+``validate``   check every quantitative paper claim (exit 1 on failure)
+``export``     write every figure and table as CSV
 
-Commands that compile kernels take ``--cache-dir`` (re-point the
-persistent schedule cache) and ``--no-compile-cache`` (disable it).
+The persistent schedule cache is configured by environment alone:
+``REPRO_COMPILE_CACHE=off`` disables it and ``REPRO_COMPILE_CACHE_DIR``
+re-points it.
 
 ``--log-level``/``--log-json`` (top-level, also on ``serve`` and
 ``loadgen``) turn on structured logging to stderr; unlogged runs emit
@@ -21,11 +23,11 @@ nothing and stay bit-identical to previous releases.  When logging is
 on, the run gets a correlation id exported as ``REPRO_REQUEST_ID`` so
 its tracer instants and log lines all join on it.
 
-``costs``, ``compile``, ``simulate``, ``report`` and ``headline`` take
-``--json``: machine-readable output as one versioned envelope
-(:func:`repro.obs.manifest.build_envelope`) whose ``data`` is exactly
-the :mod:`repro.api` result payload the serving daemon returns for the
-same query — the two surfaces share one schema by construction.
+``costs``, ``compile``, ``simulate``, ``report`` and the ``kernel``
+subcommands take ``--json``: machine-readable output as one versioned
+envelope (:func:`repro.obs.manifest.build_envelope`) whose ``data`` is
+exactly the :mod:`repro.api` result payload the serving daemon returns
+for the same query — the two surfaces share one schema by construction.
 Volatile context (wall-clock timings, the run manifest, cache
 statistics) rides in the envelope's ``meta``.
 
@@ -35,13 +37,16 @@ Examples
 
     python -m repro costs --clusters 128 --alus 5
     python -m repro compile fft --clusters 8 --alus 10
+    python -m repro kernel register saxpy.json
     python -m repro simulate depth --clusters 128 --alus 10
     python -m repro simulate fft1k --json > manifest.json
-    python -m repro trace depth --out trace.json
-    python -m repro figures --only fig9 fig13
-    python -m repro report --no-compile-cache
-    python -m repro headline
+    python -m repro simulate depth --trace-out trace.json
+    python -m repro schedules
+    python -m repro report --only fig9 fig13
     python -m repro serve --port 8712
+    python -m repro loadgen --port 8712 --duration 5
+    python -m repro validate
+    python -m repro export --out paper_data
 """
 
 from __future__ import annotations
@@ -52,31 +57,9 @@ import os
 import sys
 from typing import List, Optional
 
-from .analysis import (
-    figure6_area_intracluster,
-    figure7_energy_intracluster,
-    figure8_delay_intracluster,
-    figure9_area_intercluster,
-    figure10_energy_intercluster,
-    figure11_delay_intercluster,
-    figure13_kernel_speedups,
-    figure14_kernel_speedups,
-    headline_640,
-    headline_1280,
-    render_delay_figure,
-    render_grid,
-    render_speedup_figure,
-    render_stack_figure,
-    table5_performance_per_area,
-)
-from .analysis.perf import TABLE5_C_VALUES, TABLE5_N_VALUES
+from .analysis.report import STUDIES
 from .apps import APPLICATION_ORDER, get_application
-from .compiler import (
-    CompilationError,
-    compile_kernel,
-    configure_default_cache,
-    default_cache,
-)
+from .compiler import CompilationError, compile_kernel, default_cache
 from .core import ProcessorConfig
 from .obs import MetricsRegistry, PhaseProfiler, Tracer, build_manifest
 from .sim import CapacityError, simulate
@@ -135,26 +118,6 @@ def _apply_logging_arguments(args: argparse.Namespace) -> bool:
         return False
     os.environ[REQUEST_ID_ENV] = new_request_id()
     return True
-
-
-def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--cache-dir", metavar="PATH", default=None,
-        help="persistent schedule-cache directory "
-             "(default: $REPRO_COMPILE_CACHE_DIR or ~/.cache)"
-    )
-    parser.add_argument(
-        "--no-compile-cache", action="store_true",
-        help="disable the persistent schedule cache for this run"
-    )
-
-
-def _apply_cache_arguments(args: argparse.Namespace) -> None:
-    """Honor ``--cache-dir`` / ``--no-compile-cache`` when present."""
-    if getattr(args, "no_compile_cache", False):
-        configure_default_cache(enabled=False)
-    elif getattr(args, "cache_dir", None):
-        configure_default_cache(cache_dir=args.cache_dir)
 
 
 def _cache_summary() -> str:
@@ -266,27 +229,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_instrumented(args: argparse.Namespace, tracer: Tracer):
-    """Shared simulate/trace plumbing: build, compile, run, and time.
-
-    Returns ``(result, profiler)``; the profiler has ``build``,
-    ``compile`` and ``simulate`` wall-clock phases (kernel compilation
-    is cached, so pre-compiling here moves its cost out of the
-    ``simulate`` phase without changing what runs).
-    """
-    config = _config(args)
-    metrics = MetricsRegistry()
-    profiler = PhaseProfiler()
-    with profiler.phase("build"):
-        program = get_application(args.application)
-    with profiler.phase("compile"):
-        for call in program.kernel_calls():
-            compile_kernel(call.kernel, config)
-    with profiler.phase("simulate"):
-        result = simulate(program, config, tracer=tracer, metrics=metrics)
-    return result, profiler
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.kernel_file:
         ref = _register_kernel_file(args.kernel_file)
@@ -305,9 +247,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return 2
     config = _config(args)
     if args.json or args.trace_out:
+        # Wall-clock phases for the manifest's ``timings``.  Compiles are
+        # memoized, so compiling first moves their cost out of the
+        # ``simulate`` phase without changing what runs.
         tracer = Tracer()
+        profiler = PhaseProfiler()
         try:
-            result, profiler = _run_instrumented(args, tracer)
+            with profiler.phase("build"):
+                program = get_application(args.application)
+            with profiler.phase("compile"):
+                for call in program.kernel_calls():
+                    compile_kernel(call.kernel, config)
+            with profiler.phase("simulate"):
+                result = simulate(program, config, tracer=tracer,
+                                  metrics=MetricsRegistry())
         except CapacityError:
             return _srf_overflow(args.application, config)
         except CompilationError as exc:
@@ -380,40 +333,6 @@ def _unschedulable(exc: Exception) -> int:
     return 2
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
-    if args.application not in APPLICATION_ORDER:
-        print(f"unknown application {args.application!r}; "
-              f"available: {', '.join(APPLICATION_ORDER)}", file=sys.stderr)
-        return 2
-    from .analysis.timeline import render_trace
-
-    tracer = Tracer()
-    try:
-        result, profiler = _run_instrumented(args, tracer)
-    except CapacityError:
-        return _srf_overflow(args.application, _config(args))
-    print(render_trace(tracer, max_rows_per_resource=args.rows))
-    print(f"({result.cycles} cycles simulated in "
-          f"{profiler.seconds('simulate') * 1e3:.1f} ms wall; "
-          f"compile {profiler.seconds('compile') * 1e3:.1f} ms)")
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(tracer.to_chrome_json(indent=2))
-        print(f"wrote Chrome-trace JSON to {args.out} "
-              "(open in chrome://tracing or https://ui.perfetto.dev)")
-    if args.manifest_out:
-        from .analysis.export import export_run_manifest
-
-        export_run_manifest(
-            result,
-            args.manifest_out,
-            application=args.application,
-            timings=profiler.as_dict(),
-        )
-        print(f"wrote run manifest to {args.manifest_out}")
-    return 0
-
-
 def cmd_schedules(args: argparse.Namespace) -> int:
     from .analysis.kernelreport import (
         compilation_report,
@@ -424,67 +343,10 @@ def cmd_schedules(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Figure renderers: the VLSI cost figures (6-11) and the performance
-#: studies (13/14/table5), which go through the sweep engine.
-_FIGURES = {
-    "fig6": lambda: render_stack_figure(
-        "Figure 6: area/ALU, intracluster (C=8, norm N=5)",
-        figure6_area_intracluster(), "N"),
-    "fig7": lambda: render_stack_figure(
-        "Figure 7: energy/op, intracluster (C=8, norm N=5)",
-        figure7_energy_intracluster(), "N"),
-    "fig8": lambda: render_delay_figure(
-        "Figure 8: delays, intracluster (C=8)",
-        figure8_delay_intracluster(), "N"),
-    "fig9": lambda: render_stack_figure(
-        "Figure 9: area/ALU, intercluster (N=5, norm C=8)",
-        figure9_area_intercluster(), "C"),
-    "fig10": lambda: render_stack_figure(
-        "Figure 10: energy/op, intercluster (N=5, norm C=8)",
-        figure10_energy_intercluster(), "C"),
-    "fig11": lambda: render_delay_figure(
-        "Figure 11: delays, intercluster (N=5)",
-        figure11_delay_intercluster(), "C"),
-    "fig13": lambda: render_speedup_figure(
-        "Figure 13: intracluster kernel speedup",
-        figure13_kernel_speedups(), "N"),
-    "fig14": lambda: render_speedup_figure(
-        "Figure 14: intercluster kernel speedup",
-        figure14_kernel_speedups(), "C"),
-    "table5": lambda: render_grid(
-        "Table 5: kernel performance per unit area",
-        table5_performance_per_area(),
-        TABLE5_C_VALUES, TABLE5_N_VALUES),
-}
-
-
-def cmd_figures(args: argparse.Namespace) -> int:
-    names = args.only or sorted(_FIGURES)
-    for name in names:
-        if name not in _FIGURES:
-            print(f"unknown figure {name!r}; "
-                  f"available: {', '.join(sorted(_FIGURES))}",
-                  file=sys.stderr)
-            return 2
-        print(_FIGURES[name]())
-        print()
-    return 0
-
-
-def _sweep_meta(engine, elapsed: float) -> dict:
-    """Volatile sweep context for ``--json`` envelopes: engine memo and
-    compile-cache counters, wall-clock."""
-    cache = default_cache()
-    return {
-        "elapsed_s": round(elapsed, 6),
-        "engine": engine.stats(),
-        "compile_cache": {**cache.stats(), "hit_rate": cache.hit_rate},
-    }
-
-
 def cmd_report(args: argparse.Namespace) -> int:
-    """Figures 13/14 + Table 5 (and Figure 15 with ``--apps``) in one
-    run, followed by a one-line compile/cache summary."""
+    """Every study of :data:`repro.analysis.report.STUDIES` (``--only``
+    picks some) and a one-line compile/cache summary; ``--json`` emits
+    the sweep studies the API serves instead."""
     import time
 
     from .analysis.sweep import default_engine
@@ -492,33 +354,25 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     started = time.perf_counter()
     if args.json:
-        from .api import SweepRequest, run_sweep
+        from .api import SWEEP_TARGETS, SweepRequest, run_sweep
 
-        targets = ["fig13", "fig14", "table5"]
-        if args.apps:
-            targets.append("fig15")
         studies = {
-            target: run_sweep(SweepRequest(target)).to_dict()
-            for target in targets
+            target: run_sweep(SweepRequest(target, apps=True)).to_dict()
+            for target in SWEEP_TARGETS
         }
-        elapsed = time.perf_counter() - started
+        cache = default_cache()
         return _emit_envelope(
             "report",
             {"studies": studies},
-            meta=_sweep_meta(default_engine(), elapsed),
+            meta={
+                "elapsed_s": round(time.perf_counter() - started, 6),
+                "engine": default_engine().stats(),
+                "compile_cache": {**cache.stats(),
+                                  "hit_rate": cache.hit_rate},
+            },
         )
-    for name in ("fig13", "fig14", "table5"):
-        print(_FIGURES[name]())
-        print()
-    if args.apps:
-        from .analysis.perf import figure15_application_performance
-
-        print("Figure 15: application performance (speedup over C=8/N=5)")
-        for point in figure15_application_performance():
-            config = point.config
-            print(f"  {point.application:10s} C={config.clusters:3d} "
-                  f"N={config.alus_per_cluster:2d}  "
-                  f"{point.speedup:6.2f}x  {point.gops:7.1f} GOPS")
+    for name in args.only or STUDIES:
+        print(STUDIES[name].text())
         print()
     elapsed = time.perf_counter() - started
     engine_stats = default_engine().stats()
@@ -536,7 +390,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     from .analysis.export import export_all
 
-    written = export_all(args.out, include_applications=args.apps)
+    written = export_all(args.out)
     for path in written:
         print(path)
     print(f"wrote {len(written)} CSV files to {args.out}")
@@ -546,46 +400,9 @@ def cmd_export(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     from .analysis.validate import render_validation, validate_all
 
-    results = validate_all(include_apps=args.apps)
+    results = validate_all()
     print(render_validation(results))
     return 0 if all(r.passed for r in results) else 1
-
-
-def cmd_headline(args: argparse.Namespace) -> int:
-    if args.json:
-        import time
-
-        from .analysis.sweep import default_engine
-        from .api import SweepRequest, run_sweep
-
-        started = time.perf_counter()
-        result = run_sweep(SweepRequest("headline", apps=args.apps))
-        elapsed = time.perf_counter() - started
-        return _emit_envelope(
-            "headline",
-            result.to_dict(),
-            meta=_sweep_meta(default_engine(), elapsed),
-        )
-    h1 = headline_640(include_apps=args.apps)
-    h2 = headline_1280(include_apps=args.apps)
-    print("640-ALU (C=128 N=5) vs 40-ALU baseline:")
-    print(f"  area/ALU overhead:  {h1.area_per_alu_overhead - 1:+.1%} "
-          "(paper +2%)")
-    print(f"  energy/op overhead: {h1.energy_per_op_overhead - 1:+.1%} "
-          "(paper +7%)")
-    print(f"  kernel speedup:     {h1.kernel_speedup:.1f}x (paper 15.3x)")
-    if args.apps:
-        print(f"  app speedup:        {h1.application_speedup:.1f}x "
-              "(paper 8.0x)")
-    print(f"  kernel GOPS:        {h1.kernel_gops:.0f} (paper >300)")
-    print("1280-ALU (C=128 N=10):")
-    print(f"  kernel speedup:     {h2.kernel_speedup:.1f}x (paper 27.9x)")
-    if args.apps:
-        print(f"  app speedup:        {h2.application_speedup:.1f}x "
-              "(paper ~10x)")
-    print(f"  peak:               {h2.peak_gops:.0f} GOPS at "
-          f"{h2.power_watts:.1f} W (paper >1 TFLOP, <10 W)")
-    return 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -751,7 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_arguments(comp)
     comp.add_argument("--json", action="store_true",
                       help="emit a versioned JSON envelope")
-    _add_cache_arguments(comp)
     comp.set_defaults(func=cmd_compile)
 
     kern = sub.add_parser(
@@ -795,52 +611,27 @@ def build_parser() -> argparse.ArgumentParser:
                      help="emit a machine-readable run manifest instead "
                           "of the human summary")
     sim.add_argument("--trace-out", metavar="PATH",
-                     help="also write a Chrome-trace-format JSON trace")
-    _add_cache_arguments(sim)
+                     help="also write a Chrome-trace-format JSON trace "
+                          "(Perfetto-loadable)")
     sim.set_defaults(func=cmd_simulate)
 
-    trace = sub.add_parser(
-        "trace", help="simulate with full event tracing"
-    )
-    trace.add_argument("application", help="application name (e.g. depth)")
-    _add_config_arguments(trace)
-    trace.add_argument("--out", metavar="PATH",
-                       help="write Chrome-trace JSON (Perfetto-loadable)")
-    trace.add_argument("--manifest-out", metavar="PATH",
-                       help="write the run manifest JSON")
-    trace.add_argument("--rows", type=int, default=40,
-                       help="max timeline rows per resource")
-    _add_cache_arguments(trace)
-    trace.set_defaults(func=cmd_trace)
-
-    report = sub.add_parser(
+    sched = sub.add_parser(
         "schedules", help="per-kernel compilation report (II, bounds...)"
     )
-    report.set_defaults(func=cmd_schedules)
-
-    figs = sub.add_parser("figures", help="regenerate tables/figures")
-    figs.add_argument("--only", nargs="*",
-                      help=f"subset: {', '.join(sorted(_FIGURES))}")
-    _add_cache_arguments(figs)
-    figs.set_defaults(func=cmd_figures)
+    sched.set_defaults(func=cmd_schedules)
 
     rep = sub.add_parser(
         "report",
-        help="performance studies (figs 13/14, table 5) + cache summary",
+        help="the paper's figures and tables + compile summary",
     )
-    rep.add_argument("--apps", action="store_true",
-                     help="include the Figure 15 application sweep (slower)")
-    rep.add_argument("--json", action="store_true",
-                     help="emit every study as one versioned JSON envelope")
-    _add_cache_arguments(rep)
+    shown = rep.add_mutually_exclusive_group()
+    shown.add_argument("--only", nargs="+", metavar="NAME",
+                       choices=list(STUDIES),
+                       help=f"print only these studies: {', '.join(STUDIES)}")
+    shown.add_argument("--json", action="store_true",
+                       help="emit the API's sweep studies as one "
+                            "versioned JSON envelope")
     rep.set_defaults(func=cmd_report)
-
-    head = sub.add_parser("headline", help="check the headline claims")
-    head.add_argument("--apps", action="store_true",
-                      help="include application simulations (slower)")
-    head.add_argument("--json", action="store_true",
-                      help="emit a versioned JSON envelope")
-    head.set_defaults(func=cmd_headline)
 
     serve = sub.add_parser(
         "serve",
@@ -861,7 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--trace-out", metavar="PATH", default=None,
                        help="write a Chrome trace of the serving window "
                             "on shutdown")
-    _add_cache_arguments(serve)
     _add_logging_arguments(serve, suppress=True)
     serve.set_defaults(func=cmd_serve)
 
@@ -901,8 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
     val = sub.add_parser(
         "validate", help="check every paper anchor (exit 1 on failure)"
     )
-    val.add_argument("--apps", action="store_true",
-                     help="include application simulations (slower)")
     val.set_defaults(func=cmd_validate)
 
     export = sub.add_parser(
@@ -910,8 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     export.add_argument("--out", default="paper_data",
                         help="output directory (default: paper_data)")
-    export.add_argument("--apps", action="store_true",
-                        help="include the Figure 15 sweep (slower)")
     export.set_defaults(func=cmd_export)
 
     return parser
@@ -921,7 +707,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     exported_request_id = _apply_logging_arguments(args)
     try:
-        _apply_cache_arguments(args)
         return args.func(args)
     finally:
         if exported_request_id:

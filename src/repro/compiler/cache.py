@@ -376,8 +376,9 @@ def configure_default_cache(
 ) -> ScheduleCache:
     """Re-point (or disable) the process-wide cache.
 
-    The CLI's ``--cache-dir`` / ``--no-compile-cache`` flags land here;
-    embedding code may call it directly.  Returns the new cache.
+    For tests and embedding code; the CLI and the daemon take the
+    environment's setting (``REPRO_COMPILE_CACHE``,
+    ``REPRO_COMPILE_CACHE_DIR``).  Returns the new cache.
     """
     global _default_cache
     if not enabled:

@@ -39,7 +39,6 @@ from .manifest import (
     build_manifest,
     validate_envelope,
     validate_manifest,
-    write_manifest,
 )
 from .metrics import (
     AccountingWarning,
@@ -93,5 +92,4 @@ __all__ = [
     "validate_envelope",
     "validate_log_line",
     "validate_manifest",
-    "write_manifest",
 ]

@@ -20,7 +20,6 @@ manifests) the producer wants to attach.  Consumers dispatch on
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import sys
@@ -36,7 +35,6 @@ __all__ = [
     "build_manifest",
     "validate_envelope",
     "validate_manifest",
-    "write_manifest",
 ]
 
 #: Bumped whenever a field is added, removed, or changes meaning.
@@ -192,14 +190,6 @@ def validate_manifest(manifest: Any) -> None:
         )
     if errors:
         raise ManifestError("; ".join(errors))
-
-
-def write_manifest(manifest: Mapping[str, Any], path: str) -> None:
-    """Validate ``manifest`` and write it as indented JSON to ``path``."""
-    validate_manifest(manifest)
-    with open(path, "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=False)
-        handle.write("\n")
 
 
 # --- response envelopes -------------------------------------------------

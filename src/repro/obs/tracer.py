@@ -6,8 +6,7 @@ detail)`` records of a resource doing work for a cycle interval — and
 resources (host channel, memory pipe, cluster array, microcontroller)
 do and when each stream operation completes; the collected trace
 exports as Chrome-trace-format JSON (loadable in ``chrome://tracing``
-or https://ui.perfetto.dev) or as a plain-text timeline via
-:func:`repro.analysis.timeline.render_trace`.
+or https://ui.perfetto.dev).
 
 Tracing is strictly opt-in: the module-level :data:`NULL_TRACER` is the
 default everywhere, records nothing, and its ``enabled`` flag lets hot

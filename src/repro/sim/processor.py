@@ -34,7 +34,6 @@ from ..apps.streamc import StreamProgram
 from ..core.config import ProcessorConfig
 from ..core.params import TECH_45NM, TechnologyNode
 from ..obs.metrics import MetricsRegistry
-from ..obs.profile import PhaseProfiler
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..resilience.faults import fault_point
 from .engine import (
@@ -63,18 +62,12 @@ class StreamProcessor:
         clock_ghz: float = 1.0,
         tracer: Tracer = NULL_TRACER,
         metrics: Optional[MetricsRegistry] = None,
-        profiler: Optional[PhaseProfiler] = None,
     ):
         self.config = config
         self.node = node
         self.clock_ghz = clock_ghz
         self.tracer = tracer
         self.metrics = metrics
-        #: Wall-clock profiler charged with ``sim.compile`` (the design
-        #: point's tables, compiled schedules included) when present;
-        #: sweeps use it to tell compile time from simulation time
-        #: without touching simulated results.
-        self.profiler = profiler
 
     def run(
         self, program: Union[StreamProgram, ProgramSummary]
@@ -86,15 +79,7 @@ class StreamProcessor:
             program if isinstance(program, ProgramSummary)
             else build_summary(program)
         )
-        if self.profiler is not None:
-            with self.profiler.phase("sim.compile"):
-                point = point_tables(
-                    summary, self.config, self.node, self.clock_ghz
-                )
-        else:
-            point = point_tables(
-                summary, self.config, self.node, self.clock_ghz
-            )
+        point = point_tables(summary, self.config, self.node, self.clock_ghz)
 
         observer = (
             Observer(self.tracer, self.metrics, point)
@@ -119,19 +104,10 @@ def simulate(
     clock_ghz: float = 1.0,
     tracer: Tracer = NULL_TRACER,
     metrics: Optional[MetricsRegistry] = None,
-    profiler: Optional[PhaseProfiler] = None,
 ) -> SimulationResult:
     """Convenience wrapper: run ``program`` (or its encoding) on a fresh
     processor."""
     processor = StreamProcessor(
-        config,
-        node,
-        clock_ghz,
-        tracer=tracer,
-        metrics=metrics,
-        profiler=profiler,
+        config, node, clock_ghz, tracer=tracer, metrics=metrics
     )
-    if profiler is not None:
-        with profiler.phase("sim.run"):
-            return processor.run(program)
     return processor.run(program)

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 import os
 import re
@@ -13,6 +14,13 @@ import repro
 from repro.cli import main
 
 SRC = Path(repro.__file__).resolve().parent
+GOLDEN = SRC.parent.parent / "benchmarks" / "output"
+
+#: The closing line of a text ``repro report``.
+SUMMARY = re.compile(
+    r"compile summary: \d+ kernel-config points \(\d+ evaluated, \d+ memo "
+    r"hits\), \d+ schedules compiled; compile cache: [^;]+; \d+\.\d\ds wall"
+)
 
 
 def _canonical(data):
@@ -42,6 +50,17 @@ def daemon():
         loop.call_soon_threadsafe(loop.stop)
         thread.join(5)
         loop.close()
+
+
+def _commands():
+    """``build_parser()``'s subcommand parsers by name."""
+    from repro.cli import build_parser
+
+    (commands,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return commands.choices
 
 
 def _envelope(capsys):
@@ -108,11 +127,15 @@ class TestSimulate:
         assert main(["simulate", "doom"]) == 2
         assert "unknown application" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["plain", "json"])
+    @pytest.mark.parametrize(
+        "flags", [[], ["--json"], ["--trace-out", os.devnull]],
+        ids=["plain", "json", "trace-out"],
+    )
     def test_srf_overflow_is_one_line(self, capsys, flags):
         """qrd's working set does not fit the SRF at C=8, N=2: the CLI
         prints the API's bad-request message, not a traceback — on the
-        plain run and on the instrumented ``--json`` run alike."""
+        plain run and on the instrumented ``--json`` and ``--trace-out``
+        runs alike."""
         from repro.api import ApiError, SimulateRequest, run_simulate
 
         assert main(["simulate", "qrd", "-c", "8", "-n", "2", *flags]) == 2
@@ -149,35 +172,22 @@ class TestSimulate:
         assert _canonical(cli) == _canonical(api) == _canonical(served.data)
 
 
-class TestTrace:
-    def test_max_events_flag_is_gone(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["trace", "fft1k", "--max-events", "3"])
-        assert excinfo.value.code == 2
-        assert "--max-events" in capsys.readouterr().err
-
-    def test_srf_overflow_is_one_line(self, capsys):
-        assert main(["trace", "qrd", "-c", "8", "-n", "2"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(
-            "SimulateRequest: application 'qrd' does not fit the SRF "
-            "at C=8, N=2: "
-        )
-
-
 class TestFigures:
+    """``report --only`` prints single studies."""
+
     def test_single_figure(self, capsys):
-        assert main(["figures", "--only", "fig9"]) == 0
+        assert main(["report", "--only", "fig9"]) == 0
         assert "Figure 9" in capsys.readouterr().out
 
     def test_unknown_figure(self, capsys):
-        assert main(["figures", "--only", "fig99"]) == 2
-        assert "unknown figure" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report", "--only", "fig99"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'fig99'" in capsys.readouterr().err
 
     def test_cost_figures_all(self, capsys):
         assert main(
-            ["figures", "--only", "fig6", "fig7", "fig8", "fig10", "fig11"]
+            ["report", "--only", "fig6", "fig7", "fig8", "fig10", "fig11"]
         ) == 0
         out = capsys.readouterr().out
         for fig in ("Figure 6", "Figure 7", "Figure 8", "Figure 10",
@@ -185,20 +195,53 @@ class TestFigures:
             assert fig in out
 
 
-class TestHeadline:
-    def test_headline_without_apps(self, capsys):
-        assert main(["headline"]) == 0
-        out = capsys.readouterr().out
-        assert "kernel speedup" in out
-        assert "paper 15.3x" in out
+class TestGoldens:
+    """The CLI prints each committed golden byte for byte."""
 
+    @staticmethod
+    def golden(name):
+        """The archived text of the study ``name``."""
+        (path,) = GOLDEN.glob(f"test_{name}[._]*")
+        return path.read_text()
+
+    @staticmethod
+    def text_then_summary(out, expected):
+        assert out[:len(expected)] == expected
+        assert SUMMARY.fullmatch(out[len(expected):].rstrip("\n"))
+
+    def test_validate_prints_the_golden(self, capsys):
+        assert main(["validate"]) == 0
+        assert capsys.readouterr().out == self.golden("anchor_validation")
+
+    @pytest.mark.parametrize("name", [
+        "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
+        "fig13", "fig14", "table5", "fig15",
+    ])
+    def test_report_only_prints_the_golden(self, capsys, name):
+        """The study's archived text, a blank line, then the compile
+        summary."""
+        assert main(["report", "--only", name]) == 0
+        self.text_then_summary(capsys.readouterr().out,
+                               self.golden(name) + "\n")
+
+    def test_report_prints_every_study_in_order(self, capsys):
+        from repro.analysis.report import STUDIES
+
+        assert main(["report"]) == 0
+        self.text_then_summary(
+            capsys.readouterr().out,
+            "".join(self.golden(name) + "\n" for name in STUDIES),
+        )
+
+
+class TestHeadline:
     def test_headline_json(self, capsys):
-        assert main(["headline", "--json"]) == 0
-        envelope = _envelope(capsys)
-        assert envelope["kind"] == "headline"
-        machines = {row["machine"] for row in envelope["data"]["rows"]}
-        assert machines == {"640alu", "1280alu"}
-        assert "engine" in envelope["meta"]
+        """The headline claims are a ``report --json`` study, with the
+        application speedups."""
+        assert main(["report", "--json"]) == 0
+        rows = _envelope(capsys)["data"]["studies"]["headline"]["rows"]
+        assert {row["machine"] for row in rows} == {"640alu", "1280alu"}
+        assert all(row["application_speedup"] > 0 for row in rows)
 
 
 class TestReportJson:
@@ -207,9 +250,12 @@ class TestReportJson:
         envelope = _envelope(capsys)
         assert envelope["kind"] == "report"
         studies = envelope["data"]["studies"]
-        assert set(studies) == {"fig13", "fig14", "table5"}
+        assert list(studies) == [
+            "fig13", "fig14", "table5", "fig15", "headline",
+        ]
         assert studies["table5"]["rows"]
         assert "compile_cache" in envelope["meta"]
+        assert "engine" in envelope["meta"]
 
     def test_report_json_matches_sweep_api(self, capsys):
         from repro.api import SweepRequest, run_sweep
@@ -251,13 +297,20 @@ class TestNewerCommands:
     def test_export(self, tmp_path, capsys):
         assert main(["export", "--out", str(tmp_path / "csv")]) == 0
         out = capsys.readouterr().out
-        assert "wrote 12 CSV files" in out
+        assert "wrote 13 CSV files" in out
 
 
 class TestParser:
     def test_requires_a_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_ten_commands(self):
+        """``repro --help`` lists one command per question."""
+        assert list(_commands()) == [
+            "costs", "compile", "kernel", "simulate", "schedules",
+            "report", "serve", "loadgen", "validate", "export",
+        ]
 
     def test_serve_flags_parse(self):
         from repro.cli import build_parser
@@ -320,23 +373,64 @@ class TestParser:
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, options", [
-        ("figures", {"--only", "--cache-dir", "--no-compile-cache"}),
-        ("report", {"--apps", "--json", "--cache-dir",
-                    "--no-compile-cache"}),
-    ])
-    def test_sweep_commands_take_only_their_options(self, command, options):
-        """``figures`` and ``report`` persist nothing but compile-cache
-        schedules, so they carry no option for any other store."""
-        import argparse
-
+    @pytest.mark.parametrize("argv, message", [
+        (["trace", "fft1k"], "invalid choice: 'trace'"),
+        (["figures"], "invalid choice: 'figures'"),
+        (["headline"], "invalid choice: 'headline'"),
+        (["report", "--apps"], "unrecognized arguments: --apps"),
+        (["validate", "--apps"], "unrecognized arguments: --apps"),
+        (["export", "--apps"], "unrecognized arguments: --apps"),
+        (["compile", "fft", "--cache-dir", "d"],
+         "unrecognized arguments: --cache-dir d"),
+        (["compile", "fft", "--no-compile-cache"],
+         "unrecognized arguments: --no-compile-cache"),
+        (["simulate", "fft1k", "--cache-dir", "d"],
+         "unrecognized arguments: --cache-dir d"),
+        (["simulate", "fft1k", "--no-compile-cache"],
+         "unrecognized arguments: --no-compile-cache"),
+        (["report", "--cache-dir", "d"],
+         "unrecognized arguments: --cache-dir d"),
+        (["report", "--no-compile-cache"],
+         "unrecognized arguments: --no-compile-cache"),
+        (["serve", "--cache-dir", "d"],
+         "unrecognized arguments: --cache-dir d"),
+        (["serve", "--no-compile-cache"],
+         "unrecognized arguments: --no-compile-cache"),
+    ], ids=["trace", "figures", "headline", "report-apps", "validate-apps",
+            "export-apps", "compile-cache-dir", "compile-no-compile-cache",
+            "simulate-cache-dir", "simulate-no-compile-cache",
+            "report-cache-dir", "report-no-compile-cache", "serve-cache-dir",
+            "serve-no-compile-cache"])
+    def test_one_command_per_question(self, argv, message, capsys):
+        """``simulate --trace-out``, ``report`` and ``validate`` answer
+        what ``trace``, ``figures`` and ``headline`` did; applications
+        are always included; the compile cache is configured by
+        ``REPRO_COMPILE_CACHE``/``REPRO_COMPILE_CACHE_DIR`` alone.  Only
+        parsed, never run: a ``serve`` that parsed would not return."""
         from repro.cli import build_parser
 
-        (commands,) = [
-            action for action in build_parser()._actions
-            if isinstance(action, argparse._SubParsersAction)
-        ]
-        parser = commands.choices[command]
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_report_only_excludes_json(self, capsys):
+        """``--json`` carries the API's sweep studies, not the text."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report", "--only", "fig6", "--json"])
+        assert excinfo.value.code == 2
+        assert "argument --json: not allowed with argument --only" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("command, options", [
+        ("validate", set()),
+        ("report", {"--only", "--json"}),
+    ])
+    def test_sweep_commands_take_only_their_options(self, command, options):
+        """``validate`` and ``report`` persist nothing but compile-cache
+        schedules, so they carry no option for any other store."""
+        parser = _commands()[command]
         assert set(parser._option_string_actions) == options | {
             "-h", "--help"
         }
@@ -344,15 +438,15 @@ class TestParser:
 
 class TestDiskFootprint:
     def test_fresh_home_report_writes_only_schedules(self, tmp_path):
-        """A default ``report --apps`` in an empty home leaves the 94
-        schedules it compiled, and nothing else."""
+        """A default ``report`` in an empty home leaves the 94 schedules
+        it compiled, and nothing else."""
         env = {
             name: value for name, value in os.environ.items()
             if not name.startswith("REPRO_") and name != "XDG_CACHE_HOME"
         }
         env.update(HOME=str(tmp_path), PYTHONPATH=str(SRC.parent))
         subprocess.run(
-            [sys.executable, "-m", "repro", "report", "--apps"],
+            [sys.executable, "-m", "repro", "report"],
             env=env, capture_output=True, text=True, check=True,
         )
         written = [
@@ -425,7 +519,7 @@ SAXPY = {
 
 @pytest.fixture(scope="module")
 def report_studies():
-    """The ``studies`` of one ``repro report --apps --json`` run."""
+    """The ``studies`` of one ``repro report --json`` run."""
     import contextlib
     import io
 
@@ -433,7 +527,7 @@ def report_studies():
 
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(["report", "--apps", "--json"]) == 0
+        assert main(["report", "--json"]) == 0
     envelope = json.loads(out.getvalue())
     validate_envelope(envelope)
     return envelope["data"]["studies"]
@@ -493,15 +587,15 @@ class TestOneAnswerOnEverySurface:
                   execute(RegisterKernelRequest(SAXPY)),
                   daemon.register_kernel(SAXPY))
 
-    @pytest.mark.parametrize("target", ["fig13", "fig14", "table5", "fig15"])
+    @pytest.mark.parametrize(
+        "target", ["fig13", "fig14", "table5", "fig15", "headline"]
+    )
     def test_report_study(self, report_studies, daemon, target):
-        from repro.api import SweepRequest, execute
+        from repro.api import SWEEP_TARGETS, SweepRequest, execute
 
-        assert sorted(report_studies) == [
-            "fig13", "fig14", "fig15", "table5",
-        ]
+        assert list(report_studies) == list(SWEEP_TARGETS)
         self.same(report_studies[target],
-                  execute(SweepRequest(target)),
-                  daemon.sweep(target))
+                  execute(SweepRequest(target, apps=True)),
+                  daemon.sweep(target, apps=True))
 
 

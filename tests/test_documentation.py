@@ -97,8 +97,12 @@ class TestReadme:
             assert artifact in text, artifact
 
 
+#: The ``repro.cli`` module docstring, read like a document: its
+#: command list and examples.
+CLI_DOC = "repro.cli"
+
 #: The documents whose commands and routes must exist.
-USER_DOCS = ("README.md",) + tuple(
+USER_DOCS = ("README.md", ".claude/skills/verify/SKILL.md", CLI_DOC) + tuple(
     f"docs/{path.name}" for path in sorted((REPO / "docs").glob("*.md"))
 )
 
@@ -118,6 +122,8 @@ def _current_text(name):
     """The document without its history: sections headed "... migration
     notes" (down to the next heading of the same or a higher level),
     and in ``docs/api.md`` the version-history paragraph."""
+    if name == CLI_DOC:
+        return importlib.import_module(CLI_DOC).__doc__
     text = (REPO / name).read_text()
     if name == "docs/api.md":
         start = text.index(API_HISTORY_START)
@@ -156,9 +162,18 @@ def _code(text):
 
 
 def _commands(name):
-    """Every ``(subcommands, words)`` a document shows as a command."""
+    """Every ``(subcommands, words)`` a document shows as a command; in
+    the CLI docstring every line counts as code."""
+    text = _current_text(name)
+    return _parse_commands(
+        text.splitlines() if name == CLI_DOC else _code(text)
+    )
+
+
+def _parse_commands(pieces):
+    """Every ``(subcommands, words)`` in code pieces."""
     found = []
-    for piece in _code(_current_text(name)):
+    for piece in pieces:
         for match in _COMMAND.finditer(piece):
             words = []
             for word in match.group(2).split():
@@ -208,7 +223,31 @@ class TestDocumentedSurface:
 
     def test_every_document_shows_a_command(self):
         assert all(_commands(name) for name in ("README.md",
-                                                "docs/serving.md"))
+                                                "docs/serving.md",
+                                                CLI_DOC))
+
+    def test_readme_shows_every_command(self):
+        """README's CLI block runs each subcommand at least once."""
+        from repro.cli import build_parser
+
+        readme = _current_text("README.md")
+        start = readme.index("```", readme.index("drive everything from"))
+        block = readme[start:readme.index("\n```\n", start) + 5]
+        shown = {
+            subcommand
+            for subcommands, _ in _parse_commands(_code(block))
+            for subcommand in subcommands
+        }
+        assert shown == set(_subparsers(build_parser()))
+
+    def test_cli_docstring_lists_every_command(self):
+        """``repro.cli``'s command list names each subcommand, in the
+        order ``repro --help`` shows them."""
+        from repro.cli import build_parser
+
+        listed = re.findall(r"^``([a-z]+)``\s", _current_text(CLI_DOC),
+                            re.MULTILINE)
+        assert listed == list(_subparsers(build_parser()))
 
     @pytest.mark.parametrize("name", USER_DOCS)
     def test_routes_exist(self, name):

@@ -390,18 +390,3 @@ class TestCli:
         assert "GOPS" in capsys.readouterr().out  # human output retained
         doc = json.loads(path.read_text())
         assert any(e["ph"] == "X" for e in doc["traceEvents"])
-
-    def test_trace_command(self, capsys, tmp_path):
-        trace_path = tmp_path / "trace.json"
-        manifest_path = tmp_path / "manifest.json"
-        assert main(["trace", "fft1k", "--out", str(trace_path),
-                     "--manifest-out", str(manifest_path)]) == 0
-        out = capsys.readouterr().out
-        assert "clusters" in out
-        assert "ms wall" in out
-        assert json.loads(trace_path.read_text())["traceEvents"]
-        validate_manifest(json.loads(manifest_path.read_text()))
-
-    def test_trace_unknown_application(self, capsys):
-        assert main(["trace", "doom"]) == 2
-        assert "unknown application" in capsys.readouterr().err

@@ -16,7 +16,6 @@ from repro.compiler.pipeline import compile_kernel
 from repro.core.config import ProcessorConfig
 from repro.kernels.suite import get_kernel
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import PhaseProfiler
 from repro.sim.processor import simulate
 
 SMALL_APPS = ("fft1k", "depth")
@@ -203,23 +202,6 @@ class TestExecutionModes:
 
 
 class TestInstrumentation:
-    def test_profiler_phases_accumulate(self):
-        engine = SweepEngine()
-        engine.simulate_application("fft1k", ProcessorConfig(8, 5))
-        engine.kernel_rate("convolve", ProcessorConfig(8, 5))
-        profiler = engine.profiler
-        assert profiler.calls("sweep.simulate") == 1
-        assert profiler.seconds("sweep.simulate") > 0.0
-        assert profiler.calls("sweep.kernel_rate") == 1
-        # A sweep point charges only its own phase; simulate() charges
-        # its inner phases to a profiler it is handed.
-        assert profiler.calls("sim.run") == 0
-        direct = PhaseProfiler()
-        simulate(get_application("fft1k"), ProcessorConfig(8, 5),
-                 profiler=direct)
-        assert direct.calls("sim.run") == 1
-        assert direct.calls("sim.compile") >= 1
-
     def test_metrics_counters_and_histogram(self):
         metrics = MetricsRegistry()
         engine = SweepEngine(metrics=metrics)
