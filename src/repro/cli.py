@@ -246,6 +246,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
               f"(or a registered kernel:<hash> reference)", file=sys.stderr)
         return 2
     config = _config(args)
+    if args.trace_out:
+        # Checked before the run (opened to append, so nothing is
+        # truncated yet): a path that cannot be written costs one line,
+        # not a whole simulation and then a traceback.
+        try:
+            open(args.trace_out, "a").close()
+        except OSError as exc:
+            print(f"cannot write trace file {args.trace_out}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return 2
     if args.json or args.trace_out:
         # Wall-clock phases for the manifest's ``timings``.  Compiles are
         # memoized, so compiling first moves their cost out of the
@@ -390,7 +400,12 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     from .analysis.export import export_all
 
-    written = export_all(args.out)
+    try:
+        written = export_all(args.out)
+    except OSError as exc:
+        print(f"cannot write CSV files to {args.out}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 2
     for path in written:
         print(path)
     print(f"wrote {len(written)} CSV files to {args.out}")

@@ -1,11 +1,17 @@
 """A thin blocking client for the serving daemon.
 
-:class:`ServeClient` wraps ``http.client`` (stdlib, no dependencies)
-and speaks the daemon's JSON protocol: request dataclasses go out as
-their ``to_dict()`` JSON, envelopes come back as plain dictionaries.
-It deliberately imports nothing heavy — only :mod:`repro.api` request
-types, which are lazy themselves — so scripts and tests can hammer a
-daemon without paying the library's import bill.
+:class:`ServeClient` speaks the daemon's JSON protocol over one
+keep-alive socket (stdlib, no dependencies): request dataclasses go
+out as their ``to_dict()`` JSON, envelopes come back as plain
+dictionaries.  It frames HTTP/1.1 itself, in exactly the subset
+:mod:`repro.serve.daemon` parses by hand: a request's line, headers and
+``Content-Length`` body leave in one ``sendall``; a reply's status line
+and headers are split from a buffered reader and its body is read to
+exactly its ``Content-Length`` (no chunked encoding).  It deliberately
+imports nothing heavy — only :mod:`repro.api` request types, which are
+lazy themselves, and neither ``http.client`` nor the ``email`` package
+— so scripts and tests can hammer a daemon without paying the
+library's import bill.
 
 The client is *transport-thin* with one deliberate exception: it
 honors the daemon's explicit backpressure.  A ``429``/``503`` response
@@ -19,9 +25,10 @@ interpretation beyond JSON decoding (see ``docs/serving.md``).
 from __future__ import annotations
 
 import json
+import re
+import socket
 import time
-from http.client import HTTPConnection
-from typing import Any, Dict, Optional
+from typing import Any, BinaryIO, Dict, Optional
 
 from ..api import (
     CompileRequest,
@@ -36,6 +43,13 @@ __all__ = ["ServeClient", "ServeConnectionError", "ServeResponse"]
 #: Request kinds whose route is spelled differently from the payload
 #: kind (collection routes are plural).
 _CANONICAL_ROUTES = {"sweep": "sweeps"}
+
+#: Bytes that would end a request line's method or path early (space,
+#: control characters): refused before anything is sent.
+_UNSAFE_TOKEN = re.compile(r"[\x00-\x20\x7f]")
+
+#: The longest status or header line read from a reply.
+_MAX_LINE = 1 << 16
 
 
 class ServeConnectionError(ConnectionError):
@@ -92,11 +106,12 @@ class ServeResponse:
 
 
 class ServeClient:
-    """Blocking JSON client over one keep-alive HTTP connection.
+    """Blocking JSON client over one keep-alive HTTP/1.1 socket.
 
     One client == one connection == one in-flight request at a time;
     spin up one client per thread for concurrency tests.  Usable as a
-    context manager.
+    context manager.  The socket opens on the first request, and again
+    after a reply that says ``Connection: close``.
 
     ``backpressure_retries`` bounds how many times a ``429``/``503``
     answer is retried after sleeping the server-suggested
@@ -121,20 +136,24 @@ class ServeClient:
         #: How many backpressure sleeps this client has taken (tests
         #: and load reports read this).
         self.backpressure_waits = 0
-        self._conn: Optional[HTTPConnection] = None
+        self._sock: Optional[socket.socket] = None
+        self._reader: Optional[BinaryIO] = None
 
-    def _connection(self) -> HTTPConnection:
-        if self._conn is None:
-            self._conn = HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
-        return self._conn
+    def _connect(self) -> None:
+        self._sock = socket.create_connection(
+            (self.host, self.port), self.timeout
+        )
+        self._reader = self._sock.makefile("rb")
+        # A request is one write whose reply is awaited: nothing should
+        # wait for an ACK before it leaves.
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     def close(self) -> None:
         """Close the underlying connection (reopened on next use)."""
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._sock is not None:
+            self._reader.close()
+            self._sock.close()
+            self._sock = self._reader = None
 
     def __enter__(self) -> "ServeClient":
         """Context-manager entry: returns self."""
@@ -181,42 +200,18 @@ class ServeClient:
         body: Optional[Dict[str, Any]] = None,
         request_id: Optional[str] = None,
     ) -> ServeResponse:
-        """One raw round-trip; reconnects once if the keep-alive went
-        stale (``request_id`` rides as ``X-Request-Id`` so the daemon
-        adopts the caller's correlation id instead of minting one)."""
-        payload = (
-            json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
-            if body is not None
-            else None
-        )
-        headers: Dict[str, str] = {}
-        if payload is not None:
-            headers["Content-Type"] = "application/json"
-        if request_id is not None:
-            headers["X-Request-Id"] = request_id
+        """One raw round-trip.  A failed connection (a stale keep-alive,
+        a reply cut short, a timeout) is closed and the request sent
+        once more on a new one.  ``request_id`` rides as
+        ``X-Request-Id`` so the daemon adopts the caller's correlation
+        id instead of minting one."""
+        message = self._frame(method, path, body, request_id)
         for attempt in (0, 1):
-            conn = self._connection()
             try:
-                conn.request(method, path, body=payload, headers=headers)
-                response = conn.getresponse()
-                raw = response.read()
-                response_headers = {
-                    name.lower(): value
-                    for name, value in response.getheaders()
-                }
-                content_type = response_headers.get("content-type", "")
-                if raw and "application/json" in content_type:
-                    return ServeResponse(
-                        response.status,
-                        response_headers,
-                        json.loads(raw.decode("utf-8")),
-                    )
-                return ServeResponse(
-                    response.status,
-                    response_headers,
-                    {},
-                    text=raw.decode("utf-8") if raw else "",
-                )
+                if self._sock is None:
+                    self._connect()
+                self._sock.sendall(message)
+                return self._read_response()
             except ConnectionRefusedError as exc:
                 self.close()
                 raise ServeConnectionError(
@@ -224,11 +219,94 @@ class ServeClient:
                     f"{self.host}:{self.port} (connection refused — is "
                     f"`repro serve` running?)"
                 ) from exc
-            except (ConnectionError, BrokenPipeError, OSError):
+            except OSError:
                 self.close()
                 if attempt:
                     raise
         raise RuntimeError("unreachable")  # pragma: no cover
+
+    def _frame(
+        self,
+        method: str,
+        path: str,
+        body: Optional[Dict[str, Any]],
+        request_id: Optional[str],
+    ) -> bytes:
+        """The whole request message: request line, headers and body."""
+        if _UNSAFE_TOKEN.search(method) or _UNSAFE_TOKEN.search(path):
+            raise ValueError(
+                f"unsafe request line {method!r} {path!r}: space or "
+                f"control character"
+            )
+        host = f"[{self.host}]" if ":" in self.host else self.host
+        lines = [f"{method} {path} HTTP/1.1", f"Host: {host}:{self.port}"]
+        payload = b""
+        if body is not None:
+            payload = json.dumps(
+                body, sort_keys=True, separators=(",", ":")
+            ).encode()
+            lines.append("Content-Type: application/json")
+            lines.append(f"Content-Length: {len(payload)}")
+        if request_id is not None:
+            if "\r" in request_id or "\n" in request_id:
+                raise ValueError(
+                    f"unsafe request id {request_id!r}: line break"
+                )
+            lines.append(f"X-Request-Id: {request_id}")
+        lines.append("\r\n")
+        return "\r\n".join(lines).encode("latin-1") + payload
+
+    def _read_response(self) -> ServeResponse:
+        """Read one reply: status line, headers, then a body of exactly
+        ``Content-Length`` bytes.
+
+        Raises ``ConnectionError`` for a reply that ends early — before
+        its first byte (a stale keep-alive), inside its headers or short
+        of its ``Content-Length`` — or that is not the HTTP/1.1 the
+        daemon writes.  A ``Connection: close`` reply closes the socket.
+        """
+        line = self._reader.readline(_MAX_LINE)
+        if not line:
+            raise self._broken("closed the connection")
+        parts = line.split(None, 2)
+        if not (line.endswith(b"\n") and len(parts) >= 2
+                and parts[0].startswith(b"HTTP/") and parts[1].isdigit()):
+            raise self._broken(f"sent the status line {line!r}")
+        headers: Dict[str, str] = {}
+        while True:
+            line = self._reader.readline(_MAX_LINE)
+            if line in (b"\r\n", b"\n"):
+                break
+            if not line.endswith(b"\n"):
+                raise self._broken("cut a reply short in its headers")
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        try:
+            length = int(headers.get("content-length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise self._broken(
+                f"sent Content-Length {headers['content-length']!r}"
+            )
+        raw = self._reader.read(length)
+        if len(raw) < length:
+            raise self._broken(
+                f"cut a reply short: {len(raw)} of {length} body bytes"
+            )
+        if headers.get("connection", "").lower() == "close":
+            self.close()
+        status = int(parts[1])
+        if raw and "application/json" in headers.get("content-type", ""):
+            return ServeResponse(
+                status, headers, json.loads(raw.decode("utf-8"))
+            )
+        return ServeResponse(status, headers, {}, text=raw.decode("utf-8"))
+
+    def _broken(self, what: str) -> ConnectionError:
+        return ConnectionError(
+            f"repro daemon at {self.host}:{self.port} {what}"
+        )
 
     def post(
         self,

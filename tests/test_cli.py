@@ -149,6 +149,25 @@ class TestSimulate:
             "at C=8, N=2: "
         )
 
+    def test_unwritable_trace_out_is_one_line(self, tmp_path, capsys,
+                                              monkeypatch):
+        """A ``--trace-out`` path that cannot be written is a bad input
+        like any other: one line and exit 2, found before anything is
+        simulated."""
+        import repro.cli
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before checking --trace-out")
+
+        monkeypatch.setattr(repro.cli, "simulate", no_simulation)
+        path = tmp_path / "missing" / "t.json"
+        assert main(["simulate", "fft1k", "--trace-out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"cannot write trace file {path}: No such file or directory\n"
+        )
+
     def test_max_events_flag_is_gone(self, capsys):
         """API v6 removed the event budget, so argparse rejects it."""
         with pytest.raises(SystemExit) as excinfo:
@@ -298,6 +317,19 @@ class TestNewerCommands:
         assert main(["export", "--out", str(tmp_path / "csv")]) == 0
         out = capsys.readouterr().out
         assert "wrote 13 CSV files" in out
+
+    def test_export_onto_a_file_is_one_line(self, tmp_path, capsys):
+        """``--out`` naming an existing file: one line and exit 2, and
+        the file is left as it was."""
+        path = tmp_path / "taken.txt"
+        path.write_text("keep\n")
+        assert main(["export", "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"cannot write CSV files to {path}: File exists\n"
+        )
+        assert path.read_text() == "keep\n"
 
 
 class TestParser:

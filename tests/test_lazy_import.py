@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 #: Modules that must NOT load at each probe point.
@@ -83,6 +85,24 @@ def test_serve_client_is_light():
 
 #: Prints whether numpy is loaded after the probe's own lines ran.
 _NUMPY_LOADED = "print(json.dumps('numpy' in sys.modules))"
+
+#: Prints the loaded modules of the stdlib's HTTP client and of the
+#: ``email`` package its header parser uses.
+_HTTP_CLIENT_LOADED = (
+    "print(json.dumps(sorted(m for m in sys.modules if m == 'http.client'"
+    " or m == 'email' or m.startswith('email.'))))"
+)
+
+
+@pytest.mark.parametrize("statement", [
+    "from repro.serve.client import ServeClient",
+    "import repro.serve.daemon",
+], ids=["client", "daemon"])
+def test_serve_loads_no_http_client_or_email(statement):
+    """Both ends of the daemon's wire frame HTTP/1.1 by hand."""
+    assert _run_probe(
+        "import json, sys\n" + statement + "\n" + _HTTP_CLIENT_LOADED
+    ) == []
 
 
 def test_cli_import_loads_no_numpy():

@@ -10,6 +10,7 @@ per-request 504s, and a clean SIGTERM drain of the real
 
 import asyncio
 import contextlib
+import http.client
 import io
 import json
 import logging
@@ -97,6 +98,19 @@ def client(warm_server):
         yield c
 
 
+@pytest.fixture()
+def stdlib_connection(warm_server):
+    """The standard library's HTTP client on the shared daemon: it
+    sends what the typed helpers cannot (a body that is not JSON), and
+    keeps an HTTP implementation that is neither end's own on the
+    wire."""
+    conn = http.client.HTTPConnection(
+        "127.0.0.1", warm_server.port, timeout=30
+    )
+    yield conn
+    conn.close()
+
+
 class TestEndpointEquivalence:
     """Server payloads must be byte-identical to direct api calls."""
 
@@ -144,9 +158,9 @@ class TestHttpSemantics:
         assert client.request("GET", "/v1/costs").status == 405
         assert client.request("POST", "/v1/stats").status == 405
 
-    def test_bad_json_400(self, client):
+    def test_bad_json_400(self, stdlib_connection):
         # hand-roll a broken body: the typed helpers can't produce one
-        conn = client._connection()
+        conn = stdlib_connection
         conn.request("POST", "/v1/costs", body=b"{nope",
                      headers={"Content-Type": "application/json"})
         raw = conn.getresponse()
@@ -292,11 +306,11 @@ class TestHttpSemantics:
             assert response.error["code"] == "payload_too_large"
             assert c.costs(8, 5).status == 200
 
-    def test_small_body_is_never_too_large(self, client):
+    def test_small_body_is_never_too_large(self, stdlib_connection):
         """Whatever its bytes, a body under the limit is parsed: these
         13 bytes once stood in for an oversized body (a 413); they are
         not JSON, so they are a 400."""
-        conn = client._connection()
+        conn = stdlib_connection
         conn.request("POST", "/v1/costs", body=b"__too_large__",
                      headers={"Content-Type": "application/json"})
         raw = conn.getresponse()
@@ -608,72 +622,99 @@ class TestOperationalFailures:
         assert "repro serve" in message
 
 
-@contextlib.contextmanager
-def scripted_daemon(script, keep_alive=False):
-    """A raw-socket daemon stand-in serving a fixed response script.
+def _recv_request(conn):
+    """One request's raw bytes off ``conn``: its head, then a body of
+    its ``Content-Length``."""
+    buffered, end = b"", None
+    while end is None or len(buffered) < end:
+        chunk = conn.recv(4096)
+        if not chunk:
+            raise ConnectionError("client went away")
+        buffered += chunk
+        head, blank, _ = buffered.partition(b"\r\n\r\n")
+        if end is None and blank:
+            end = len(head) + len(blank)
+            for line in head.split(b"\r\n")[1:]:
+                name, _, value = line.partition(b":")
+                if name.strip().lower() == b"content-length":
+                    end += int(value.strip())
+    return buffered
 
-    Each accepted connection answers exactly one request with the next
-    ``(status, extra_headers, payload)`` entry (the last entry repeats),
-    then closes — advertising keep-alive when asked, which makes the
-    advertised-but-closed connection exactly the stale keep-alive the
-    client must transparently survive.
-    """
+
+@contextlib.contextmanager
+def canned_daemon(replies, hold_open=False):
+    """A raw-socket stand-in that answers each connection's first
+    request with the next reply's bytes exactly as given (the last
+    repeats), then hangs up — or, with ``hold_open``, waits until the
+    client hangs up.  Yields ``(port, received)``: per connection,
+    every byte the client sent on it."""
     listener = socket.socket()
     listener.bind(("127.0.0.1", 0))
     listener.listen(8)
-    port = listener.getsockname()[1]
-    served = []
-    stop = threading.Event()
+    received = []
 
     def _serve():
-        while not stop.is_set():
+        while True:
             try:
                 conn, _ = listener.accept()
             except OSError:
                 return
             with conn:
+                conn.settimeout(10)
                 try:
-                    buffered = b""
-                    while b"\r\n\r\n" not in buffered:
+                    received.append(_recv_request(conn))
+                    reply = replies[min(len(received), len(replies)) - 1]
+                    conn.sendall(reply)
+                    while hold_open:
                         chunk = conn.recv(4096)
                         if not chunk:
-                            raise ConnectionError("client went away")
-                        buffered += chunk
-                    head, _, rest = buffered.partition(b"\r\n\r\n")
-                    length = 0
-                    for line in head.split(b"\r\n")[1:]:
-                        name, _, value = line.partition(b":")
-                        if name.strip().lower() == b"content-length":
-                            length = int(value.strip())
-                    while len(rest) < length:
-                        rest += conn.recv(4096)
-                    status, extra, payload = script[
-                        min(len(served), len(script) - 1)
-                    ]
-                    served.append(status)
-                    body = json.dumps(payload).encode()
-                    connection = "keep-alive" if keep_alive else "close"
-                    head_lines = [
-                        f"HTTP/1.1 {status} X",
-                        "Content-Type: application/json",
-                        f"Content-Length: {len(body)}",
-                        f"Connection: {connection}",
-                    ] + list(extra)
-                    conn.sendall(
-                        ("\r\n".join(head_lines) + "\r\n\r\n").encode()
-                        + body
-                    )
-                except (ConnectionError, OSError, ValueError):
+                            break
+                        received[-1] += chunk
+                except OSError:
                     continue
 
     thread = threading.Thread(target=_serve, daemon=True)
     thread.start()
     try:
-        yield port, served
+        yield listener.getsockname()[1], received
     finally:
-        stop.set()
+        listener.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
         listener.close()
-        thread.join(2)
+        thread.join(5)
+
+
+def _reply(head_lines, body):
+    return ("\r\n".join(head_lines) + "\r\n\r\n").encode() + body
+
+
+@contextlib.contextmanager
+def scripted_daemon(script, keep_alive=False):
+    """A :func:`canned_daemon` serving a fixed JSON response script.
+
+    Each accepted connection answers exactly one request with the next
+    ``(status, extra_headers, payload)`` entry (the last entry repeats),
+    then closes — advertising keep-alive when asked, which makes the
+    advertised-but-closed connection exactly the stale keep-alive the
+    client must transparently survive.  ``served`` lists the statuses
+    answered, in order, once the block exits.
+    """
+    connection = "keep-alive" if keep_alive else "close"
+    replies = []
+    for status, extra, payload in script:
+        body = json.dumps(payload).encode()
+        replies.append(_reply([
+            f"HTTP/1.1 {status} X",
+            "Content-Type: application/json",
+            f"Content-Length: {len(body)}",
+            f"Connection: {connection}",
+            *extra,
+        ], body))
+    served = []
+    with canned_daemon(replies) as (port, received):
+        yield port, served
+    served.extend(
+        script[min(i, len(script) - 1)][0] for i in range(len(received))
+    )
 
 
 class TestClientReconnect:
@@ -757,3 +798,86 @@ class TestClientBackpressureRetry:
         assert response.status == 200
         assert served == [503, 200]
         assert c.backpressure_waits == 1
+
+
+class TestClientWire:
+    """The client's own HTTP/1.1 framing, against canned reply bytes."""
+
+    def test_request_is_one_framed_message(self):
+        ok = _reply(["HTTP/1.1 200 OK", "Content-Type: application/json",
+                     "Content-Length: 11"], b'{"ok":true}')
+        with canned_daemon([ok]) as (port, received):
+            with ServeClient("127.0.0.1", port) as c:
+                assert c.costs(8, 5, request_id="wire-0").status == 200
+        body = _canonical(CostQuery(8, 5).to_dict()).encode()
+        assert received == [
+            b"POST /v1/costs HTTP/1.1\r\n"
+            + f"Host: 127.0.0.1:{port}\r\n".encode()
+            + b"Content-Type: application/json\r\n"
+            + f"Content-Length: {len(body)}\r\n".encode()
+            + b"X-Request-Id: wire-0\r\n\r\n" + body
+        ]
+
+    def test_connection_close_reply_reconnects(self):
+        """A ``Connection: close`` reply closes the client's socket: the
+        next request goes over a new connection, and nothing more is
+        sent on the old one (which the stand-in leaves open)."""
+        close = _reply(["HTTP/1.1 200 OK", "Content-Type: application/json",
+                        "Content-Length: 15", "Connection: close"],
+                       b'{"status":"ok"}')
+        with canned_daemon([close], hold_open=True) as (port, received):
+            with ServeClient("127.0.0.1", port, timeout=5) as c:
+                first = c.health()
+                second = c.health()
+        assert first.status == second.status == 200
+        assert first.headers["connection"] == "close"
+        assert second.payload == {"status": "ok"}
+        assert [r.count(b"GET /healthz HTTP/1.1\r\n") for r in received] \
+            == [1, 1]
+
+    def test_reply_cut_short_is_a_connection_error(self):
+        """A body that stops short of its ``Content-Length`` raises
+        ``ConnectionError`` (after the one reconnect), never a JSON
+        decode error on the truncated bytes."""
+        cut = _reply(["HTTP/1.1 200 OK", "Content-Type: application/json",
+                      "Content-Length: 40", "Connection: keep-alive"],
+                     b'{"ok":true,"da')
+        with canned_daemon([cut]) as (port, received):
+            with ServeClient("127.0.0.1", port, timeout=5) as c:
+                with pytest.raises(ConnectionError) as excinfo:
+                    c.costs(8, 5)
+        assert str(excinfo.value) == (
+            f"repro daemon at 127.0.0.1:{port} cut a reply short: "
+            f"14 of 40 body bytes"
+        )
+        assert len(received) == 2
+
+    def test_text_reply_lands_in_text(self):
+        body = b"# TYPE repro_up gauge\nrepro_up 1\n"
+        text = _reply(["HTTP/1.1 200 OK",
+                       "Content-Type: text/plain; version=0.0.4; "
+                       "charset=utf-8",
+                       f"Content-Length: {len(body)}",
+                       "X-Request-Id: wire-1"], body)
+        with canned_daemon([text]) as (port, _):
+            with ServeClient("127.0.0.1", port) as c:
+                response = c.request("GET", "/metrics")
+        assert response.status == 200
+        assert response.ok
+        assert response.text == body.decode()
+        assert response.payload == {}
+        assert response.data is None
+        assert response.request_id == "wire-1"
+
+    @pytest.mark.parametrize("path,request_id", [
+        ("/v1/stats x", None),
+        ("/v1/stats\r\nX-Injected: 1", None),
+        ("/v1/stats", "rid\r\nX-Injected: 1"),
+    ], ids=["space-in-path", "crlf-in-path", "crlf-in-request-id"])
+    def test_unsafe_request_is_refused_before_sending(self, path,
+                                                      request_id):
+        with canned_daemon([b""]) as (port, received):
+            with ServeClient("127.0.0.1", port) as c:
+                with pytest.raises(ValueError):
+                    c.request("GET", path, request_id=request_id)
+        assert received == []
