@@ -11,8 +11,6 @@ Packages:
 * :mod:`repro.apps`      — the six applications (StreamC substitute).
 * :mod:`repro.analysis`  — regeneration of every paper table and figure.
 * :mod:`repro.obs`       — tracing, metrics, profiling, run manifests.
-* :mod:`repro.resilience` — fault injection at named sites (see
-  ``docs/robustness.md``).
 * :mod:`repro.api`       — the stable typed request/result facade
   (``docs/api.md``).
 * :mod:`repro.serve`     — the batched serving daemon (``docs/serving.md``).

@@ -31,7 +31,6 @@ from ..apps.streamc import StreamProgram
 from ..compiler.pipeline import KernelSchedule
 from ..core.config import ProcessorConfig
 from ..core.params import TECH_45NM, TechnologyNode
-from ..resilience.faults import fault_point
 from ..sim.cluster import DISPATCH_CYCLES, UCODE_WORDS_PER_CYCLE
 from ..sim.engine import (
     ProgramSummary,
@@ -92,7 +91,6 @@ def predict_application(
     is empty and ``metrics`` is ``None`` — the model produces totals,
     not a timeline.
     """
-    fault_point("model.predict")
     return _predict(program_summary(application), config, node, clock_ghz)
 
 

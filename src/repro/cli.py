@@ -246,16 +246,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
               f"(or a registered kernel:<hash> reference)", file=sys.stderr)
         return 2
     config = _config(args)
-    if args.trace_out:
-        # Checked before the run (opened to append, so nothing is
-        # truncated yet): a path that cannot be written costs one line,
-        # not a whole simulation and then a traceback.
-        try:
-            open(args.trace_out, "a").close()
-        except OSError as exc:
-            print(f"cannot write trace file {args.trace_out}: "
-                  f"{exc.strerror or exc}", file=sys.stderr)
-            return 2
+    if _unwritable_trace(args.trace_out):
+        return 2
     if args.json or args.trace_out:
         # Wall-clock phases for the manifest's ``timings``.  Compiles are
         # memoized, so compiling first moves their cost out of the
@@ -334,6 +326,21 @@ def _srf_overflow(application: str, config) -> int:
 
     print(srf_overflow_message(application, config), file=sys.stderr)
     return 2
+
+
+def _unwritable_trace(path: Optional[str]) -> bool:
+    """Check a ``--trace-out`` path before any work (opened to append,
+    so nothing is truncated yet): a path that cannot be written costs
+    one stderr line, not a whole run and then a traceback."""
+    if not path:
+        return False
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        print(f"cannot write trace file {path}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return True
+    return False
 
 
 def _unschedulable(exc: Exception) -> int:
@@ -423,6 +430,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from .serve.daemon import ServerConfig, run_server
 
+    if _unwritable_trace(args.trace_out):
+        return 2
     return run_server(
         ServerConfig(
             host=args.host,

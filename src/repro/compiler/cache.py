@@ -73,7 +73,6 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from ..isa.kernel import KernelGraph
-from ..resilience.faults import fault_point
 from .machine import MachineDescription
 
 __all__ = [
@@ -255,9 +254,6 @@ class ScheduleCache:
         if self.root is None:
             return None
         path = self._path(key)
-        # Chaos hook: a "corrupt" fault here bit-flips the entry on
-        # disk before we read it — the checksum below must catch it.
-        fault_point("cache.load", path=path)
         try:
             raw = path.read_bytes()
         except OSError:
@@ -315,9 +311,6 @@ class ScheduleCache:
         except OSError:
             return
         self._count("writes")
-        # Chaos hook: a "corrupt" fault here damages the entry we just
-        # wrote, as a crash mid-replace or disk rot would.
-        fault_point("cache.store", path=path)
 
     def evict(self, key: str) -> None:
         """Drop one entry (used for invalid payloads)."""

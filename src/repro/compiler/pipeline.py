@@ -41,7 +41,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import ProcessorConfig
 from ..isa.kernel import KernelGraph
-from ..resilience.faults import fault_point
 from .cache import (
     ScheduleCache,
     default_cache,
@@ -255,7 +254,6 @@ def _search(
     verify: bool,
 ) -> Tuple[KernelSchedule, ModuloSchedule]:
     """Cold compile: the II search, backing off the unroll factor."""
-    fault_point("compile.kernel")
     # Register pressure may defeat an aggressive unroll at every II; the
     # compiler then backs off to smaller bodies (less ILP, same result).
     while True:

@@ -129,8 +129,8 @@ class KernelRegistry:
         """Validate + canonicalize ``document`` and store it.
 
         Idempotent: re-registering the same content (under any JSON
-        spelling) returns the same id, rewrites nothing and builds no
-        graph (the id is derived first; only a new id reads
+        spelling) returns the same id, rewrites no intact entry and
+        builds no graph (the id is derived first; only a new id reads
         ``loaded.graph``).  Raises
         :class:`~repro.frontend.schema.KernelValidationError` on an
         invalid document.
@@ -149,8 +149,6 @@ class KernelRegistry:
         if self.root is None:
             return
         path = self._path(loaded.kernel_id)
-        if path.exists():
-            return
         payload = {
             "version": REGISTRY_SCHEMA_VERSION,
             "schema_version": KERNEL_SCHEMA_VERSION,
@@ -158,6 +156,14 @@ class KernelRegistry:
             "document": loaded.document,
         }
         payload["checksum"] = _payload_checksum(payload)
+        # An entry that reads back as this payload stays byte for byte;
+        # a damaged one is rewritten, or the next lookup would evict it
+        # and call the kernel unknown.
+        try:
+            if json.loads(path.read_bytes().decode("utf-8")) == payload:
+                return
+        except (OSError, ValueError):
+            pass
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(

@@ -201,8 +201,10 @@ class ServeClient:
         request_id: Optional[str] = None,
     ) -> ServeResponse:
         """One raw round-trip.  A failed connection (a stale keep-alive,
-        a reply cut short, a timeout) is closed and the request sent
-        once more on a new one.  ``request_id`` rides as
+        a reply cut short) is closed and the request sent once more on
+        a new one.  A timeout closes it and raises at once: the daemon
+        may still be running the request, and a resend would run it
+        twice.  ``request_id`` rides as
         ``X-Request-Id`` so the daemon adopts the caller's correlation
         id instead of minting one."""
         message = self._frame(method, path, body, request_id)
@@ -219,6 +221,9 @@ class ServeClient:
                     f"{self.host}:{self.port} (connection refused — is "
                     f"`repro serve` running?)"
                 ) from exc
+            except socket.timeout:
+                self.close()
+                raise
             except OSError:
                 self.close()
                 if attempt:

@@ -178,7 +178,7 @@ def _safe_execute(item: Tuple[Optional[str], Any]) -> Tuple[str, Any]:
     """Run one ``(request_id, request)`` pair, never raising for
     per-request failures.
 
-    Failures (bad names, internal bugs, injected faults) come back as
+    Failures (bad names, internal bugs, exhausted memory) come back as
     ``("error", (code, message))`` outcomes instead of exceptions, so
     one failing request never takes its batch down with it.
 

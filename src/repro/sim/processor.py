@@ -35,7 +35,6 @@ from ..core.config import ProcessorConfig
 from ..core.params import TECH_45NM, TechnologyNode
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer
-from ..resilience.faults import fault_point
 from .engine import (
     Observer,
     ProgramSummary,
@@ -74,7 +73,6 @@ class StreamProcessor:
     ) -> SimulationResult:
         """Execute ``program`` (or its encoding) and return its timing
         and statistics."""
-        fault_point("sim.run")
         summary = (
             program if isinstance(program, ProgramSummary)
             else build_summary(program)

@@ -191,6 +191,25 @@ class TestSimulate:
         assert _canonical(cli) == _canonical(api) == _canonical(served.data)
 
 
+class TestServe:
+    def test_serve_unwritable_trace_out_is_one_line(self, tmp_path):
+        """``serve --trace-out`` is checked before the daemon binds: an
+        unwritable path is one line and exit 2, not a whole session
+        that then loses its trace in the drain."""
+        path = tmp_path / "missing" / "t.json"
+        env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--trace-out", str(path)],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"cannot write trace file {path}: No such file or directory\n"
+        )
+
+
 class TestFigures:
     """``report --only`` prints single studies."""
 

@@ -117,6 +117,15 @@ _COMMAND = re.compile(r"\brepro ([a-z][a-z-]*(?:/[a-z][a-z-]*)*)(?=\s|$)(.*)")
 #: Shell syntax that ends a command's arguments.
 _SHELL_END = ("|", ">", "2>", "&", "&&", ";", "#", "\\")
 
+#: A dotted name in the package (``repro.compiler.cache.ScheduleCache``).
+_DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+
+#: An environment variable of the project's own.
+_ENV_VAR = re.compile(r"\bREPRO_[A-Z0-9_]+")
+
+#: The directories whose Python may read a documented variable.
+CODE_DIRS = ("src", "tests", "benchmarks", "bench")
+
 
 def _current_text(name):
     """The document without its history: sections headed "... migration
@@ -182,6 +191,33 @@ def _parse_commands(pieces):
                 words.append(word)
             found.append((match.group(1).split("/"), words))
     return found
+
+
+def _resolves(dotted):
+    """True if ``dotted`` names a module, or an attribute reached from
+    the longest importable module prefix."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attribute in parts[cut:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+@pytest.fixture(scope="module")
+def code_text():
+    """Every Python source under :data:`CODE_DIRS`, concatenated."""
+    return "\n".join(
+        path.read_text()
+        for directory in CODE_DIRS
+        for path in sorted((REPO / directory).rglob("*.py"))
+    )
 
 
 def _subparsers(parser):
@@ -259,6 +295,21 @@ class TestDocumentedSurface:
             route = route.rstrip(".")
             prefix = route[:route.find("/", 4) + 1]
             assert route in _ROUTES or prefix in _ROUTES, (name, route)
+
+    @pytest.mark.parametrize("name", USER_DOCS)
+    def test_dotted_names_resolve(self, name):
+        names = set(_DOTTED.findall(_current_text(name)))
+        assert [dotted for dotted in sorted(names)
+                if not _resolves(dotted)] == [], name
+
+    @pytest.mark.parametrize("name", USER_DOCS)
+    def test_environment_variables_are_read(self, name, code_text):
+        """A documented ``REPRO_*`` variable is quoted somewhere in the
+        code, so a setting nothing reads cannot linger in the docs."""
+        variables = set(_ENV_VAR.findall(_current_text(name)))
+        assert [variable for variable in sorted(variables)
+                if f'"{variable}"' not in code_text
+                and f"'{variable}'" not in code_text] == [], name
 
     def test_history_is_skipped_not_lost(self):
         """The skipped text exists: the api.md history paragraph and

@@ -527,6 +527,27 @@ class TestRegistry:
         assert cold.evictions == 1
         assert not path.exists()
 
+    def test_reregistration_rewrites_a_damaged_entry(self, tmp_path):
+        """Registering a kernel again from another process leaves an
+        intact entry byte for byte and repairs a damaged one, so a
+        later process still finds the kernel."""
+        kernel_id = KernelRegistry(tmp_path).register(
+            saxpy_document()).kernel_id
+        path = KernelRegistry(tmp_path)._path(kernel_id)
+        intact = path.read_bytes()
+        again = KernelRegistry(tmp_path)
+        again.register(saxpy_document())
+        assert again.writes == 0
+        damaged = bytearray(intact)
+        damaged[len(damaged) // 2] ^= 0xFF
+        path.write_bytes(bytes(damaged))
+        again = KernelRegistry(tmp_path)
+        assert again.register(saxpy_document()).kernel_id == kernel_id
+        assert again.writes == 1
+        assert path.read_bytes() == intact
+        assert KernelRegistry(tmp_path).resolve(
+            f"kernel:{kernel_id}").name == "saxpy"
+
     def test_tampered_document_is_evicted(self, tmp_path):
         """A re-checksummed but content-modified entry still dies: the
         document no longer hashes to its address."""

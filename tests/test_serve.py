@@ -688,6 +688,34 @@ def _reply(head_lines, body):
 
 
 @contextlib.contextmanager
+def silent_daemon():
+    """A listener that accepts every connection and never answers.
+    Yields ``(port, accepted)``: the connections accepted so far."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(8)
+    accepted = []
+
+    def _accept():
+        while True:
+            try:
+                accepted.append(listener.accept()[0])
+            except OSError:
+                return
+
+    thread = threading.Thread(target=_accept, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()[1], accepted
+    finally:
+        listener.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
+        listener.close()
+        thread.join(5)
+        for conn in accepted:
+            conn.close()
+
+
+@contextlib.contextmanager
 def scripted_daemon(script, keep_alive=False):
     """A :func:`canned_daemon` serving a fixed JSON response script.
 
@@ -851,6 +879,19 @@ class TestClientWire:
             f"14 of 40 body bytes"
         )
         assert len(received) == 2
+
+    def test_timeout_is_raised_without_a_resend(self):
+        """A reply that never comes raises after one ``timeout`` over
+        one connection: the daemon may still be running the request,
+        so sending it again would run it twice."""
+        with silent_daemon() as (port, accepted):
+            with ServeClient("127.0.0.1", port, timeout=0.5) as c:
+                start = time.monotonic()
+                with pytest.raises(socket.timeout):
+                    c.costs(8, 5)
+                elapsed = time.monotonic() - start
+            assert elapsed < 0.9
+            assert len(accepted) == 1
 
     def test_text_reply_lands_in_text(self):
         body = b"# TYPE repro_up gauge\nrepro_up 1\n"
