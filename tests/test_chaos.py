@@ -15,6 +15,7 @@ mechanisms that bound a failure:
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -59,12 +60,17 @@ def _chaos_sandbox(tmp_path):
     configure_default_cache()  # back to the env-configured default
 
 
-def _flip_middle_byte(path):
-    """Damage ``path`` as disk rot or a torn write would: invert the
-    bits of its middle byte."""
-    data = bytearray(path.read_bytes())
+def _flipped(data):
+    """``data`` as disk rot or a torn write would leave it: the bits of
+    its middle byte inverted."""
+    data = bytearray(data)
     data[len(data) // 2] ^= 0xFF
-    path.write_bytes(bytes(data))
+    return bytes(data)
+
+
+def _flip_middle_byte(path):
+    """Damage the file at ``path`` with :func:`_flipped`."""
+    path.write_bytes(_flipped(path.read_bytes()))
 
 
 def _raise_then(original, *errors):
@@ -99,6 +105,42 @@ class TestStorageChaos:
         after = default_cache().stats()
         assert after["misses"] - before["misses"] >= len(entries)
         assert after["evictions"] - before["evictions"] >= len(entries)
+
+    def test_corrupt_cache_reads_fall_back_to_recompile(
+        self, gold_rates, _chaos_sandbox, monkeypatch
+    ):
+        """Damage at read time: the files stay whole, but every read of
+        an entry returns it bit-flipped.  Each read is a miss that
+        evicts and recompiles — same rates — and the recompile stores a
+        whole entry again, so once reads are sound a cold run hits
+        every one."""
+        assert SweepEngine().compile_kernels(FIG13_GRID) == gold_rates
+        entries = sorted(_chaos_sandbox.rglob("*.json"))
+        assert entries
+
+        read_bytes = Path.read_bytes
+
+        def rotten_read(path):
+            data = read_bytes(path)
+            if _chaos_sandbox in path.parents:
+                return _flipped(data)
+            return data
+
+        monkeypatch.setattr(Path, "read_bytes", rotten_read)
+        clear_cache()
+        before = default_cache().stats()
+        assert SweepEngine().compile_kernels(FIG13_GRID) == gold_rates
+        after = default_cache().stats()
+        monkeypatch.undo()
+        assert after["misses"] - before["misses"] >= len(entries)
+        assert after["evictions"] - before["evictions"] >= len(entries)
+
+        clear_cache()
+        before = default_cache().stats()
+        assert SweepEngine().compile_kernels(FIG13_GRID) == gold_rates
+        after = default_cache().stats()
+        assert after["hits"] - before["hits"] >= len(entries)
+        assert after["misses"] == before["misses"]
 
 
 class TestCompileFaults:
