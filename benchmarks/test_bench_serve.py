@@ -9,19 +9,17 @@ to direct :mod:`repro.api` calls.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
 from conftest import perf_floor, run_once
 
 from repro.api import CompileRequest, CostQuery, SimulateRequest, execute
-from repro.serve import ReproServer, ServeClient, ServerConfig
+from repro.serve import ServeClient, running_server
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -63,12 +61,7 @@ def _spawn_per_request_seconds() -> float:
 def test_serve_throughput_vs_process_spawn(benchmark, archive):
     """Warm daemon steady-state must be >=5x faster per request than
     spawning a process per request (>=25x on quiet machines)."""
-    loop = asyncio.new_event_loop()
-    thread = threading.Thread(target=loop.run_forever, daemon=True)
-    thread.start()
-    server = ReproServer(ServerConfig(port=0, batch_window_ms=1.0))
-    asyncio.run_coroutine_threadsafe(server.start(), loop).result(10)
-    try:
+    with running_server() as server:
         client = ServeClient("127.0.0.1", server.port)
         expected = {}
         # Warm-up pass: pays compiles/simulations once, pins expected
@@ -95,16 +88,9 @@ def test_serve_throughput_vs_process_spawn(benchmark, archive):
         served_s = run_once(benchmark, steady_state)
         spawn_s = _spawn_per_request_seconds()
         client.close()
-    finally:
-        asyncio.run_coroutine_threadsafe(
-            server.drain_and_stop(10), loop
-        ).result(60)
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(5)
-        loop.close()
+        stats = server.stats()["batcher"]
 
     ratio = spawn_s / served_s
-    stats = server.batcher.stats()
     archive(
         "Serving daemon vs process-per-request (mixed workload: "
         f"{len(WORKLOAD)} queries x {ROUNDS} rounds)\n"
@@ -129,12 +115,7 @@ def test_serve_slo_loadgen(benchmark, archive):
         slo_line,
     )
 
-    loop = asyncio.new_event_loop()
-    thread = threading.Thread(target=loop.run_forever, daemon=True)
-    thread.start()
-    server = ReproServer(ServerConfig(port=0, batch_window_ms=1.0))
-    asyncio.run_coroutine_threadsafe(server.start(), loop).result(10)
-    try:
+    with running_server() as server:
         # Warm the caches so the timed window measures steady state.
         with ServeClient("127.0.0.1", server.port) as warm:
             for kind, request in WORKLOAD:
@@ -147,13 +128,6 @@ def test_serve_slo_loadgen(benchmark, archive):
             mix="costs=6,compile=2,simulate=1",
         )
         report = run_once(benchmark, run_loadgen, config)
-    finally:
-        asyncio.run_coroutine_threadsafe(
-            server.drain_and_stop(10), loop
-        ).result(60)
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(5)
-        loop.close()
 
     overall = report["overall"]
     archive(

@@ -15,8 +15,7 @@ Design rules
 * Requests and results are **frozen dataclasses of JSON-native values**
   (ints, floats, strings, dicts, lists) with ``to_json()/from_json()``
   round-trips.  ``to_json()`` is canonical (sorted keys, compact
-  separators) so identical queries serialize to identical bytes —
-  the serving daemon's deduplication keys on it.
+  separators) so identical queries serialize to identical bytes.
 * This module imports **nothing heavy at the top level**: the
   compiler, the simulator and the analysis grids load only when a
   ``run_*`` function executes, so ``from repro.api import SimulateRequest`` is cheap
@@ -51,7 +50,6 @@ __all__ = [
     "SimulateResult",
     "SweepRequest",
     "SweepResult",
-    "dedup_key",
     "execute",
     "request_from_dict",
     "run_compile",
@@ -433,7 +431,7 @@ class KernelRef(_Payload):
     ``ref`` (``kernel:<sha256>``) is what compile/simulate/sweep
     requests accept wherever a built-in kernel name is accepted.  The
     payload is deterministic (content-derived, no timestamps), so
-    registration coalesces through the daemon's dedup like any query.
+    registering the same document twice answers the same bytes.
     """
 
     kernel_id: str = ""
@@ -478,16 +476,6 @@ def request_from_dict(kind: str, data: Any) -> AnyRequest:
     request = cls.from_dict(data)
     request.validate()  # type: ignore[union-attr]
     return request  # type: ignore[return-value]
-
-
-def dedup_key(request: AnyRequest) -> str:
-    """The canonical identity of a request: kind plus canonical JSON.
-
-    Two requests with equal keys are guaranteed to produce equal
-    results (all ``run_*`` functions are deterministic), which is what
-    lets the serving daemon coalesce identical in-flight queries.
-    """
-    return f"{type(request).__name__}:{request.to_json()}"
 
 
 def validate_request(request: AnyRequest) -> None:

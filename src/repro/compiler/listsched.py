@@ -78,6 +78,13 @@ def _priorities(graph: SchedGraph) -> List[int]:
     return height
 
 
+def critical_path(graph: SchedGraph) -> int:
+    """A lower bound on :func:`list_schedule`'s length: the longest
+    latency-weighted dependence path through one body (back edges
+    ignored), which no schedule of the body can be shorter than."""
+    return max(_priorities(graph), default=0)
+
+
 def list_schedule(
     graph: SchedGraph, machine: MachineDescription
 ) -> ListSchedule:

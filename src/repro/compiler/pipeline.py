@@ -48,7 +48,7 @@ from .cache import (
     machine_view,
     schedule_key,
 )
-from .listsched import list_schedule
+from .listsched import critical_path, list_schedule
 from .machine import MachineDescription, build_machine
 from .modulo import (
     ModuloSchedule,
@@ -308,25 +308,36 @@ def _search_ii(
 ) -> Tuple[ModuloSchedule, int]:
     """Find the smallest feasible II; returns (schedule, MaxLive).
 
-    Searches upward from the MII exactly as before, with two additions
-    that never change the result for feasible kernels:
-
-    * the MII bounds are computed once and shared across attempts;
-    * once an attempt exhausts its backtracking budget, the search's
-      upper bound drops to the list-schedule length (a list schedule is
-      a valid modulo schedule at II = its length, so scanning past it
-      is pointless), and if every II below that bound fails the list
-      schedule itself is the deterministic fallback.
+    Searches upward from the MII, with the MII bounds computed once and
+    shared across attempts.  Once an attempt exhausts its backtracking
+    budget or its schedule's MaxLive exceeds the register file, the
+    search's upper bound drops to the list-schedule length (a list
+    schedule is a valid modulo schedule at II = its length), and if
+    every II below that bound fails the list schedule itself is the
+    deterministic fallback.  The cap is decided by the graph, never the
+    clock, so a dense graph whose MaxLive stays above the register file
+    fails after at most that many attempts instead of scanning to
+    ``4*MII + MAX_II_SLACK``; a kernel whose only fitting II lies above
+    its list-schedule length fails too.  The list schedule is built
+    only once the scan reaches the body's critical path, below which
+    the cap cannot bind, and that path is measured only after a first
+    failure: most searches never fail, and most that do end long
+    before it.
     """
     r_bound = resource_mii(graph, machine)
     c_bound = recurrence_mii(graph, machine)
     mii = max(r_bound, c_bound)
     hard_upper = mii * 4 + MAX_II_SLACK
     upper = hard_upper
+    shortest = None
     fallback = None
     last_failure = "no attempt"
     ii = mii
     while ii < upper:
+        if shortest is not None and fallback is None and ii >= shortest:
+            fallback = list_schedule(graph, machine)
+            upper = min(upper, fallback.length)
+            continue
         schedule = try_modulo_schedule(
             graph,
             machine,
@@ -336,22 +347,21 @@ def _search_ii(
         )
         if schedule is None:
             last_failure = f"scheduler budget exhausted at II={ii}"
-            if fallback is None:
-                fallback = list_schedule(graph, machine)
-                upper = min(upper, fallback.length)
-            ii += 1
-            continue
-        pressure = max_live(graph, schedule.start, ii)
-        if pressure > machine.register_capacity:
+        else:
+            pressure = max_live(graph, schedule.start, ii)
+            if pressure <= machine.register_capacity:
+                if verify:
+                    verify_schedule(graph, machine, schedule)
+                return schedule, pressure
             last_failure = (
                 f"MaxLive {pressure} exceeds {machine.register_capacity} "
                 f"registers at II={ii}"
             )
-            ii += 1
-            continue
-        if verify:
-            verify_schedule(graph, machine, schedule)
-        return schedule, pressure
+        if shortest is None:
+            shortest = critical_path(graph)
+        ii += 1
+    if shortest is not None and fallback is None and shortest <= hard_upper:
+        fallback = list_schedule(graph, machine)
     if fallback is not None and fallback.length <= hard_upper:
         schedule = fallback.as_modulo_schedule(r_bound, c_bound)
         pressure = max_live(graph, schedule.start, schedule.ii)

@@ -1,7 +1,7 @@
 """Structured JSON-lines logging with request correlation.
 
-Every serving-path component (HTTP daemon, micro-batcher, sweep
-engine) emits events through one stdlib-``logging``
+Every serving-path component (HTTP daemon, sweep engine) emits
+events through one stdlib-``logging``
 hierarchy rooted at the ``repro`` logger.  Two formatters exist: a
 human one-liner and :class:`JsonLinesFormatter`, which emits one JSON
 object per line under a **versioned schema**
@@ -14,9 +14,9 @@ daemon mints one per HTTP request (or adopts the client's
 ``X-Request-Id``), binds it around the work, and every log line and
 tracer instant event emitted inside that scope carries it — one grep
 joins both.  Binding never touches the process environment, which
-every thread shares: the daemon's event-loop and dispatcher threads
-bind ids at the same time.  The
-one run-level id lives in ``REPRO_REQUEST_ID``, which the CLI exports
+every thread shares, and a context variable is private to each asyncio
+task, so the daemon's connection handlers never see each other's ids.
+The one run-level id lives in ``REPRO_REQUEST_ID``, which the CLI exports
 once before any thread starts (or a parent process sets), and
 :func:`current_request_id` falls back to it when no context-local id
 is bound.

@@ -14,10 +14,11 @@ lazy themselves, and neither ``http.client`` nor the ``email`` package
 library's import bill.
 
 The client is *transport-thin* with one deliberate exception: it
-honors the daemon's explicit backpressure.  A ``429``/``503`` response
-carries ``Retry-After``, and the client sleeps that long and retries,
-bounded by ``backpressure_retries`` (pass ``0`` to opt out and see the
-raw statuses — load generators and backpressure tests do).  Everything
+honors explicit backpressure.  A ``503`` (the daemon draining) or
+``429`` response carries ``Retry-After``, and the client sleeps that
+long and retries, bounded by ``backpressure_retries`` (pass ``0`` to
+opt out and see the raw statuses — load generators and backpressure
+tests do).  Everything
 else stays thin: no connection pooling across threads, no envelope
 interpretation beyond JSON decoding (see ``docs/serving.md``).
 """
@@ -402,7 +403,8 @@ class ServeClient:
         return self.request("GET", f"/v1/kernels/{ref}")
 
     def stats(self) -> ServeResponse:
-        """Fetch the daemon's cache/queue/dedup counters."""
+        """Fetch the daemon's request counters, sweep memo and cache
+        statistics."""
         return self.request("GET", "/v1/stats")
 
     def metrics(self) -> ServeResponse:

@@ -1,10 +1,10 @@
-"""The batched serving daemon: JSON-over-HTTP on a warm process.
+"""The serving daemon: JSON-over-HTTP on a warm process.
 
 ``python -m repro serve`` starts a long-running asyncio server that
 answers every :mod:`repro.api` request kind over a tiny JSON protocol:
 
 * ``GET  /healthz`` — liveness (plain JSON, no envelope)
-* ``GET  /v1/stats`` — cache/queue/dedup counters
+* ``GET  /v1/stats`` — request counters, sweep-engine memo and caches
 * ``GET  /v1/metrics`` — the full metrics-registry snapshot
 * ``GET  /metrics`` — the same registry in Prometheus text format
 * ``POST /v1/costs`` — :class:`repro.api.CostQuery`
@@ -21,35 +21,35 @@ answers every :mod:`repro.api` request kind over a tiny JSON protocol:
 Every request gets a **correlation id**: the sanitized ``X-Request-Id``
 header if the client sent one, else a freshly minted id.  The id comes
 back in the ``X-Request-Id`` response header and the envelope's
-``meta.request_id``, is bound (:func:`repro.obs.log.bind_request_id`)
-around execution so structured log lines and tracer instant events
-carry it, and rides through micro-batch coalescing — one batch logs
-the ids of *all* its member requests.
+``meta.request_id``, and is bound (:func:`repro.obs.log.bind_request_id`)
+around routing and execution so structured log lines and tracer
+instant events carry it.
 
 Request bodies are the request dataclass's ``to_dict()`` JSON; responses
 are versioned envelopes (:func:`repro.obs.manifest.build_envelope`)
 whose ``data`` is byte-for-byte the ``to_dict()`` of the result the
 in-process library call would return — volatile context (durations,
-batch ids) rides in ``meta`` only.
+request ids) rides in ``meta`` only.
 
 The daemon exists because process startup dominates small queries: a
 cold ``python -m repro costs`` pays interpreter boot, imports and cache
 warming per query, while the daemon pays them once and answers
 steady-state traffic from the shared
 :func:`~repro.analysis.sweep.default_engine` memo and compile caches.
-Requests are micro-batched and deduplicated by
-:class:`~repro.serve.batching.MicroBatcher`, and each batch runs its
-requests one after another on the dispatcher thread, in this process.
+
+**One request at a time.**  The event loop that reads a request
+validates it and calls :func:`repro.api.execute` inline: no queue,
+task or thread stands between a request's bytes arriving and its reply
+leaving.  While one request executes, every other connection waits in
+the kernel's socket buffers and listen backlog, ``/healthz`` included;
+a repeat of a compile, simulate or sweep is a memo hit.
 
 Operational behavior:
 
-* **backpressure** — a full pending queue answers ``429`` and a
-  draining server answers ``503``, both with ``Retry-After``;
-* **timeouts** — a request older than ``request_timeout_s`` answers
-  ``504`` (the underlying computation keeps running and still warms
-  the caches for the retry);
-* **graceful drain** — ``SIGTERM``/``SIGINT`` stop accepting, finish
-  queued work, flush the optional Chrome trace, and exit 0.
+* **draining** — a request that arrives while the server shuts down
+  answers ``503`` with ``Retry-After``;
+* **graceful drain** — ``SIGTERM``/``SIGINT`` stop accepting, close
+  idle connections, flush the optional Chrome trace, and exit 0.
 
 Implementation note: HTTP/1.1 parsing is hand-rolled on asyncio streams
 (request line + headers + ``Content-Length`` body, keep-alive) because
@@ -63,9 +63,9 @@ import asyncio
 import json
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..api import ApiError, dedup_key, execute, request_from_dict
+from ..api import ApiError, execute, request_from_dict
 from ..obs.log import (
     bind_request_id,
     current_request_id,
@@ -77,7 +77,6 @@ from ..obs.log import (
 from ..obs.manifest import build_envelope
 from ..obs.metrics import MetricsRegistry, render_prometheus
 from ..obs.tracer import NULL_TRACER, Tracer
-from .batching import MicroBatcher, QueueFull
 
 __all__ = ["ERROR_CODES", "ReproServer", "ServerConfig", "run_server"]
 
@@ -88,10 +87,8 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
-    429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
-    504: "Gateway Timeout",
 }
 
 #: The stable error-code registry (the frontend's ``E_*`` pattern,
@@ -104,14 +101,9 @@ ERROR_CODES = {
     "not_found": "no such route or kernel",
     "method_not_allowed": "the route exists but not for this verb",
     "payload_too_large": "request body exceeds the configured limit",
-    "queue_full": "admission queue at capacity; honor Retry-After",
     "internal": "unexpected server-side failure",
     "draining": "server is shutting down; retry against a peer",
-    "timeout": "request exceeded the server-side deadline",
 }
-
-#: Executor-outcome error codes to HTTP statuses.
-_ERROR_STATUS = {"bad_request": 400, "internal": 500}
 
 #: Every counted route, by request path: the label of its
 #: ``serve.requests.*`` and ``serve.request_seconds.*`` metrics, and the
@@ -153,10 +145,6 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 8712
-    max_queue: int = 64
-    batch_window_ms: float = 5.0
-    max_batch: int = 16
-    request_timeout_s: Optional[float] = 60.0
     max_body_bytes: int = 1 << 20
     #: Write a Chrome trace of the serving window here on drain.
     trace_path: Optional[str] = None
@@ -174,86 +162,33 @@ class _Unframeable(Exception):
         self.path = path
 
 
-def _safe_execute(item: Tuple[Optional[str], Any]) -> Tuple[str, Any]:
-    """Run one ``(request_id, request)`` pair, never raising for
-    per-request failures.
-
-    Failures (bad names, internal bugs, exhausted memory) come back as
-    ``("error", (code, message))`` outcomes instead of exceptions, so
-    one failing request never takes its batch down with it.
-
-    The request id is bound around the execution (a context variable,
-    never the process environment, which the event-loop thread shares)
-    so every log line and tracer instant the computation emits carries
-    it.
-    """
-    request_id, request = item
-    with bind_request_id(request_id):
-        try:
-            return ("ok", execute(request))
-        except ApiError as exc:
-            return ("error", ("bad_request", str(exc)))
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:
-            return ("error", ("internal", f"{type(exc).__name__}: {exc}"))
-
-
 class ReproServer:
-    """One serving instance: HTTP front end, batcher, warm caches.
+    """One serving instance: HTTP front end over the warm caches.
 
     Lifecycle: :meth:`start` (binds and begins accepting),
-    :meth:`drain_and_stop` (stop accepting, finish queued work).  The
-    test-suite drives it in-process; ``run_server`` wires it to signals
-    for real deployments.
+    :meth:`drain_and_stop` (stop accepting, close connections, flush
+    the trace).  :func:`repro.serve.inprocess.running_server` drives it
+    in-process; ``run_server`` wires it to signals for real
+    deployments.
     """
 
     def __init__(self, config: ServerConfig):
         self.config = config
         self.metrics = MetricsRegistry()
         self.tracer = Tracer() if config.trace_path else NULL_TRACER
-        self.batcher = MicroBatcher(
-            self._run_batch,
-            max_queue=config.max_queue,
-            window_s=config.batch_window_ms / 1000.0,
-            max_batch=config.max_batch,
-            metrics=self.metrics,
-        )
+        #: API requests that reached :func:`execute` (failures included).
+        self.executed = 0
         self.draining = False
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: set = set()
         self._started_monotonic = 0.0
         self._log = get_logger("serve")
 
-    # --- execution ------------------------------------------------------
-
-    def _run_batch(
-        self, requests: Sequence[Any], request_ids: Sequence[List[str]]
-    ) -> list:
-        """Dispatcher-thread batch body: each request in turn, through
-        :func:`_safe_execute`.
-
-        One log line carries *every* member id — coalesced waiters
-        included — so a request id always joins the batch that served
-        it.  Each request executes under its originating (first) id.
-        """
-        members = [rid for rids in request_ids for rid in rids]
-        log_event(
-            self._log, "serve.batch",
-            size=len(requests), request_ids=members,
-        )
-        items = [
-            (rids[0] if rids else None, request)
-            for request, rids in zip(requests, request_ids)
-        ]
-        return [_safe_execute(item) for item in items]
-
     # --- lifecycle ------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the listening socket and start the dispatch loop."""
+        """Bind the listening socket."""
         self._started_monotonic = time.perf_counter()
-        await self.batcher.start()
         self._server = await asyncio.start_server(
             self._handle_client, self.config.host, self.config.port
         )
@@ -264,15 +199,14 @@ class ReproServer:
         assert self._server is not None, "server not started"
         return self._server.sockets[0].getsockname()[1]
 
-    async def drain_and_stop(self, timeout: Optional[float] = 30.0) -> bool:
-        """Graceful shutdown: stop accepting, finish queued work, flush
-        the trace.  Returns ``True`` when
-        every queued request finished within ``timeout``."""
+    async def drain_and_stop(self) -> None:
+        """Graceful shutdown: stop accepting, close every connection,
+        flush the trace.  No request is left running: each executes to
+        completion inside one event-loop callback."""
         self.draining = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        clean = await self.batcher.drain(timeout)
         # Kick idle keep-alive connections loose so their handler
         # coroutines finish instead of waiting on a dead socket.
         for writer in list(self._connections):
@@ -280,11 +214,9 @@ class ReproServer:
                 writer.close()
             except (ConnectionError, OSError):
                 pass
-        await self.batcher.stop()
         if self.config.trace_path and self.tracer.enabled:
             with open(self.config.trace_path, "w") as handle:
                 handle.write(self.tracer.to_chrome_json())
-        return clean
 
     # --- observability --------------------------------------------------
 
@@ -292,8 +224,15 @@ class ReproServer:
         return int((time.perf_counter() - self._started_monotonic) * 1e6)
 
     def stats(self) -> Dict[str, Any]:
-        """Everything ``/v1/stats`` reports: queue/dedup counters, the
-        sweep-engine memo and compile caches."""
+        """Everything ``/v1/stats`` reports: request counters, the
+        sweep-engine memo and compile caches.
+
+        The ``batcher`` block keeps the shape the micro-batcher gave it,
+        for readers of its counters (the ``daemon-mix`` benchmark reads
+        ``deduped``, CI's serving smoke ``batches``): each executed API
+        request is one submission, one batch and one execution, and
+        nothing is ever deduplicated or queued.
+        """
         from ..analysis.sweep import default_engine
         from ..compiler.cache import default_cache
         from ..compiler.pipeline import memo_size
@@ -301,7 +240,13 @@ class ReproServer:
         cache = default_cache()
         return {
             "draining": self.draining,
-            "batcher": self.batcher.stats(),
+            "batcher": {
+                "submitted": self.executed,
+                "deduped": 0,
+                "batches": self.executed,
+                "executed": self.executed,
+                "queue_depth": 0,
+            },
             "engine": default_engine().stats(),
             "compile_cache": {**cache.stats(), "hit_rate": cache.hit_rate},
             "compile_memo_entries": memo_size(),
@@ -339,7 +284,7 @@ class ReproServer:
                 )
                 started = time.perf_counter()
                 with bind_request_id(request_id):
-                    status, payload = await self._route(method, path, body)
+                    status, payload = self._route(method, path, body)
                 self._observe(method, path, status, started, request_id)
                 keep_alive = (
                     headers.get("connection", "").lower() != "close"
@@ -457,13 +402,14 @@ class ReproServer:
 
     # --- routing --------------------------------------------------------
 
-    async def _route(
+    def _route(
         self,
         method: str,
         path: str,
         body: Optional[bytes],
     ) -> Tuple[int, Union[Dict[str, Any], str]]:
-        """Dispatch one parsed request to its handler; never raises.
+        """Dispatch one parsed request to its handler and run it; never
+        raises.
 
         ``body`` is ``None`` for a body over ``max_body_bytes``.
         Payloads are JSON dictionaries except ``GET /metrics``, which
@@ -532,7 +478,7 @@ class ReproServer:
                     return self._error(
                         path, 405, "method_not_allowed", "use POST"
                     )
-                return await self._handle_api(kind, body)
+                return self._handle_api(kind, body)
             return self._error(
                 path, 404, "not_found", f"no route for {path}"
             )
@@ -571,10 +517,15 @@ class ReproServer:
             kind, error={"code": code, "message": message}
         ))
 
-    async def _handle_api(
+    def _handle_api(
         self, kind: str, body: bytes
     ) -> Tuple[int, Dict[str, Any]]:
-        """Validate, enqueue (with dedup), await, envelope."""
+        """Validate, execute inline, envelope.
+
+        An :class:`ApiError` is the client's fault (400); any other
+        exception propagates to :meth:`_route`'s guard, which answers
+        500 naming it.  ``serve.batch_seconds`` times the execution.
+        """
         path = f"/v1/{kind}"
         if self.draining:
             return self._error(
@@ -589,47 +540,20 @@ class ReproServer:
             request = request_from_dict(kind, data)
         except ApiError as exc:
             return self._error(path, 400, "bad_request", str(exc))
-        request_id = current_request_id()
-        try:
-            future = self.batcher.submit(
-                dedup_key(request), request, request_id=request_id
-            )
-        except QueueFull as exc:
-            envelope = self._error(path, 429, "queue_full", str(exc))
-            return envelope
         started = time.perf_counter()
         try:
-            # shield(): a timeout abandons *this waiter*, not the
-            # computation — coalesced waiters and the cache warm-up
-            # still complete.
-            outcome = await asyncio.wait_for(
-                asyncio.shield(future), self.config.request_timeout_s
-            )
-        except asyncio.TimeoutError:
-            return self._error(
-                path, 504, "timeout",
-                f"request exceeded {self.config.request_timeout_s}s",
-            )
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # batch-level failure surfaced
-            return self._error(
-                path, 500, "internal", f"{type(exc).__name__}: {exc}"
-            )
-        status_tag, value = outcome
-        if status_tag == "error":
-            code, message = value
-            return self._error(
-                path, _ERROR_STATUS.get(code, 500), code, message
-            )
-        meta: Dict[str, Any] = {
-            "duration_ms": round(
-                (time.perf_counter() - started) * 1000.0, 3
-            ),
-        }
+            result = execute(request)
+        except ApiError as exc:
+            return self._error(path, 400, "bad_request", str(exc))
+        finally:
+            elapsed = time.perf_counter() - started
+            self.executed += 1
+            self.metrics.histogram("serve.batch_seconds").observe(elapsed)
+        meta: Dict[str, Any] = {"duration_ms": round(elapsed * 1000.0, 3)}
+        request_id = current_request_id()
         if request_id is not None:
             meta["request_id"] = request_id
-        return (200, build_envelope(kind, data=value.to_dict(), meta=meta))
+        return (200, build_envelope(kind, data=result.to_dict(), meta=meta))
 
     async def _write_response(
         self,
@@ -653,7 +577,7 @@ class ReproServer:
             f"Content-Length: {len(body)}",
             f"Connection: {'keep-alive' if keep_alive else 'close'}",
         ]
-        if status in (429, 503):
+        if status == 503:
             headers.append("Retry-After: 1")
         headers.extend(extra_headers or [])
         writer.write(
@@ -663,7 +587,7 @@ class ReproServer:
 
 def run_server(config: ServerConfig) -> int:
     """Run the daemon until SIGTERM/SIGINT, then drain; returns the
-    process exit code (0 for a clean drain, 2 when the port is taken)."""
+    process exit code (0 after the drain, 2 when the port is taken)."""
     import signal
     import sys
 
@@ -697,16 +621,17 @@ def run_server(config: ServerConfig) -> int:
             # proactor): fall back to the default KeyboardInterrupt.
             signal.signal(signal.SIGTERM, _request_stop)
         print(
-            f"repro serve: listening on http://{config.host}:{server.port} "
-            f"(queue={config.max_queue}, window={config.batch_window_ms}ms)",
+            f"repro serve: listening on http://{config.host}:{server.port}",
             flush=True,
         )
         await stop
         print("repro serve: draining...", flush=True)
-        clean = await server.drain_and_stop()
+        await server.drain_and_stop()
         snapshot = server.metrics.snapshot().as_dict()
         summary = {
-            "clean_drain": clean,
+            # Always true: no request can be left running (see
+            # drain_and_stop); scripts check the key.
+            "clean_drain": True,
             "requests": int(
                 sum(
                     value
@@ -714,14 +639,12 @@ def run_server(config: ServerConfig) -> int:
                     if name.startswith("serve.requests.")
                 )
             ),
-            "batches": server.batcher.batches,
-            "deduped": server.batcher.deduped,
             "mean_request_ms": round(
                 snapshot.get("serve.request_seconds.mean", 0.0) * 1000.0, 3
             ),
         }
         print(f"repro serve: drained {json.dumps(summary)}", flush=True)
-        return 0 if clean else 1
+        return 0
 
     try:
         return asyncio.run(_serve())

@@ -22,7 +22,6 @@ from repro.api import (
     SimulateRequest,
     SimulateResult,
     SweepRequest,
-    dedup_key,
     execute,
     request_from_dict,
     run_compile,
@@ -52,21 +51,10 @@ class TestRoundTrips:
     @pytest.mark.parametrize("request_obj", CASES, ids=lambda r: type(r).__name__)
     def test_canonical_serialization(self, request_obj):
         # Sorted keys + compact separators: the exact property the
-        # daemon's dedup keys and byte-identity tests rest on.
+        # byte-identity tests rest on.
         text = request_obj.to_json()
         assert text == json.dumps(
             json.loads(text), sort_keys=True, separators=(",", ":")
-        )
-
-    def test_dedup_key_distinguishes_kinds(self):
-        # Same field values, different request types: must not collide.
-        assert dedup_key(CostQuery(8, 5)) != dedup_key(
-            CompileRequest("fft", 8, 5)
-        )
-
-    def test_dedup_key_equal_for_equal_requests(self):
-        assert dedup_key(SimulateRequest("depth")) == dedup_key(
-            SimulateRequest("depth")
         )
 
 
@@ -250,11 +238,6 @@ class TestExecutionModes:
             execute(SweepRequest.from_dict(
                 {"target": "fig13", "mode": "oracular"}
             ))
-
-    def test_dedup_key_distinguishes_modes(self):
-        assert dedup_key(SweepRequest("fig13")) != dedup_key(
-            SweepRequest("fig13", mode="analytical")
-        )
 
     def test_srf_overflow_is_a_bad_request_in_both_modes(self):
         """qrd cannot fit the SRF at C=8/N=2: the API's prediction is

@@ -32,8 +32,7 @@ from repro.compiler import (
 from repro.compiler.pipeline import memo_size
 from repro.core.config import ProcessorConfig
 from repro.kernels.suite import PERFORMANCE_SUITE, get_kernel
-from repro.serve.client import ServeClient
-from test_serve import running_server
+from repro.serve import ServeClient, running_server
 
 #: Figure-13 cut: the kernel suite across intracluster scaling points.
 FIG13_GRID = [

@@ -30,26 +30,11 @@ def _canonical(data):
 @pytest.fixture(scope="module")
 def daemon():
     """A client of an in-process daemon on an ephemeral port."""
-    import asyncio
-    import threading
+    from repro.serve import ServeClient, running_server
 
-    from repro.serve import ReproServer, ServeClient, ServerConfig
-
-    loop = asyncio.new_event_loop()
-    thread = threading.Thread(target=loop.run_forever, daemon=True)
-    thread.start()
-    server = ReproServer(ServerConfig(port=0, batch_window_ms=2.0))
-    asyncio.run_coroutine_threadsafe(server.start(), loop).result(10)
-    try:
+    with running_server() as server:
         with ServeClient("127.0.0.1", server.port) as client:
             yield client
-    finally:
-        asyncio.run_coroutine_threadsafe(
-            server.drain_and_stop(10), loop
-        ).result(60)
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(5)
-        loop.close()
 
 
 def _commands():
@@ -368,16 +353,29 @@ class TestParser:
 
         args = build_parser().parse_args(
             ["serve", "--port", "0",
-             "--batch-window-ms", "1.5", "--max-queue", "8",
-             "--timeout", "10", "--trace-out", "t.json"]
+             "--batch-window-ms", "1.5", "--trace-out", "t.json"]
         )
         assert args.func.__name__ == "cmd_serve"
         assert args.port == 0
         assert not hasattr(args, "workers")
         assert args.batch_window_ms == 1.5
-        assert args.max_queue == 8
-        assert args.timeout == 10.0
         assert args.trace_out == "t.json"
+
+    def test_batch_window_is_hidden(self):
+        """``--batch-window-ms`` still parses (the benchmark harness
+        passes it) but is no longer offered."""
+        assert "batch-window" not in _commands()["serve"].format_help()
+
+    @pytest.mark.parametrize("flag", [
+        "--max-queue", "--max-batch", "--timeout",
+    ], ids=lambda flag: flag.lstrip("-"))
+    def test_no_queue_flags(self, flag, capsys):
+        """Requests run one at a time on the event loop: nothing queues
+        inside the daemon to bound, batch or time out."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", flag, "1"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["serve", "--fleet", "2"],
@@ -400,7 +398,7 @@ class TestParser:
         ["serve", "--workers", "2"],
     ], ids=["report-workers", "report-task-timeout", "serve-workers"])
     def test_no_pool_flags(self, argv, capsys):
-        """Every sweep point, compile and daemon batch runs in the
+        """Every sweep point, compile and daemon request runs in the
         calling process; no flag sizes a pool or times its tasks."""
         with pytest.raises(SystemExit) as excinfo:
             main(argv)

@@ -671,7 +671,6 @@ class TestApiSurface:
     def test_register_request_round_trips(self, registry):
         from repro.api import (
             RegisterKernelRequest,
-            dedup_key,
             execute,
             request_from_dict,
             run_register,
@@ -679,7 +678,7 @@ class TestApiSurface:
 
         request = RegisterKernelRequest(saxpy_document())
         rebuilt = request_from_dict("kernels", request.to_dict())
-        assert dedup_key(rebuilt) == dedup_key(request)
+        assert rebuilt.to_json() == request.to_json()
         result = run_register(request)
         loaded = load_document(saxpy_document())
         assert result.kernel_id == loaded.kernel_id

@@ -6,10 +6,10 @@ reference through the daemon with results **byte-identical** to the
 built-in path.
 """
 
-import asyncio
-import contextlib
 import json
+import random
 import threading
+import time
 
 import pytest
 
@@ -18,32 +18,11 @@ from repro.api import execute
 from repro.frontend import document_from_graph
 from repro.frontend.registry import configure_default_registry
 from repro.kernels.suite import get_kernel
-from repro.serve import ReproServer, ServeClient, ServerConfig
+from repro.serve import ServeClient, running_server
 
 
 def _canonical(data):
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
-@contextlib.contextmanager
-def running_server(**overrides):
-    overrides.setdefault("port", 0)
-    overrides.setdefault("batch_window_ms", 2.0)
-    config = ServerConfig(**overrides)
-    loop = asyncio.new_event_loop()
-    thread = threading.Thread(target=loop.run_forever, daemon=True)
-    thread.start()
-    server = ReproServer(config)
-    asyncio.run_coroutine_threadsafe(server.start(), loop).result(10)
-    try:
-        yield server
-    finally:
-        asyncio.run_coroutine_threadsafe(
-            server.drain_and_stop(10), loop
-        ).result(60)
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(5)
-        loop.close()
 
 
 @pytest.fixture()
@@ -145,6 +124,75 @@ def wide_fold_document():
         total = len(nodes) - 1
     nodes.append({"op": "sb_write", "args": [total], "stream": "out"})
     return {"schema_version": 1, "name": "wide_fold", "nodes": nodes}
+
+
+def dense_document(size):
+    """``size`` nodes: 3 reads, then ``iadd``/``fadd``/``fmul``/``isub``
+    nodes in turn, each reading two of the previous 64 values (seeded),
+    then 2 writes.  It registers, but at C=8/N=2 its MaxLive stays above
+    the 192 registers at every II, so the search ends in a failure."""
+    rng = random.Random(0)
+    nodes = [{"op": "sb_read", "stream": s} for s in ("a", "b", "c")]
+    ops = ("iadd", "fadd", "fmul", "isub")
+    while len(nodes) < size - 2:
+        count = len(nodes)
+        window = range(max(0, count - 64), count)
+        nodes.append({"op": ops[(count - 3) % len(ops)],
+                      "args": [rng.choice(window), rng.choice(window)]})
+    last = len(nodes) - 1
+    nodes.append({"op": "sb_write", "args": [last], "stream": "x"})
+    nodes.append({"op": "sb_write", "args": [last - 1], "stream": "y"})
+    return {"schema_version": 1, "name": f"dense{size}", "nodes": nodes}
+
+
+class TestSearchBound:
+    """A failing II search stops at the list-schedule length, so no
+    admitted document holds the one-request-at-a-time daemon for long."""
+
+    def test_dense_document_fails_within_two_seconds(self):
+        from repro.compiler.pipeline import (
+            CompilationError,
+            clear_cache,
+            compile_kernel,
+        )
+        from repro.core.config import ProcessorConfig
+        from repro.frontend import graph_from_document
+
+        graph = graph_from_document(dense_document(1024))
+        clear_cache()
+        started = time.perf_counter()
+        with pytest.raises(CompilationError,
+                           match="MaxLive .* exceeds 192 registers"):
+            compile_kernel(graph, ProcessorConfig(8, 2))
+        assert time.perf_counter() - started < 2.0
+
+    def test_costs_answer_during_a_dense_table5_sweep(self, registry):
+        """A ``/v1/costs`` on a second connection, sent 0.05 s into a
+        ``table5`` sweep of the dense document, answers within 3 s."""
+        from repro.compiler.pipeline import clear_cache
+
+        ref = registry.register(dense_document(1024)).ref
+        clear_cache()
+        replies = {}
+        with running_server() as server:
+            def sweep():
+                with ServeClient("127.0.0.1", server.port,
+                                 timeout=300.0) as client:
+                    replies["sweep"] = client.sweep("table5", kernel=ref)
+
+            sweeper = threading.Thread(target=sweep)
+            sweeper.start()
+            time.sleep(0.05)
+            started = time.perf_counter()
+            with ServeClient("127.0.0.1", server.port) as client:
+                replies["costs"] = client.costs(8, 5)
+            waited = time.perf_counter() - started
+            sweeper.join(300)
+        assert not sweeper.is_alive()
+        assert replies["costs"].status == 200
+        assert waited < 3.0
+        assert replies["sweep"].status == 400
+        assert "MaxLive" in replies["sweep"].error["message"]
 
 
 class TestUnschedulableKernel:

@@ -2,10 +2,7 @@
 parsing, closed/open-loop runs against an in-process daemon, the
 versioned SLO envelope, and the ``repro loadgen`` CLI."""
 
-import asyncio
-import contextlib
 import json
-import threading
 
 import pytest
 
@@ -22,29 +19,7 @@ from repro.obs.loadgen import (
     slo_line,
 )
 from repro.obs.manifest import validate_envelope
-from repro.serve import ReproServer, ServerConfig
-
-
-@contextlib.contextmanager
-def running_server(**overrides):
-    """An in-process daemon on an ephemeral port, drained on exit."""
-    overrides.setdefault("port", 0)
-    overrides.setdefault("batch_window_ms", 2.0)
-    config = ServerConfig(**overrides)
-    loop = asyncio.new_event_loop()
-    thread = threading.Thread(target=loop.run_forever, daemon=True)
-    thread.start()
-    server = ReproServer(config)
-    asyncio.run_coroutine_threadsafe(server.start(), loop).result(10)
-    try:
-        yield server
-    finally:
-        asyncio.run_coroutine_threadsafe(
-            server.drain_and_stop(10), loop
-        ).result(60)
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(5)
-        loop.close()
+from repro.serve import running_server
 
 
 class TestMixParsing:

@@ -77,71 +77,51 @@ class TestRequestIds:
     def test_daemon_threads_binding_at_once_leave_the_environment_alone(
         self, monkeypatch
     ):
-        """The daemon's dispatcher thread binds the id of the request it
-        executes while its event-loop thread binds the id of the next
-        request it parses.  Interleaved as dispatcher binds, event loop
-        binds, dispatcher leaves, event loop leaves: each sees only its
-        own id, and the environment ends as it began, so no later
-        unbound line carries a stale id."""
-        import asyncio
+        """The daemon's event-loop thread binds the id of each request it
+        parses and executes while the calling thread has an id of its
+        own bound.  Each binding sees only its own id, both requests
+        run on the one loop thread that read them, and the environment
+        ends as it began, so no later unbound line carries a stale
+        id."""
         import threading
 
-        from repro.serve import ReproServer, ServeClient, ServerConfig, daemon
+        from repro.serve import ServeClient, daemon, running_server
 
-        dispatcher_bound = threading.Event()
-        loop_bound = threading.Event()
-        seen = {}
+        seen = []
         execute = daemon.execute
         request_from_dict = daemon.request_from_dict
 
-        def dispatching(request):
-            if current_request_id() == "req-1":
-                dispatcher_bound.set()
-                loop_bound.wait(10)
-                seen["dispatcher"] = current_request_id()
-                seen["dispatcher_env"] = os.environ.get(REQUEST_ID_ENV)
+        def note(step):
+            seen.append((step, current_request_id(),
+                         os.environ.get(REQUEST_ID_ENV),
+                         threading.get_ident()))
+
+        def executing(request):
+            note("execute")
             return execute(request)
 
         def parsing(kind, data):
-            if current_request_id() == "req-2":
-                seen["loop"] = current_request_id()
-                seen["loop_env"] = os.environ.get(REQUEST_ID_ENV)
-                loop_bound.set()
+            note("parse")
             return request_from_dict(kind, data)
 
-        monkeypatch.setattr(daemon, "execute", dispatching)
+        monkeypatch.setattr(daemon, "execute", executing)
         monkeypatch.setattr(daemon, "request_from_dict", parsing)
-        loop = asyncio.new_event_loop()
-        loop_thread = threading.Thread(target=loop.run_forever, daemon=True)
-        loop_thread.start()
-        server = ReproServer(ServerConfig(port=0, batch_window_ms=1.0))
-        asyncio.run_coroutine_threadsafe(server.start(), loop).result(10)
-        statuses = {}
-
-        def post(request_id, alus):
-            with ServeClient("127.0.0.1", server.port) as client:
-                statuses[request_id] = client.costs(
-                    8, alus, request_id=request_id
-                ).status
-
-        try:
-            first = threading.Thread(target=post, args=("req-1", 5))
-            first.start()
-            assert dispatcher_bound.wait(10)
-            second = threading.Thread(target=post, args=("req-2", 3))
-            second.start()
-            for thread in (first, second):
-                thread.join(10)
-        finally:
-            asyncio.run_coroutine_threadsafe(
-                server.drain_and_stop(10), loop
-            ).result(30)
-            loop.call_soon_threadsafe(loop.stop)
-            loop_thread.join(5)
-            loop.close()
-        assert statuses == {"req-1": 200, "req-2": 200}
-        assert seen == {"dispatcher": "req-1", "dispatcher_env": None,
-                        "loop": "req-2", "loop_env": None}
+        statuses = []
+        with bind_request_id("caller"):
+            with running_server() as server:
+                for request_id, alus in (("req-1", 5), ("req-2", 3)):
+                    with ServeClient("127.0.0.1", server.port) as client:
+                        statuses.append(client.costs(
+                            8, alus, request_id=request_id
+                        ).status)
+                        assert current_request_id() == "caller"
+        assert statuses == [200, 200]
+        assert [step[:3] for step in seen] == [
+            ("parse", "req-1", None), ("execute", "req-1", None),
+            ("parse", "req-2", None), ("execute", "req-2", None),
+        ]
+        (loop_thread,) = {step[3] for step in seen}
+        assert loop_thread != threading.get_ident()
         assert REQUEST_ID_ENV not in os.environ
         assert current_request_id() is None
 

@@ -1,14 +1,12 @@
-"""The serving daemon: equivalence, dedup, backpressure, drain.
+"""The serving daemon: equivalence, one request at a time, drain.
 
 The headline contract is **surface equivalence**: every endpoint's
 ``data`` payload is byte-for-byte what the corresponding ``repro.api``
 call returns in-process.  Around that sit the operational behaviors —
-exact in-flight deduplication, bounded-queue 429s, draining 503s,
-per-request 504s, and a clean SIGTERM drain of the real
-``python -m repro serve`` process.
+concurrent clients served one request at a time, draining 503s, and a
+clean SIGTERM drain of the real ``python -m repro serve`` process.
 """
 
-import asyncio
 import contextlib
 import http.client
 import io
@@ -35,11 +33,11 @@ from repro.api import (
     execute,
 )
 from repro.serve import (
-    ReproServer,
     ServeClient,
     ServeConnectionError,
     ServerConfig,
     run_server,
+    running_server,
 )
 
 
@@ -60,28 +58,6 @@ def _request_labels(server):
             if route:
                 labels.add(route)
     return labels
-
-
-@contextlib.contextmanager
-def running_server(**overrides):
-    """An in-process daemon on an ephemeral port, drained on exit."""
-    overrides.setdefault("port", 0)
-    overrides.setdefault("batch_window_ms", 2.0)
-    config = ServerConfig(**overrides)
-    loop = asyncio.new_event_loop()
-    thread = threading.Thread(target=loop.run_forever, daemon=True)
-    thread.start()
-    server = ReproServer(config)
-    asyncio.run_coroutine_threadsafe(server.start(), loop).result(10)
-    try:
-        yield server
-    finally:
-        asyncio.run_coroutine_threadsafe(
-            server.drain_and_stop(10), loop
-        ).result(60)
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(5)
-        loop.close()
 
 
 @pytest.fixture(scope="module")
@@ -329,48 +305,7 @@ class TestHttpSemantics:
         assert "serve.request_seconds.count" in metrics
 
 
-class TestDeduplication:
-    def test_concurrent_identical_requests_coalesce_exactly(self):
-        """N simultaneous identical queries -> 1 execution, N-1 dedups."""
-        clients = 8
-        with running_server(batch_window_ms=500.0) as server:
-            barrier = threading.Barrier(clients)
-
-            def fire(_):
-                with ServeClient("127.0.0.1", server.port) as c:
-                    barrier.wait()
-                    return c.costs(7, 3)
-
-            with ThreadPoolExecutor(max_workers=clients) as pool:
-                responses = list(pool.map(fire, range(clients)))
-            assert all(r.status == 200 for r in responses)
-            bodies = {_canonical(r.data) for r in responses}
-            assert len(bodies) == 1  # every waiter saw the same result
-            stats = server.batcher.stats()
-            assert stats["submitted"] == clients
-            assert stats["deduped"] == clients - 1
-            assert stats["executed"] == 1
-
-
 class TestBackpressure:
-    def test_full_queue_answers_429_with_retry_after(self):
-        with running_server(max_queue=1, batch_window_ms=800.0) as server:
-            with ServeClient("127.0.0.1", server.port) as c1:
-                with ThreadPoolExecutor(max_workers=1) as pool:
-                    # Occupy the single queue slot for the window...
-                    first = pool.submit(lambda: c1.costs(9, 2))
-                    time.sleep(0.2)
-                    # ...then a *different* query must be refused.
-                    # (Retries off: the raw 429 is the assertion.)
-                    with ServeClient(
-                        "127.0.0.1", server.port, backpressure_retries=0
-                    ) as c2:
-                        refused = c2.costs(9, 4)
-                    assert refused.status == 429
-                    assert refused.error["code"] == "queue_full"
-                    assert refused.retry_after is not None
-                    assert first.result(30).status == 200
-
     def test_draining_answers_503(self):
         with running_server() as server:
             server.draining = True
@@ -382,15 +317,6 @@ class TestBackpressure:
             assert response.error["code"] == "draining"
             assert response.retry_after is not None
             server.draining = False  # let the fixture drain cleanly
-
-    def test_slow_request_answers_504(self):
-        with running_server(
-            batch_window_ms=700.0, request_timeout_s=0.05
-        ) as server:
-            with ServeClient("127.0.0.1", server.port) as c:
-                response = c.costs(11, 2)
-            assert response.status == 504
-            assert response.error["code"] == "timeout"
 
 
 class TestConcurrentClients:
@@ -425,37 +351,71 @@ class TestConcurrentClients:
             assert _canonical(response.data) == expected[key]
 
 
+def _serve_session(tmp_path, flags, session):
+    """Start ``python -m repro serve`` with ``flags``, call
+    ``session(port)``, then SIGTERM it; returns ``(exit code, output)``."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env["REPRO_COMPILE_CACHE_DIR"] = str(tmp_path / "cache")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", *flags],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    try:
+        ready = proc.stdout.readline()
+        match = re.search(r"http://[\d.]+:(\d+)", ready)
+        assert match, f"no ready line: {ready!r}"
+        session(int(match.group(1)))
+        proc.send_signal(signal.SIGTERM)
+        out, _ = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    return proc.returncode, out
+
+
 class TestGracefulDrain:
     def test_sigterm_drains_real_process(self, tmp_path):
         """`python -m repro serve` exits 0 on SIGTERM after draining."""
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        env["REPRO_COMPILE_CACHE_DIR"] = str(tmp_path / "cache")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0"],
-            env=env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
-        try:
-            ready = proc.stdout.readline()
-            match = re.search(r"http://[\d.]+:(\d+)", ready)
-            assert match, f"no ready line: {ready!r}"
-            port = int(match.group(1))
+        def session(port):
             with ServeClient("127.0.0.1", port) as c:
                 assert c.costs(8, 5).status == 200
                 assert c.health().payload["status"] == "ok"
-            proc.send_signal(signal.SIGTERM)
-            out, _ = proc.communicate(timeout=30)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.communicate()
-        assert proc.returncode == 0, out
+
+        code, out = _serve_session(tmp_path, ["--port", "0"], session)
+        assert code == 0, out
         assert "draining" in out
         assert '"clean_drain": true' in out
+
+    def test_the_benchmark_harness_flags_still_serve(self, tmp_path):
+        """The benchmark harness starts every daemon with ``--port 0
+        --batch-window-ms 0`` (an accepted, ignored flag) and reads the
+        ``batcher`` block of ``/v1/stats``: the daemon boots, answers
+        ``/healthz``, counts each executed request as one batch with
+        nothing deduplicated or queued, and exits 0 on SIGTERM."""
+        seen = {}
+
+        def session(port):
+            with ServeClient("127.0.0.1", port) as c:
+                seen["health"] = c.health().status
+                for alus in (2, 3, 5):
+                    assert c.costs(8, alus).status == 200
+                seen["batcher"] = c.stats().data["batcher"]
+
+        code, out = _serve_session(
+            tmp_path, ["--port", "0", "--batch-window-ms", "0"], session
+        )
+        assert code == 0, out
+        assert seen == {
+            "health": 200,
+            "batcher": {"submitted": 3, "deduped": 0, "batches": 3,
+                        "executed": 3, "queue_depth": 0},
+        }
 
 
 class TestRequestCorrelation:
@@ -542,8 +502,8 @@ class TestV8Routes:
 class TestCorrelationAcrossSurfaces:
     def test_sweep_joins_logs_and_trace(self, tmp_path):
         """One request id, two surfaces: a cold sweep's id must be
-        findable in the JSON logs (incl. its batch) and the Chrome trace
-        instants."""
+        findable in the JSON logs (its request line) and the Chrome
+        trace instants."""
         from repro.analysis.sweep import clear_sweep_cache
         from repro.obs.log import ROOT_LOGGER, configure, validate_log_line
 
@@ -569,7 +529,7 @@ class TestCorrelationAcrossSurfaces:
                 if getattr(handler, "_repro_installed", False):
                     root.removeHandler(handler)
             root.setLevel(previous_level)
-        # Surface 1: structured logs — the request line and its batch.
+        # Surface 1: structured logs — the request line.
         docs = [
             json.loads(line)
             for line in stream.getvalue().strip().splitlines()
@@ -578,11 +538,6 @@ class TestCorrelationAcrossSurfaces:
             validate_log_line(doc)
         assert any(
             d["event"] == "serve.request" and d["request_id"] == rid
-            for d in docs
-        )
-        assert any(
-            d["event"] == "serve.batch"
-            and rid in d.get("fields", {}).get("request_ids", [])
             for d in docs
         )
         # Surface 2: the Chrome trace carries instants with the id.
