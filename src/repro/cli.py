@@ -14,8 +14,8 @@ Commands
 ``export``     write every figure and table as CSV
 
 The persistent schedule cache is configured by environment alone:
-``REPRO_COMPILE_CACHE=off`` disables it and ``REPRO_COMPILE_CACHE_DIR``
-re-points it.
+``REPRO_COMPILE_CACHE=off`` disables it and ``XDG_CACHE_HOME`` moves
+it (to ``$XDG_CACHE_HOME/repro-stream/schedules``).
 
 ``--log-level``/``--log-json`` (top-level, also on ``serve`` and
 ``loadgen``) turn on structured logging to stderr; unlogged runs emit
@@ -55,13 +55,14 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+import time
+from typing import Any, List, Optional
 
 from .analysis.report import STUDIES
 from .apps import APPLICATION_ORDER, get_application
 from .compiler import CompilationError, compile_kernel, default_cache
 from .core import ProcessorConfig
-from .obs import MetricsRegistry, PhaseProfiler, Tracer, build_manifest
+from .obs import MetricsRegistry, Tracer, build_manifest
 from .sim import CapacityError, simulate
 
 
@@ -170,20 +171,31 @@ def cmd_costs(args: argparse.Namespace) -> int:
     return 0
 
 
+#: :func:`_read_kernel_file`'s answer for a file it could not read.
+_UNREADABLE = object()
+
+
+def _read_kernel_file(path: str) -> Any:
+    """The JSON document in the file at ``path``, or
+    :data:`_UNREADABLE` (with the error on stderr)."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        print(f"cannot read kernel file {path}: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"kernel file {path} is not JSON: {exc}", file=sys.stderr)
+    return _UNREADABLE
+
+
 def _register_kernel_file(path: str) -> Optional[str]:
     """Register the kernel document at ``path``; its ``kernel:<hash>``
     ref on success, ``None`` (with the error on stderr) otherwise."""
     from .frontend import KernelValidationError
     from .frontend.registry import default_registry
 
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except OSError as exc:
-        print(f"cannot read kernel file {path}: {exc}", file=sys.stderr)
-        return None
-    except ValueError as exc:
-        print(f"kernel file {path} is not JSON: {exc}", file=sys.stderr)
+    document = _read_kernel_file(path)
+    if document is _UNREADABLE:
         return None
     try:
         return default_registry().register(document).ref
@@ -253,16 +265,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         # memoized, so compiling first moves their cost out of the
         # ``simulate`` phase without changing what runs.
         tracer = Tracer()
-        profiler = PhaseProfiler()
+        started = time.perf_counter()
         try:
-            with profiler.phase("build"):
-                program = get_application(args.application)
-            with profiler.phase("compile"):
-                for call in program.kernel_calls():
-                    compile_kernel(call.kernel, config)
-            with profiler.phase("simulate"):
-                result = simulate(program, config, tracer=tracer,
-                                  metrics=MetricsRegistry())
+            program = get_application(args.application)
+            built = time.perf_counter()
+            for call in program.kernel_calls():
+                compile_kernel(call.kernel, config)
+            compiled = time.perf_counter()
+            result = simulate(program, config, tracer=tracer,
+                              metrics=MetricsRegistry())
+            simulated = time.perf_counter()
         except CapacityError:
             return _srf_overflow(args.application, config)
         except CompilationError as exc:
@@ -276,7 +288,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             manifest = build_manifest(
                 result,
                 application=args.application,
-                timings=profiler.as_dict(),
+                timings={
+                    "build": built - started,
+                    "compile": compiled - built,
+                    "simulate": simulated - compiled,
+                },
             )
             return _emit_envelope(
                 "simulate",
@@ -485,16 +501,8 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
 def cmd_kernel_register(args: argparse.Namespace) -> int:
     from .api import ApiError, RegisterKernelRequest, run_register
 
-    try:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except OSError as exc:
-        print(f"cannot read kernel file {args.file}: {exc}",
-              file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"kernel file {args.file} is not JSON: {exc}",
-              file=sys.stderr)
+    document = _read_kernel_file(args.file)
+    if document is _UNREADABLE:
         return 2
     try:
         result = run_register(RegisterKernelRequest(document))
@@ -532,14 +540,11 @@ def cmd_kernel_list(args: argparse.Namespace) -> int:
 
 
 def cmd_kernel_show(args: argparse.Namespace) -> int:
-    from .frontend.registry import KERNEL_REF_PREFIX, default_registry
+    from .frontend.registry import default_registry
 
     registry = default_registry()
-    ref = args.ref
-    if not ref.startswith(KERNEL_REF_PREFIX):
-        ref = KERNEL_REF_PREFIX + ref
     try:
-        entry = registry.resolve(ref)
+        entry = registry.resolve(args.ref)
     except KeyError as exc:
         print(exc, file=sys.stderr)
         return 2

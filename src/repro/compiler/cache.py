@@ -35,29 +35,20 @@ so a memory hit costs no JSON and no SHA-256.  ``schedule_key`` is
 computed only when the persistent cache is enabled and the memory memo
 missed.
 
-Robustness
-----------
-* writes are atomic (temp file + ``os.replace``), so a killed process
-  never leaves a half-written entry;
-* loads are corruption-tolerant: undecodable JSON, schema mismatches,
-  checksum failures or stale fingerprints count as misses (the bad file
-  is evicted and the kernel recompiled — the cache can never crash a
-  compile or return a wrong schedule silently);
-* every payload carries a checksum over its canonical body, so a
-  bit-flipped entry is detected without re-verifying the schedule.
-
-Observability
--------------
-The cache keeps hit/miss/evict/write counters and mirrors them into an
-attached :class:`~repro.obs.metrics.MetricsRegistry` as
+Storage
+-------
+Entries live in a :class:`repro.store.EntryStore` (atomic writes,
+checksummed corruption-tolerant reads, eviction); this module adds the
+compiler fingerprint and the key to each entry and checks both on
+load, so an entry from another compiler version is a miss.  The cache
+keeps hit/miss/evict/write counters and mirrors them into an attached
+:class:`~repro.obs.metrics.MetricsRegistry` as
 ``compile_cache.{hits,misses,evictions,writes}``.
 
 Environment
 -----------
-``REPRO_COMPILE_CACHE_DIR``
-    overrides the on-disk location (default:
-    ``$XDG_CACHE_HOME/repro-stream/schedules`` or
-    ``~/.cache/repro-stream/schedules``).
+The cache lives in ``$XDG_CACHE_HOME/repro-stream/schedules``
+(``~/.cache/repro-stream/schedules`` when unset).
 ``REPRO_COMPILE_CACHE``
     set to ``0``/``off``/``no`` to disable the persistent cache.
 """
@@ -68,11 +59,11 @@ import hashlib
 import importlib
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from ..isa.kernel import KernelGraph
+from ..store import EntryStore, default_root
 from .machine import MachineDescription
 
 __all__ = [
@@ -84,9 +75,6 @@ __all__ = [
     "machine_view",
     "schedule_key",
 ]
-
-#: Bump when the payload schema changes (invalidates old entries).
-SCHEMA_VERSION = 1
 
 #: Compiler modules whose source participates in the fingerprint: any
 #: edit to the scheduling/costing code invalidates the whole cache.
@@ -108,7 +96,7 @@ def compiler_fingerprint() -> str:
     """Hash of the compiler's source code (memoized per process)."""
     global _fingerprint_memo
     if _fingerprint_memo is None:
-        digest = hashlib.sha256(f"schema:{SCHEMA_VERSION}".encode())
+        digest = hashlib.sha256()
         for name in _FINGERPRINT_MODULES:
             module = importlib.import_module(name)
             digest.update(name.encode())
@@ -183,38 +171,22 @@ def schedule_key(
     return digest.hexdigest()
 
 
-def _payload_checksum(payload: Dict[str, Any]) -> str:
-    body = {k: v for k, v in payload.items() if k != "checksum"}
-    return hashlib.sha256(
-        json.dumps(body, sort_keys=True).encode()
-    ).hexdigest()
-
-
-class ScheduleCache:
+class ScheduleCache(EntryStore):
     """Content-addressed on-disk store of compiled schedules.
 
     ``root=None`` builds a disabled cache: every lookup misses, every
     store is a no-op — callers never need to branch on enablement.
     """
 
-    def __init__(self, root: Optional[Path]):
-        self.root = Path(root) if root is not None else None
-        self.metrics = None  # optional MetricsRegistry, see attach_metrics
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.writes = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self.root is not None
+    #: Optional MetricsRegistry the counters are mirrored into.
+    metrics = None
 
     def attach_metrics(self, registry) -> None:
         """Mirror counters into ``registry`` from now on."""
         self.metrics = registry
 
     def _count(self, outcome: str) -> None:
-        setattr(self, outcome, getattr(self, outcome) + 1)
+        super()._count(outcome)
         if self.metrics is not None:
             self.metrics.counter(f"compile_cache.{outcome}").inc()
 
@@ -237,103 +209,31 @@ class ScheduleCache:
         lookups = self.hits + self.misses
         return self.hits / lookups if lookups else 0.0
 
-    # --- storage ----------------------------------------------------------
-
-    def _path(self, key: str) -> Path:
-        assert self.root is not None
-        return self.root / f"v{SCHEMA_VERSION}" / key[:2] / f"{key}.json"
-
     def load(self, key: str) -> Optional[Dict[str, Any]]:
         """The payload stored under ``key``, or ``None``.
 
-        Anything unreadable — missing file, bad JSON, wrong schema
-        version, stale compiler fingerprint, checksum mismatch — is a
-        miss; invalid files are additionally evicted so they are not
+        Anything unreadable — missing file, bad JSON, wrong version,
+        checksum mismatch, stale compiler fingerprint, another key — is
+        a miss; invalid files are additionally evicted so they are not
         re-parsed on every lookup.
         """
-        if self.root is None:
-            return None
-        path = self._path(key)
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            self._count("misses")
-            return None
-        try:
-            # Decode inside the corruption guard: a bit-flipped entry
-            # may not even be valid UTF-8 (UnicodeDecodeError is a
-            # ValueError, so it lands in the except below).
-            payload = json.loads(raw.decode("utf-8"))
-            if not isinstance(payload, dict):
-                raise ValueError("payload is not an object")
-            if payload.get("version") != SCHEMA_VERSION:
-                raise ValueError("schema version mismatch")
+
+        def check(payload: Dict[str, Any]) -> Dict[str, Any]:
             if payload.get("fingerprint") != compiler_fingerprint():
                 raise ValueError("compiler fingerprint mismatch")
             if payload.get("key") != key:
                 raise ValueError("key mismatch")
-            if payload.get("checksum") != _payload_checksum(payload):
-                raise ValueError("checksum mismatch")
-        except (ValueError, TypeError, KeyError):
-            self.evict(key)
-            self._count("misses")
-            return None
-        self._count("hits")
-        return payload
+            return payload
+
+        return self.read(key, check)
 
     def store(self, key: str, payload: Dict[str, Any]) -> None:
-        """Atomically persist ``payload`` under ``key`` (best effort:
-        an unwritable cache directory degrades to a no-op, it never
-        fails the compile)."""
-        if self.root is None:
-            return
-        payload = dict(payload)
-        payload["version"] = SCHEMA_VERSION
-        payload["fingerprint"] = compiler_fingerprint()
-        payload["key"] = key
-        payload["checksum"] = _payload_checksum(payload)
-        path = self._path(key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=".tmp-", suffix=".json"
-            )
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(payload, handle)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            return
-        self._count("writes")
-
-    def evict(self, key: str) -> None:
-        """Drop one entry (used for invalid payloads)."""
-        if self.root is None:
-            return
-        try:
-            self._path(key).unlink()
-        except OSError:
-            pass
-        self._count("evictions")
-
-    def clear(self) -> None:
-        """Delete every entry under this cache's root (counters survive)."""
-        if self.root is None:
-            return
-        version_dir = self.root / f"v{SCHEMA_VERSION}"
-        if not version_dir.exists():
-            return
-        for entry in sorted(version_dir.rglob("*.json")):
-            try:
-                entry.unlink()
-            except OSError:
-                pass
+        """Persist ``payload`` under ``key`` with this compiler's
+        fingerprint (best effort: an unwritable cache directory degrades
+        to a no-op, it never fails the compile)."""
+        self.write(key, {
+            **payload, "fingerprint": compiler_fingerprint(), "key": key,
+        })
 
 
 # --- process-wide default cache ----------------------------------------
@@ -341,26 +241,10 @@ class ScheduleCache:
 _default_cache: Optional[ScheduleCache] = None
 
 
-def _default_root() -> Optional[Path]:
-    toggle = os.environ.get("REPRO_COMPILE_CACHE", "").strip().lower()
-    if toggle in ("0", "off", "no", "false"):
-        return None
-    override = os.environ.get("REPRO_COMPILE_CACHE_DIR")
-    if override:
-        return Path(override)
-    base = os.environ.get("XDG_CACHE_HOME")
-    root = Path(base) if base else Path.home() / ".cache"
-    return root / "repro-stream" / "schedules"
-
-
 def default_cache() -> ScheduleCache:
     """The process-wide cache :func:`repro.compiler.compile_kernel` uses."""
-    global _default_cache
     if _default_cache is None:
-        try:
-            _default_cache = ScheduleCache(_default_root())
-        except OSError:
-            _default_cache = ScheduleCache(None)
+        return configure_default_cache()
     return _default_cache
 
 
@@ -370,14 +254,13 @@ def configure_default_cache(
     """Re-point (or disable) the process-wide cache.
 
     For tests and embedding code; the CLI and the daemon take the
-    environment's setting (``REPRO_COMPILE_CACHE``,
-    ``REPRO_COMPILE_CACHE_DIR``).  Returns the new cache.
+    environment's setting (``XDG_CACHE_HOME``, ``REPRO_COMPILE_CACHE``).
+    Returns the new cache.
     """
     global _default_cache
     if not enabled:
-        _default_cache = ScheduleCache(None)
-    elif cache_dir is not None:
-        _default_cache = ScheduleCache(Path(cache_dir))
-    else:
-        _default_cache = ScheduleCache(_default_root())
+        cache_dir = None
+    elif cache_dir is None:
+        cache_dir = default_root("schedules", "REPRO_COMPILE_CACHE")
+    _default_cache = ScheduleCache(cache_dir)
     return _default_cache

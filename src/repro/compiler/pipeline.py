@@ -135,7 +135,6 @@ def compile_kernel(
     kernel: KernelGraph,
     config: ProcessorConfig,
     unroll_factor: Optional[int] = None,
-    verify: bool = True,
     alu_mix: Optional[Dict[str, float]] = None,
     cache: Optional[ScheduleCache] = None,
 ) -> KernelSchedule:
@@ -144,7 +143,8 @@ def compile_kernel(
     Searches IIs upward from the MII until both the modulo scheduler
     succeeds and the schedule's MaxLive fits the cluster's LRF capacity —
     register pressure is what makes very small IIs unprofitable at large
-    ``N``, the paper's intracluster roll-off.
+    ``N``, the paper's intracluster roll-off.  Every schedule a search
+    returns has passed :func:`~repro.compiler.modulo.verify_schedule`.
 
     ``alu_mix`` compiles against a heterogeneous ALU pool (see
     :func:`repro.compiler.machine.build_machine`); the default is the
@@ -174,9 +174,7 @@ def compile_kernel(
             raise CompilationError(failure)
         disk = cache if cache is not None else default_cache()
         try:
-            shared = _load_or_search(
-                kernel, machine, unroll_factor, verify, disk
-            )
+            shared = _load_or_search(kernel, machine, unroll_factor, disk)
         except CompilationError as error:
             _FAILURES[content] = str(error)
             raise
@@ -212,24 +210,23 @@ def _load_or_search(
     kernel: KernelGraph,
     machine: MachineDescription,
     unroll_factor: int,
-    verify: bool,
     disk: ScheduleCache,
 ) -> KernelSchedule:
     """A content-memo miss: the persistent store's schedule when it
     holds a usable one, else a cold search (stored back).  The disk key
     is hashed only when the store is enabled."""
     if not disk.enabled:
-        return _search(kernel, machine, unroll_factor, verify)[0]
+        return _search(kernel, machine, unroll_factor)[0]
     address = schedule_key(kernel, machine, unroll_factor)
     payload = disk.load(address)
     if payload is not None:
         loaded = _schedule_from_payload(kernel, machine, payload)
         if loaded is not None:
             return loaded
-        # Decodable but semantically stale (e.g. fails verification):
-        # drop it and recompile from scratch.
+        # Decodable but unusable (e.g. its MaxLive exceeds this
+        # machine's registers): drop it and recompile from scratch.
         disk.evict(address)
-    result, schedule = _search(kernel, machine, unroll_factor, verify)
+    result, schedule = _search(kernel, machine, unroll_factor)
     disk.store(address, _schedule_to_payload(result, schedule))
     return result
 
@@ -251,7 +248,6 @@ def _search(
     kernel: KernelGraph,
     machine: MachineDescription,
     unroll_factor: int,
-    verify: bool,
 ) -> Tuple[KernelSchedule, ModuloSchedule]:
     """Cold compile: the II search, backing off the unroll factor."""
     # Register pressure may defeat an aggressive unroll at every II; the
@@ -259,7 +255,7 @@ def _search(
     while True:
         graph = build_sched_graph(kernel, machine, unroll_factor)
         try:
-            schedule, pressure = _search_ii(graph, machine, verify=verify)
+            schedule, pressure = _search_ii(graph, machine)
             break
         except CompilationError:
             if unroll_factor == 1:
@@ -282,7 +278,6 @@ def _search(
 
 def compile_batch(
     jobs: Sequence[CompileJob],
-    verify: bool = True,
     alu_mix: Optional[Dict[str, float]] = None,
     cache: Optional[ScheduleCache] = None,
 ) -> List[KernelSchedule]:
@@ -296,15 +291,13 @@ def compile_batch(
     in-memory memos.
     """
     return [
-        compile_kernel(
-            kernel, config, verify=verify, alu_mix=alu_mix, cache=cache
-        )
+        compile_kernel(kernel, config, alu_mix=alu_mix, cache=cache)
         for kernel, config in jobs
     ]
 
 
 def _search_ii(
-    graph: SchedGraph, machine: MachineDescription, verify: bool
+    graph: SchedGraph, machine: MachineDescription
 ) -> Tuple[ModuloSchedule, int]:
     """Find the smallest feasible II; returns (schedule, MaxLive).
 
@@ -350,8 +343,7 @@ def _search_ii(
         else:
             pressure = max_live(graph, schedule.start, ii)
             if pressure <= machine.register_capacity:
-                if verify:
-                    verify_schedule(graph, machine, schedule)
+                verify_schedule(graph, machine, schedule)
                 return schedule, pressure
             last_failure = (
                 f"MaxLive {pressure} exceeds {machine.register_capacity} "
@@ -366,8 +358,7 @@ def _search_ii(
         schedule = fallback.as_modulo_schedule(r_bound, c_bound)
         pressure = max_live(graph, schedule.start, schedule.ii)
         if pressure <= machine.register_capacity:
-            if verify:
-                verify_schedule(graph, machine, schedule)
+            verify_schedule(graph, machine, schedule)
             return schedule, pressure
         last_failure = (
             f"MaxLive {pressure} exceeds {machine.register_capacity} "
@@ -388,7 +379,7 @@ def _schedule_to_payload(
     """Serialize one compile for :class:`~repro.compiler.cache.ScheduleCache`.
 
     The start map is kept so a loaded entry can be re-verified against a
-    freshly built scheduling graph (see ``REPRO_COMPILE_CACHE_VERIFY``).
+    freshly built scheduling graph (the tests do).
     """
     return {
         "kind": "modulo",
@@ -411,14 +402,10 @@ def _schedule_from_payload(
     """Reconstruct a :class:`KernelSchedule` from a cache payload.
 
     Returns ``None`` when the payload is structurally or semantically
-    unusable — the caller treats that exactly like a cache miss.  With
-    ``REPRO_COMPILE_CACHE_VERIFY=1`` every load additionally rebuilds
-    the scheduling graph and runs :func:`verify_schedule` on the stored
-    start times (tests use this; the checksum already guards against
-    plain corruption on the default path).
+    unusable — the caller treats that exactly like a cache miss.  The
+    entry's checksum and compiler fingerprint already guard against
+    corruption and staleness, so the start times are not re-verified.
     """
-    import os
-
     try:
         unroll_factor = int(payload["unroll_factor"])
         ii = int(payload["ii"])
@@ -426,27 +413,13 @@ def _schedule_from_payload(
         pressure = int(payload["max_live"])
         r_bound = int(payload["resource_mii"])
         c_bound = int(payload["recurrence_mii"])
-        start_items = payload["start"]
         if payload["kind"] != "modulo":
             return None
         if unroll_factor < 1 or ii < 1 or length < ii:
             return None
         if pressure > machine.register_capacity:
             return None
-        if os.environ.get("REPRO_COMPILE_CACHE_VERIFY"):
-            graph = build_sched_graph(kernel, machine, unroll_factor)
-            start = {int(v): int(t) for v, t in start_items}
-            schedule = ModuloSchedule(
-                ii=ii,
-                start=start,
-                length=length,
-                resource_mii=r_bound,
-                recurrence_mii=c_bound,
-            )
-            verify_schedule(graph, machine, schedule)
-            if max_live(graph, start, ii) != pressure:
-                return None
-    except (KeyError, TypeError, ValueError, AssertionError):
+    except (KeyError, TypeError, ValueError):
         return None
     return KernelSchedule(
         kernel_name=kernel.name,

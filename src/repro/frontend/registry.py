@@ -1,12 +1,14 @@
 """Content-addressed kernel registry: ``kernel:<sha256>`` references.
 
-Registered documents are stored on disk with the same discipline as the
-compile cache (:mod:`repro.compiler.cache`): content-addressed paths,
-atomic writes, checksum-validated corruption-tolerant loads, and
-hit/miss/evict/write counters.  The content address is the SHA-256 of
-the document's canonical serialization, so registration is idempotent
-and the same document registered via any spelling (key order,
-whitespace, ``2`` vs ``2.0``) lands on the same id.
+Registered documents are entries of a :class:`repro.store.EntryStore`,
+the store the compile cache (:mod:`repro.compiler.cache`) uses too:
+content-addressed paths, atomic writes, checksum-validated
+corruption-tolerant loads.  On top of the store's checks, a loaded
+document must validate and hash to its address.  The content address
+is the SHA-256 of the document's canonical serialization, so
+registration is idempotent and the same document registered via any
+spelling (key order, whitespace, ``2`` vs ``2.0``) lands on the same
+id.
 
 A registry with ``root=None`` (disabled persistence) still works within
 the process through an in-memory overlay; the overlay also fronts the
@@ -14,25 +16,20 @@ disk store so repeat lookups never re-read files.
 
 Environment
 -----------
-``REPRO_KERNEL_REGISTRY_DIR``
-    overrides the on-disk location (default:
-    ``$XDG_CACHE_HOME/repro-stream/kernels`` or
-    ``~/.cache/repro-stream/kernels``).
+The registry lives in ``$XDG_CACHE_HOME/repro-stream/kernels``
+(``~/.cache/repro-stream/kernels`` when unset).
 ``REPRO_KERNEL_REGISTRY``
     set to ``0``/``off``/``no`` to disable persistence.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from ..isa.kernel import KernelGraph
+from ..store import EntryStore, default_root
 from .loader import LoadedKernel, graph_from_document, load_document
 from .schema import KERNEL_SCHEMA_VERSION
 
@@ -48,9 +45,6 @@ __all__ = [
 
 #: Prefix that marks a kernel name as a registry reference.
 KERNEL_REF_PREFIX = "kernel:"
-
-#: Bump when the stored payload schema changes.
-REGISTRY_SCHEMA_VERSION = 1
 
 #: Shortest accepted id prefix in a reference (full ids are 64 hex chars).
 MIN_REF_PREFIX = 8
@@ -79,51 +73,17 @@ class RegisteredKernel:
         return self.document["name"]
 
 
-def _payload_checksum(payload: Dict[str, Any]) -> str:
-    body = {k: v for k, v in payload.items() if k != "checksum"}
-    return hashlib.sha256(
-        json.dumps(body, sort_keys=True).encode()
-    ).hexdigest()
-
-
-class KernelRegistry:
+class KernelRegistry(EntryStore):
     """Content-addressed store of registered kernel documents.
 
     ``root=None`` keeps entries in memory only; callers never branch on
     enablement.
     """
 
-    def __init__(self, root: Optional[Path]):
-        self.root = Path(root) if root is not None else None
+    def __init__(self, root: Optional[os.PathLike]):
+        super().__init__(root)
         self._memory: Dict[str, Dict[str, Any]] = {}
         self._graphs: Dict[str, KernelGraph] = {}
-        self.registrations = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.writes = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self.root is not None
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "registrations": self.registrations,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "writes": self.writes,
-        }
-
-    # --- storage --------------------------------------------------------
-
-    def _path(self, kernel_id: str) -> Path:
-        assert self.root is not None
-        return (
-            self.root / f"v{REGISTRY_SCHEMA_VERSION}"
-            / kernel_id[:2] / f"{kernel_id}.json"
-        )
 
     def register(self, document: Any) -> RegisteredKernel:
         """Validate + canonicalize ``document`` and store it.
@@ -131,92 +91,35 @@ class KernelRegistry:
         Idempotent: re-registering the same content (under any JSON
         spelling) returns the same id, rewrites no intact entry and
         builds no graph (the id is derived first; only a new id reads
-        ``loaded.graph``).  Raises
+        ``loaded.graph``).  A missing or damaged entry is written again,
+        or the next process would call the kernel unknown.  Raises
         :class:`~repro.frontend.schema.KernelValidationError` on an
         invalid document.
         """
         loaded = load_document(document)
-        self.registrations += 1
-        if loaded.kernel_id not in self._memory:
-            self._memory[loaded.kernel_id] = loaded.document
-            self._graphs[loaded.kernel_id] = loaded.graph
-            self._store(loaded)
-        return RegisteredKernel(loaded.kernel_id, loaded.document)
-
-    def _store(self, loaded: LoadedKernel) -> None:
-        """Atomically persist one entry (best effort, like the compile
-        cache: an unwritable directory degrades to memory-only)."""
-        if self.root is None:
-            return
-        path = self._path(loaded.kernel_id)
-        payload = {
-            "version": REGISTRY_SCHEMA_VERSION,
+        kernel_id = loaded.kernel_id
+        if kernel_id not in self._memory:
+            self._memory[kernel_id] = loaded.document
+            self._graphs[kernel_id] = loaded.graph
+        self.write(kernel_id, {
             "schema_version": KERNEL_SCHEMA_VERSION,
-            "kernel_id": loaded.kernel_id,
+            "kernel_id": kernel_id,
             "document": loaded.document,
-        }
-        payload["checksum"] = _payload_checksum(payload)
-        # An entry that reads back as this payload stays byte for byte;
-        # a damaged one is rewritten, or the next lookup would evict it
-        # and call the kernel unknown.
-        try:
-            if json.loads(path.read_bytes().decode("utf-8")) == payload:
-                return
-        except (OSError, ValueError):
-            pass
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=".tmp-", suffix=".json"
-            )
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(payload, handle)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            return
-        self.writes += 1
+        })
+        return RegisteredKernel(kernel_id, loaded.document)
 
-    def _load_from_disk(self, kernel_id: str) -> Optional[Dict[str, Any]]:
-        """Read one entry; anything unreadable is a miss + eviction."""
-        if self.root is None:
-            return None
-        path = self._path(kernel_id)
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            return None
-        try:
-            payload = json.loads(raw.decode("utf-8"))
-            if not isinstance(payload, dict):
-                raise ValueError("payload is not an object")
-            if payload.get("version") != REGISTRY_SCHEMA_VERSION:
-                raise ValueError("registry version mismatch")
-            if payload.get("kernel_id") != kernel_id:
-                raise ValueError("kernel id mismatch")
-            if payload.get("checksum") != _payload_checksum(payload):
-                raise ValueError("checksum mismatch")
-            document = payload["document"]
-            # The document must still validate and hash to its address;
-            # a tampered entry can never reach the compiler.
-            loaded = load_document(document)
+    def _load(self, kernel_id: str) -> Optional[LoadedKernel]:
+        """Read one entry from disk.  The document must still validate
+        and hash to its address, so a tampered entry can never reach
+        the compiler."""
+
+        def check(payload: Dict[str, Any]) -> LoadedKernel:
+            loaded = load_document(payload["document"])
             if loaded.kernel_id != kernel_id:
                 raise ValueError("document does not hash to its address")
-        except (ValueError, TypeError, KeyError):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            self.evictions += 1
-            return None
-        self._graphs[kernel_id] = loaded.graph
-        return loaded.document
+            return loaded
+
+        return self.read(kernel_id, check)
 
     # --- lookup ---------------------------------------------------------
 
@@ -224,13 +127,11 @@ class KernelRegistry:
         """The canonical document stored under ``kernel_id``, or None."""
         document = self._memory.get(kernel_id)
         if document is None:
-            document = self._load_from_disk(kernel_id)
-            if document is not None:
-                self._memory[kernel_id] = document
-        if document is None:
-            self.misses += 1
-            return None
-        self.hits += 1
+            loaded = self._load(kernel_id)
+            if loaded is None:
+                return None
+            document = self._memory[kernel_id] = loaded.document
+            self._graphs[kernel_id] = loaded.graph
         return document
 
     def _resolve_prefix(self, prefix: str) -> Optional[str]:
@@ -239,24 +140,19 @@ class KernelRegistry:
             kernel_id for kernel_id in self._memory
             if kernel_id.startswith(prefix)
         }
-        if self.root is not None:
-            shard_dir = self.root / f"v{REGISTRY_SCHEMA_VERSION}" / prefix[:2]
-            try:
-                entries = list(shard_dir.glob(f"{prefix}*.json"))
-            except OSError:
-                entries = []
-            matches.update(entry.stem for entry in entries)
+        matches.update(self.keys(prefix))
         if len(matches) == 1:
             return matches.pop()
         return None
 
     def resolve(self, ref: str) -> RegisteredKernel:
-        """Look up a ``kernel:<hash>`` reference (id prefixes of at
-        least :data:`MIN_REF_PREFIX` hex chars are accepted).  Raises
-        ``KeyError`` for unknown, ambiguous, or malformed references.
+        """Look up a ``kernel:<hash>`` reference or a bare id (id
+        prefixes of at least :data:`MIN_REF_PREFIX` hex chars are
+        accepted).  Raises ``KeyError`` for unknown, ambiguous, or
+        malformed references; its message names the ``kernel:`` form.
         """
         if not is_kernel_ref(ref):
-            raise KeyError(f"not a kernel reference: {ref!r}")
+            ref = KERNEL_REF_PREFIX + ref
         kernel_id = ref[len(KERNEL_REF_PREFIX):].strip().lower()
         if (
             len(kernel_id) < MIN_REF_PREFIX
@@ -298,19 +194,8 @@ class KernelRegistry:
 
     def list(self) -> List[Dict[str, Any]]:
         """Summaries of every registered kernel, sorted by id."""
-        kernel_ids = set(self._memory)
-        if self.root is not None:
-            version_dir = self.root / f"v{REGISTRY_SCHEMA_VERSION}"
-            try:
-                entries = list(version_dir.rglob("*.json"))
-            except OSError:
-                entries = []
-            kernel_ids.update(
-                entry.stem for entry in entries
-                if not entry.name.startswith(".")
-            )
         summaries = []
-        for kernel_id in sorted(kernel_ids):
+        for kernel_id in sorted(set(self._memory).union(self.keys())):
             document = self.get_document(kernel_id)
             if document is None:
                 continue  # evicted as corrupt between listing and read
@@ -353,26 +238,10 @@ def summarize(
 _default_registry: Optional[KernelRegistry] = None
 
 
-def _default_root() -> Optional[Path]:
-    toggle = os.environ.get("REPRO_KERNEL_REGISTRY", "").strip().lower()
-    if toggle in ("0", "off", "no", "false"):
-        return None
-    override = os.environ.get("REPRO_KERNEL_REGISTRY_DIR")
-    if override:
-        return Path(override)
-    base = os.environ.get("XDG_CACHE_HOME")
-    root = Path(base) if base else Path.home() / ".cache"
-    return root / "repro-stream" / "kernels"
-
-
 def default_registry() -> KernelRegistry:
     """The process-wide registry the API and daemon resolve through."""
-    global _default_registry
     if _default_registry is None:
-        try:
-            _default_registry = KernelRegistry(_default_root())
-        except OSError:
-            _default_registry = KernelRegistry(None)
+        return configure_default_registry()
     return _default_registry
 
 
@@ -382,11 +251,10 @@ def configure_default_registry(
     """Re-point (or disable) the process-wide registry."""
     global _default_registry
     if not enabled:
-        _default_registry = KernelRegistry(None)
-    elif registry_dir is not None:
-        _default_registry = KernelRegistry(Path(registry_dir))
-    else:
-        _default_registry = KernelRegistry(_default_root())
+        registry_dir = None
+    elif registry_dir is None:
+        registry_dir = default_root("kernels", "REPRO_KERNEL_REGISTRY")
+    _default_registry = KernelRegistry(registry_dir)
     return _default_registry
 
 

@@ -1,13 +1,12 @@
 """Observability for the stream-processor simulator.
 
-Six pieces, composable and all optional:
+Five pieces, composable and all optional:
 
 * :mod:`repro.obs.tracer`   — span tracing with Chrome-trace export.
 * :mod:`repro.obs.metrics`  — counters/gauges/bucketed histograms with
   p50/p90/p99 quantile estimation and Prometheus text exposition.
 * :mod:`repro.obs.log`      — structured JSON-lines logging with
   contextvars-scoped request-id correlation.
-* :mod:`repro.obs.profile`  — wall-clock phase timing of the host.
 * :mod:`repro.obs.manifest` — versioned machine-readable run reports.
 * :mod:`repro.obs.loadgen`  — load generator + SLO report for the
   serving daemon (imported lazily; depends on :mod:`repro.serve`).
@@ -53,7 +52,6 @@ from .metrics import (
     accounting_warning,
     render_prometheus,
 )
-from .profile import PhaseProfiler
 from .tracer import NULL_TRACER, NullTracer, PrefixedTracer, Span, Tracer
 
 __all__ = [
@@ -73,7 +71,6 @@ __all__ = [
     "MetricsSnapshot",
     "NULL_TRACER",
     "NullTracer",
-    "PhaseProfiler",
     "PrefixedTracer",
     "QUANTILE_RELATIVE_ERROR_BOUND",
     "REQUEST_ID_ENV",

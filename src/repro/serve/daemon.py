@@ -491,11 +491,9 @@ class ReproServer:
         self, path: str, ref: str
     ) -> Tuple[int, Dict[str, Any]]:
         """``GET /v1/kernels/{id}``: summary plus canonical document."""
-        from ..frontend.registry import KERNEL_REF_PREFIX, default_registry
+        from ..frontend.registry import default_registry
 
         registry = default_registry()
-        if not ref.startswith(KERNEL_REF_PREFIX):
-            ref = KERNEL_REF_PREFIX + ref
         try:
             entry = registry.resolve(ref)
         except KeyError as exc:

@@ -454,7 +454,7 @@ class TestParser:
         """``simulate --trace-out``, ``report`` and ``validate`` answer
         what ``trace``, ``figures`` and ``headline`` did; applications
         are always included; the compile cache is configured by
-        ``REPRO_COMPILE_CACHE``/``REPRO_COMPILE_CACHE_DIR`` alone.  Only
+        ``REPRO_COMPILE_CACHE``/``XDG_CACHE_HOME`` alone.  Only
         parsed, never run: a ``serve`` that parsed would not return."""
         from repro.cli import build_parser
 

@@ -28,6 +28,7 @@ from repro.compiler.machine import IMAGINE_ALU_MIX, build_machine
 from repro.compiler.unroll import choose_unroll_factor
 from repro.core.config import ProcessorConfig
 from repro.kernels import get_kernel
+from repro.store import payload_checksum
 
 CONFIG = ProcessorConfig(8, 5)
 GOLDEN = Path(__file__).parent / "data" / "golden_schedules.json"
@@ -98,14 +99,14 @@ class TestColdWarm:
             "hits": 0, "misses": 0, "evictions": 0, "writes": 0,
         }
 
-    def test_warm_hits_verify(self, cache_dir, monkeypatch):
+    def test_warm_hits_verify(self, cache_dir, verified_loads):
         """Loaded entries pass full schedule verification."""
         cold = compile_kernel(get_kernel("convolve"), CONFIG)
         clear_cache()
-        monkeypatch.setenv("REPRO_COMPILE_CACHE_VERIFY", "1")
         warm = compile_kernel(get_kernel("convolve"), CONFIG)
         assert _fields(warm) == _fields(cold)
         assert default_cache().stats()["hits"] >= 1
+        assert len(verified_loads) == default_cache().stats()["hits"]
 
     def test_heterogeneous_machines_cached_separately(self, cache_dir):
         plain = compile_kernel(get_kernel("fft"), CONFIG)
@@ -153,7 +154,7 @@ class TestRobustness:
         payload = json.loads(entry.read_text())
         payload["fingerprint"] = "0" * 64
         del payload["checksum"]
-        payload["checksum"] = cache_mod._payload_checksum(payload)
+        payload["checksum"] = payload_checksum(payload)
         entry.write_text(json.dumps(payload))
         key = entry.stem
         assert default_cache().load(key) is None
@@ -201,7 +202,7 @@ class TestCrossProcess:
         env = dict(
             os.environ,
             PYTHONPATH=REPO_SRC,
-            REPRO_COMPILE_CACHE_DIR=str(tmp_path),
+            XDG_CACHE_HOME=str(tmp_path),
         )
 
         def run():
@@ -330,7 +331,7 @@ for name in ("fft", "dct", "irast"):
         machine = build_machine(config, None)
         graph = build_sched_graph(
             kernel, machine, choose_unroll_factor(kernel, machine))
-        schedule, pressure = _search_ii(graph, machine, verify=True)
+        schedule, pressure = _search_ii(graph, machine)
         out.append([name, n, schedule.ii, pressure,
                     sorted(schedule.start.items())])
 print(json.dumps(out))

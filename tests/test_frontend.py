@@ -7,6 +7,7 @@ canonical form, the content-addressed registry, the microbenchmark
 wrapper, and the API/CLI surfaces.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -464,7 +465,6 @@ class TestRegistry:
         first = registry.register(saxpy_document())
         second = registry.register(saxpy_document())
         assert first.kernel_id == second.kernel_id
-        assert registry.registrations == 2
         assert registry.writes == 1
         assert first.ref == f"kernel:{first.kernel_id}"
         assert first.name == "saxpy"
@@ -520,7 +520,7 @@ class TestRegistry:
     def test_corrupt_entry_is_evicted(self, tmp_path):
         registry = KernelRegistry(tmp_path)
         kernel_id = registry.register(saxpy_document()).kernel_id
-        path = registry._path(kernel_id)
+        path = registry.path(kernel_id)
         path.write_text("{not json")
         cold = KernelRegistry(tmp_path)
         assert cold.get_document(kernel_id) is None
@@ -528,12 +528,13 @@ class TestRegistry:
         assert not path.exists()
 
     def test_reregistration_rewrites_a_damaged_entry(self, tmp_path):
-        """Registering a kernel again from another process leaves an
-        intact entry byte for byte and repairs a damaged one, so a
-        later process still finds the kernel."""
+        """Registering a kernel again, from another process or from the
+        one that holds it, leaves an intact entry byte for byte and
+        repairs a missing or damaged one, so a later process still
+        finds the kernel."""
         kernel_id = KernelRegistry(tmp_path).register(
             saxpy_document()).kernel_id
-        path = KernelRegistry(tmp_path)._path(kernel_id)
+        path = KernelRegistry(tmp_path).path(kernel_id)
         intact = path.read_bytes()
         again = KernelRegistry(tmp_path)
         again.register(saxpy_document())
@@ -548,18 +549,62 @@ class TestRegistry:
         assert KernelRegistry(tmp_path).resolve(
             f"kernel:{kernel_id}").name == "saxpy"
 
+        # The same process: the registry already holds the kernel, and
+        # its entry is deleted, then damaged, under it.
+        path.unlink()
+        assert again.register(saxpy_document()).kernel_id == kernel_id
+        assert again.writes == 2
+        assert path.read_bytes() == intact
+        path.write_bytes(bytes(damaged))
+        again.register(saxpy_document())
+        assert again.writes == 3
+        assert path.read_bytes() == intact
+        assert KernelRegistry(tmp_path).resolve(
+            f"kernel:{kernel_id}").name == "saxpy"
+
+    def test_an_entry_in_the_original_layout_resolves_unchanged(
+        self, tmp_path
+    ):
+        """An entry laid out as registries have always written it (key
+        order ``version, schema_version, kernel_id, document,
+        checksum``; ``json.dump`` without ``sort_keys``) resolves, and
+        registering its document again leaves its bytes alone."""
+        loaded = load_document(saxpy_document())
+        payload = {
+            "version": 1,
+            "schema_version": KERNEL_SCHEMA_VERSION,
+            "kernel_id": loaded.kernel_id,
+            "document": loaded.document,
+        }
+        payload["checksum"] = hashlib.sha256(
+            json.dumps(payload, sort_keys=True).encode()
+        ).hexdigest()
+        path = (tmp_path / "v1" / loaded.kernel_id[:2]
+                / f"{loaded.kernel_id}.json")
+        path.parent.mkdir(parents=True)
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        written = path.read_bytes()
+
+        ref = f"kernel:{loaded.kernel_id}"
+        assert KernelRegistry(tmp_path).resolve(ref).name == "saxpy"
+        again = KernelRegistry(tmp_path)
+        assert again.register(saxpy_document()).ref == ref
+        assert again.writes == 0
+        assert path.read_bytes() == written
+
     def test_tampered_document_is_evicted(self, tmp_path):
         """A re-checksummed but content-modified entry still dies: the
         document no longer hashes to its address."""
-        from repro.frontend.registry import _payload_checksum
+        from repro.store import payload_checksum
 
         registry = KernelRegistry(tmp_path)
         kernel_id = registry.register(saxpy_document()).kernel_id
-        path = registry._path(kernel_id)
+        path = registry.path(kernel_id)
         payload = json.loads(path.read_text())
         payload["document"]["nodes"][1]["value"] = 3.0
         del payload["checksum"]
-        payload["checksum"] = _payload_checksum(payload)
+        payload["checksum"] = payload_checksum(payload)
         path.write_text(json.dumps(payload))
         cold = KernelRegistry(tmp_path)
         assert cold.get_document(kernel_id) is None
@@ -598,17 +643,14 @@ class TestRegistry:
         assert not is_kernel_ref("fft")
         assert not is_kernel_ref(7)
 
-    def test_environment_disables_persistence(self, monkeypatch):
-        from repro.frontend.registry import _default_root
-
+    def test_environment_disables_persistence(self, registry, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL_REGISTRY", "off")
-        assert _default_root() is None
+        assert configure_default_registry().root is None
         monkeypatch.setenv("REPRO_KERNEL_REGISTRY", "")
-        monkeypatch.setenv("REPRO_KERNEL_REGISTRY_DIR", "/tmp/somewhere")
-        assert str(_default_root()) == "/tmp/somewhere"
-        monkeypatch.delenv("REPRO_KERNEL_REGISTRY_DIR")
         monkeypatch.setenv("XDG_CACHE_HOME", "/tmp/xdg")
-        assert str(_default_root()) == "/tmp/xdg/repro-stream/kernels"
+        assert str(configure_default_registry().root) == (
+            "/tmp/xdg/repro-stream/kernels"
+        )
 
     def test_default_registry_is_process_wide(self, registry):
         assert default_registry() is registry

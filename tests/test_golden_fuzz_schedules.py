@@ -53,9 +53,7 @@ def compile_entries():
                 machine, unroll, _key = pipeline._resolve(
                     kernel, config, None, None
                 )
-                result, schedule = pipeline._search(
-                    kernel, machine, unroll, verify=True
-                )
+                result, schedule = pipeline._search(kernel, machine, unroll)
                 entries.append({
                     "document": index,
                     "clusters": clusters,

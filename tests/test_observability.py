@@ -1,5 +1,5 @@
 """Tests for the observability layer: tracer, metrics registry, run
-manifests, profiling, and the instrumented simulator/CLI paths."""
+manifests, and the instrumented simulator/CLI paths."""
 
 import json
 
@@ -12,7 +12,6 @@ from repro.core.params import TECH_45NM
 from repro.obs import (
     AccountingWarning,
     MetricsRegistry,
-    PhaseProfiler,
     PrefixedTracer,
     Tracer,
     build_manifest,
@@ -248,19 +247,6 @@ class TestCompletionLog:
         assert snap["ops.latency_cycles.total"] == 50
 
 
-class TestPhaseProfiler:
-    def test_phases_accumulate(self):
-        profiler = PhaseProfiler()
-        with profiler.phase("work"):
-            pass
-        with profiler.phase("work"):
-            pass
-        assert profiler.calls("work") == 2
-        assert profiler.seconds("work") >= 0.0
-        assert profiler.seconds("missing") == 0.0
-        assert list(profiler.as_dict()) == ["work"]
-
-
 class TestManifest:
     @pytest.fixture(scope="class")
     def manifest(self):
@@ -382,7 +368,7 @@ class TestCli:
         manifest = envelope["meta"]["manifest"]
         validate_manifest(manifest)
         assert manifest["results"]["cycles"] == envelope["data"]["cycles"]
-        assert "simulate" in manifest["timings"]
+        assert list(manifest["timings"]) == ["build", "compile", "simulate"]
 
     def test_simulate_trace_out(self, capsys, tmp_path):
         path = tmp_path / "trace.json"

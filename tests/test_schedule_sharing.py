@@ -57,7 +57,7 @@ def _reference(kernel, config, mix):
     """A cold compile of exactly ``config``: no memo, no disk, its disk
     key, and the payload it would store (with the start map)."""
     machine, unroll, _content = pipeline._resolve(kernel, config, mix, None)
-    result, schedule = pipeline._search(kernel, machine, unroll, verify=True)
+    result, schedule = pipeline._search(kernel, machine, unroll)
     start = json.loads(json.dumps(
         pipeline._schedule_to_payload(result, schedule)["start"]
     ))
@@ -94,7 +94,7 @@ class TestExactness:
             assert disk.load(key)["start"] == start, (kernel.name, config)
 
     def test_shared_schedules_match_exact_compiles(
-        self, points, references, tmp_path, fresh_memo, monkeypatch
+        self, points, references, tmp_path, fresh_memo, verified_loads
     ):
         disk = ScheduleCache(tmp_path)
 
@@ -110,10 +110,10 @@ class TestExactness:
         # A fresh process: every schedule comes off disk, verified, and
         # is restamped for each point that shares it.
         clear_cache()
-        monkeypatch.setenv("REPRO_COMPILE_CACHE_VERIFY", "1")
         stored = disk.writes
         self._check(points, references, disk, compiled)
         assert disk.writes == stored
+        assert len(verified_loads) == distinct
 
 
 class TestCompileCounts:
@@ -134,7 +134,7 @@ class TestCompileCounts:
         assert memo_size() - before == len(TABLE5_N_VALUES)
 
     def test_one_disk_entry_serves_every_cluster_count(
-        self, tmp_path, fresh_memo, monkeypatch
+        self, tmp_path, fresh_memo, verified_loads
     ):
         kernel = graph_from_document(self._document("sharing_disk"))
         disk = ScheduleCache(tmp_path)
@@ -144,9 +144,9 @@ class TestCompileCounts:
         assert len(list(tmp_path.rglob("*.json"))) == 1
 
         clear_cache()
-        monkeypatch.setenv("REPRO_COMPILE_CACHE_VERIFY", "1")
         loaded = compile_kernel(kernel, ProcessorConfig(128, 5), cache=disk)
         assert disk.hits == 1
+        assert len(verified_loads) == 1
         assert loaded.config.clusters == 128
 
 

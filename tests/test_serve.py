@@ -357,7 +357,7 @@ def _serve_session(tmp_path, flags, session):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    env["REPRO_COMPILE_CACHE_DIR"] = str(tmp_path / "cache")
+    env["XDG_CACHE_HOME"] = str(tmp_path / "cache")
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", *flags],
         env=env,
