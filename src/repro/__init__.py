@@ -10,10 +10,11 @@ Packages:
 * :mod:`repro.sim`       — stream-processor application simulator.
 * :mod:`repro.apps`      — the six applications (StreamC substitute).
 * :mod:`repro.analysis`  — regeneration of every paper table and figure.
-* :mod:`repro.obs`       — tracing, metrics, profiling, run manifests.
+* :mod:`repro.obs`       — tracing, metrics, run manifests.
 * :mod:`repro.api`       — the stable typed request/result facade
   (``docs/api.md``).
-* :mod:`repro.serve`     — the batched serving daemon (``docs/serving.md``).
+* :mod:`repro.serve`     — the serving daemon, one request at a time
+  (``docs/serving.md``).
 
 Importing :mod:`repro` is deliberately cheap: the symbols below resolve
 lazily (:pep:`562` module ``__getattr__``), so ``import repro`` pulls in

@@ -12,11 +12,10 @@ process: a whole cold ``repro report`` takes under a second on one
 core, so a process pool would have almost nothing to split and would
 still pay to start and feed its workers.
 
-Instrumentation rides on the observability layer: an optional
-:class:`~repro.obs.metrics.MetricsRegistry` counts cache hits/misses
-and observes per-point latency histograms — the raw material for the
-"profile a slow sweep" recipe in ``docs/performance.md``.  A sweep is
-one synchronous call (``POST /v1/sweeps`` in the daemon): its caller
+The engine counts its memo hits and misses (:meth:`SweepEngine.stats`,
+which ``/v1/stats`` and ``repro report`` show) — the raw material for
+the "profile a slow sweep" recipe in ``docs/performance.md``.  A sweep
+is one synchronous call (``POST /v1/sweeps`` in the daemon): its caller
 holds the whole answer when it returns.
 
 Every application point is evaluated by
@@ -27,22 +26,19 @@ reads.  A point therefore has one memo key, whichever deprecated
 
 The module-level :func:`default_engine` is what the public functions in
 :mod:`repro.analysis.perf` share; library users embedding sweeps can
-instantiate private engines with their own instrumentation.
+instantiate private engines with their own memo and counters.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..api import SWEEP_MODES
-from ..compiler.cache import default_cache
 from ..compiler.pipeline import compile_batch, compile_kernel
 from ..core.config import ProcessorConfig
 from ..core.params import TECH_45NM, TechnologyNode
 from ..kernels.suite import get_kernel
-from ..obs.metrics import MetricsRegistry
 from ..sim.metrics import SimulationResult
 from .model import predict_application
 
@@ -63,16 +59,10 @@ _RateKey = Tuple[str, ProcessorConfig]
 class SweepEngine:
     """Shared memo cache for application points and ``compile_kernel``.
 
-    Parameters
-    ----------
-    metrics:
-        Optional registry; when present the engine counts
-        ``sweep.sim.{hits,misses}`` / ``sweep.rate.{hits,misses}`` and
-        observes a ``sweep.point_seconds`` histogram per cold point.
+    :meth:`stats` counts memo hits and misses for both grids.
     """
 
-    def __init__(self, metrics: Optional[MetricsRegistry] = None):
-        self.metrics = metrics
+    def __init__(self) -> None:
         #: Reentrant guard: the serving daemon (and any threaded
         #: embedder) may drive one shared engine from several threads;
         #: holding the lock across a cold point also means concurrent
@@ -84,10 +74,6 @@ class SweepEngine:
         self.sim_misses = 0
         self.rate_hits = 0
         self.rate_misses = 0
-        if metrics is not None:
-            # Surface the persistent schedule store's counters alongside
-            # the engine's own (compile_cache.{hits,misses,...}).
-            default_cache().attach_metrics(metrics)
 
     # --- bookkeeping ---------------------------------------------------
 
@@ -119,13 +105,6 @@ class SweepEngine:
                 self.rate_hits += amount
             else:
                 self.rate_misses += amount
-        if self.metrics is not None and amount:
-            outcome = "hits" if hit else "misses"
-            self.metrics.counter(f"sweep.{name}.{outcome}").inc(amount)
-
-    def _observe_point(self, seconds: float) -> None:
-        if self.metrics is not None:
-            self.metrics.histogram("sweep.point_seconds").observe(seconds)
 
     # --- memoized primitives -------------------------------------------
 
@@ -153,9 +132,7 @@ class SweepEngine:
         """One memo miss: count it, evaluate it and keep it (the caller
         holds the lock)."""
         self._count("sim", hit=False)
-        started = time.perf_counter()
         result = predict_application(*key)
-        self._observe_point(time.perf_counter() - started)
         self._sim_cache[key] = result
         return result
 

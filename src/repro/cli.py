@@ -17,12 +17,6 @@ The persistent schedule cache is configured by environment alone:
 ``REPRO_COMPILE_CACHE=off`` disables it and ``XDG_CACHE_HOME`` moves
 it (to ``$XDG_CACHE_HOME/repro-stream/schedules``).
 
-``--log-level``/``--log-json`` (top-level, also on ``serve`` and
-``loadgen``) turn on structured logging to stderr; unlogged runs emit
-nothing and stay bit-identical to previous releases.  When logging is
-on, the run gets a correlation id exported as ``REPRO_REQUEST_ID`` so
-its tracer instants and log lines all join on it.
-
 ``costs``, ``compile``, ``simulate``, ``report`` and the ``kernel``
 subcommands take ``--json``: machine-readable output as one versioned
 envelope (:func:`repro.obs.manifest.build_envelope`) whose ``data`` is
@@ -53,7 +47,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Any, List, Optional
@@ -77,48 +70,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _config(args: argparse.Namespace) -> ProcessorConfig:
     return ProcessorConfig(args.clusters, args.alus)
-
-
-def _add_logging_arguments(
-    parser: argparse.ArgumentParser, suppress: bool = False
-) -> None:
-    """``--log-level``/``--log-json``; ``suppress`` is for subparsers
-    that repeat the top-level flags (argparse lets the subparser's
-    *default* clobber a value parsed by the main parser — SUPPRESS
-    leaves the attribute alone unless the flag actually appears)."""
-    parser.add_argument(
-        "--log-level", metavar="LEVEL",
-        default=argparse.SUPPRESS if suppress else None,
-        help="enable structured logging at LEVEL (DEBUG/INFO/WARNING...)"
-    )
-    parser.add_argument(
-        "--log-json", action="store_true",
-        default=argparse.SUPPRESS if suppress else False,
-        help="log JSON lines (one object per line) instead of "
-             "human-readable text"
-    )
-
-
-def _apply_logging_arguments(args: argparse.Namespace) -> bool:
-    """Configure structured logging when asked; silent otherwise.
-
-    Enabling logging also exports a run-level correlation id
-    (``REPRO_REQUEST_ID``) unless one is already inherited, so every
-    log line and tracer instant of the run carries it.
-    Returns whether it exported one, which :func:`main` removes again
-    when the command returns.
-    """
-    from .obs.log import REQUEST_ID_ENV, configure, new_request_id
-
-    json_lines = getattr(args, "log_json", False)
-    level = getattr(args, "log_level", None)
-    if not json_lines and level is None:
-        return False
-    configure(json_lines=json_lines, level=level or "INFO")
-    if os.environ.get(REQUEST_ID_ENV):
-        return False
-    os.environ[REQUEST_ID_ENV] = new_request_id()
-    return True
 
 
 def _cache_summary() -> str:
@@ -568,7 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Stream-processor VLSI scalability (HPCA 2003) tools",
     )
-    _add_logging_arguments(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
     costs = sub.add_parser("costs", help="evaluate the VLSI cost model")
@@ -669,7 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--trace-out", metavar="PATH", default=None,
                        help="write a Chrome trace of the serving window "
                             "on shutdown")
-    _add_logging_arguments(serve, suppress=True)
     serve.set_defaults(func=cmd_serve)
 
     loadgen = sub.add_parser(
@@ -702,7 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--out", metavar="PATH", default=None,
                          help="append the envelope as one compact JSON "
                               "line (perf-trajectory file)")
-    _add_logging_arguments(loadgen, suppress=True)
     loadgen.set_defaults(func=cmd_loadgen)
 
     val = sub.add_parser(
@@ -722,14 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    exported_request_id = _apply_logging_arguments(args)
-    try:
-        return args.func(args)
-    finally:
-        if exported_request_id:
-            from .obs.log import REQUEST_ID_ENV
-
-            os.environ.pop(REQUEST_ID_ENV, None)
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ exactly once, ever.
 
 Keying
 ------
-:func:`schedule_key` is a SHA-256 over four ingredients — everything a
+:func:`schedule_key` is a SHA-256 over three ingredients — everything a
 schedule depends on, and nothing else:
 
 * the **kernel dataflow graph** (opcodes, operand edges, recurrences —
@@ -22,18 +22,21 @@ schedule depends on, and nothing else:
   slots of those resources, the total ALU slots and the LRF capacity.
   Cluster count C reaches a kernel only through COMM latency, so a
   kernel that never communicates sees every C alike and compiles once
-  per N,
-* a **compiler fingerprint**: a hash of the compiler's own source code,
-  so any change to the scheduling algorithms invalidates every entry
-  automatically — a stale schedule can never survive a compiler edit.
+  per N.
 
 :func:`schedule_key` is the disk key.  The in-memory schedule memo of
 :func:`repro.compiler.pipeline.compile_kernel` keys on the same
 ingredients left unhashed — the tuple ``(kernel_signature,
-machine_view, unroll)``; the fingerprint is constant within a process —
-so a memory hit costs no JSON and no SHA-256.  ``schedule_key`` is
-computed only when the persistent cache is enabled and the memory memo
-missed.
+machine_view, unroll)`` — so a memory hit costs no JSON and no
+SHA-256.  ``schedule_key`` is computed only when the persistent cache
+is enabled and the memory memo missed.
+
+The key leaves out the compiler itself.  Each entry carries a
+**compiler fingerprint** instead (:func:`compiler_fingerprint`, a hash
+of the compiler's own source code), checked on load: after a compiler
+edit an entry is a miss that evicts it, and the recompile writes the
+fresh schedule back under the same key, so a stale schedule never
+survives a compiler edit and never outlives it on disk either.
 
 Storage
 -------
@@ -41,9 +44,7 @@ Entries live in a :class:`repro.store.EntryStore` (atomic writes,
 checksummed corruption-tolerant reads, eviction); this module adds the
 compiler fingerprint and the key to each entry and checks both on
 load, so an entry from another compiler version is a miss.  The cache
-keeps hit/miss/evict/write counters and mirrors them into an attached
-:class:`~repro.obs.metrics.MetricsRegistry` as
-``compile_cache.{hits,misses,evictions,writes}``.
+keeps hit/miss/evict/write counters (:meth:`ScheduleCache.stats`).
 
 Environment
 -----------
@@ -77,7 +78,7 @@ __all__ = [
 ]
 
 #: Compiler modules whose source participates in the fingerprint: any
-#: edit to the scheduling/costing code invalidates the whole cache.
+#: edit to the scheduling/costing code makes every entry stale.
 _FINGERPRINT_MODULES = (
     "repro.compiler.cache",
     "repro.compiler.listsched",
@@ -162,9 +163,9 @@ def schedule_key(
     kernel: KernelGraph, machine: MachineDescription, unroll_factor: int
 ) -> str:
     """The content address of one compile: everything its schedule
-    depends on (see :func:`machine_view`)."""
+    depends on (see :func:`machine_view`) but the compiler, whose
+    fingerprint each entry carries instead."""
     digest = hashlib.sha256()
-    digest.update(compiler_fingerprint().encode())
     digest.update(kernel_signature(kernel).encode())
     digest.update(json.dumps(machine_view(kernel, machine)).encode())
     digest.update(f"unroll:{unroll_factor}".encode())
@@ -177,18 +178,6 @@ class ScheduleCache(EntryStore):
     ``root=None`` builds a disabled cache: every lookup misses, every
     store is a no-op — callers never need to branch on enablement.
     """
-
-    #: Optional MetricsRegistry the counters are mirrored into.
-    metrics = None
-
-    def attach_metrics(self, registry) -> None:
-        """Mirror counters into ``registry`` from now on."""
-        self.metrics = registry
-
-    def _count(self, outcome: str) -> None:
-        super()._count(outcome)
-        if self.metrics is not None:
-            self.metrics.counter(f"compile_cache.{outcome}").inc()
 
     def stats(self) -> Dict[str, int]:
         """Hit/miss/evict/write counters, for reports and tests."""
@@ -215,7 +204,8 @@ class ScheduleCache(EntryStore):
         Anything unreadable — missing file, bad JSON, wrong version,
         checksum mismatch, stale compiler fingerprint, another key — is
         a miss; invalid files are additionally evicted so they are not
-        re-parsed on every lookup.
+        re-parsed on every lookup, and the recompile that follows a
+        stale entry's miss writes its key afresh.
         """
 
         def check(payload: Dict[str, Any]) -> Dict[str, Any]:

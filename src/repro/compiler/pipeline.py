@@ -19,9 +19,10 @@ latency.  Compilation results are therefore cached at three levels:
   lookup on that tuple — no JSON and no SHA-256;
 * the **persistent** content-addressed store of
   :mod:`repro.compiler.cache`, keyed on
-  :func:`~repro.compiler.cache.schedule_key` (the same ingredients plus
-  the compiler fingerprint, hashed), so fresh processes (CI, ``repro
-  report``, notebook restarts) reuse schedules compiled by earlier ones.
+  :func:`~repro.compiler.cache.schedule_key` (the same ingredients,
+  hashed; each entry also carries the compiler fingerprint, checked on
+  load), so fresh processes (CI, ``repro report``, notebook restarts)
+  reuse schedules compiled by earlier ones.
   The disk key is computed only when the persistent store is enabled
   and the content memo missed.
 

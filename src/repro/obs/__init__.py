@@ -1,33 +1,19 @@
 """Observability for the stream-processor simulator.
 
-Five pieces, composable and all optional:
+Four pieces, composable and all optional:
 
 * :mod:`repro.obs.tracer`   — span tracing with Chrome-trace export.
 * :mod:`repro.obs.metrics`  — counters/gauges/bucketed histograms with
   p50/p90/p99 quantile estimation and Prometheus text exposition.
-* :mod:`repro.obs.log`      — structured JSON-lines logging with
-  contextvars-scoped request-id correlation.
 * :mod:`repro.obs.manifest` — versioned machine-readable run reports.
 * :mod:`repro.obs.loadgen`  — load generator + SLO report for the
   serving daemon (imported lazily; depends on :mod:`repro.serve`).
 
-The default :data:`~repro.obs.tracer.NULL_TRACER` records nothing and
-logging is unconfigured (silent) by default, so an uninstrumented run
-is bit-identical to one from before this package existed.  See
-``docs/observability.md`` for the full tour.
+The default :data:`~repro.obs.tracer.NULL_TRACER` records nothing, so
+an uninstrumented run is bit-identical to one from before this package
+existed.  See ``docs/observability.md`` for the full tour.
 """
 
-from .log import (
-    LOG_SCHEMA_VERSION,
-    REQUEST_ID_ENV,
-    bind_request_id,
-    configure as configure_logging,
-    current_request_id,
-    get_logger,
-    log_event,
-    new_request_id,
-    validate_log_line,
-)
 from .manifest import (
     ENVELOPE_SCHEMA,
     ENVELOPE_VERSION,
@@ -62,7 +48,6 @@ __all__ = [
     "ENVELOPE_VERSION",
     "Gauge",
     "Histogram",
-    "LOG_SCHEMA_VERSION",
     "MANIFEST_SCHEMA",
     "MANIFEST_VERSION",
     "ManifestError",
@@ -73,20 +58,12 @@ __all__ = [
     "NullTracer",
     "PrefixedTracer",
     "QUANTILE_RELATIVE_ERROR_BOUND",
-    "REQUEST_ID_ENV",
     "Span",
     "Tracer",
     "accounting_warning",
-    "bind_request_id",
     "build_envelope",
     "build_manifest",
-    "configure_logging",
-    "current_request_id",
-    "get_logger",
-    "log_event",
-    "new_request_id",
     "render_prometheus",
     "validate_envelope",
-    "validate_log_line",
     "validate_manifest",
 ]

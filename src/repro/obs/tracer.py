@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
-
-from .log import current_request_id
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["Span", "Tracer", "NullTracer", "PrefixedTracer", "NULL_TRACER"]
 
@@ -81,16 +79,7 @@ class Tracer:
     def instant(
         self, resource: str, label: str, time: int, **detail: Any
     ) -> None:
-        """Record a zero-duration marker (an operation's completion...).
-
-        When a request id is bound (:func:`repro.obs.log.bind_request_id`)
-        it is attached to the marker's detail automatically, so Chrome
-        trace instants join logs on the same key.
-        """
-        if "request_id" not in detail:
-            request_id = current_request_id()
-            if request_id is not None:
-                detail["request_id"] = request_id
+        """Record a zero-duration marker (an operation's completion...)."""
         self._instants.append(
             Span(resource, label, time, time, tuple(sorted(detail.items())))
         )

@@ -14,11 +14,12 @@ lazy themselves, and neither ``http.client`` nor the ``email`` package
 library's import bill.
 
 The client is *transport-thin* with one deliberate exception: it
-honors explicit backpressure.  A ``503`` (the daemon draining) or
-``429`` response carries ``Retry-After``, and the client sleeps that
-long and retries, bounded by ``backpressure_retries`` (pass ``0`` to
-opt out and see the raw statuses — load generators and backpressure
-tests do).  Everything
+honors explicit backpressure.  The daemon's one such answer is a
+``503`` while it drains, carrying ``Retry-After``; the client sleeps
+that long and retries, bounded by ``backpressure_retries`` (pass ``0``
+to opt out and see the raw statuses — load generators and
+backpressure tests do).  A ``429`` is treated the same way, though the
+daemon never sends one.  Everything
 else stays thin: no connection pooling across threads, no envelope
 interpretation beyond JSON decoding (see ``docs/serving.md``).
 """
@@ -96,7 +97,8 @@ class ServeResponse:
 
     @property
     def retry_after(self) -> Optional[float]:
-        """Seconds the server asked us to wait (429/503), else ``None``."""
+        """Seconds the server asked us to wait, else ``None`` (the
+        daemon sends ``Retry-After`` only on a draining ``503``)."""
         value = self.headers.get("retry-after")
         return float(value) if value is not None else None
 
@@ -114,11 +116,12 @@ class ServeClient:
     context manager.  The socket opens on the first request, and again
     after a reply that says ``Connection: close``.
 
-    ``backpressure_retries`` bounds how many times a ``429``/``503``
-    answer is retried after sleeping the server-suggested
-    ``Retry-After`` (capped at ``max_retry_after_s`` so a confused
-    server cannot park the client).  ``0`` disables the retries and
-    surfaces the raw backpressure statuses.
+    ``backpressure_retries`` bounds how many times a ``503`` (the
+    daemon draining) or ``429`` (which the daemon never sends) is
+    retried after sleeping the server-suggested ``Retry-After`` (capped
+    at ``max_retry_after_s`` so a confused server cannot park the
+    client).  ``0`` disables the retries and surfaces the raw
+    backpressure statuses.
     """
 
     def __init__(
@@ -175,7 +178,7 @@ class ServeClient:
     ) -> ServeResponse:
         """One request, with bounded backpressure retries.
 
-        A ``429``/``503`` answer sleeps the server's ``Retry-After``
+        A ``503``/``429`` answer sleeps the server's ``Retry-After``
         (``1s`` if the header is missing, capped at
         ``max_retry_after_s``) and retries, up to
         ``backpressure_retries`` times; the last response is returned

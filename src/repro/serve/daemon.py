@@ -21,9 +21,9 @@ answers every :mod:`repro.api` request kind over a tiny JSON protocol:
 Every request gets a **correlation id**: the sanitized ``X-Request-Id``
 header if the client sent one, else a freshly minted id.  The id comes
 back in the ``X-Request-Id`` response header and the envelope's
-``meta.request_id``, and is bound (:func:`repro.obs.log.bind_request_id`)
-around routing and execution so structured log lines and tracer
-instant events carry it.
+``meta.request_id``, and, under ``--trace-out``, on the one
+``serve.http`` span the request leaves in the trace, next to its
+status.
 
 Request bodies are the request dataclass's ``to_dict()`` JSON; responses
 are versioned envelopes (:func:`repro.obs.manifest.build_envelope`)
@@ -61,19 +61,13 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import re
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from ..api import ApiError, execute, request_from_dict
-from ..obs.log import (
-    bind_request_id,
-    current_request_id,
-    get_logger,
-    log_event,
-    new_request_id,
-    sanitize_request_id,
-)
 from ..obs.manifest import build_envelope
 from ..obs.metrics import MetricsRegistry, render_prometheus
 from ..obs.tracer import NULL_TRACER, Tracer
@@ -135,6 +129,23 @@ def _label_of(path: str) -> str:
     ))[0]
 
 
+#: Characters a request id may contain; anything else is replaced, so a
+#: hostile ``X-Request-Id`` cannot inject a header or a trace field.
+_ID_UNSAFE = re.compile(r"[^A-Za-z0-9._-]")
+
+
+def new_request_id() -> str:
+    """A fresh 12-hex-character request id."""
+    return os.urandom(6).hex()
+
+
+def sanitize_request_id(raw: str) -> str:
+    """A client's ``X-Request-Id`` made safe for headers and traces:
+    unsafe characters become ``_`` and the id is cut to 64
+    characters."""
+    return _ID_UNSAFE.sub("_", raw)[:64]
+
+
 @dataclass(frozen=True)
 class ServerConfig:
     """Tunables for one :class:`ReproServer` instance.
@@ -182,7 +193,6 @@ class ReproServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: set = set()
         self._started_monotonic = 0.0
-        self._log = get_logger("serve")
 
     # --- lifecycle ------------------------------------------------------
 
@@ -263,14 +273,17 @@ class ReproServer:
                 try:
                     request = await self._read_request(reader)
                 except _Unframeable as exc:
+                    request_id = new_request_id()
                     status, payload = self._error(
                         exc.path, 400, "bad_request", str(exc)
                     )
                     self._observe(
-                        exc.method, exc.path, status, time.perf_counter()
+                        exc.method, exc.path, status, time.perf_counter(),
+                        request_id,
                     )
                     await self._write_response(
-                        writer, status, payload, keep_alive=False
+                        writer, status, payload, keep_alive=False,
+                        request_id=request_id,
                     )
                     break
                 if request is None:
@@ -283,15 +296,13 @@ class ReproServer:
                     else new_request_id()
                 )
                 started = time.perf_counter()
-                with bind_request_id(request_id):
-                    status, payload = self._route(method, path, body)
+                status, payload = self._route(method, path, body, request_id)
                 self._observe(method, path, status, started, request_id)
                 keep_alive = (
                     headers.get("connection", "").lower() != "close"
                 )
                 await self._write_response(
-                    writer, status, payload, keep_alive,
-                    extra_headers=[f"X-Request-Id: {request_id}"],
+                    writer, status, payload, keep_alive, request_id
                 )
                 if not keep_alive:
                     break
@@ -366,8 +377,10 @@ class ReproServer:
         path: str,
         status: int,
         started: float,
-        request_id: Optional[str] = None,
+        request_id: str,
     ) -> None:
+        """Count and time one answered request; when tracing, leave its
+        one ``serve.http`` span, carrying its id and status."""
         label = _label_of(path)
         self.metrics.counter(f"serve.requests.{label}").inc()
         self.metrics.counter(f"serve.responses.{status}").inc()
@@ -383,22 +396,9 @@ class ReproServer:
                 f"{method} {path}",
                 max(0, finish - int(elapsed * 1e6)),
                 finish,
-                status=status,
-            )
-            self.tracer.instant(
-                "serve.http",
-                "serve.request",
-                finish,
                 request_id=request_id,
                 status=status,
-                path=path,
             )
-        log_event(
-            self._log, "serve.request",
-            request_id=request_id,
-            method=method, path=path, status=status,
-            duration_ms=round(elapsed * 1000.0, 3),
-        )
 
     # --- routing --------------------------------------------------------
 
@@ -407,11 +407,13 @@ class ReproServer:
         method: str,
         path: str,
         body: Optional[bytes],
+        request_id: str,
     ) -> Tuple[int, Union[Dict[str, Any], str]]:
         """Dispatch one parsed request to its handler and run it; never
         raises.
 
-        ``body`` is ``None`` for a body over ``max_body_bytes``.
+        ``body`` is ``None`` for a body over ``max_body_bytes``, and
+        ``request_id`` is echoed in an API reply's ``meta``.
         Payloads are JSON dictionaries except ``GET /metrics``, which
         returns pre-rendered Prometheus text.
         """
@@ -478,7 +480,7 @@ class ReproServer:
                     return self._error(
                         path, 405, "method_not_allowed", "use POST"
                     )
-                return self._handle_api(kind, body)
+                return self._handle_api(kind, body, request_id)
             return self._error(
                 path, 404, "not_found", f"no route for {path}"
             )
@@ -516,7 +518,7 @@ class ReproServer:
         ))
 
     def _handle_api(
-        self, kind: str, body: bytes
+        self, kind: str, body: bytes, request_id: str
     ) -> Tuple[int, Dict[str, Any]]:
         """Validate, execute inline, envelope.
 
@@ -547,10 +549,10 @@ class ReproServer:
             elapsed = time.perf_counter() - started
             self.executed += 1
             self.metrics.histogram("serve.batch_seconds").observe(elapsed)
-        meta: Dict[str, Any] = {"duration_ms": round(elapsed * 1000.0, 3)}
-        request_id = current_request_id()
-        if request_id is not None:
-            meta["request_id"] = request_id
+        meta = {
+            "duration_ms": round(elapsed * 1000.0, 3),
+            "request_id": request_id,
+        }
         return (200, build_envelope(kind, data=result.to_dict(), meta=meta))
 
     async def _write_response(
@@ -559,7 +561,7 @@ class ReproServer:
         status: int,
         payload: Union[Dict[str, Any], str],
         keep_alive: bool,
-        extra_headers: Optional[List[str]] = None,
+        request_id: str,
     ) -> None:
         if isinstance(payload, str):
             body = payload.encode("utf-8")
@@ -574,10 +576,10 @@ class ReproServer:
             f"Content-Type: {content_type}",
             f"Content-Length: {len(body)}",
             f"Connection: {'keep-alive' if keep_alive else 'close'}",
+            f"X-Request-Id: {request_id}",
         ]
         if status == 503:
             headers.append("Retry-After: 1")
-        headers.extend(extra_headers or [])
         writer.write(
             ("\r\n".join(headers) + "\r\n\r\n").encode("latin-1") + body
         )

@@ -463,6 +463,26 @@ class TestParser:
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--log-json", "costs"],
+        ["--log-level=INFO", "costs"],
+        ["serve", "--log-json"],
+        ["serve", "--log-level", "INFO"],
+        ["loadgen", "--log-json"],
+        ["loadgen", "--log-level", "INFO"],
+    ], ids=["repro-log-json", "repro-log-level", "serve-log-json",
+            "serve-log-level", "loadgen-log-json", "loadgen-log-level"])
+    def test_no_logging_flags(self, argv, capsys):
+        """Nothing logs: a daemon's per-request record is its
+        ``--trace-out`` span, and its aggregates are ``/metrics``.  Only
+        parsed, never run."""
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_report_only_excludes_json(self, capsys):
         """``--json`` carries the API's sweep studies, not the text."""
         with pytest.raises(SystemExit) as excinfo:

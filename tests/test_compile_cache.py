@@ -21,11 +21,9 @@ from repro.compiler import (
     compile_kernel,
     configure_default_cache,
     default_cache,
-    schedule_key,
 )
 from repro.compiler import cache as cache_mod
-from repro.compiler.machine import IMAGINE_ALU_MIX, build_machine
-from repro.compiler.unroll import choose_unroll_factor
+from repro.compiler.machine import IMAGINE_ALU_MIX
 from repro.core.config import ProcessorConfig
 from repro.kernels import get_kernel
 from repro.store import payload_checksum
@@ -176,14 +174,18 @@ class TestRobustness:
 
 
 class TestInvalidation:
-    def test_fingerprint_change_changes_the_key(self, cache_dir, monkeypatch):
-        kernel = get_kernel("fft")
-        machine = build_machine(CONFIG, None)
-        unroll = choose_unroll_factor(kernel, machine)
-        before = schedule_key(kernel, machine, unroll)
+    def test_fingerprint_change_keeps_one_entry(self, cache_dir, monkeypatch):
+        """The key leaves the compiler out: after a compiler edit the
+        stale entry's miss evicts it and the recompile writes the same
+        key afresh, so no entry outlives the compiler that wrote it."""
+        compile_kernel(get_kernel("fft"), CONFIG)
+        (before,) = _entry_files(cache_dir)
+        clear_cache()
         monkeypatch.setattr(cache_mod, "_fingerprint_memo", "f" * 64)
-        after = schedule_key(kernel, machine, unroll)
-        assert before != after
+        compile_kernel(get_kernel("fft"), CONFIG)
+        (after,) = _entry_files(cache_dir)
+        assert after == before
+        assert json.loads(after.read_text())["fingerprint"] == "f" * 64
 
     def test_compiler_edit_forces_recompile(self, cache_dir, monkeypatch):
         cold = compile_kernel(get_kernel("fft"), CONFIG)

@@ -105,6 +105,19 @@ def test_serve_loads_no_http_client_or_email(statement):
     ) == []
 
 
+@pytest.mark.parametrize("statement, absent", [
+    ("import repro.cli", ["logging", "uuid"]),
+    ("import repro.serve.daemon", ["repro.obs.log", "uuid"]),
+], ids=["cli", "daemon"])
+def test_no_logging_layer_loads(statement, absent):
+    """Nothing under ``src/`` logs: the CLI pays for no ``logging`` and
+    the daemon mints request ids without ``uuid``."""
+    assert _run_probe(
+        "import json, sys\n" + statement + "\n"
+        f"print(json.dumps([m for m in {absent!r} if m in sys.modules]))"
+    ) == []
+
+
 def test_cli_import_loads_no_numpy():
     assert _run_probe(
         "import json, sys\n"

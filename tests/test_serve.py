@@ -9,9 +9,7 @@ clean SIGTERM drain of the real ``python -m repro serve`` process.
 
 import contextlib
 import http.client
-import io
 import json
-import logging
 import os
 import re
 import signal
@@ -39,6 +37,7 @@ from repro.serve import (
     run_server,
     running_server,
 )
+from repro.serve.daemon import new_request_id, sanitize_request_id
 
 
 def _canonical(data):
@@ -237,6 +236,10 @@ class TestHttpSemantics:
         header_block, _, body = rest.partition(b"\r\n\r\n")
         assert status_line == b"HTTP/1.1 400 Bad Request"
         assert b"Connection: close" in header_block.split(b"\r\n")
+        # Its headers cannot be trusted, so the daemon mints its id.
+        assert re.search(
+            rb"^X-Request-Id: [0-9a-f]{12}$", header_block, re.MULTILINE
+        )
         assert json.loads(body)["error"]["code"] == "bad_request"
         assert warm_server.metrics.counter(
             "serve.responses.400"
@@ -431,8 +434,6 @@ class TestRequestCorrelation:
         assert response.payload["meta"]["request_id"] == "my-test-id-01"
 
     def test_hostile_header_sanitized(self, client):
-        from repro.obs.log import sanitize_request_id
-
         hostile = "bad id!{}" + "x" * 100
         response = client.costs(8, 5, request_id=hostile)
         rid = response.request_id
@@ -444,6 +445,30 @@ class TestRequestCorrelation:
         first = client.costs(8, 5).request_id
         second = client.costs(8, 5).request_id
         assert first != second
+
+
+class TestRequestIds:
+    """The daemon mints an id for a request that brings none, and makes
+    a client's ``X-Request-Id`` (input from outside the program) safe
+    for headers and traces."""
+
+    def test_new_request_id_shape(self):
+        rid = new_request_id()
+        assert len(rid) == 12
+        int(rid, 16)  # hex
+        assert rid != new_request_id()
+
+    def test_sanitize_passes_safe_ids(self):
+        assert sanitize_request_id("run-1.a_B") == "run-1.a_B"
+
+    def test_sanitize_replaces_hostile_bytes(self):
+        hostile = "evil\r\nX-Injected: 1"
+        cleaned = sanitize_request_id(hostile)
+        assert "\r" not in cleaned and "\n" not in cleaned
+        assert ":" not in cleaned and " " not in cleaned
+
+    def test_sanitize_truncates(self):
+        assert len(sanitize_request_id("a" * 200)) == 64
 
 
 class TestPrometheusEndpoint:
@@ -500,53 +525,42 @@ class TestV8Routes:
 
 
 class TestCorrelationAcrossSurfaces:
-    def test_sweep_joins_logs_and_trace(self, tmp_path):
-        """One request id, two surfaces: a cold sweep's id must be
-        findable in the JSON logs (its request line) and the Chrome
-        trace instants."""
-        from repro.analysis.sweep import clear_sweep_cache
-        from repro.obs.log import ROOT_LOGGER, configure, validate_log_line
-
-        stream = io.StringIO()
-        root = logging.getLogger(ROOT_LOGGER)
-        previous_level = root.level
-        configure(json_lines=True, level="INFO", stream=stream)
-        rid = "corr-rid-01"
-        try:
-            clear_sweep_cache()
-            with running_server(
-                trace_path=str(tmp_path / "trace.json")
-            ) as server:
-                with ServeClient(
-                    "127.0.0.1", server.port, timeout=300.0
-                ) as c:
-                    response = c.sweep("fig15", request_id=rid)
-                assert response.status == 200
-                assert response.request_id == rid
-                trace = json.loads(server.tracer.to_chrome_json())
-        finally:
-            for handler in list(root.handlers):
-                if getattr(handler, "_repro_installed", False):
-                    root.removeHandler(handler)
-            root.setLevel(previous_level)
-        # Surface 1: structured logs — the request line.
-        docs = [
-            json.loads(line)
-            for line in stream.getvalue().strip().splitlines()
+    def test_one_id_on_the_reply_and_on_one_span(self, tmp_path):
+        """One request id, three places: the reply's ``X-Request-Id``,
+        the envelope's ``meta.request_id`` and exactly one ``serve.http``
+        span, with the request's status, in the trace written at drain.
+        The trace has no instant: a request leaves one record."""
+        trace_path = tmp_path / "trace.json"
+        with running_server(trace_path=str(trace_path)) as server:
+            with ServeClient("127.0.0.1", server.port) as c:
+                swept = c.sweep("fig15", request_id="corr-rid-01")
+                minted = c.costs(8, 5)
+                missing = c.request(
+                    "GET", "/v1/nope", request_id="corr-rid-02"
+                )
+        assert swept.request_id == "corr-rid-01"
+        assert swept.payload["meta"]["request_id"] == "corr-rid-01"
+        assert minted.payload["meta"]["request_id"] == minted.request_id
+        assert missing.request_id == "corr-rid-02"
+        events = json.loads(trace_path.read_text())["traceEvents"]
+        assert [event for event in events if event["ph"] == "i"] == []
+        assert "serve.request" not in {event["name"] for event in events}
+        spans = [
+            event for event in events
+            if event["ph"] == "X" and event["cat"] == "serve.http"
         ]
-        for doc in docs:
-            validate_log_line(doc)
-        assert any(
-            d["event"] == "serve.request" and d["request_id"] == rid
-            for d in docs
-        )
-        # Surface 2: the Chrome trace carries instants with the id.
-        instants = [
-            e for e in trace["traceEvents"]
-            if e.get("ph") == "i"
-            and e.get("args", {}).get("request_id") == rid
-        ]
-        assert instants
+        assert len(spans) == 3
+        for response, status in (
+            (swept, 200), (minted, 200), (missing, 404)
+        ):
+            assert response.status == status
+            (span,) = [
+                span for span in spans
+                if span["args"]["request_id"] == response.request_id
+            ]
+            assert span["args"] == {
+                "request_id": response.request_id, "status": status,
+            }
 
 
 class TestOperationalFailures:

@@ -12,6 +12,7 @@ from repro.analysis.perf import (
 )
 from repro.analysis.sweep import SweepEngine, clear_sweep_cache, default_engine
 from repro.apps.suite import APPLICATION_ORDER, get_application
+from repro.compiler.cache import default_cache
 from repro.compiler.pipeline import compile_kernel
 from repro.core.config import ProcessorConfig
 from repro.kernels.suite import get_kernel
@@ -202,39 +203,33 @@ class TestExecutionModes:
 
 
 class TestInstrumentation:
-    def test_metrics_counters_and_histogram(self):
-        metrics = MetricsRegistry()
-        engine = SweepEngine(metrics=metrics)
+    """An engine's counters are its ``stats()``; no metrics registry
+    mirrors them."""
+
+    def test_stats_count_hits_and_misses(self):
+        engine = SweepEngine()
         config = ProcessorConfig(8, 5)
         engine.simulate_application("fft1k", config)
         engine.simulate_application("fft1k", config)
         engine.kernel_rate("convolve", config)
-        snapshot = metrics.snapshot().as_dict()
-        assert snapshot["sweep.sim.misses"] == 1
-        assert snapshot["sweep.sim.hits"] == 1
-        assert snapshot["sweep.rate.misses"] == 1
-        assert snapshot["sweep.point_seconds.count"] == 1
-        assert snapshot["sweep.point_seconds.total"] > 0.0
+        assert engine.stats() == {
+            "sim_hits": 1, "sim_misses": 1,
+            "rate_hits": 0, "rate_misses": 1,
+            "sim_cached": 1, "rate_cached": 1,
+        }
 
-    def test_uninstrumented_engine_has_no_metrics(self):
-        engine = SweepEngine()
-        assert engine.metrics is None
-        engine.simulate_application("fft1k", ProcessorConfig(8, 5))
+    def test_engine_takes_no_metrics_registry(self):
+        """Building an engine never touches the process-wide schedule
+        cache, which has no registry to re-point."""
+        with pytest.raises(TypeError):
+            SweepEngine(metrics=MetricsRegistry())
+        assert not hasattr(SweepEngine(), "metrics")
+        assert not hasattr(default_cache(), "attach_metrics")
 
 
 C8N5, C16N5, C8N10 = (
     ProcessorConfig(8, 5), ProcessorConfig(16, 5), ProcessorConfig(8, 10)
 )
-
-
-def _counters(metrics):
-    snapshot = metrics.snapshot().as_dict()
-    return {
-        name: value for name, value in snapshot.items()
-        if name.startswith(
-            ("sweep.sim.", "sweep.rate.", "sweep.point_seconds.count")
-        )
-    }
 
 
 def reference_compile_kernels(engine, points, cold):
@@ -275,8 +270,8 @@ class TestOnePass:
 
     def engines(self, warm, lookup):
         """Two engines in the same state."""
-        engine = SweepEngine(metrics=MetricsRegistry())
-        reference = SweepEngine(metrics=MetricsRegistry())
+        engine = SweepEngine()
+        reference = SweepEngine()
         for each in (engine, reference):
             for point in warm:
                 getattr(each, lookup)(*point)
@@ -290,7 +285,6 @@ class TestOnePass:
         )
         assert rates == expected
         assert engine.stats() == reference.stats()
-        assert _counters(engine.metrics) == _counters(reference.metrics)
 
     def test_simulate_many_matches_a_per_point_loop(self):
         engine, reference = self.engines(
@@ -302,7 +296,6 @@ class TestOnePass:
         )
         assert results == expected
         assert engine.stats() == reference.stats()
-        assert _counters(engine.metrics) == _counters(reference.metrics)
 
     def test_a_warm_grid_counts_one_hit_per_point(self):
         engine = SweepEngine()
