@@ -63,10 +63,11 @@ class SweepEngine:
     """
 
     def __init__(self) -> None:
-        #: Reentrant guard: the serving daemon (and any threaded
-        #: embedder) may drive one shared engine from several threads;
-        #: holding the lock across a cold point also means concurrent
-        #: identical queries compute once, not twice.
+        #: Reentrant guard for threaded embedders, ``running_server``
+        #: among them (its loop thread shares the engine with the
+        #: calling thread); the daemon itself calls the engine from one
+        #: thread.  Holding the lock across a cold point also means
+        #: concurrent identical queries compute once, not twice.
         self._lock = threading.RLock()
         self._sim_cache: Dict[_SimKey, SimulationResult] = {}
         self._rate_cache: Dict[_RateKey, float] = {}

@@ -20,10 +20,12 @@ manifests) the producer wants to attach.  Consumers dispatch on
 
 from __future__ import annotations
 
+import functools
+import json
 import os
 import platform
 import sys
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 __all__ = [
     "ENVELOPE_SCHEMA",
@@ -33,6 +35,7 @@ __all__ = [
     "ManifestError",
     "build_envelope",
     "build_manifest",
+    "render_envelope",
     "validate_envelope",
     "validate_manifest",
 ]
@@ -254,6 +257,34 @@ def build_envelope(
     if meta is not None:
         envelope["meta"] = dict(meta)
     return envelope
+
+
+#: Canonical JSON (sorted keys, compact separators), built once:
+#: ``json.dumps`` builds a new encoder on every call with these options.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+@functools.lru_cache(maxsize=None)
+def _envelope_frame(kind: str) -> Tuple[str, str, str]:
+    """The canonical text of a ``kind`` data envelope, cut where its
+    ``data`` and ``meta`` values go (sorted keys put ``data`` before
+    ``meta``, and no earlier value can contain either cut)."""
+    text = _CANONICAL.encode(build_envelope(kind, data={}, meta={}))
+    head, _, rest = text.partition('"data":{}')
+    middle, _, tail = rest.partition('"meta":{}')
+    return head + '"data":', middle + '"meta":', tail
+
+
+def render_envelope(
+    kind: str, data_json: str, meta: Mapping[str, Any]
+) -> str:
+    """The canonical JSON of a ``kind`` data envelope around
+    ``data_json``, the canonical JSON of its ``data``, which is used as
+    it stands: byte-identical to ``json.dumps(build_envelope(kind,
+    data=json.loads(data_json), meta=meta), sort_keys=True,
+    separators=(",", ":"))``."""
+    head, middle, tail = _envelope_frame(kind)
+    return f"{head}{data_json}{middle}{_CANONICAL.encode(dict(meta))}{tail}"
 
 
 def validate_envelope(envelope: Any) -> None:

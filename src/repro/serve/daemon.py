@@ -41,8 +41,19 @@ steady-state traffic from the shared
 validates it and calls :func:`repro.api.execute` inline: no queue,
 task or thread stands between a request's bytes arriving and its reply
 leaving.  While one request executes, every other connection waits in
-the kernel's socket buffers and listen backlog, ``/healthz`` included;
-a repeat of a compile, simulate or sweep is a memo hit.
+the kernel's socket buffers and listen backlog, ``/healthz`` included.
+
+**Reply memo.**  Every answer is deterministic, so a ``200`` from
+``/v1/costs``, ``/v1/compile``, ``/v1/simulate`` or ``/v1/sweeps`` is
+kept as the canonical JSON of its ``data``, keyed on the route and the
+exact request body bytes, and a repeat of those bytes is answered from
+it without parsing, executing or serializing anything.  Never kept:
+errors (a failure is recomputed, not replayed), ``POST /v1/kernels``
+(re-registering repairs a damaged entry on disk), and a request naming
+a ``kernel:`` reference (another process's registration can make a
+prefix that resolved once ambiguous).  At most
+:data:`REPLY_MEMO_ENTRIES` replies are kept, the oldest going first,
+and a body over :data:`REPLY_MEMO_MAX_BODY_BYTES` is never a key.
 
 Operational behavior:
 
@@ -68,11 +79,18 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple, Union
 
 from ..api import ApiError, execute, request_from_dict
-from ..obs.manifest import build_envelope
+from ..obs.manifest import build_envelope, render_envelope
 from ..obs.metrics import MetricsRegistry, render_prometheus
 from ..obs.tracer import NULL_TRACER, Tracer
 
-__all__ = ["ERROR_CODES", "ReproServer", "ServerConfig", "run_server"]
+__all__ = [
+    "ERROR_CODES",
+    "REPLY_MEMO_ENTRIES",
+    "REPLY_MEMO_MAX_BODY_BYTES",
+    "ReproServer",
+    "ServerConfig",
+    "run_server",
+]
 
 #: HTTP reason phrases for the statuses the daemon emits.
 _REASONS = {
@@ -121,6 +139,20 @@ _ROUTES: Dict[str, Tuple[str, Optional[str]]] = {
 #: The label and kind of a path no route matches.
 _NOT_FOUND: Tuple[str, Optional[str]] = ("not_found", None)
 
+#: The most replies one daemon keeps in its reply memo; the oldest
+#: entry is dropped first.
+REPLY_MEMO_ENTRIES = 1024
+
+#: The longest request body the reply memo keeps a reply for (every
+#: request the API defines is far shorter), so its keys hold at most
+#: ``REPLY_MEMO_ENTRIES`` times this many bytes whatever clients send.
+REPLY_MEMO_MAX_BODY_BYTES = 4096
+
+#: The API kinds whose successful replies the memo keeps: every one
+#: but ``kernels``, whose re-registration rewrites a damaged entry on
+#: disk.
+_MEMOIZED_KINDS = frozenset({"costs", "compile", "simulate", "sweep"})
+
 
 def _label_of(path: str) -> str:
     """``path``'s metric label (see :data:`_ROUTES`)."""
@@ -132,6 +164,22 @@ def _label_of(path: str) -> str:
 #: Characters a request id may contain; anything else is replaced, so a
 #: hostile ``X-Request-Id`` cannot inject a header or a trace field.
 _ID_UNSAFE = re.compile(r"[^A-Za-z0-9._-]")
+
+
+def _memoizable(kind: str, body: bytes, request: Any) -> bool:
+    """Whether the reply memo may keep a successful reply to
+    ``request``: not for a ``kernels`` registration, nor a body over
+    :data:`REPLY_MEMO_MAX_BODY_BYTES`, nor a request naming a
+    ``kernel:`` reference (resolving one reads the kernel registry's
+    disk store, which other processes write, so its answer can
+    change)."""
+    if kind not in _MEMOIZED_KINDS or len(body) > REPLY_MEMO_MAX_BODY_BYTES:
+        return False
+    # The test repro.api applies before resolving a name in the registry.
+    return not any(
+        isinstance(value, str) and value.startswith("kernel:")
+        for value in vars(request).values()
+    )
 
 
 def new_request_id() -> str:
@@ -163,9 +211,11 @@ class ServerConfig:
 
 class _Unframeable(Exception):
     """A request whose framing the parser cannot trust: a line over the
-    stream limit or a ``Content-Length`` that is not a non-negative
-    integer.  Answered 400, then the connection closes, because where
-    the next request starts is unknown."""
+    stream limit, a request line without a method and a target, any
+    ``Transfer-Encoding`` (no chunked body is read), or a
+    ``Content-Length`` that is not a non-negative integer or is sent
+    twice with different values.  Answered 400, then the connection
+    closes, because where the next request starts is unknown."""
 
     def __init__(self, method: str, path: str, message: str):
         super().__init__(message)
@@ -187,8 +237,13 @@ class ReproServer:
         self.config = config
         self.metrics = MetricsRegistry()
         self.tracer = Tracer() if config.trace_path else NULL_TRACER
-        #: API requests that reached :func:`execute` (failures included).
+        #: API requests answered from the reply memo or by reaching
+        #: :func:`execute` (failures included).
         self.executed = 0
+        #: ``(kind, request body) -> canonical JSON of the reply's
+        #: data``, oldest first (see the module docstring).
+        self._replies: Dict[Tuple[str, bytes], str] = {}
+        self._reply_hits = 0
         self.draining = False
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: set = set()
@@ -235,13 +290,14 @@ class ReproServer:
 
     def stats(self) -> Dict[str, Any]:
         """Everything ``/v1/stats`` reports: request counters, the
-        sweep-engine memo and compile caches.
+        reply memo, the sweep-engine memo and compile caches.
 
         The ``batcher`` block keeps the shape the micro-batcher gave it,
         for readers of its counters (the ``daemon-mix`` benchmark reads
-        ``deduped``, CI's serving smoke ``batches``): each executed API
-        request is one submission, one batch and one execution, and
-        nothing is ever deduplicated or queued.
+        ``deduped``, CI's serving smoke ``batches``): each API request
+        answered from the reply memo or reaching :func:`execute` is one
+        submission, one batch and one execution, and nothing is ever
+        deduplicated or queued.
         """
         from ..analysis.sweep import default_engine
         from ..compiler.cache import default_cache
@@ -256,6 +312,10 @@ class ReproServer:
                 "batches": self.executed,
                 "executed": self.executed,
                 "queue_depth": 0,
+            },
+            "reply_memo": {
+                "entries": len(self._replies),
+                "hits": self._reply_hits,
             },
             "engine": default_engine().stats(),
             "compile_cache": {**cache.stats(), "hit_rate": cache.hit_rate},
@@ -321,24 +381,27 @@ class ReproServer:
     ) -> Optional[Tuple[str, str, Dict[str, str], Optional[bytes]]]:
         """Parse one HTTP/1.1 request; ``None`` on a closed connection.
 
-        The body is ``None`` when ``Content-Length`` exceeds
+        Empty lines before the request line are skipped (RFC 9112
+        §2.2).  The body is ``None`` when ``Content-Length`` exceeds
         ``max_body_bytes`` (the bytes are read and dropped, so the
         connection stays usable): no body a client can send stands for
         "too large".  Raises :class:`_Unframeable` for a request whose
         end cannot be found.  ``StreamReader.readline`` reports a line
         over the stream limit as ``ValueError``.
         """
-        try:
-            line = await reader.readline()
-        except ConnectionError:
-            return None
-        except ValueError:
-            raise _Unframeable("", "", "request line too long")
+        line = b"\r\n"
+        while line in (b"\r\n", b"\n"):
+            try:
+                line = await reader.readline()
+            except ConnectionError:
+                return None
+            except ValueError:
+                raise _Unframeable("", "", "request line too long")
         if not line:
             return None
         parts = line.decode("latin-1").strip().split()
         if len(parts) < 2:
-            return None
+            raise _Unframeable("", "", "malformed request line")
         method, path = parts[0].upper(), parts[1]
         headers: Dict[str, str] = {}
         while True:
@@ -349,7 +412,17 @@ class ReproServer:
             if not raw or raw in (b"\r\n", b"\n"):
                 break
             name, _, value = raw.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
+            name, value = name.strip().lower(), value.strip()
+            if name == "content-length" and headers.get(name, value) != value:
+                raise _Unframeable(
+                    method, path, "conflicting Content-Length values"
+                )
+            headers[name] = value
+        if "transfer-encoding" in headers:
+            raise _Unframeable(
+                method, path,
+                "Transfer-Encoding is not supported; send Content-Length",
+            )
         try:
             length = int(headers.get("content-length", "0") or "0")
         except ValueError:
@@ -408,14 +481,15 @@ class ReproServer:
         path: str,
         body: Optional[bytes],
         request_id: str,
-    ) -> Tuple[int, Union[Dict[str, Any], str]]:
+    ) -> Tuple[int, Union[Dict[str, Any], bytes, str]]:
         """Dispatch one parsed request to its handler and run it; never
         raises.
 
         ``body`` is ``None`` for a body over ``max_body_bytes``, and
         ``request_id`` is echoed in an API reply's ``meta``.
-        Payloads are JSON dictionaries except ``GET /metrics``, which
-        returns pre-rendered Prometheus text.
+        Payloads are JSON dictionaries, except an API reply with data,
+        which is its rendered JSON envelope as bytes, and ``GET
+        /metrics``, which returns pre-rendered Prometheus text.
         """
         try:
             if body is None:
@@ -519,47 +593,70 @@ class ReproServer:
 
     def _handle_api(
         self, kind: str, body: bytes, request_id: str
-    ) -> Tuple[int, Dict[str, Any]]:
-        """Validate, execute inline, envelope.
+    ) -> Tuple[int, Union[Dict[str, Any], bytes]]:
+        """Answer a repeat from the reply memo; else validate, execute
+        inline and keep the reply if it may be memoized.  Both leave as
+        one envelope rendered around the data's canonical JSON.
 
         An :class:`ApiError` is the client's fault (400); any other
         exception propagates to :meth:`_route`'s guard, which answers
-        500 naming it.  ``serve.batch_seconds`` times the execution.
+        500 naming it.  ``serve.batch_seconds`` times producing the
+        data: the execution on a miss, the lookup on a hit.
         """
         path = f"/v1/{kind}"
         if self.draining:
             return self._error(
                 path, 503, "draining", "server is draining; retry elsewhere"
             )
-        try:
-            data = json.loads(body.decode("utf-8")) if body else {}
-        except ValueError as exc:
-            return self._error(path, 400, "bad_request",
-                               f"invalid JSON body ({exc})")
-        try:
-            request = request_from_dict(kind, data)
-        except ApiError as exc:
-            return self._error(path, 400, "bad_request", str(exc))
+        key = (kind, body)
         started = time.perf_counter()
-        try:
-            result = execute(request)
-        except ApiError as exc:
-            return self._error(path, 400, "bad_request", str(exc))
-        finally:
+        data_json = self._replies.get(key)
+        if data_json is not None:
             elapsed = time.perf_counter() - started
-            self.executed += 1
-            self.metrics.histogram("serve.batch_seconds").observe(elapsed)
+            self._reply_hits += 1
+            self._count_execution(elapsed)
+        else:
+            try:
+                data = json.loads(body.decode("utf-8")) if body else {}
+            except ValueError as exc:
+                return self._error(path, 400, "bad_request",
+                                   f"invalid JSON body ({exc})")
+            try:
+                request = request_from_dict(kind, data)
+            except ApiError as exc:
+                return self._error(path, 400, "bad_request", str(exc))
+            started = time.perf_counter()
+            try:
+                result = execute(request)
+            except ApiError as exc:
+                return self._error(path, 400, "bad_request", str(exc))
+            finally:
+                elapsed = time.perf_counter() - started
+                self._count_execution(elapsed)
+            data_json = result.to_json()
+            if _memoizable(kind, body, request):
+                self._remember(key, data_json)
         meta = {
             "duration_ms": round(elapsed * 1000.0, 3),
             "request_id": request_id,
         }
-        return (200, build_envelope(kind, data=result.to_dict(), meta=meta))
+        return (200, render_envelope(kind, data_json, meta).encode("utf-8"))
+
+    def _count_execution(self, elapsed: float) -> None:
+        self.executed += 1
+        self.metrics.histogram("serve.batch_seconds").observe(elapsed)
+
+    def _remember(self, key: Tuple[str, bytes], data_json: str) -> None:
+        """Keep one reply, dropping the oldest while the memo is full."""
+        while len(self._replies) >= REPLY_MEMO_ENTRIES:
+            del self._replies[next(iter(self._replies))]
+        self._replies[key] = data_json
 
     async def _write_response(
         self,
         writer: asyncio.StreamWriter,
         status: int,
-        payload: Union[Dict[str, Any], str],
+        payload: Union[Dict[str, Any], bytes, str],
         keep_alive: bool,
         request_id: str,
     ) -> None:
@@ -567,7 +664,7 @@ class ReproServer:
             body = payload.encode("utf-8")
             content_type = "text/plain; version=0.0.4; charset=utf-8"
         else:
-            body = json.dumps(
+            body = payload if isinstance(payload, bytes) else json.dumps(
                 payload, sort_keys=True, separators=(",", ":")
             ).encode("utf-8")
             content_type = "application/json"

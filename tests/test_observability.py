@@ -312,6 +312,26 @@ class TestEnvelope:
         assert envelope["ok"] is False
         assert "data" not in envelope
 
+    @pytest.mark.parametrize("kind,data,meta", [
+        ("costs", {"clusters": 8, "area": 1.25e-3, "ok": True}, {}),
+        ("sweep", {"rows": [{"x": None, "y": [1, 2.5]}], "target": "fig15"},
+         {"duration_ms": 0.001, "request_id": "abc123def456"}),
+        ("simulate", {"note": 'café "data":{} ☃', "z": {}},
+         {"request_id": '"meta":{}', "duration_ms": 12.5}),
+    ], ids=["costs", "sweep", "tricky-strings"])
+    def test_render_matches_build(self, kind, data, meta):
+        """The envelope rendered around a data payload's canonical JSON
+        has the bytes of the built envelope's canonical JSON."""
+        from repro.obs import build_envelope
+        from repro.obs.manifest import render_envelope
+
+        def canonical(value):
+            return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+        assert render_envelope(kind, canonical(data), meta) == canonical(
+            build_envelope(kind, data=data, meta=meta)
+        )
+
     def test_data_xor_error_enforced(self):
         from repro.obs import build_envelope
 

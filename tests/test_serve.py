@@ -37,11 +37,20 @@ from repro.serve import (
     run_server,
     running_server,
 )
+from repro.frontend import document_from_graph
+from repro.frontend.registry import configure_default_registry
+from repro.kernels.suite import get_kernel
+from repro.obs import build_envelope
+from repro.serve import daemon
 from repro.serve.daemon import new_request_id, sanitize_request_id
 
 
 def _canonical(data):
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+#: A cost query body whose answer differs from the defaults' (C=8, N=5).
+_C128_N14 = b'{"clusters":128,"alus":14}'
 
 
 def _request_labels(server):
@@ -217,10 +226,19 @@ class TestHttpSemantics:
         b"POST /v1/costs HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
         b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70_000
         + b"\r\n\r\n",
-    ], ids=["length-not-a-number", "negative-length", "header-over-limit"])
+        b"POST /v1/costs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+        + b"%x\r\n%s\r\n0\r\n\r\n" % (len(_C128_N14), _C128_N14),
+        b"POST /v1/costs HTTP/1.1\r\nContent-Length: 2\r\n"
+        + b"Content-Length: %d\r\n\r\n%s" % (len(_C128_N14), _C128_N14),
+        b"GARBAGE\r\n",
+    ], ids=["length-not-a-number", "negative-length", "header-over-limit",
+            "chunked", "conflicting-lengths", "one-token-request-line"])
     def test_unframeable_request_400_then_close(self, warm_server, head):
         """A request the parser cannot frame gets a 400 envelope and a
-        closed connection, is counted, and leaves the daemon serving."""
+        closed connection, is counted, and leaves the daemon serving.
+        A chunked body is one: the daemon reads no chunks, so it would
+        answer the request with an empty body (the defaults) and read
+        the chunks as the next request."""
         before = warm_server.metrics.counter("serve.responses.400").value
         with socket.create_connection(
             ("127.0.0.1", warm_server.port), timeout=10
@@ -246,6 +264,27 @@ class TestHttpSemantics:
         ).value == before + 1
         with ServeClient("127.0.0.1", warm_server.port) as fresh:
             assert fresh.health().status == 200
+
+    def test_empty_line_before_a_request_line_is_skipped(self, warm_server):
+        """A stray CRLF between pipelined requests is ignored (RFC 9112
+        §2.2): both requests are answered on the one connection."""
+        with socket.create_connection(
+            ("127.0.0.1", warm_server.port), timeout=10
+        ) as sock:
+            sock.sendall(
+                b"POST /v1/costs HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+                % (len(_C128_N14), _C128_N14)
+                + b"\r\nGET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
+            )
+            raw = b""
+            while True:
+                chunk = sock.recv(1 << 16)
+                if not chunk:
+                    break
+                raw += chunk
+        # A reply's body does not end in a newline, so the next status
+        # line follows it directly.
+        assert re.findall(rb"HTTP/1\.1 (\d{3}) ", raw) == [b"200", b"200"]
 
     def test_stats_endpoint(self, client):
         response = client.stats()
@@ -354,6 +393,161 @@ class TestConcurrentClients:
             assert _canonical(response.data) == expected[key]
 
 
+#: One request of each kind the reply memo keeps.
+MEMOIZED = (
+    ("costs", CostQuery(16, 10)),
+    ("compile", CompileRequest("fft", 16, 5)),
+    ("simulate", SimulateRequest("fft1k", 16, 5)),
+    ("sweep", SweepRequest("fig15")),
+)
+
+
+def _post_raw(port, kind, body):
+    """POST ``body`` bytes to ``kind``'s route; ``(status, the
+    X-Request-Id header, the raw reply body)``."""
+    path = "/v1/sweeps" if kind == "sweep" else f"/v1/{kind}"
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    try:
+        conn.request("POST", path, body=body,
+                     headers={"Content-Type": "application/json"})
+        reply = conn.getresponse()
+        return reply.status, reply.getheader("X-Request-Id"), reply.read()
+    finally:
+        conn.close()
+
+
+@pytest.fixture()
+def fresh_server():
+    """A daemon of the test's own, so its reply memo starts empty."""
+    with running_server() as server:
+        yield server
+
+
+@pytest.fixture()
+def registry(tmp_path):
+    registry = configure_default_registry(tmp_path / "kernels")
+    try:
+        yield registry
+    finally:
+        configure_default_registry(enabled=False)
+
+
+class TestReplyMemo:
+    """A repeated request body is answered from the reply memo: the
+    data bytes of the first reply and of ``execute()``, in the envelope
+    ``build_envelope`` gives, under the repeat's own request id."""
+
+    @pytest.mark.parametrize(
+        "kind,request_obj", MEMOIZED, ids=[kind for kind, _ in MEMOIZED]
+    )
+    def test_a_repeat_is_a_hit_with_the_first_replys_bytes(
+        self, fresh_server, kind, request_obj
+    ):
+        body = _canonical(request_obj.to_dict()).encode()
+        expected = execute(request_obj).to_json()
+        timed = fresh_server.metrics.histogram("serve.batch_seconds")
+        seen = []
+        for _ in range(2):
+            status, request_id, raw = _post_raw(
+                fresh_server.port, kind, body
+            )
+            assert status == 200
+            envelope = json.loads(raw)
+            assert raw == _canonical(build_envelope(
+                kind, data=envelope["data"], meta=envelope["meta"]
+            )).encode()
+            assert _canonical(envelope["data"]) == expected
+            assert envelope["meta"]["request_id"] == request_id
+            seen.append((
+                request_id, fresh_server.stats()["reply_memo"], timed.count,
+            ))
+        (first_id, first, first_count), (second_id, second, count) = seen
+        assert first_id != second_id
+        assert first == {"entries": 1, "hits": 0}
+        assert second == {"entries": 1, "hits": 1}
+        assert count == first_count + 1
+
+    def test_kernel_references_are_never_kept(self, registry, fresh_server):
+        """A ``kernel:`` reference resolves through the shared disk
+        store, so its answer can change: full ids and prefixes are
+        recomputed every time."""
+        ref = registry.register(document_from_graph(get_kernel("fft"))).ref
+        prefix = "kernel:" + ref.split(":", 1)[1][:12]
+        with ServeClient("127.0.0.1", fresh_server.port) as client:
+            for name in (ref, prefix, ref, prefix):
+                assert client.compile(name, 8, 5).status == 200
+                assert client.simulate(name, 8, 5).status == 200
+                assert client.sweep("fig13", kernel=name).status == 200
+        assert fresh_server.stats()["reply_memo"] == {
+            "entries": 0, "hits": 0,
+        }
+
+    def test_registrations_and_errors_are_never_kept(
+        self, registry, fresh_server, monkeypatch
+    ):
+        """A registration repairs a damaged store entry and a failure
+        is recomputed, so neither is kept; the failing body answers
+        once the failure is gone."""
+        body = {"clusters": 32, "alus": 5}
+
+        def fail(request):
+            raise RuntimeError("evaluation failed")
+
+        with ServeClient("127.0.0.1", fresh_server.port) as client:
+            for _ in range(2):
+                document = document_from_graph(get_kernel("fft"))
+                assert client.register_kernel(document).status == 200
+                assert client.post("compile", {"kernel": "doom"}).status == 400
+            monkeypatch.setattr(daemon, "execute", fail)
+            for _ in range(2):
+                failed = client.post("costs", body)
+                assert failed.status == 500
+                assert failed.error["message"] == (
+                    "RuntimeError: evaluation failed"
+                )
+            assert fresh_server.stats()["reply_memo"] == {
+                "entries": 0, "hits": 0,
+            }
+            monkeypatch.undo()
+            answered = client.post("costs", body)
+        assert answered.status == 200
+        assert _canonical(answered.data) == execute(CostQuery(32, 5)).to_json()
+        assert fresh_server.stats()["reply_memo"] == {"entries": 1, "hits": 0}
+
+    def test_a_long_body_is_answered_but_never_kept(self, fresh_server):
+        padded = (b'{"clusters": 8,' + b" " * daemon.REPLY_MEMO_MAX_BODY_BYTES
+                  + b'"alus": 5}')
+        for _ in range(2):
+            status, _, raw = _post_raw(fresh_server.port, "costs", padded)
+            assert status == 200
+            assert _canonical(json.loads(raw)["data"]) == (
+                execute(CostQuery(8, 5)).to_json()
+            )
+        assert fresh_server.stats()["reply_memo"] == {
+            "entries": 0, "hits": 0,
+        }
+
+    def test_the_memo_is_capped_and_drops_its_oldest_entry_first(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(daemon, "REPLY_MEMO_ENTRIES", 2)
+        with running_server() as server:
+            with ServeClient("127.0.0.1", server.port) as client:
+
+                def memo_after(alus):
+                    assert client.costs(8, alus).status == 200
+                    return server.stats()["reply_memo"]
+
+                assert memo_after(2) == {"entries": 1, "hits": 0}
+                assert memo_after(3) == {"entries": 2, "hits": 0}
+                assert memo_after(5) == {"entries": 2, "hits": 0}  # drops 2
+                assert memo_after(5) == {"entries": 2, "hits": 1}
+                assert memo_after(3) == {"entries": 2, "hits": 2}
+                assert memo_after(2) == {"entries": 2, "hits": 2}  # drops 3
+                assert memo_after(3) == {"entries": 2, "hits": 2}  # drops 5
+                assert memo_after(2) == {"entries": 2, "hits": 3}
+
+
 def _serve_session(tmp_path, flags, session):
     """Start ``python -m repro serve`` with ``flags``, call
     ``session(port)``, then SIGTERM it; returns ``(exit code, output)``."""
@@ -406,18 +600,22 @@ class TestGracefulDrain:
         def session(port):
             with ServeClient("127.0.0.1", port) as c:
                 seen["health"] = c.health().status
-                for alus in (2, 3, 5):
+                for alus in (2, 3, 5, 5):
                     assert c.costs(8, alus).status == 200
-                seen["batcher"] = c.stats().data["batcher"]
+                stats = c.stats().data
+                seen["batcher"] = stats["batcher"]
+                seen["reply_memo"] = stats["reply_memo"]
 
         code, out = _serve_session(
             tmp_path, ["--port", "0", "--batch-window-ms", "0"], session
         )
         assert code == 0, out
+        # The repeat is a reply-memo hit and still counts as executed.
         assert seen == {
             "health": 200,
-            "batcher": {"submitted": 3, "deduped": 0, "batches": 3,
-                        "executed": 3, "queue_depth": 0},
+            "batcher": {"submitted": 4, "deduped": 0, "batches": 4,
+                        "executed": 4, "queue_depth": 0},
+            "reply_memo": {"entries": 3, "hits": 1},
         }
 
 
